@@ -27,7 +27,6 @@ from .msa import (
     ScalingParams,
     energy_grid,
     is_EmNS,
-    is_m_loc,
     is_m_tunneling,
     ns_flags,
     verify_implications,
@@ -162,8 +161,7 @@ def _evaluate_event(setup: TrialSetup, event: str, energy, trial_seed: int) -> b
         es = ctx.eigensystem(setup.center, setup.radius)
         return not is_EmNS(es, float(energy), params).non_singular
     if event == "non_localized":
-        es = ctx.eigensystem(setup.center, setup.radius)
-        return not is_m_loc(es, params).localized
+        return not ctx.m_loc(setup.center, setup.radius).localized
     if event == "tunneling":
         if setup.sub_scale is None:
             raise ValueError("tunneling event needs a sub-scale")
@@ -272,8 +270,7 @@ def run_scaling_audit(
         for t in range(trials):
             ts = derive_seed(seed_k, "trial", t)
             ctx = scale_setup.context(ts)
-            es = ctx.eigensystem(setup.center, L)
-            if not is_m_loc(es, params).localized:
+            if not ctx.m_loc(setup.center, L).localized:
                 nonloc += 1
             if k > 0:
                 res = verify_implications(
@@ -559,7 +556,7 @@ def audit_trial(
             grid_stride=grid_stride,
         )
         violations.extend(res2.violations)
-    loc = is_m_loc(es, setup.params)
+    loc = ctx.m_loc(setup.center, setup.radius)
     singular = None
     if energy is not None:
         singular = not is_EmNS(es, energy, setup.params).non_singular

@@ -398,7 +398,8 @@ def check_param_constraints(
 
 
 class AuditContext:
-    """Caches balls and eigensystems for one (spec, sample) pair.
+    """Caches eigensystems and m-localization reports for one (spec, sample)
+    pair.
 
     When a ball's centre splits into groups farther apart than twice the
     radius and the cross interaction over the gap is below ``split_tol``
@@ -418,14 +419,11 @@ class AuditContext:
         self.sample = sample
         self.params = params
         self.split_tol = split_tol
-        self._balls: dict = {}
         self._systems: dict = {}
+        self._locs: dict = {}
 
     def ball(self, center, radius: int) -> Ball:
-        key = (tuple(center), radius)
-        if key not in self._balls:
-            self._balls[key] = enumerate_ball(center, radius, self.spec.geometry)
-        return self._balls[key]
+        return enumerate_ball(center, radius, self.spec.geometry)
 
     def eigensystem(self, center, radius: int) -> EigenSystem:
         key = (tuple(center), radius)
@@ -435,6 +433,19 @@ class AuditContext:
         es = self._build(ball)
         self._systems[key] = es
         return es
+
+    def m_loc(
+        self, center, radius: int, m: float | None = None, params: ScalingParams | None = None
+    ) -> LocReport:
+        """``is_m_loc`` of the ball's eigensystem, computed once per
+        (centre, radius, mass, parameters); energy plays no role in it."""
+        params = params or self.params
+        key = (tuple(center), radius, m, params)
+        rep = self._locs.get(key)
+        if rep is None:
+            rep = is_m_loc(self.eigensystem(center, radius), params, m=m)
+            self._locs[key] = rep
+        return rep
 
     def _build(self, ball: Ball) -> EigenSystem:
         if ball.n_particles >= 2:
@@ -609,6 +620,38 @@ class LocReport:
     qualifying_pairs: int
 
 
+def _log_excess_bounds(log_vecs, peaks, dmat, rmin: int, rate: float, floors) -> np.ndarray:
+    """Per eigenfunction, an upper bound on the log excess of every pair.
+
+    For the peak x0 of eigenfunction j, a qualifying pair (a, b) has
+    rho(x0, a) + rho(x0, b) >= rho(a, b) >= rmin (triangle inequality).
+    With prof[r] the largest log amplitude at distance >= r from x0, the
+    pair's log product minus its log threshold is at most
+    prof[ra] + prof[rb] - max(-rate (ra + rb), log floor_j) over the
+    distance pairs ra <= rb with ra + rb >= rmin.  Every step is monotone
+    in floating point, so the bound holds for the computed excess too.
+    """
+    n = log_vecs.shape[1]
+    R = int(dmat.max()) + 1
+    # prof[j, r]: max log amplitude of eigenfunction j at distance r from
+    # its peak, then the suffix maximum over distances >= r
+    prof = np.full(n * R, -np.inf)
+    keys = np.take(dmat, peaks, axis=1)
+    keys += np.arange(n) * R
+    np.maximum.at(prof, keys, log_vecs)
+    prof = np.maximum.accumulate(prof.reshape(n, R)[:, ::-1], axis=1)[:, ::-1]
+    log_floors = np.log(floors)[:, None]
+    bounds = np.full(n, -np.inf)
+    for rb in range((rmin + 1) // 2, R):
+        ra = np.arange(max(0, rmin - rb), rb + 1)
+        # rho(a, b) <= min(ra + rb, diameter) bounds the threshold from below
+        s = np.minimum(ra + rb, R - 1)
+        log_thr = np.maximum(-rate * s, log_floors)
+        excess = prof[:, ra] + prof[:, rb, None] - log_thr
+        bounds = np.maximum(bounds, excess.max(axis=1))
+    return bounds
+
+
 def is_m_loc(
     es: EigenSystem, params: ScalingParams, m: float | None = None
 ) -> LocReport:
@@ -618,26 +661,37 @@ def is_m_loc(
     and every member pair at distance >= L^((1+varrho)/alpha), with the
     per-pair threshold clamped below at the numerical floor (products
     under the floor are indistinguishable from zero in the eigensolve).
-    The worst ratio of product to threshold and its witness are reported.
+    The worst ratio of product to threshold and its witness are reported;
+    exact ties go to the lowest eigenfunction index, then to the first pair
+    in descending-amplitude order (equal amplitudes in member order).
     """
     ball = es.ball
     L = ball.radius
     rmin = params.loc_min_distance(L)
     dmat = ball.pairwise_distances
-    mask = dmat >= rmin
-    qualifying = int(np.count_nonzero(mask) // 2)
+    qualifying = int(np.count_nonzero(dmat >= rmin) // 2)
     if qualifying == 0:
         return LocReport(True, 0.0, None, rmin, 0)
     rate = params.decay_rate(L, n=ball.n_particles, m=m)
     # eigenvector entries below eps*|H|/gap are dominated by rounding in
     # the eigensolve; the certifiable floor adapts per eigenfunction
     floors = np.maximum(params.numerical_floor, eigenvector_noise_floors(es))
+    # in-place steps keep the peak memory at three n x n arrays
+    vecs = np.abs(es.eigenvectors)
+    peaks = np.argmax(vecs, axis=0)
+    log_vecs = np.maximum(vecs, 1e-320)
+    np.log(log_vecs, out=log_vecs)
+    bounds = _log_excess_bounds(log_vecs, peaks, dmat, rmin, rate, floors)
     worst = 0.0
     witness = None
-    vecs = np.abs(es.eigenvectors)
-    with np.errstate(divide="ignore"):
-        log_vecs = np.log(np.maximum(vecs, 1e-320))
-    for j in range(es.n):
+    # visiting the largest bounds first lets the worst ratio found so far
+    # end the scan and cut the pair enumeration; ties keep the lowest
+    # eigenfunction index, as an ascending scan would
+    for j in np.argsort(-bounds, kind="stable"):
+        j = int(j)
+        log_worst = math.log(worst) - 1e-9 if worst > 0.0 else -math.inf
+        if bounds[j] < log_worst:
+            break
         v = vecs[:, j]
         vmax = v.max()
         floor = floors[j]
@@ -649,12 +703,16 @@ def is_m_loc(
         if len(cand) < 2:
             continue
         lv = log_vecs[cand, j]
-        order = np.argsort(-lv)
+        # descending amplitude, equal amplitudes in member order: the pair
+        # order that decides exact ties within an eigenfunction
+        order = np.argsort(-lv, kind="stable")
         lv_s = lv[order]
-        # unordered pairs (b < a in sorted order) with lv_a + lv_b > floor
+        # unordered pairs (b < a in sorted order) with lv_a + lv_b > floor;
+        # pairs that cannot reach the worst ratio so far are not enumerated
+        log_cut = log_floor + max(0.0, log_worst)
         counts = np.minimum(
             np.arange(len(cand)),
-            np.searchsorted(-lv_s, -(log_floor - lv_s), side="left"),
+            np.searchsorted(-lv_s, -(log_cut - lv_s), side="left"),
         )
         total = int(counts.sum())
         if total == 0:
@@ -672,7 +730,7 @@ def is_m_loc(
         excess = lv_s[pa[keep]] + lv_s[pb[keep]] - log_thr
         k = int(np.argmax(excess))
         ratio = math.exp(min(float(excess[k]), 700.0))
-        if ratio > worst:
+        if ratio > worst or (ratio == worst and witness is not None and j < witness[2]):
             worst = ratio
             sel = np.nonzero(keep)[0][k]
             wa, wb = int(ia[sel]), int(ib[sel])
@@ -709,21 +767,16 @@ def is_m_tunneling(
         raise ValueError("sub-scale must be below the ball radius")
     centers = stride_centers(ball, max(1, sub_scale // 2), ball.radius - sub_scale)
     g = ball.geometry
-    loc_cache: dict = {}
-
-    def localized(center) -> bool:
-        if center not in loc_cache:
-            sub = ctx.eigensystem(center, sub_scale)
-            loc_cache[center] = is_m_loc(sub, params, m=m).localized
-        return loc_cache[center]
-
     distant = 0
     for i, c1 in enumerate(centers):
         for c2 in centers[i + 1 :]:
             if not params.pair_is_distant(config_distance(c1, c2, g), sub_scale):
                 continue
             distant += 1
-            if not localized(c1) and not localized(c2):
+            if not (
+                ctx.m_loc(c1, sub_scale, m, params).localized
+                or ctx.m_loc(c2, sub_scale, m, params).localized
+            ):
                 return TunnelingReport(True, distant, (c1, c2))
     return TunnelingReport(False, distant, None)
 
@@ -788,7 +841,7 @@ def predicate_report(
     nr = is_E_NR(es, energy, params)
     cnr, res_witness = is_E_CNR(ctx, ball, energy, params)
     ns = is_EmNS(es, energy, params, m=m)
-    loc = is_m_loc(es, params, m=m)
+    loc = ctx.m_loc(center, radius, m)
     tun = is_m_tunneling(ctx, ball, sub_scale, params, m=m)
     return PredicateReport(
         center=tuple(center),
@@ -907,7 +960,7 @@ def verify_implications(
         sub = ctx.eigensystem(c, r)
         cnr &= _dist_to_sorted(sub.eigenvalues, grid) >= params.resonance_scale(r)
 
-    loc = is_m_loc(es, params, m=m)
+    loc = ctx.m_loc(center, radius, m)
 
     # distant sub-ball pairs (geometry first; empty at desk scales)
     g = ball.geometry
@@ -1044,11 +1097,10 @@ def verify_longrange_split(
             )
         )
 
-    es1 = ctx.eigensystem(split.part1, L)
-    es2 = ctx.eigensystem(split.part2, L)
-    loc1 = is_m_loc(es1, params, m=m)
-    loc2 = is_m_loc(es2, params, m=m)
-    if not (loc1.localized and loc2.localized):
+    if not (
+        ctx.m_loc(split.part1, L, m).localized
+        and ctx.m_loc(split.part2, L, m).localized
+    ):
         return AuditResult(violations, counters)
 
     es = ctx.eigensystem(center, radius)

@@ -419,7 +419,8 @@ class TestImplicationAudit:
             f"counterexamples to the audited implications at the pinned "
             f"parameters: {by_lemma}; first witness: {violations[0][1]}. "
             f"The demanded decay rate (mass 1) exceeds the realized one at "
-            f"coupling 30; see notes/decisions.md."
+            f"coupling 30; the README (section \"Install and test\") explains "
+            f"why this criterion fails by design."
         )
         assert trials_run == ACC5_TRIALS
         assert elapsed < 600.0

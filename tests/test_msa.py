@@ -1,14 +1,17 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mpdsa.configspace import enumerate_ball
+from mpdsa import msa
+from mpdsa.configspace import LatticeGeometry, enumerate_ball
 from mpdsa.disorder import FieldModel, FieldSample, sample_field
 from mpdsa.msa import (
     AuditContext,
     BoundSchedule,
+    LocReport,
     ScalingParams,
     ceil_rational_power,
     check_param_constraints,
@@ -29,7 +32,7 @@ from mpdsa.msa import (
     verify_longrange_split,
 )
 from mpdsa.operators import HamiltonianSpec, InteractionModel, OperatorMatrix
-from mpdsa.spectral import diagonalize
+from mpdsa.spectral import diagonalize, eigenvector_noise_floors
 
 
 def make_context(line, seed, coupling=300.0, mass=1.0, center=(1, 0), radius=8,
@@ -221,6 +224,7 @@ class TestPredicates:
         params = ScalingParams.finite_range(2)
         rep = is_m_loc(es, params)
         assert rep.localized and rep.qualifying_pairs == 0
+        assert rep == brute_force_m_loc(es, params)
 
     def test_loc_delta_functions(self, line):
         ball = enumerate_ball((9, 0), 6, line)
@@ -257,6 +261,119 @@ class TestPredicates:
     def test_ns_threshold_monotone_in_mass(self):
         params = ScalingParams.finite_range(2)
         assert params.ns_threshold(8, m=0.5) > params.ns_threshold(8, m=1.0)
+
+
+def brute_force_m_loc(es, params, m=None) -> LocReport:
+    """Reference for ``is_m_loc``: every eigenfunction, every member pair.
+
+    Pairs of one eigenfunction are visited in descending-amplitude order
+    (equal amplitudes in member order), the lower-amplitude member first;
+    exact ties keep the first pair and then the lowest eigenfunction.
+    """
+    ball = es.ball
+    L = ball.radius
+    rmin = params.loc_min_distance(L)
+    rate = params.decay_rate(L, n=ball.n_particles, m=m)
+    dist = ball.pairwise_distances.tolist()
+    qualifying = sum(dist[x][y] >= rmin for x in range(len(ball)) for y in range(x))
+    if qualifying == 0:
+        return LocReport(True, 0.0, None, rmin, 0)
+    floors = np.maximum(params.numerical_floor, eigenvector_noise_floors(es))
+    log_vecs = np.log(np.maximum(np.abs(es.eigenvectors), 1e-320))
+    worst, witness = 0.0, None
+    for j in range(es.n):
+        if floors[j] >= 1.0:
+            continue
+        log_floor = math.log(floors[j])
+        lv = log_vecs[:, j].tolist()
+        rank = np.argsort(-log_vecs[:, j], kind="stable").tolist()
+        best = None
+        for pos, a in enumerate(rank):
+            for b in rank[:pos]:
+                rho = dist[a][b]
+                # the product must clear the floor to count at all
+                if rho < rmin or not lv[b] > log_floor - lv[a]:
+                    continue
+                excess = lv[a] + lv[b] - max(-rate * rho, log_floor)
+                if best is None or excess > best[0]:
+                    best = (excess, a, b, rho)
+        if best is None:
+            continue
+        ratio = math.exp(min(best[0], 700.0))
+        if ratio > worst:
+            worst = ratio
+            witness = (ball.members[best[1]], ball.members[best[2]], j, best[3])
+    return LocReport(worst <= 1.0, worst, witness, rmin, qualifying)
+
+
+class TestLocOracle:
+    """The pruned ``is_m_loc`` returns the brute-force report bit for bit."""
+
+    @staticmethod
+    def _same(es, params, m=None) -> LocReport:
+        rep = is_m_loc(es, params, m=m)
+        assert rep == brute_force_m_loc(es, params, m=m)
+        return rep
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_strong_disorder_several_masses(self, line, seed):
+        ctx = make_context(line, seed=seed, coupling=30.0, radius=6)
+        es = ctx.eigensystem((1, 0), 6)
+        assert len(es.ball) <= 100
+        reps = [self._same(es, ctx.params, m) for m in (0.05, 0.3, 1.0, 3.0)]
+        assert reps[0].localized and not reps[-1].localized
+        assert all(r.witness is not None for r in reps)
+
+    def test_weak_disorder(self, line):
+        ctx = make_context(line, seed=11, coupling=2.0, radius=6)
+        es = ctx.eigensystem((1, 0), 6)
+        for m in (0.3, 1.0):
+            assert not self._same(es, ctx.params, m).localized
+
+    def test_no_product_clears_the_floor(self, line):
+        # two entries of a unit vector multiply to at most 1/2
+        ctx = make_context(line, seed=4, coupling=2.0, radius=6)
+        params = replace(ctx.params, numerical_floor=0.5)
+        rep = self._same(ctx.eigensystem((1, 0), 6), params)
+        assert rep.qualifying_pairs > 0
+        assert rep.worst_ratio == 0.0 and rep.witness is None
+
+    def test_matching_minimized_metric(self):
+        # 12-site path graph: ball distances minimize over particle matchings
+        adj = tuple(tuple(v for v in (i - 1, i + 1) if 0 <= v < 12) for i in range(12))
+        graph = LatticeGeometry(kind="graph", d=1, growth_constant=3.0, adjacency=adj)
+        ctx = make_context(graph, seed=6, coupling=3.0, center=(6, 4), radius=4)
+        es = ctx.eigensystem((6, 4), 4)
+        assert es.ball.metric == "sym"
+        for m in (0.3, 1.0):
+            assert self._same(es, ctx.params, m).qualifying_pairs > 0
+
+
+class TestLocMemo:
+    def test_one_kernel_call_per_ball_and_mass(self, line, monkeypatch):
+        kernel = msa.is_m_loc
+        calls = []
+
+        def counting(es, params, m=None):
+            calls.append((es.ball.center, es.ball.radius, m, params.mass))
+            return kernel(es, params, m=m)
+
+        monkeypatch.setattr(msa, "is_m_loc", counting)
+        ctx = make_context(line, seed=5, coupling=30.0, radius=8)
+        for energy in (0.0, 5.0, 15.0):
+            predicate_report(ctx, (1, 0), 8, energy, sub_scale=4)
+        verify_implications(ctx, (1, 0), 8, 4)
+        assert calls == [((1, 0), 8, None, 1.0)]
+        ctx.m_loc((1, 0), 8, m=2.0)
+        ctx.m_loc((1, 0), 8, m=2.0)
+        assert calls[1:] == [((1, 0), 8, 2.0, 1.0)]
+        # a parameter override gets its own entry, never the context's
+        other = replace(ctx.params, mass=2.0)
+        rep = ctx.m_loc((1, 0), 8, params=other)
+        assert calls[2:] == [((1, 0), 8, None, 2.0)]
+        assert rep == kernel(ctx.eigensystem((1, 0), 8), other)
+        assert rep != ctx.m_loc((1, 0), 8)
+        assert len(calls) == 3
 
 
 class TestTunneling:
@@ -305,6 +422,19 @@ class TestTunneling:
         spec = HamiltonianSpec(geometry=line, n_particles=1, coupling=40.0, convention="fixed")
         ctx = AuditContext(spec, sample, params)
         assert not is_m_tunneling(ctx, ball, 1, params).tunneling
+
+    def test_params_override_does_not_read_context_entries(self, line):
+        params = ScalingParams.finite_range(1, initial_scale=6, mass=1.0)
+        ball = enumerate_ball((0,), 16, line)
+        sample = FieldSample(FieldModel(), 0, self._pinned_background(ball.projection, (13, -13)))
+        spec = HamiltonianSpec(geometry=line, n_particles=1, coupling=40.0, convention="fixed")
+        ctx = AuditContext(spec, sample, params)
+        assert is_m_tunneling(ctx, ball, 1).tunneling
+        # at a tiny mass every sub-ball is localized: no tunneling
+        lenient = replace(params, mass=0.01)
+        rep = is_m_tunneling(ctx, ball, 1, lenient)
+        assert not rep.tunneling
+        assert rep == is_m_tunneling(AuditContext(spec, sample, lenient), ball, 1)
 
 
 class TestGridsAndReports:
