@@ -71,7 +71,6 @@ from .spectral import (
 )
 from .experiments import (
     ProbabilityEstimate,
-    TrialBatch,
     TrialSetup,
     decay_fit,
     ef_correlator,

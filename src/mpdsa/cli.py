@@ -24,8 +24,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .configspace import config_distance, enumerate_ball
-from .disorder import derive_seed, sample_field
+from .configspace import config_distance
+from .disorder import derive_seed
 from .experiments import (
     TrialSetup,
     decay_fit,
@@ -38,7 +38,6 @@ from .experiments import (
     run_scaling_audit,
 )
 from .msa import check_param_constraints, predicate_report, verify_implications
-from .operators import assemble_hamiltonian
 from .runconfig import (
     ConfigError,
     build_field_model,
@@ -50,7 +49,7 @@ from .runconfig import (
     config_hash,
     load_config,
 )
-from .spectral import ResonanceError, diagonalize
+from .spectral import ResonanceError
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -111,11 +110,21 @@ class RunWriter:
             fh.write("\n")
 
 
+VIOLATION_HEADER = ["experiment", "trial", "lemma", "scale", "energy", "magnitude", "detail"]
+
+
+def _violation_row(idx: int, trial: int, v) -> list:
+    return [idx, trial, v.lemma, v.radius, v.energy, v.magnitude, v.detail]
+
+
 def _experiments_of(raw: dict, kind: str) -> list:
-    return [e for e in raw["experiments"] if e["kind"] == kind]
+    experiments = [e for e in raw["experiments"] if e["kind"] == kind]
+    if not experiments:
+        raise ConfigError(f"config contains no {kind} experiment")
+    return experiments
 
 
-def _setup_for(raw: dict, exp: dict, seed_override=None) -> TrialSetup:
+def _setup_for(raw: dict, exp: dict) -> TrialSetup:
     geometry = build_geometry(raw)
     params = build_params(raw)
     center = config_center(exp, geometry)
@@ -148,26 +157,19 @@ def _trials(exp: dict, args) -> int:
 
 
 def cmd_spectrum(raw: dict, writer: RunWriter, args) -> int:
-    experiments = _experiments_of(raw, "spectrum")
-    if not experiments:
-        raise ConfigError("config contains no spectrum experiment")
     seed = _seed(raw, args)
     rows = []
     summary = []
-    for idx, exp in enumerate(experiments):
+    for idx, exp in enumerate(_experiments_of(raw, "spectrum")):
         setup = _setup_for(raw, exp)
-        ball = enumerate_ball(setup.center, setup.radius, setup.geometry)
-        spec = setup.ham_spec()
         trials = _trials(exp, args)
         for t in range(trials):
-            sample = sample_field(
-                setup.field_model, ball.projection, derive_seed(seed, "trial", t)
-            )
-            es = diagonalize(assemble_hamiltonian(spec, ball, sample))
+            ctx = setup.context(derive_seed(seed, "trial", t))
+            es = ctx.eigensystem(setup.center, setup.radius)
             for i, lam in enumerate(es.eigenvalues):
                 rows.append([idx, t, i, float(lam)])
         summary.append(
-            {"experiment": idx, "ball_size": len(ball), "trials": trials}
+            {"experiment": idx, "ball_size": len(setup.balls()[0]), "trials": trials}
         )
     writer.write_csv(
         "spectrum.csv", ["experiment", "trial", "index", "eigenvalue"], rows
@@ -177,15 +179,12 @@ def cmd_spectrum(raw: dict, writer: RunWriter, args) -> int:
 
 
 def cmd_predicates(raw: dict, writer: RunWriter, args) -> int:
-    experiments = _experiments_of(raw, "predicates")
-    if not experiments:
-        raise ConfigError("config contains no predicates experiment")
     seed = _seed(raw, args)
     rows = []
     records = []
     violation_rows = []
     total_violations = 0
-    for idx, exp in enumerate(experiments):
+    for idx, exp in enumerate(_experiments_of(raw, "predicates")):
         setup = _setup_for(raw, exp)
         sub_scale = exp.get("sub_scale") or max(1, setup.radius // 2)
         trials = _trials(exp, args)
@@ -217,10 +216,7 @@ def cmd_predicates(raw: dict, writer: RunWriter, args) -> int:
                 )
             res = verify_implications(ctx, setup.center, setup.radius, sub_scale)
             total_violations += len(res.violations)
-            for v in res.violations:
-                violation_rows.append(
-                    [idx, t, v.lemma, v.radius, v.energy, v.magnitude, v.detail]
-                )
+            violation_rows += [_violation_row(idx, t, v) for v in res.violations]
     writer.write_csv(
         "predicates.csv",
         [
@@ -239,11 +235,7 @@ def cmd_predicates(raw: dict, writer: RunWriter, args) -> int:
         ],
         rows,
     )
-    writer.write_csv(
-        "violations.csv",
-        ["experiment", "trial", "lemma", "scale", "energy", "magnitude", "detail"],
-        violation_rows,
-    )
+    writer.write_csv("violations.csv", VIOLATION_HEADER, violation_rows)
     writer.write_json(
         "summary.json",
         {"predicates": records, "violation_count": total_violations},
@@ -253,8 +245,6 @@ def cmd_predicates(raw: dict, writer: RunWriter, args) -> int:
 
 def cmd_audit(raw: dict, writer: RunWriter, args) -> int:
     experiments = _experiments_of(raw, "audit")
-    if not experiments:
-        raise ConfigError("config contains no audit experiment")
     seed = _seed(raw, args)
     schedule = build_schedule(raw)
     if schedule is None:
@@ -293,10 +283,7 @@ def cmd_audit(raw: dict, writer: RunWriter, args) -> int:
                 ]
             )
             exp_violations += r.violation_count
-        for t, v in result.violations:
-            violation_rows.append(
-                [idx, t, v.lemma, v.radius, v.energy, v.magnitude, v.detail]
-            )
+        violation_rows += [_violation_row(idx, t, v) for t, v in result.violations]
         constraints = check_param_constraints(setup.params, schedule)
         summary[f"experiment_{idx}"] = {
             "constraints": [
@@ -324,28 +311,20 @@ def cmd_audit(raw: dict, writer: RunWriter, args) -> int:
         ],
         rows,
     )
-    writer.write_csv(
-        "violations.csv",
-        ["experiment", "trial", "lemma", "scale", "energy", "magnitude", "detail"],
-        violation_rows,
-    )
+    writer.write_csv("violations.csv", VIOLATION_HEADER, violation_rows)
     writer.write_json("summary.json", summary)
     return EXIT_VIOLATIONS if total_violations else EXIT_OK
 
 
 def cmd_evc(raw: dict, writer: RunWriter, args) -> int:
-    experiments = _experiments_of(raw, "evc")
-    if not experiments:
-        raise ConfigError("config contains no evc experiment")
     seed = _seed(raw, args)
     rows = []
     summary = {}
-    for idx, exp in enumerate(experiments):
+    for idx, exp in enumerate(_experiments_of(raw, "evc")):
         setup = _setup_for(raw, exp)
         if setup.second_center is None:
             raise ConfigError("evc needs a second center")
-        ball_x = enumerate_ball(setup.center, setup.radius, setup.geometry)
-        ball_y = enumerate_ball(setup.second_center, setup.radius, setup.geometry)
+        ball_x, ball_y = setup.balls()
         report = evc_experiment(
             ball_x,
             ball_y,
@@ -395,16 +374,12 @@ def cmd_evc(raw: dict, writer: RunWriter, args) -> int:
 
 
 def cmd_dynamics(raw: dict, writer: RunWriter, args) -> int:
-    experiments = _experiments_of(raw, "dynamics")
-    if not experiments:
-        raise ConfigError("config contains no dynamics experiment")
     seed = _seed(raw, args)
     rows = []
     summary = {}
-    for idx, exp in enumerate(experiments):
+    for idx, exp in enumerate(_experiments_of(raw, "dynamics")):
         setup = _setup_for(raw, exp)
-        ball = enumerate_ball(setup.center, setup.radius, setup.geometry)
-        spec = setup.ham_spec()
+        ball = setup.balls()[0]
         window = tuple(exp["window"]) if exp.get("window") else None
         t_grid = default_time_grid(exp.get("time_points", 10_000))
         if exp.get("pairs"):
@@ -429,10 +404,8 @@ def cmd_dynamics(raw: dict, writer: RunWriter, args) -> int:
         worst_comp = 0.0
         worst_prop = 0.0
         for t in range(trials):
-            sample = sample_field(
-                setup.field_model, ball.projection, derive_seed(seed, "trial", t)
-            )
-            es = diagonalize(assemble_hamiltonian(spec, ball, sample))
+            ctx = setup.context(derive_seed(seed, "trial", t))
+            es = ctx.eigensystem(setup.center, setup.radius)
             for x, y in pairs:
                 q = ef_correlator(es, x, y, window)
                 comp = correlator_completeness(es, x, y)
@@ -495,18 +468,13 @@ def cmd_dynamics(raw: dict, writer: RunWriter, args) -> int:
 
 
 def cmd_sweep(raw: dict, writer: RunWriter, args) -> int:
-    if not args.axis or args.values is None:
-        raise ConfigError("sweep needs --axis and --values")
     try:
         values = [float(v) for v in args.values.split(",") if v != ""]
     except ValueError as exc:
         raise ConfigError(f"bad sweep values: {exc}")
     if not values:
         raise ConfigError("empty sweep value list")
-    experiments = _experiments_of(raw, "event")
-    if not experiments:
-        raise ConfigError("sweep needs an event experiment")
-    exp = experiments[0]
+    exp = _experiments_of(raw, "event")[0]
     seed = _seed(raw, args)
     rows = []
     for value in values:
@@ -522,7 +490,7 @@ def cmd_sweep(raw: dict, writer: RunWriter, args) -> int:
         setup = _setup_for(sub, exp)
         if args.axis == "L0":
             setup = dataclasses.replace(setup, radius=int(value))
-        est, _ = estimate_event_probability(
+        est = estimate_event_probability(
             setup,
             exp["event"],
             _trials(exp, args),
@@ -563,7 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--trials", type=int, default=None, help="trial override")
-        p.add_argument("--threads", type=int, default=1, help="worker cap")
         if name == "sweep":
             p.add_argument("--axis", choices=["g", "L0", "m"], default=None)
             p.add_argument("--values", default=None, help="comma-separated values")

@@ -165,13 +165,6 @@ def canonical_config(positions, geometry: LatticeGeometry) -> tuple:
     return tuple(sorted(sites, reverse=True))
 
 
-def is_canonical(config, geometry: LatticeGeometry) -> bool:
-    try:
-        return tuple(config) == canonical_config(config, geometry)
-    except ValueError:
-        return False
-
-
 def config_distance(x, y, geometry: LatticeGeometry) -> int:
     """Largest single-particle displacement, minimized over matchings.
 
@@ -207,7 +200,7 @@ def diam(x, geometry: LatticeGeometry) -> int:
     )
 
 
-def occupation_map(x, geometry: LatticeGeometry | None = None) -> dict:
+def occupation_map(x) -> dict:
     """Site -> multiplicity for a configuration (ordered tuples allowed).
 
     Canonical sector configurations have all counts equal to one; ordered
@@ -333,13 +326,6 @@ class Ball:
                 if nb not in idx:
                     pairs.append((cfg, nb))
         return tuple(pairs)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "center": list(self.center),
-            "radius": self.radius,
-            "metric": self.metric,
-        }
 
 
 def _descending_tuples(lo_hi: list) -> list:

@@ -147,13 +147,6 @@ class FieldModel:
             total += a * self.base_value(_shift(site, -j), seed)
         return total
 
-    def to_jsonable(self) -> dict:
-        return {
-            "kind": self.kind,
-            "marginal": self.marginal,
-            "kernel": list(self.kernel),
-        }
-
 
 def _shift(site, offset: int):
     if isinstance(site, (int, np.integer)):
@@ -190,19 +183,6 @@ def sample_field(model: FieldModel, region, seed: int) -> FieldSample:
     """Sample the field on a finite region of one-particle sites."""
     values = {site: model.value_at(site, seed) for site in region}
     return FieldSample(model, seed, values)
-
-
-def export_field_csv(sample: FieldSample, path) -> None:
-    """One row per site: the coordinates, then the value."""
-    import csv
-
-    def coords(site):
-        return [site] if isinstance(site, (int, np.integer)) else list(site)
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for site in sorted(sample.values):
-            writer.writerow(coords(site) + [repr(sample.values[site])])
 
 
 def potential_energy(x, sample: FieldSample) -> float:
@@ -246,11 +226,6 @@ class CovarianceEstimate:
     covariance: float
     stderr: float
     trials: int
-
-    @property
-    def ci95(self) -> tuple:
-        half = 1.959963984540054 * self.stderr
-        return (self.covariance - half, self.covariance + half)
 
 
 def empirical_mixing(

@@ -9,7 +9,7 @@ Wilson intervals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,22 +53,6 @@ def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple:
 
 
 @dataclass(frozen=True)
-class TrialBatch:
-    """Per-trial outcome record of one seeded Monte Carlo run."""
-
-    event: str
-    trials: int
-    master_seed: int
-    outcomes: tuple
-
-    def successes(self) -> int:
-        return sum(self.outcomes)
-
-    def __len__(self) -> int:
-        return len(self.outcomes)
-
-
-@dataclass(frozen=True)
 class ProbabilityEstimate:
     successes: int
     trials: int
@@ -80,18 +64,6 @@ class ProbabilityEstimate:
     def from_counts(cls, successes: int, trials: int) -> "ProbabilityEstimate":
         p, lo, hi = wilson_interval(successes, trials)
         return cls(successes, trials, p, lo, hi)
-
-    def overlaps(self, other: "ProbabilityEstimate") -> bool:
-        return not (self.ci_hi < other.ci_lo or other.ci_hi < self.ci_lo)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "successes": self.successes,
-            "trials": self.trials,
-            "p_hat": self.p_hat,
-            "ci_lo": self.ci_lo,
-            "ci_hi": self.ci_hi,
-        }
 
 
 # -- trial setup -------------------------------------------------------------
@@ -185,16 +157,15 @@ def estimate_event_probability(
     trials: int,
     seed: int,
     energy: float | None = None,
-) -> tuple:
-    """(ProbabilityEstimate, TrialBatch) for the event over seeded trials."""
+) -> ProbabilityEstimate:
+    """Probability of the event over seeded trials."""
     if trials < 30 and event not in ("always_true", "always_false"):
         raise ValueError("need at least 30 trials")
-    outcomes = []
-    for t in range(trials):
-        ts = derive_seed(seed, "trial", t)
-        outcomes.append(_evaluate_event(setup, event, energy, ts))
-    est = ProbabilityEstimate.from_counts(sum(outcomes), trials)
-    return est, TrialBatch(event, trials, seed, tuple(outcomes))
+    successes = sum(
+        _evaluate_event(setup, event, energy, derive_seed(seed, "trial", t))
+        for t in range(trials)
+    )
+    return ProbabilityEstimate.from_counts(successes, trials)
 
 
 # -- scaling audit -----------------------------------------------------------
@@ -251,16 +222,8 @@ def run_scaling_audit(
                 )
             )
             continue
-        scale_setup = TrialSetup(
-            geometry=setup.geometry,
-            params=params,
-            field_model=setup.field_model,
-            interaction=setup.interaction,
-            center=setup.center,
-            radius=L,
-            coupling=setup.coupling,
-            convention=setup.convention,
-            sub_scale=ladder[k - 1] if k > 0 else None,
+        scale_setup = replace(
+            setup, radius=L, sub_scale=ladder[k - 1] if k > 0 else None, second_center=None
         )
         # per-scale master seed, so the k = 0 row reproduces a plain
         # non-localization probability estimate bit for bit

@@ -24,7 +24,6 @@ from .configspace import (
     classify_ball,
     canonical_decomposition,
     config_distance,
-    diam,
     enumerate_ball,
     interior_boundary,
     maximal_separation_split,
@@ -268,25 +267,6 @@ class ScalingParams:
     def scale_ladder(self, count: int) -> list:
         return scales(self.initial_scale, self.alpha, count)
 
-    def to_jsonable(self) -> dict:
-        out = {
-            "n_particles": self.n_particles,
-            "d": self.d,
-            "regime": self.regime,
-            "alpha": str(self.alpha),
-            "varrho": str(self.varrho),
-            "tau": str(self.tau),
-            "beta": str(self.beta),
-            "beta_prime": str(self.beta_prime),
-            "theta": self.theta,
-            "mass": self.mass,
-            "initial_scale": self.initial_scale,
-            "cn_variant": self.cn_variant,
-        }
-        if self.delta is not None:
-            out["delta"] = str(self.delta)
-        return out
-
 
 def smallest_scale_with_ns_margin(params: ScalingParams, m: float | None = None, limit: int = 10**7) -> int:
     """Smallest L at which the non-singularity exponent margin turns >= 0."""
@@ -321,9 +301,6 @@ class BoundSchedule:
 
     def bound(self, L: int, n: int, k: int) -> float:
         return float(L) ** (-self.exponent(n, k))
-
-    def to_jsonable(self) -> dict:
-        return {"p": self.p, "b": self.b, "n_particles": self.n_particles}
 
 
 @dataclass(frozen=True)
@@ -396,29 +373,25 @@ def check_param_constraints(
 
 # -- evaluation context ------------------------------------------------------
 
+# cross interaction at or below which a split ball's assembled matrix is
+# identical in double precision to the tensor sum of its factors
+SPLIT_TOL = 1e-30
+
 
 class AuditContext:
     """Caches eigensystems and m-localization reports for one (spec, sample)
     pair.
 
     When a ball's centre splits into groups farther apart than twice the
-    radius and the cross interaction over the gap is below ``split_tol``
-    (so the assembled matrix is identical in double precision to the
-    tensor sum), the eigensystem is assembled from the factor systems
-    instead of a dense solve.
+    radius and the cross interaction over the gap is at most ``SPLIT_TOL``,
+    the eigensystem is assembled from the factor systems instead of a
+    dense solve.
     """
 
-    def __init__(
-        self,
-        spec: HamiltonianSpec,
-        sample: FieldSample,
-        params: ScalingParams,
-        split_tol: float = 1e-30,
-    ):
+    def __init__(self, spec: HamiltonianSpec, sample: FieldSample, params: ScalingParams):
         self.spec = spec
         self.sample = sample
         self.params = params
-        self.split_tol = split_tol
         self._systems: dict = {}
         self._locs: dict = {}
 
@@ -452,11 +425,8 @@ class AuditContext:
             split = maximal_separation_split(ball.center, self.spec.geometry)
             gap = split.separation - 2 * ball.radius
             if gap > 0:
-                model = self.spec.interaction
-                worst_pairs = (ball.n_particles // 2) * ((ball.n_particles + 1) // 2)
-                factor = 2.0 if model.pair_counting == "ordered" else 1.0
-                cross = factor * worst_pairs * model.tail_sup(gap - 1)
-                if cross <= self.split_tol:
+                cross = epsilon_bound(self.spec.interaction, ball.n_particles, gap - 1)
+                if cross <= SPLIT_TOL:
                     es1 = self.eigensystem(split.part1, ball.radius)
                     es2 = self.eigensystem(split.part2, ball.radius)
                     return eigensystem_from_factors(es1, es2)
@@ -555,9 +525,9 @@ def is_E_CNR(ctx: AuditContext, ball: Ball, energy: float, params: ScalingParams
     return True, None
 
 
-def ns_decision(worst_value: float, threshold: float) -> bool:
+def ns_decision(worst_value, threshold: float):
     """Non-singular iff the worst boundary value is at most the threshold
-    (ties favour the good event)."""
+    (ties favour the good event); elementwise on arrays."""
     return worst_value <= threshold
 
 
@@ -569,22 +539,24 @@ class NsReport:
     resonant: bool = False
 
 
+def _clamped_ns_threshold(ball: Ball, params: ScalingParams, m: float | None) -> float:
+    """The threshold NS decides with: the analytic one, clamped from below
+    at the double-precision noise floor for resolvent entries."""
+    L = ball.radius
+    return max(params.ns_threshold(L, n=ball.n_particles, m=m), params.ns_noise_floor(L))
+
+
 def ns_flags(
     es: EigenSystem, energies: np.ndarray, params: ScalingParams, m: float | None = None
 ):
     """Vectorized boundary-decay test at many energies.
 
-    The analytic threshold is clamped from below at the double-precision
-    noise floor for resolvent entries.  Energies inside the resonance
+    Decides with the clamped threshold.  Energies inside the resonance
     cutoff get flag False and worst value +inf (singular by convention).
     Returns (flags, worst_values).
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     ball = es.ball
-    L = ball.radius
-    thr = max(
-        params.ns_threshold(L, n=ball.n_particles, m=m), params.ns_noise_floor(L)
-    )
     boundary = interior_boundary(ball)
     if not boundary:
         return np.ones(len(energies), dtype=bool), np.zeros(len(energies))
@@ -595,7 +567,7 @@ def ns_flags(
     if np.any(safe):
         cols = es.green_column(ball.center_index(), energies[safe])
         worst[safe] = np.max(np.abs(cols[rows, :]), axis=0)
-    return (worst <= thr), worst
+    return ns_decision(worst, _clamped_ns_threshold(ball, params, m)), worst
 
 
 def is_EmNS(
@@ -604,10 +576,7 @@ def is_EmNS(
     """Boundary Green decay from the centre at one energy."""
     flags, worst = ns_flags(es, np.array([energy]), params, m=m)
     resonant = not math.isfinite(worst[0])
-    thr = max(
-        params.ns_threshold(es.ball.radius, n=es.ball.n_particles, m=m),
-        params.ns_noise_floor(es.ball.radius),
-    )
+    thr = _clamped_ns_threshold(es.ball, params, m)
     return NsReport(bool(flags[0]), float(worst[0]), thr, resonant)
 
 
@@ -873,16 +842,6 @@ class Violation:
     magnitude: float
     detail: str
 
-    def to_jsonable(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "center": list(self.center),
-            "radius": self.radius,
-            "energy": self.energy,
-            "magnitude": self.magnitude,
-            "detail": self.detail,
-        }
-
 
 @dataclass
 class AuditResult:
@@ -899,8 +858,42 @@ def energy_grid(spectra, pad: float = 0.0) -> np.ndarray:
     return np.unique(np.concatenate([vals, mids]))
 
 
-def _grid_subballs(ball: Ball, sub_scale: int, stride: int) -> list:
-    return stride_centers(ball, stride, ball.radius - sub_scale)
+def _audit_grid(ctx: AuditContext, es: EigenSystem, sub_scale: int, grid_stride: int | None):
+    """(grid centres, energy grid, NR flags, CNR flags) of an implication
+    audit of the ball of ``es``.
+
+    Grid sub-balls of radius ``sub_scale`` sit on a stride grid (default
+    stride = sub-scale); the energy grid is the union of their spectra plus
+    midpoints, or of the ball's own spectrum when no grid sub-ball fits.
+    """
+    params = ctx.params
+    ball = es.ball
+    stride = grid_stride if grid_stride is not None else max(1, sub_scale)
+    centers = stride_centers(ball, stride, ball.radius - sub_scale)
+    spectra = [ctx.eigensystem(c, sub_scale).eigenvalues for c in centers]
+    grid = energy_grid(spectra or [es.eigenvalues])
+    nr = _dist_to_sorted(es.eigenvalues, grid) >= params.resonance_scale(ball.radius)
+    cnr = nr.copy()
+    for c, r in cnr_subballs(params, ball):
+        sub = ctx.eigensystem(c, r)
+        cnr &= _dist_to_sorted(sub.eigenvalues, grid) >= params.resonance_scale(r)
+    return centers, grid, nr, cnr
+
+
+def _green_violations(lemma: str, center, radius: int, energies, worst, thr: float) -> list:
+    """One violation per energy whose boundary Green value broke NS; the
+    magnitude and the detail quote the unclamped analytic threshold."""
+    return [
+        Violation(
+            lemma,
+            tuple(center),
+            radius,
+            float(e),
+            float(w / thr),
+            f"boundary green {w:.3e} above threshold {thr:.3e}",
+        )
+        for e, w in zip(energies, worst)
+    ]
 
 
 def verify_implications(
@@ -947,18 +940,8 @@ def verify_implications(
         "pair_geometry_possible": 0,  # set below
     }
 
-    stride = grid_stride if grid_stride is not None else max(1, sub_scale)
-    grid_centers = _grid_subballs(ball, sub_scale, stride)
-    sub_systems = {c: ctx.eigensystem(c, sub_scale) for c in grid_centers}
-    grid = energy_grid([s.eigenvalues for s in sub_systems.values()] or [es.eigenvalues])
+    grid_centers, grid, nr, cnr = _audit_grid(ctx, es, sub_scale, grid_stride)
     counters["energies"] = len(grid)
-
-    # ball-level flags over the grid
-    nr = _dist_to_sorted(es.eigenvalues, grid) >= params.resonance_scale(L)
-    cnr = nr.copy()
-    for c, r in cnr_subballs(params, ball):
-        sub = ctx.eigensystem(c, r)
-        cnr &= _dist_to_sorted(sub.eigenvalues, grid) >= params.resonance_scale(r)
 
     loc = ctx.m_loc(center, radius, m)
 
@@ -984,8 +967,8 @@ def verify_implications(
     pair_free = np.ones(len(grid), dtype=bool)
     if distant_pairs:
         for c1, c2 in distant_pairs:
-            f1, _ = ns_flags(sub_systems[c1], grid, params, m=m)
-            f2, _ = ns_flags(sub_systems[c2], grid, params, m=m)
+            f1, _ = ns_flags(ctx.eigensystem(c1, sub_scale), grid, params, m=m)
+            f2, _ = ns_flags(ctx.eigensystem(c2, sub_scale), grid, params, m=m)
             both_singular = (~f1) & (~f2)
             pair_free &= ~both_singular
         counters["pair_energy_exclusions"] = int(np.count_nonzero(~pair_free))
@@ -999,30 +982,16 @@ def verify_implications(
         worst[need_ns] = w
 
     thr = params.ns_threshold(L, n=ball.n_particles, m=m)
-    for idx in np.nonzero(loc.localized & nr & ~ns_ok)[0]:
-        violations.append(
-            Violation(
-                "loc_nr_implies_ns",
-                tuple(center),
-                radius,
-                float(grid[idx]),
-                float(worst[idx] / thr),
-                f"boundary green {worst[idx]:.3e} above threshold {thr:.3e}",
-            )
-        )
+    bad = loc.localized & nr & ~ns_ok
+    violations += _green_violations(
+        "loc_nr_implies_ns", center, radius, grid[bad], worst[bad], thr
+    )
     counters["loc_nr_instances"] = int(np.count_nonzero(loc.localized & nr))
 
-    for idx in np.nonzero(cnr & pair_free & ~ns_ok)[0]:
-        violations.append(
-            Violation(
-                "cnr_no_pair_implies_ns",
-                tuple(center),
-                radius,
-                float(grid[idx]),
-                float(worst[idx] / thr),
-                f"boundary green {worst[idx]:.3e} above threshold {thr:.3e}",
-            )
-        )
+    bad = cnr & pair_free & ~ns_ok
+    violations += _green_violations(
+        "cnr_no_pair_implies_ns", center, radius, grid[bad], worst[bad], thr
+    )
     counters["cnr_instances"] = int(np.count_nonzero(cnr & pair_free))
 
     if bool(np.all(pair_free)) and not loc.localized:
@@ -1104,32 +1073,14 @@ def verify_longrange_split(
         return AuditResult(violations, counters)
 
     es = ctx.eigensystem(center, radius)
-    stride = grid_stride if grid_stride is not None else max(1, sub_scale)
-    grid_centers = _grid_subballs(ball, sub_scale, stride)
-    spectra = [ctx.eigensystem(c, sub_scale).eigenvalues for c in grid_centers]
-    grid = energy_grid(spectra or [es.eigenvalues])
+    _, grid, _, cnr = _audit_grid(ctx, es, sub_scale, grid_stride)
     counters["energies"] = len(grid)
-
-    cnr = _dist_to_sorted(es.eigenvalues, grid) >= params.resonance_scale(L)
-    for c, r in cnr_subballs(params, ball):
-        sub = ctx.eigensystem(c, r)
-        cnr &= _dist_to_sorted(sub.eigenvalues, grid) >= params.resonance_scale(r)
     counters["hypothesis_instances"] = int(np.count_nonzero(cnr))
 
     if np.any(cnr):
         flags, worst = ns_flags(es, grid[cnr], params, m=m)
         thr = params.ns_threshold(L, n=ball.n_particles, m=m)
-        bad = np.nonzero(~flags)[0]
-        grid_cnr = grid[cnr]
-        for idx in bad:
-            violations.append(
-                Violation(
-                    "split_loc_cnr_implies_ns",
-                    tuple(center),
-                    radius,
-                    float(grid_cnr[idx]),
-                    float(worst[idx] / thr),
-                    f"boundary green {worst[idx]:.3e} above threshold {thr:.3e}",
-                )
-            )
+        violations += _green_violations(
+            "split_loc_cnr_implies_ns", center, radius, grid[cnr][~flags], worst[~flags], thr
+        )
     return AuditResult(violations, counters)

@@ -111,36 +111,6 @@ class InteractionModel:
         ]
         return max(vals, default=0.0)
 
-    def effective_range(self) -> float:
-        """Distance beyond which U vanishes identically (inf if never)."""
-        if self.kind == "none":
-            return 0.0
-        if self.kind == "step":
-            base = float(self.range_)
-        elif self.kind == "table":
-            base = float(max((rr for rr, v in self.table if v != 0.0), default=-1))
-        else:
-            base = math.inf
-        if self.truncation_radius is not None:
-            base = min(base, float(self.truncation_radius))
-        return base
-
-    def to_jsonable(self) -> dict:
-        out = {"kind": self.kind, "pair_counting": self.pair_counting}
-        if self.kind == "step":
-            out.update(amplitude=self.amplitude, range=self.range_)
-        elif self.kind == "subexp":
-            out.update(
-                prefactor=self.prefactor,
-                rate=self.rate,
-                tail_exponent=self.tail_exponent,
-            )
-        elif self.kind == "table":
-            out["table"] = [[r, v] for r, v in self.table]
-        if self.truncation_radius is not None:
-            out["truncation_radius"] = self.truncation_radius
-        return out
-
 
 def interaction_energy(x, model: InteractionModel, geometry: LatticeGeometry) -> float:
     """Two-body energy of a configuration (ordered double sum by default)."""
@@ -171,8 +141,8 @@ def epsilon_bound(model: InteractionModel, n_particles: int, radius: float) -> f
     |U(x) - U(x') - U(x'')| is the cross-pair sum, at most
     (pair factor) * max n'n'' * sup_{r > radius} |U(r)|.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
     if n_particles < 2:
         return 0.0
     worst_pairs = (n_particles // 2) * ((n_particles + 1) // 2)
@@ -248,17 +218,10 @@ class HamiltonianSpec:
     coupling: float = 1.0
     interaction: InteractionModel = InteractionModel()
     convention: str = "induced"
-    sample: FieldSample | None = None
 
 
-def assemble_hamiltonian(
-    spec: HamiltonianSpec, ball: Ball, sample: FieldSample | None = None
-) -> OperatorMatrix:
+def assemble_hamiltonian(spec: HamiltonianSpec, ball: Ball, sample: FieldSample) -> OperatorMatrix:
     """Assembled operator on the ball; the sample must cover its sites."""
-    if sample is None:
-        sample = spec.sample
-    if sample is None:
-        raise ValueError("no field sample given")
     if ball.n_particles != spec.n_particles:
         raise ValueError("ball particle number does not match the spec")
     if not sample.covers(ball.projection):
@@ -300,34 +263,18 @@ def kronecker_sum(ha: OperatorMatrix, hb: OperatorMatrix) -> OperatorMatrix:
     )
     na, nb = len(ball_a), len(ball_b)
     kron = np.kron(ha.matrix, np.eye(nb)) + np.kron(np.eye(na), hb.matrix)
-    # product row i*nb+j  <->  joint row of merge(members_a[i], members_b[j])
-    prod_of_joint = np.empty(len(joint), dtype=np.int64)
-    for i, a in enumerate(ball_a.members):
-        for j, b in enumerate(ball_b.members):
-            joint_row = joint.index[merge_configs(a, b, g)]
-            prod_of_joint[joint_row] = i * nb + j
+    prod_of_joint = product_rows(ball_a, ball_b, joint)
     mat = kron[np.ix_(prod_of_joint, prod_of_joint)]
     return OperatorMatrix(joint, mat, ha.convention)
 
 
-def export_matrix_csv(op: OperatorMatrix, path, index_path=None) -> None:
-    """CSV triplets (row, col, value) plus an optional JSON index map."""
-    import csv
-    import json
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "value"])
-        mat = op.matrix
-        for i in range(op.n):
-            for j in range(op.n):
-                if mat[i, j] != 0.0:
-                    writer.writerow([i, j, repr(float(mat[i, j]))])
-    if index_path is not None:
-        with open(index_path, "w") as fh:
-            json.dump(
-                {str(i): list(cfg) for i, cfg in enumerate(op.ball.members)},
-                fh,
-                indent=0,
-                sort_keys=True,
-            )
+def product_rows(ball_a: Ball, ball_b: Ball, joint: Ball) -> np.ndarray:
+    """Product row i*len(ball_b)+j of each joint row, the joint row being
+    the one of merge(members_a[i], members_b[j])."""
+    g = joint.geometry
+    nb = len(ball_b)
+    prod_of_joint = np.empty(len(joint), dtype=np.int64)
+    for i, a in enumerate(ball_a.members):
+        for j, b in enumerate(ball_b.members):
+            prod_of_joint[joint.index[merge_configs(a, b, g)]] = i * nb + j
+    return prod_of_joint

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from fractions import Fraction
 
 import jsonschema
 
@@ -184,14 +183,6 @@ def config_hash(raw: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _fraction(value, default: Fraction) -> Fraction:
-    if value is None:
-        return default
-    if isinstance(value, list):
-        return Fraction(value[0], value[1])
-    return Fraction(value).limit_denominator(10**9)
-
-
 def build_geometry(raw: dict) -> LatticeGeometry:
     cfg = raw["geometry"]
     adjacency = cfg.get("adjacency")
@@ -231,31 +222,24 @@ def build_interaction(raw: dict) -> InteractionModel:
 
 def build_params(raw: dict) -> ScalingParams:
     cfg = raw.get("scaling", {})
-    geometry = raw["geometry"]
-    regime = cfg.get("regime", "finite")
-    common = dict(
+    infinite = cfg.get("regime", "finite") == "infinite"
+    # the regime's rational exponents pass through as given (a number or
+    # [num, den]) for ScalingParams to parse; unset ones keep its defaults
+    exponents = ("beta", "beta_prime") + (
+        ("delta",) if infinite else ("alpha", "varrho", "tau")
+    )
+    common = {k: cfg[k] for k in exponents if k in cfg}
+    common.update(
         n_particles=raw["particles"],
-        d=geometry.get("d", 1),
-        beta=_fraction(cfg.get("beta"), Fraction(1, 2)),
-        beta_prime=_fraction(cfg.get("beta_prime"), Fraction(1, 4)),
+        d=raw["geometry"].get("d", 1),
         mass=cfg.get("mass", 1.0),
         initial_scale=cfg.get("initial_scale", 8),
         cn_variant=cfg.get("cn_variant", "11N"),
         numerical_floor=cfg.get("numerical_floor", 1e-12),
     )
-    if regime == "infinite":
-        return ScalingParams.infinite_range(
-            delta=_fraction(cfg.get("delta"), Fraction(1, 20)),
-            theta=cfg.get("theta", 0.02),
-            **common,
-        )
-    return ScalingParams.finite_range(
-        alpha=_fraction(cfg.get("alpha"), Fraction(4, 3)),
-        varrho=_fraction(cfg.get("varrho"), Fraction(1, 6)),
-        tau=_fraction(cfg.get("tau"), Fraction(1, 8)),
-        theta=cfg.get("theta", 0.0),
-        **common,
-    )
+    if infinite:
+        return ScalingParams.infinite_range(theta=cfg.get("theta", 0.02), **common)
+    return ScalingParams.finite_range(theta=cfg.get("theta", 0.0), **common)
 
 
 def build_schedule(raw: dict) -> BoundSchedule | None:

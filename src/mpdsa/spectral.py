@@ -18,13 +18,12 @@ import numpy as np
 from .configspace import (
     Ball,
     config_distance,
-    merge_configs,
     edge_boundary,
     enumerate_ball,
     exterior_boundary,
     interior_boundary,
 )
-from .operators import OperatorMatrix, kronecker_sum
+from .operators import OperatorMatrix, kronecker_sum, product_rows
 
 
 class ResonanceError(ValueError):
@@ -120,26 +119,6 @@ def diagonalize(op: OperatorMatrix) -> EigenSystem:
     return EigenSystem(op, vals, vecs)
 
 
-def export_eigensystem_csv(es: EigenSystem, path, vectors_path=None) -> None:
-    """Write (index, eigenvalue) rows; optionally the eigenvector matrix.
-
-    The vector dump has one row per configuration (aligned with the
-    ball's member order) and one column per eigenfunction.
-    """
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "eigenvalue"])
-        for i, lam in enumerate(es.eigenvalues):
-            writer.writerow([i, repr(float(lam))])
-    if vectors_path is not None:
-        with open(vectors_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in es.eigenvectors:
-                writer.writerow([repr(float(v)) for v in row])
-
-
 def eigenvector_noise_floors(es: EigenSystem, safety: float = 32.0) -> np.ndarray:
     """Per-eigenfunction amplitude below which entries are rounding noise.
 
@@ -167,19 +146,10 @@ def eigensystem_from_factors(
     eigenvectors are products of the factor eigenvectors.
     """
     op = kronecker_sum(es_a.operator, es_b.operator)
-    joint = op.ball
-    na, nb = es_a.n, es_b.n
     sums = (es_a.eigenvalues[:, None] + es_b.eigenvalues[None, :]).ravel()
     order = np.argsort(sums, kind="stable")
     vecs_prod = np.kron(es_a.eigenvectors, es_b.eigenvectors)
-    # product row i*nb+j corresponds to merge(a_i, b_j); reindex to the ball
-    g = joint.geometry
-    prod_of_joint = np.empty(len(joint), dtype=np.int64)
-    for i, a in enumerate(es_a.ball.members):
-        base = i * nb
-        for j, b in enumerate(es_b.ball.members):
-            prod_of_joint[joint.index[merge_configs(a, b, g)]] = base + j
-    vecs = vecs_prod[prod_of_joint][:, order]
+    vecs = vecs_prod[product_rows(es_a.ball, es_b.ball, op.ball)][:, order]
     return EigenSystem(op, sums[order], vecs)
 
 

@@ -475,10 +475,10 @@ def acceptance7_setup(coupling):
 class TestDisorderTrend:
     def test_singularity_probability_drops_with_coupling(self):
         start = time.monotonic()
-        est_weak, _ = estimate_event_probability(
+        est_weak = estimate_event_probability(
             acceptance7_setup(3.0), "singular", ACC7_TRIALS, ACC7_SEED, energy=0.0
         )
-        est_strong, _ = estimate_event_probability(
+        est_strong = estimate_event_probability(
             acceptance7_setup(30.0), "singular", ACC7_TRIALS, ACC7_SEED, energy=0.0
         )
         separated = est_strong.ci_hi < est_weak.ci_lo

@@ -258,3 +258,59 @@ class TestPredicatesCommand:
         assert len(summary["predicates"]) == 4
         violations = read_csv(out / "violations.csv")
         assert (code == 1) == (len(violations) > 1)
+
+
+class TestThreadsFlagRemoved:
+    def test_threads_is_a_usage_error(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = base_config(out, [{"kind": "spectrum", "center": [0], "radius": 1}])
+        path = write_config(tmp_path / "c.json", cfg)
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--config", path, "--threads", "2"])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+
+class TestOneTrialPath:
+    """Every command reads a trial's spectrum through the trial's context,
+    so a split centre uses the factor assembly in spectrum and dynamics
+    exactly as in predicates."""
+
+    def _cfg(self, out, experiment):
+        return base_config(
+            out,
+            [{"center": [20, 0], "radius": 3, "trials": 3, **experiment}],
+            particles=2,
+            coupling=12.0,
+            interaction={"kind": "step", "amplitude": 1.0, "range": 1},
+            convention="fixed",
+            seed=4242,
+        )
+
+    def test_spectrum_matches_context(self, tmp_path):
+        from mpdsa.cli import _setup_for
+        from mpdsa.disorder import derive_seed
+
+        out = tmp_path / "out"
+        cfg = self._cfg(out, {"kind": "spectrum"})
+        assert main(["spectrum", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+        rows = read_csv(out / "spectrum.csv")[1:]
+        setup = _setup_for(cfg, cfg["experiments"][0])
+        expected = []
+        for t in range(3):
+            ctx = setup.context(derive_seed(cfg["seed"], "trial", t))
+            es = ctx.eigensystem(setup.center, setup.radius)
+            expected += [["0", str(t), str(i), repr(float(v))] for i, v in enumerate(es.eigenvalues)]
+        assert rows == expected
+
+    def test_dynamics_invariants(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = self._cfg(out, {"kind": "dynamics", "time_points": 200})
+        assert main(["dynamics", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+        rows = read_csv(out / "dynamics.csv")[1:]
+        assert len(rows) == 3 * 4  # the centre and one member per distance 1..3
+        for row in rows:
+            q, prop, comp = float(row[5]), float(row[6]), float(row[7])
+            assert q <= 1.0 + 1e-12
+            assert abs(comp) < 1e-10
+            assert prop <= q + 1e-12

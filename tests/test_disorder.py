@@ -204,17 +204,3 @@ class TestConcentration:
         assert derive_seed(5, "trial", 3) == derive_seed(5, "trial", 3)
         assert derive_seed(5, "trial", 3) != derive_seed(5, "trial", 4)
         assert derive_seed(5, "a") != derive_seed(6, "a")
-
-
-class TestExport:
-    def test_field_csv(self, tmp_path):
-        import csv
-
-        from mpdsa.disorder import export_field_csv
-
-        sample = sample_field(FieldModel(), [3, -1, 0], seed=9)
-        path = tmp_path / "field.csv"
-        export_field_csv(sample, path)
-        rows = list(csv.reader(open(path)))
-        assert [r[0] for r in rows] == ["-1", "0", "3"]
-        assert float(rows[1][1]) == sample[0]

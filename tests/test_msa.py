@@ -31,8 +31,8 @@ from mpdsa.msa import (
     verify_implications,
     verify_longrange_split,
 )
-from mpdsa.operators import HamiltonianSpec, InteractionModel, OperatorMatrix
-from mpdsa.spectral import diagonalize, eigenvector_noise_floors
+from mpdsa.operators import HamiltonianSpec, InteractionModel, OperatorMatrix, assemble_hamiltonian
+from mpdsa.spectral import diagonalize, eigensystem_from_factors, eigenvector_noise_floors
 
 
 def make_context(line, seed, coupling=300.0, mass=1.0, center=(1, 0), radius=8,
@@ -374,6 +374,26 @@ class TestLocMemo:
         assert rep == kernel(ctx.eigensystem((1, 0), 8), other)
         assert rep != ctx.m_loc((1, 0), 8)
         assert len(calls) == 3
+
+
+class TestContextSplit:
+    def test_factor_path_beyond_the_interaction(self, line):
+        # separation 20 leaves a gap of 14 over which the step vanishes
+        ctx = make_context(line, seed=3, coupling=12.0, center=(20, 0), radius=3,
+                           interaction=InteractionModel(kind="step", amplitude=1.0, range_=1))
+        es = ctx.eigensystem((20, 0), 3)
+        factors = eigensystem_from_factors(ctx.eigensystem((20,), 3), ctx.eigensystem((0,), 3))
+        assert np.array_equal(es.eigenvalues, factors.eigenvalues)
+        dense = diagonalize(assemble_hamiltonian(ctx.spec, es.ball, ctx.sample))
+        assert np.max(np.abs(es.eigenvalues - dense.eigenvalues)) < 1e-12
+
+    def test_dense_path_at_gap_one(self, line):
+        # separation 7 at radius 3: the step still couples across a gap of 1
+        ctx = make_context(line, seed=3, coupling=12.0, center=(7, 0), radius=3,
+                           interaction=InteractionModel(kind="step", amplitude=1.0, range_=1))
+        es = ctx.eigensystem((7, 0), 3)
+        dense = diagonalize(assemble_hamiltonian(ctx.spec, es.ball, ctx.sample))
+        assert np.array_equal(es.eigenvalues, dense.eigenvalues)
 
 
 class TestTunneling:

@@ -72,6 +72,12 @@ class TestEpsilonBound:
         # worst split 2+2 gives four cross pairs, doubled by ordered counting
         assert epsilon_bound(SUBEXP, 4, 3.0) == pytest.approx(8.0 * math.exp(-3.0))
 
+    def test_radius_zero(self):
+        # sup over r > 0: the step still acts at distance 1
+        assert epsilon_bound(STEP, 2, 0) == 4.0
+        with pytest.raises(ValueError):
+            epsilon_bound(STEP, 2, -1)
+
     def test_bound_dominates_measured_defect(self, line):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -245,25 +251,3 @@ class TestKroneckerSum:
         hb = assemble_hamiltonian(spec1, bb, sample)
         with pytest.raises(GeometryError):
             kronecker_sum(ha, hb)
-
-
-class TestExports:
-    def test_matrix_csv_triplets(self, line, tmp_path):
-        ball = enumerate_ball((0,), 1, line)
-        op = laplacian_matrix(ball, "induced")
-        from mpdsa.operators import export_matrix_csv
-
-        csv_path = tmp_path / "m.csv"
-        idx_path = tmp_path / "m_index.json"
-        export_matrix_csv(op, csv_path, idx_path)
-        import csv as csv_mod
-        import json
-
-        rows = list(csv_mod.reader(open(csv_path)))
-        assert rows[0] == ["row", "col", "value"]
-        rebuilt = np.zeros((3, 3))
-        for r, c, v in rows[1:]:
-            rebuilt[int(r), int(c)] = float(v)
-        assert np.array_equal(rebuilt, op.matrix)
-        index = json.load(open(idx_path))
-        assert index["0"] == [-1]

@@ -386,21 +386,3 @@ class TestRadialDescent:
         assert kernels >= 30
         assert spurious >= 1  # raw rounding noise breaks the check
         assert floored == 0  # the certified check is clean
-
-
-class TestExport:
-    def test_eigensystem_csv(self, line, tmp_path):
-        import csv
-
-        from mpdsa.spectral import export_eigensystem_csv
-
-        ball = enumerate_ball((0,), 1, line)
-        es = diagonalize(laplacian_matrix(ball, "induced"))
-        vals = tmp_path / "eig.csv"
-        vecs = tmp_path / "vec.csv"
-        export_eigensystem_csv(es, vals, vecs)
-        rows = list(csv.reader(open(vals)))
-        assert rows[0] == ["index", "eigenvalue"]
-        assert len(rows) == 4
-        mat = np.array([[float(v) for v in r] for r in csv.reader(open(vecs))])
-        assert np.max(np.abs(mat - es.eigenvectors)) == 0.0
