@@ -34,7 +34,7 @@ from .experiments import (
     default_time_grid,
     estimate_event_probability,
     evc_experiment,
-    propagator_sup,
+    propagator_sups,
     run_scaling_audit,
 )
 from .msa import check_param_constraints, predicate_report, verify_implications
@@ -64,20 +64,27 @@ def _fmt(value) -> str:
 
 
 class RunWriter:
-    """Collects output files, then writes a manifest with checksums."""
+    """Collects output files, then writes a manifest with checksums.
+
+    The output directory is created at the first write, so a command that
+    rejects its configuration leaves nothing behind.
+    """
 
     def __init__(self, out_dir: str, raw_config: dict):
         self.out_dir = out_dir
         self.raw_config = raw_config
         self.files: list = []
         self.started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-        os.makedirs(out_dir, exist_ok=True)
 
     def path(self, name: str) -> str:
         return os.path.join(self.out_dir, name)
 
+    def _open(self, name: str, **kwargs):
+        os.makedirs(self.out_dir, exist_ok=True)
+        return open(self.path(name), "w", **kwargs)
+
     def write_csv(self, name: str, header: list, rows: list) -> None:
-        with open(self.path(name), "w", newline="") as fh:
+        with self._open(name, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             for row in rows:
@@ -85,7 +92,7 @@ class RunWriter:
         self.files.append(name)
 
     def write_json(self, name: str, payload) -> None:
-        with open(self.path(name), "w") as fh:
+        with self._open(name) as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
             fh.write("\n")
         self.files.append(name)
@@ -105,7 +112,7 @@ class RunWriter:
             "finished_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "outputs": outputs,
         }
-        with open(self.path("manifest.json"), "w") as fh:
+        with self._open("manifest.json") as fh:
             json.dump(manifest, fh, indent=1, sort_keys=True)
             fh.write("\n")
 
@@ -389,6 +396,12 @@ def cmd_dynamics(raw: dict, writer: RunWriter, args) -> int:
                 else (tuple(p[0:1]), tuple(p[1:2]))
                 for p in exp["pairs"]
             ]
+            for x, y in pairs:
+                if not (ball.contains(x) and ball.contains(y)):
+                    raise ConfigError(
+                        f"dynamics pair {json.dumps([x, y])} is not in the ball of "
+                        f"radius {setup.radius} around {json.dumps(setup.center)}"
+                    )
         else:
             # centre against the first member at each distinct distance
             dists = ball.distances_from_center
@@ -406,10 +419,10 @@ def cmd_dynamics(raw: dict, writer: RunWriter, args) -> int:
         for t in range(trials):
             ctx = setup.context(derive_seed(seed, "trial", t))
             es = ctx.eigensystem(setup.center, setup.radius)
-            for x, y in pairs:
+            sups = propagator_sups(es, pairs, t_grid).tolist()
+            for (x, y), prop in zip(pairs, sups):
                 q = ef_correlator(es, x, y, window)
                 comp = correlator_completeness(es, x, y)
-                prop = propagator_sup(es, x, y, t_grid)
                 rho = config_distance(x, y, setup.geometry)
                 rows.append(
                     [

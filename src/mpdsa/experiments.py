@@ -381,20 +381,30 @@ def default_time_grid(points: int = 10_000) -> np.ndarray:
     return np.concatenate([[0.0], np.logspace(-2.0, 3.0, points)])
 
 
-def propagator_sup(es: EigenSystem, x, y, t_grid=None) -> float:
-    """max over the grid of |sum_j e^{-i t lambda_j} psi_j(x) psi_j(y)|.
+def propagator_sups(es: EigenSystem, pairs, t_grid=None) -> np.ndarray:
+    """max over the grid of |sum_j e^{-i t lambda_j} psi_j(x) psi_j(y)| for
+    every (x, y) in ``pairs``.
 
-    A lower bound on the true supremum over all times; always at most the
-    unsigned correlator.
+    Each value is a lower bound on the true supremum over all times and at
+    most the unsigned correlator.  One real phase table, cos and sin of
+    t * lambda, serves every pair; at most two T x n float64 arrays are
+    held at once.
     """
     if t_grid is None:
         t_grid = default_time_grid()
-    t_grid = np.asarray(t_grid, dtype=float)
-    ball = es.ball
-    ix, iy = ball.index[tuple(x)], ball.index[tuple(y)]
-    weights = es.eigenvectors[ix] * es.eigenvectors[iy]
-    phases = np.exp(-1j * np.outer(t_grid, es.eigenvalues))
-    return float(np.max(np.abs(phases @ weights)))
+    index = es.ball.index
+    ix = [index[tuple(x)] for x, _ in pairs]
+    iy = [index[tuple(y)] for _, y in pairs]
+    weights = (es.eigenvectors[ix] * es.eigenvectors[iy]).T
+    angles = np.outer(np.asarray(t_grid, dtype=float), es.eigenvalues)
+    re = np.cos(angles) @ weights
+    im = np.sin(angles, out=angles) @ weights
+    return np.max(np.hypot(re, im), axis=0)
+
+
+def propagator_sup(es: EigenSystem, x, y, t_grid=None) -> float:
+    """``propagator_sups`` of the single pair (x, y)."""
+    return float(propagator_sups(es, [(x, y)], t_grid)[0])
 
 
 def finite_volume_dl_bound(
@@ -528,12 +538,12 @@ def audit_trial(
         ball = es.ball
         far_idx = int(np.argmax(ball.distances_from_center))
         pairs = [(ball.center, ball.members[far_idx]), (ball.center, ball.center)]
-        grid = default_time_grid(propagator_points)
-        for x, y in pairs:
+        sups = propagator_sups(es, pairs, default_time_grid(propagator_points)).tolist()
+        for (x, y), sup in zip(pairs, sups):
             q = ef_correlator(es, x, y)
             q_defect = max(q_defect, q - 1.0)
             comp_defect = max(comp_defect, abs(correlator_completeness(es, x, y)))
-            prop_excess = max(prop_excess, propagator_sup(es, x, y, grid) - q)
+            prop_excess = max(prop_excess, sup - q)
     return TrialAudit(
         violations=violations,
         correlator_defect=q_defect,

@@ -314,3 +314,48 @@ class TestOneTrialPath:
             assert q <= 1.0 + 1e-12
             assert abs(comp) < 1e-10
             assert prop <= q + 1e-12
+
+
+class TestNothingWrittenOnExit2:
+    """A command that rejects its configuration exits 2 before the output
+    directory exists."""
+
+    @pytest.mark.parametrize(
+        "command, experiment, extra",
+        [
+            (
+                "sweep",
+                {"kind": "spectrum", "center": [0], "radius": 1},
+                ["--axis", "g", "--values", "1"],
+            ),
+            ("evc", {"kind": "evc", "center": [0], "radius": 0}, []),
+            ("audit", {"kind": "audit", "center": [0], "k_max": 0, "trials": 5}, []),
+        ],
+    )
+    def test_rejected_config_leaves_no_directory(self, tmp_path, command, experiment, extra):
+        out = tmp_path / "out"
+        cfg = base_config(out, [experiment])
+        assert main([command, "--config", write_config(tmp_path / "c.json", cfg), *extra]) == 2
+        assert not out.exists()
+
+    def test_dynamics_pair_outside_ball(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = base_config(
+            out,
+            [
+                {
+                    "kind": "dynamics",
+                    "center": [1, 0],
+                    "radius": 4,
+                    "trials": 1,
+                    "time_points": 20,
+                    "pairs": [[[1, 0], [40, 0]]],
+                }
+            ],
+            particles=2,
+            coupling=10.0,
+            convention="fixed",
+        )
+        assert main(["dynamics", "--config", write_config(tmp_path / "c.json", cfg)]) == 2
+        assert "[[1, 0], [40, 0]]" in capsys.readouterr().err
+        assert not out.exists()

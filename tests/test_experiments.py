@@ -18,6 +18,7 @@ from mpdsa.experiments import (
     evc_experiment,
     finite_volume_dl_bound,
     propagator_sup,
+    propagator_sups,
     run_scaling_audit,
     wilson_interval,
 )
@@ -236,6 +237,61 @@ class TestCorrelators:
         assert audit.correlator_defect <= 1e-10
         assert audit.completeness_defect <= 1e-10
         assert audit.propagator_excess <= 1e-10
+
+
+class TestPropagatorOracle:
+    """``propagator_sups`` against an explicit loop over times and
+    eigenfunctions, and against the matrix exponential of H."""
+
+    def _case(self, line):
+        ball = enumerate_ball((1, 0), 5, line)
+        spec = HamiltonianSpec(geometry=line, n_particles=2, coupling=20.0, convention="fixed")
+        op = assemble_hamiltonian(spec, ball, sample_field(FieldModel(), ball.projection, 5))
+        es = diagonalize(op)
+        far = ball.members[int(np.argmax(ball.distances_from_center))]
+        pairs = [
+            (ball.center, ball.center),
+            (ball.center, far),
+            (far, ball.center),
+            (far, far),
+            (ball.members[3], ball.members[40]),
+        ]
+        return op, es, pairs
+
+    def test_matches_brute_force(self, line):
+        op, es, pairs = self._case(line)
+        assert es.n <= 100
+        grid = default_time_grid(300)
+        got = propagator_sups(es, pairs, grid)
+        for (x, y), value in zip(pairs, got):
+            ix, iy = es.ball.index[x], es.ball.index[y]
+            best = 0.0
+            for t in grid:
+                amp = 0j
+                for j in range(es.n):
+                    amp += (
+                        np.exp(-1j * t * es.eigenvalues[j])
+                        * es.eigenvectors[ix, j]
+                        * es.eigenvectors[iy, j]
+                    )
+                best = max(best, abs(amp))
+            assert abs(value - best) <= 1e-12
+
+    def test_bounds_matrix_exponential(self, line):
+        linalg = pytest.importorskip("scipy.linalg")
+        op, es, pairs = self._case(line)
+        grid = default_time_grid(300)
+        got = propagator_sups(es, pairs, grid)
+        for t in grid[[0, 1, 150, 300]]:
+            u = linalg.expm(-1j * t * op.matrix)
+            for (x, y), value in zip(pairs, got):
+                assert abs(u[es.ball.index[x], es.ball.index[y]]) <= value + 1e-12
+
+    def test_single_pair_wrapper_is_bitwise(self, line):
+        _, es, pairs = self._case(line)
+        grid = default_time_grid(300)
+        for x, y in pairs:
+            assert propagator_sup(es, x, y, grid) == propagator_sups(es, [(x, y)], grid)[0]
 
 
 class TestDlBound:
