@@ -39,7 +39,9 @@ from .spectral import (
     EigenSystem,
     diagonalize,
     eigensystem_from_factors,
+    eigenvalues_of,
     eigenvector_noise_floors,
+    pairwise_sums,
 )
 
 # -- exact integer powers ----------------------------------------------------
@@ -379,13 +381,14 @@ SPLIT_TOL = 1e-30
 
 
 class AuditContext:
-    """Caches eigensystems and m-localization reports for one (spec, sample)
-    pair.
+    """Caches eigensystems, values-only spectra and m-localization reports
+    for one (spec, sample) pair.
 
     When a ball's centre splits into groups farther apart than twice the
     radius and the cross interaction over the gap is at most ``SPLIT_TOL``,
-    the eigensystem is assembled from the factor systems instead of a
-    dense solve.
+    its spectral data are assembled from the factor balls' instead of a
+    dense solve.  ``resolved_for_vectors`` counts balls solved values-only
+    and later solved again for their eigenvectors.
     """
 
     def __init__(self, spec: HamiltonianSpec, sample: FieldSample, params: ScalingParams):
@@ -393,19 +396,46 @@ class AuditContext:
         self.sample = sample
         self.params = params
         self._systems: dict = {}
+        self._spectra: dict = {}
         self._locs: dict = {}
+        self.resolved_for_vectors = 0
 
     def ball(self, center, radius: int) -> Ball:
         return enumerate_ball(center, radius, self.spec.geometry)
 
     def eigensystem(self, center, radius: int) -> EigenSystem:
         key = (tuple(center), radius)
-        if key in self._systems:
-            return self._systems[key]
-        ball = self.ball(center, radius)
-        es = self._build(ball)
-        self._systems[key] = es
+        es = self._systems.get(key)
+        if es is None:
+            if key in self._spectra:
+                self.resolved_for_vectors += 1
+            ball = self.ball(center, radius)
+            parts = self._factor_centers(ball)
+            if parts is None:
+                es = diagonalize(self._operator(ball))
+            else:
+                es = eigensystem_from_factors(*(self.eigensystem(p, radius) for p in parts))
+            self._systems[key] = es
         return es
+
+    def spectrum(self, center, radius: int) -> np.ndarray:
+        """Ascending eigenvalues of the ball: its eigensystem's when one was
+        built, otherwise from a values-only solve (sorted factor sums for a
+        split ball), computed once per (centre, radius)."""
+        key = (tuple(center), radius)
+        es = self._systems.get(key)
+        if es is not None:
+            return es.eigenvalues
+        vals = self._spectra.get(key)
+        if vals is None:
+            ball = self.ball(center, radius)
+            parts = self._factor_centers(ball)
+            if parts is None:
+                vals = eigenvalues_of(self._operator(ball))
+            else:
+                vals = pairwise_sums(*(self.spectrum(p, radius) for p in parts))[0]
+            self._spectra[key] = vals
+        return vals
 
     def m_loc(
         self, center, radius: int, m: float | None = None, params: ScalingParams | None = None
@@ -420,21 +450,21 @@ class AuditContext:
             self._locs[key] = rep
         return rep
 
-    def _build(self, ball: Ball) -> EigenSystem:
-        if ball.n_particles >= 2:
-            split = maximal_separation_split(ball.center, self.spec.geometry)
-            gap = split.separation - 2 * ball.radius
-            if gap > 0:
-                cross = epsilon_bound(self.spec.interaction, ball.n_particles, gap - 1)
-                if cross <= SPLIT_TOL:
-                    es1 = self.eigensystem(split.part1, ball.radius)
-                    es2 = self.eigensystem(split.part2, ball.radius)
-                    return eigensystem_from_factors(es1, es2)
+    def _factor_centers(self, ball: Ball):
+        """The two group centres of a ball that factors, else None."""
+        if ball.n_particles < 2:
+            return None
+        split = maximal_separation_split(ball.center, self.spec.geometry)
+        gap = split.separation - 2 * ball.radius
+        if gap <= 0 or epsilon_bound(self.spec.interaction, ball.n_particles, gap - 1) > SPLIT_TOL:
+            return None
+        return split.part1, split.part2
+
+    def _operator(self, ball: Ball):
         spec = self.spec
         if spec.n_particles != ball.n_particles:
             spec = replace(spec, n_particles=ball.n_particles)
-        op = assemble_hamiltonian(spec, ball, self.sample)
-        return diagonalize(op)
+        return assemble_hamiltonian(spec, ball, self.sample)
 
 
 # -- sub-ball selection ------------------------------------------------------
@@ -519,8 +549,7 @@ def is_E_CNR(ctx: AuditContext, ball: Ball, energy: float, params: ScalingParams
     if not is_E_NR(big, energy, params):
         return False, (ball.center, ball.radius)
     for center, r in cnr_subballs(params, ball):
-        sub = ctx.eigensystem(center, r)
-        if sub.spectral_distance(energy) < params.resonance_scale(r):
+        if np.min(np.abs(ctx.spectrum(center, r) - energy)) < params.resonance_scale(r):
             return False, (center, r)
     return True, None
 
@@ -870,13 +899,12 @@ def _audit_grid(ctx: AuditContext, es: EigenSystem, sub_scale: int, grid_stride:
     ball = es.ball
     stride = grid_stride if grid_stride is not None else max(1, sub_scale)
     centers = stride_centers(ball, stride, ball.radius - sub_scale)
-    spectra = [ctx.eigensystem(c, sub_scale).eigenvalues for c in centers]
+    spectra = [ctx.spectrum(c, sub_scale) for c in centers]
     grid = energy_grid(spectra or [es.eigenvalues])
     nr = _dist_to_sorted(es.eigenvalues, grid) >= params.resonance_scale(ball.radius)
     cnr = nr.copy()
     for c, r in cnr_subballs(params, ball):
-        sub = ctx.eigensystem(c, r)
-        cnr &= _dist_to_sorted(sub.eigenvalues, grid) >= params.resonance_scale(r)
+        cnr &= _dist_to_sorted(ctx.spectrum(c, r), grid) >= params.resonance_scale(r)
     return centers, grid, nr, cnr
 
 

@@ -107,16 +107,26 @@ class EigenSystem:
         return self.eigenvectors @ (weights[:, None] / denom)
 
 
-def diagonalize(op: OperatorMatrix) -> EigenSystem:
-    """Eigendecomposition of a symmetric operator matrix."""
+def _symmetric_part(op: OperatorMatrix) -> np.ndarray:
+    """(H + H^T) / 2, after checking that H is symmetric to tolerance."""
     scale = max(op.norm_bound(), 1.0)
     if op.asymmetry() > ASYMMETRY_TOL * scale:
         raise ValueError(
             f"matrix asymmetry {op.asymmetry():g} exceeds tolerance"
         )
-    sym = 0.5 * (op.matrix + op.matrix.T)
-    vals, vecs = np.linalg.eigh(sym)
+    return 0.5 * (op.matrix + op.matrix.T)
+
+
+def diagonalize(op: OperatorMatrix) -> EigenSystem:
+    """Eigendecomposition of a symmetric operator matrix."""
+    vals, vecs = np.linalg.eigh(_symmetric_part(op))
     return EigenSystem(op, vals, vecs)
+
+
+def eigenvalues_of(op: OperatorMatrix) -> np.ndarray:
+    """Ascending eigenvalues of a symmetric operator matrix, without the
+    eigenvectors: the same checks as ``diagonalize``, then ``eigvalsh``."""
+    return np.linalg.eigvalsh(_symmetric_part(op))
 
 
 def eigenvector_noise_floors(es: EigenSystem, safety: float = 32.0) -> np.ndarray:
@@ -136,6 +146,15 @@ def eigenvector_noise_floors(es: EigenSystem, safety: float = 32.0) -> np.ndarra
     return noise / np.maximum(gaps, 1e-300)
 
 
+def pairwise_sums(vals_a: np.ndarray, vals_b: np.ndarray) -> tuple:
+    """(ascending sums vals_a[i] + vals_b[j], product index i*len(vals_b)+j
+    of each): the spectrum of a Kronecker sum from its factor spectra.
+    Equal sums keep product order (stable sort)."""
+    sums = (vals_a[:, None] + vals_b[None, :]).ravel()
+    order = np.argsort(sums, kind="stable")
+    return sums[order], order
+
+
 def eigensystem_from_factors(
     es_a: EigenSystem, es_b: EigenSystem
 ) -> EigenSystem:
@@ -146,11 +165,10 @@ def eigensystem_from_factors(
     eigenvectors are products of the factor eigenvectors.
     """
     op = kronecker_sum(es_a.operator, es_b.operator)
-    sums = (es_a.eigenvalues[:, None] + es_b.eigenvalues[None, :]).ravel()
-    order = np.argsort(sums, kind="stable")
+    vals, order = pairwise_sums(es_a.eigenvalues, es_b.eigenvalues)
     vecs_prod = np.kron(es_a.eigenvectors, es_b.eigenvectors)
     vecs = vecs_prod[product_rows(es_a.ball, es_b.ball, op.ball)][:, order]
-    return EigenSystem(op, sums[order], vecs)
+    return EigenSystem(op, vals, vecs)
 
 
 @dataclass(frozen=True)

@@ -396,6 +396,66 @@ class TestContextSplit:
         assert np.array_equal(es.eigenvalues, dense.eigenvalues)
 
 
+class TestValuesOnlySpectra:
+    """``AuditContext.spectrum`` against eigh and against the factor sums."""
+
+    def test_dense_balls_match_eigh(self, line):
+        rng = np.random.default_rng(31)
+        for case in range(8):
+            n = 2 if case < 5 else 3
+            center = tuple(sorted(rng.choice(6, size=n, replace=False).tolist(), reverse=True))
+            radius = int(rng.integers(1, 5 if n == 2 else 3))
+            ctx = make_context(line, seed=case, coupling=float(rng.uniform(1, 30)), center=center,
+                               radius=radius, n=n)
+            vals = ctx.spectrum(center, radius)
+            dense = diagonalize(assemble_hamiltonian(ctx.spec, ctx.ball(center, radius), ctx.sample))
+            assert np.max(np.abs(vals - dense.eigenvalues)) < 1e-12
+            assert ctx.spectrum(center, radius) is vals
+            assert not ctx._systems
+
+    def test_split_balls_are_sorted_factor_sums(self, line):
+        step = InteractionModel(kind="step", amplitude=1.0, range_=1)
+        for seed, (center, radius) in enumerate([((20, 0), 3), ((31, 2), 4), ((12, 0), 2)]):
+            ctx = make_context(line, seed=seed, coupling=12.0, center=center, radius=radius,
+                               interaction=step)
+            vals = ctx.spectrum(center, radius)
+            sums = np.sort(np.add.outer(ctx.spectrum(center[:1], radius),
+                                        ctx.spectrum(center[1:], radius)).ravel(), kind="stable")
+            assert np.array_equal(vals, sums)
+            dense = diagonalize(assemble_hamiltonian(ctx.spec, ctx.ball(center, radius), ctx.sample))
+            assert np.max(np.abs(vals - dense.eigenvalues)) < 1e-12
+            assert not ctx._systems
+
+    def test_eigensystem_values_win_and_resolves_are_counted(self, line):
+        ctx = make_context(line, seed=2, coupling=10.0, radius=4)
+        es = ctx.eigensystem((1, 0), 4)
+        assert ctx.spectrum((1, 0), 4) is es.eigenvalues
+        ctx.spectrum((2, 0), 3)
+        assert ctx.resolved_for_vectors == 0
+        es_sub = ctx.eigensystem((2, 0), 3)
+        assert ctx.resolved_for_vectors == 1
+        assert ctx.spectrum((2, 0), 3) is es_sub.eigenvalues
+
+    def test_bench_trial_runs_one_eigh(self, line, monkeypatch):
+        # the predicates-r16 benchmark trial: n = 561, sub-scale 6, three energies
+        eigh = np.linalg.eigh
+        sizes = []
+
+        def counting(a, *args, **kwargs):
+            sizes.append(len(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        ctx = make_context(line, seed=550001, coupling=30.0, radius=16)
+        for energy in (0.0, 5.0, 15.0):
+            predicate_report(ctx, (1, 0), 16, energy, sub_scale=6)
+        res = verify_implications(ctx, (1, 0), 16, 6)
+        assert sizes == [561]
+        assert res.counters["pair_geometry_possible"] == 0
+        assert ctx.resolved_for_vectors == 0
+        assert len(ctx._spectra) == 12
+
+
 class TestTunneling:
     def test_all_localized_means_no_tunneling(self, line):
         params = ScalingParams.finite_range(1, initial_scale=6, mass=0.5)
