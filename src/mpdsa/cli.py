@@ -35,6 +35,7 @@ from .experiments import (
     estimate_event_probability,
     evc_experiment,
     propagator_sups,
+    min_event_trials,
     run_scaling_audit,
 )
 from .msa import check_param_constraints, predicate_report, verify_implications
@@ -488,6 +489,14 @@ def cmd_sweep(raw: dict, writer: RunWriter, args) -> int:
     if not values:
         raise ConfigError("empty sweep value list")
     exp = _experiments_of(raw, "event")[0]
+    event = exp.get("event")
+    if event is None:
+        raise ConfigError("event experiment needs an event")
+    trials = _trials(exp, args)
+    if trials < min_event_trials(event):
+        raise ConfigError(
+            f"event {event!r} needs at least {min_event_trials(event)} trials, got {trials}"
+        )
     seed = _seed(raw, args)
     rows = []
     for value in values:
@@ -505,8 +514,8 @@ def cmd_sweep(raw: dict, writer: RunWriter, args) -> int:
             setup = dataclasses.replace(setup, radius=int(value))
         est = estimate_event_probability(
             setup,
-            exp["event"],
-            _trials(exp, args),
+            event,
+            trials,
             derive_seed(seed, "sweep", repr(value)),
             energy=exp.get("energy"),
         )

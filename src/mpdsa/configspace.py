@@ -408,20 +408,39 @@ def factorization_check(x1, x2, radius: int, geometry: LatticeGeometry) -> bool:
     distinct, and together they exhaust the joint ball.  Guaranteed when
     the groups are separated by more than twice the radius.
     """
-    x1 = canonical_config(x1, geometry)
-    x2 = canonical_config(x2, geometry)
-    joint = enumerate_ball(merge_configs(x1, x2, geometry), radius, geometry)
-    b1 = enumerate_ball(x1, radius, geometry)
-    b2 = enumerate_ball(x2, radius, geometry)
-    product = set()
-    for a in b1.members:
-        for b in b2.members:
-            if set(a) & set(b):
-                return False
-            product.add(merge_configs(a, b, geometry))
-    if len(product) != len(b1) * len(b2):
+    b1 = enumerate_ball(canonical_config(x1, geometry), radius, geometry)
+    b2 = enumerate_ball(canonical_config(x2, geometry), radius, geometry)
+    try:
+        product_rows(b1, b2)
+    except GeometryError:
         return False
-    return product == set(joint.members)
+    return True
+
+
+def product_rows(ball_a: Ball, ball_b: Ball) -> tuple:
+    """(joint ball, product row i*len(ball_b)+j of each joint row), the
+    joint row being the one of merge(members_a[i], members_b[j]).
+
+    Raises GeometryError unless the merged members are valid, pairwise
+    distinct and exhaust the joint ball (``factorization_check``).
+    """
+    if ball_a.geometry != ball_b.geometry:
+        raise GeometryError("factor balls live on different geometries")
+    if ball_a.radius != ball_b.radius:
+        raise GeometryError("factor balls must share the radius")
+    g = ball_a.geometry
+    joint = enumerate_ball(merge_configs(ball_a.center, ball_b.center, g), ball_a.radius, g)
+    # joint row of each product row; None where the merge is no configuration
+    joint_rows = [
+        None if set(a) & set(b) else joint.index.get(merge_configs(a, b, g))
+        for a in ball_a.members
+        for b in ball_b.members
+    ]
+    if None in joint_rows or len(set(joint_rows)) != len(joint_rows) or len(joint_rows) != len(joint):
+        raise GeometryError("joint ball does not factor into the given sub-balls")
+    prod_of_joint = np.empty(len(joint), dtype=np.int64)
+    prod_of_joint[joint_rows] = np.arange(len(joint_rows))
+    return joint, prod_of_joint
 
 
 # -- boundaries ----------------------------------------------------------

@@ -32,7 +32,7 @@ from .msa import (
     verify_implications,
     verify_longrange_split,
 )
-from .operators import HamiltonianSpec, InteractionModel, assemble_hamiltonian
+from .operators import HamiltonianSpec, InteractionModel
 from .spectral import EigenSystem
 
 Z95 = 1.959963984540054
@@ -151,6 +151,12 @@ def _evaluate_event(setup: TrialSetup, event: str, energy, trial_seed: int) -> b
     raise ValueError(f"unknown event {event!r}")
 
 
+def min_event_trials(event: str) -> int:
+    """Fewest trials the event's probability is estimated from: 30 for a
+    random event, none for the two deterministic controls."""
+    return 0 if event in ("always_true", "always_false") else 30
+
+
 def estimate_event_probability(
     setup: TrialSetup,
     event: str,
@@ -159,8 +165,8 @@ def estimate_event_probability(
     energy: float | None = None,
 ) -> ProbabilityEstimate:
     """Probability of the event over seeded trials."""
-    if trials < 30 and event not in ("always_true", "always_false"):
-        raise ValueError("need at least 30 trials")
+    if trials < min_event_trials(event):
+        raise ValueError(f"need at least {min_event_trials(event)} trials")
     successes = sum(
         _evaluate_event(setup, event, energy, derive_seed(seed, "trial", t))
         for t in range(trials)
@@ -298,8 +304,9 @@ def evc_experiment(
 ) -> EvcReport:
     """Empirical CDF of the spectral distance between two balls.
 
-    Both operators are assembled from the same field sample per trial.
-    The bound curve is (2L+1)^(2 N d) * evc_bound(2s) with the supplied
+    Both spectra come from one ``AuditContext`` per trial, over the same
+    field sample, so a ball that splits takes the factor path as in every
+    other command.  The bound curve is (2L+1)^(2 N d) * evc_bound(2s) with the supplied
     constants; for two one-member single-particle balls with a uniform
     marginal the exact law 2t - t^2, t = s/|g|, is attached.
     """
@@ -314,11 +321,14 @@ def evc_experiment(
         convention=convention,
     )
     region = tuple(sorted(set(ball_x.projection) | set(ball_y.projection)))
+    # the context wants scaling parameters; spectra never read them
+    params = ScalingParams(n_particles=n)
     dists = np.empty(trials)
     for t in range(trials):
         sample = sample_field(model, region, derive_seed(seed, "evc", t))
-        e1 = np.linalg.eigvalsh(assemble_hamiltonian(spec, ball_x, sample).matrix)
-        e2 = np.linalg.eigvalsh(assemble_hamiltonian(spec, ball_y, sample).matrix)
+        ctx = AuditContext(spec, sample, params)
+        e1 = ctx.spectrum(ball_x.center, ball_x.radius)
+        e2 = ctx.spectrum(ball_y.center, ball_y.radius)
         dists[t] = float(np.min(np.abs(e1[:, None] - e2[None, :])))
     s_grid = np.asarray(list(s_grid), dtype=float)
     cdf = np.array([np.mean(dists <= s) for s in s_grid])

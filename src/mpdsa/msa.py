@@ -580,9 +580,10 @@ def ns_flags(
 ):
     """Vectorized boundary-decay test at many energies.
 
-    Decides with the clamped threshold.  Energies inside the resonance
-    cutoff get flag False and worst value +inf (singular by convention).
-    Returns (flags, worst_values).
+    Decides with the clamped threshold on boundary values refined by one
+    step of iterative refinement (``EigenSystem.refined_green_rows``).
+    Energies inside the resonance cutoff get flag False and worst value
+    +inf (singular by convention).  Returns (flags, worst_values).
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     ball = es.ball
@@ -594,8 +595,8 @@ def ns_flags(
     safe = dist > es.resonance_cutoff()
     worst = np.full(len(energies), np.inf)
     if np.any(safe):
-        cols = es.green_column(ball.center_index(), energies[safe])
-        worst[safe] = np.max(np.abs(cols[rows, :]), axis=0)
+        vals = es.refined_green_rows(ball.center_index(), energies[safe], rows)
+        worst[safe] = np.max(np.abs(vals), axis=0)
     return ns_decision(worst, _clamped_ns_threshold(ball, params, m)), worst
 
 

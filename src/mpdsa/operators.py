@@ -26,11 +26,9 @@ import numpy as np
 
 from .configspace import (
     Ball,
-    GeometryError,
     LatticeGeometry,
-    enumerate_ball,
-    factorization_check,
     merge_configs,
+    product_rows,
 )
 from .disorder import FieldSample, MissingDataError, potential_energy
 
@@ -247,34 +245,23 @@ def kronecker_sum(ha: OperatorMatrix, hb: OperatorMatrix) -> OperatorMatrix:
     the joint ball is exactly the product of the factors; the spectrum of
     the result is the set of pairwise sums of the factor spectra.
     """
-    ball_a, ball_b = ha.ball, hb.ball
-    if ball_a.geometry != ball_b.geometry:
-        raise GeometryError("factor balls live on different geometries")
-    if ball_a.radius != ball_b.radius:
-        raise GeometryError("factor balls must share the radius")
-    g = ball_a.geometry
-    radius = ball_a.radius
-    if not factorization_check(ball_a.center, ball_b.center, radius, g):
-        raise GeometryError(
-            "joint ball does not factor into the given sub-balls"
-        )
-    joint = enumerate_ball(
-        merge_configs(ball_a.center, ball_b.center, g), radius, g
-    )
-    na, nb = len(ball_a), len(ball_b)
-    kron = np.kron(ha.matrix, np.eye(nb)) + np.kron(np.eye(na), hb.matrix)
-    prod_of_joint = product_rows(ball_a, ball_b, joint)
-    mat = kron[np.ix_(prod_of_joint, prod_of_joint)]
+    return kronecker_sum_on(ha, hb, *product_rows(ha.ball, hb.ball))
+
+
+def kronecker_sum_on(ha: OperatorMatrix, hb: OperatorMatrix, joint: Ball, rows) -> OperatorMatrix:
+    """``kronecker_sum`` on the joint ball and rows of ``product_rows``.
+
+    Only the entries kron(H_A, 1) + kron(1, H_B) can make nonzero are
+    written: H_A among the joint rows sharing a B factor member, then H_B
+    added among those sharing an A factor member.
+    """
+    na, nb = len(ha.ball), len(hb.ball)
+    # joint row of product row i*nb + j, as an na x nb table
+    table = np.empty(na * nb, dtype=np.int64)
+    table[rows] = np.arange(len(rows))
+    table = table.reshape(na, nb)
+    mat = np.zeros((len(rows), len(rows)))
+    same_b = table.T
+    mat[same_b[:, :, None], same_b[:, None, :]] = ha.matrix
+    mat[table[:, :, None], table[:, None, :]] += hb.matrix
     return OperatorMatrix(joint, mat, ha.convention)
-
-
-def product_rows(ball_a: Ball, ball_b: Ball, joint: Ball) -> np.ndarray:
-    """Product row i*len(ball_b)+j of each joint row, the joint row being
-    the one of merge(members_a[i], members_b[j])."""
-    g = joint.geometry
-    nb = len(ball_b)
-    prod_of_joint = np.empty(len(joint), dtype=np.int64)
-    for i, a in enumerate(ball_a.members):
-        for j, b in enumerate(ball_b.members):
-            prod_of_joint[joint.index[merge_configs(a, b, g)]] = i * nb + j
-    return prod_of_joint

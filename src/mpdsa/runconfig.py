@@ -159,6 +159,11 @@ SCHEMA = {
 }
 
 
+# built once: jsonschema.validate would re-check SCHEMA against the
+# metaschema on every call
+_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
@@ -171,10 +176,9 @@ def load_config(path) -> dict:
 
 
 def validate_config(raw: dict) -> dict:
-    try:
-        jsonschema.validate(raw, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config rejected: {exc.message} (at {list(exc.path)})")
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        raise ConfigError(f"config rejected: {error.message} (at {list(error.path)})")
     return raw
 
 
@@ -254,5 +258,11 @@ def config_center(exp: dict, geometry: LatticeGeometry) -> tuple:
     if center is None:
         raise ConfigError(f"experiment {exp['kind']!r} needs a center")
     if geometry.kind == "lattice" and geometry.d > 1:
-        return tuple(tuple(int(c) for c in site) for site in center)
-    return tuple(int(c) for c in center)
+        sites = tuple(tuple(int(c) for c in site) for site in center)
+    else:
+        sites = tuple(int(c) for c in center)
+    if len(set(sites)) != len(sites):
+        raise ConfigError(
+            f"experiment {exp['kind']!r} center {json.dumps(center)} repeats a site"
+        )
+    return sites

@@ -22,8 +22,9 @@ from .configspace import (
     enumerate_ball,
     exterior_boundary,
     interior_boundary,
+    product_rows,
 )
-from .operators import OperatorMatrix, kronecker_sum, product_rows
+from .operators import OperatorMatrix, kronecker_sum_on
 
 
 class ResonanceError(ValueError):
@@ -106,6 +107,24 @@ class EigenSystem:
         denom = self.eigenvalues[:, None] - energies[None, :]
         return self.eigenvectors @ (weights[:, None] / denom)
 
+    def refined_green_rows(self, source_idx: int, energies: np.ndarray, rows) -> np.ndarray:
+        """``green_column`` on the given rows after one step of iterative
+        refinement with the eigendecomposition as the solver:
+        r = delta_source - (H - E) g0, then g1 = g0 + V (V^T r) / (lambda - E).
+
+        The eigenbasis sum carries absolute errors of order eps |H| / dist(E),
+        which swamp entries far below that; the step brings them to the
+        accuracy of a direct solve.  Shape (len(rows), len(energies)).
+        """
+        energies = np.atleast_1d(np.asarray(energies, dtype=float))
+        v = self.eigenvectors
+        g0 = self.green_column(source_idx, energies)
+        r = g0 * energies
+        r -= self.operator.matrix @ g0
+        r[source_idx] += 1.0
+        correction = (v.T @ r) / (self.eigenvalues[:, None] - energies[None, :])
+        return g0[rows] + v[rows] @ correction
+
 
 def _symmetric_part(op: OperatorMatrix) -> np.ndarray:
     """(H + H^T) / 2, after checking that H is symmetric to tolerance."""
@@ -162,12 +181,18 @@ def eigensystem_from_factors(
 
     Valid when the joint ball factors exactly and the cross interaction
     is numerically negligible; eigenvalues are pairwise sums and
-    eigenvectors are products of the factor eigenvectors.
+    eigenvectors are products of the factor eigenvectors.  The product
+    basis is mapped to the joint rows once, for the operator and the
+    eigenvectors alike.
     """
-    op = kronecker_sum(es_a.operator, es_b.operator)
+    joint, rows = product_rows(es_a.ball, es_b.ball)
+    op = kronecker_sum_on(es_a.operator, es_b.operator, joint, rows)
     vals, order = pairwise_sums(es_a.eigenvalues, es_b.eigenvalues)
-    vecs_prod = np.kron(es_a.eigenvectors, es_b.eigenvectors)
-    vecs = vecs_prod[product_rows(es_a.ball, es_b.ball, op.ball)][:, order]
+    # entry (row, k) of kron(V_A, V_B)[rows][:, order], in one product
+    ia, ib = np.divmod(rows, es_b.n)
+    ja, jb = np.divmod(order, es_b.n)
+    vecs = np.take(es_a.eigenvectors[ia], ja, axis=1)
+    vecs *= np.take(es_b.eigenvectors[ib], jb, axis=1)
     return EigenSystem(op, vals, vecs)
 
 

@@ -359,3 +359,65 @@ class TestNothingWrittenOnExit2:
         assert main(["dynamics", "--config", write_config(tmp_path / "c.json", cfg)]) == 2
         assert "[[1, 0], [40, 0]]" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("trials", [5, 29])
+    def test_sweep_below_the_trial_floor(self, tmp_path, capsys, trials):
+        out = tmp_path / "out"
+        experiment = {"kind": "event", "event": "singular", "energy": 0.0, "center": [0],
+                      "radius": 1, "trials": trials}
+        cfg = base_config(out, [experiment])
+        argv = ["sweep", "--config", write_config(tmp_path / "c.json", cfg),
+                "--axis", "g", "--values", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "at least 30 trials" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_sweep_without_an_event(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = base_config(out, [{"kind": "event", "center": [0], "radius": 1, "trials": 30}])
+        argv = ["sweep", "--config", write_config(tmp_path / "c.json", cfg),
+                "--axis", "g", "--values", "1"]
+        assert main(argv) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, experiment",
+        [
+            ("spectrum", {"kind": "spectrum", "center": [1, 1], "radius": 1}),
+            ("evc", {"kind": "evc", "center": [1, 0], "second_center": [9, 9], "radius": 0}),
+        ],
+    )
+    def test_center_with_a_repeated_site(self, tmp_path, capsys, command, experiment):
+        out = tmp_path / "out"
+        cfg = base_config(out, [experiment], particles=2)
+        assert main([command, "--config", write_config(tmp_path / "c.json", cfg)]) == 2
+        assert "repeats a site" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestSchema:
+    def test_schema_is_a_valid_schema(self):
+        import jsonschema
+
+        from mpdsa.runconfig import SCHEMA
+
+        jsonschema.validators.validator_for(SCHEMA).check_schema(SCHEMA)
+
+    def test_messages_match_jsonschema_validate(self):
+        import jsonschema
+
+        from mpdsa.runconfig import SCHEMA, ConfigError, validate_config
+
+        bad = [
+            {"schema_version": 1},
+            base_config("o", [{"kind": "spectrum", "radius": -1}]),
+            base_config("o", [{"kind": "nope"}], particles=0),
+            {**base_config("o", [{"kind": "spectrum"}]), "extra": 1},
+        ]
+        for raw in bad:
+            with pytest.raises(jsonschema.ValidationError) as ref:
+                jsonschema.validate(raw, SCHEMA)
+            with pytest.raises(ConfigError) as got:
+                validate_config(raw)
+            assert str(got.value) == f"config rejected: {ref.value.message} (at {list(ref.value.path)})"

@@ -456,6 +456,25 @@ class TestValuesOnlySpectra:
         assert len(ctx._spectra) == 12
 
 
+class TestNsRefinement:
+    def test_energy_next_to_the_spectrum(self, line):
+        # a predicates-r16 benchmark trial where E = 15 sits 1.03e-5 from the
+        # spectrum: the plain eigenbasis column read 9.8e-11, 35 times the solve
+        from mpdsa.configspace import interior_boundary
+        from mpdsa.disorder import derive_seed
+
+        ctx = make_context(line, seed=derive_seed(1529365925, "trial", 0), coupling=30.0, radius=16)
+        es = ctx.eigensystem((1, 0), 16)
+        assert abs(es.spectral_distance(15.0) - 1.03e-5) < 1e-7
+        delta = np.zeros(es.n)
+        delta[es.ball.center_index()] = 1.0
+        solve = np.linalg.solve(es.operator.matrix - 15.0 * np.eye(es.n), delta)
+        worst = np.max(np.abs(solve[[es.ball.index[c] for c in interior_boundary(es.ball)]]))
+        rep = is_EmNS(es, 15.0, ctx.params)
+        assert abs(rep.worst_boundary_value - worst) <= 1e-9 * worst
+        assert rep.non_singular == (worst <= rep.threshold)
+
+
 class TestTunneling:
     def test_all_localized_means_no_tunneling(self, line):
         params = ScalingParams.finite_range(1, initial_scale=6, mass=0.5)

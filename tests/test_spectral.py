@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mpdsa.configspace import enumerate_ball
+from mpdsa.configspace import enumerate_ball, interior_boundary, merge_configs
 from mpdsa.disorder import FieldModel, derive_seed, sample_field
 from mpdsa.msa import ScalingParams, is_EmNS
 from mpdsa.operators import (
@@ -15,6 +15,7 @@ from mpdsa.spectral import (
     ResonanceError,
     diagonalize,
     eigensystem_from_factors,
+    eigenvalues_of,
     eigenvector_noise_floors,
     green_function,
     radial_descent_bound,
@@ -85,6 +86,94 @@ class TestDiagonalize:
         assert np.max(np.abs(joint.eigenvalues - dense.eigenvalues)) < 1e-10
         assert joint.residual_norm() < 1e-9 * max(joint.spectral_norm, 1.0)
         assert joint.completeness_defect() < 1e-9
+
+
+class TestValuesOnlySolve:
+    def test_matches_eigh(self, line):
+        for seed in range(5):
+            op = random_operator(line, seed=seed, coupling=3.0 + 7.0 * seed)
+            assert np.max(np.abs(eigenvalues_of(op) - diagonalize(op).eigenvalues)) < 1e-12
+
+    def test_rejects_asymmetric(self, line):
+        ball = enumerate_ball((0,), 1, line)
+        bad = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(ValueError):
+            eigenvalues_of(OperatorMatrix(ball, bad))
+
+
+class TestFactorPathOracle:
+    """The factor path against the explicit Kronecker products it replaces."""
+
+    @pytest.mark.parametrize("centers, radius", [(((40,), (0,)), 3), (((30, 29), (0,)), 2)])
+    def test_bitwise_equal_to_kron(self, line, centers, radius):
+        balls = [enumerate_ball(c, radius, line) for c in centers]
+        sample = sample_field(FieldModel(), sorted({s for b in balls for s in b.projection}), 8)
+        ops = [
+            assemble_hamiltonian(
+                HamiltonianSpec(geometry=line, n_particles=len(b.center), coupling=6.0,
+                                interaction=InteractionModel(kind="step", amplitude=1.0, range_=1),
+                                convention="fixed"),
+                b, sample,
+            )
+            for b in balls
+        ]
+        esa, esb = (diagonalize(op) for op in ops)
+        joint = eigensystem_from_factors(esa, esb)
+        assert joint.ball.members == enumerate_ball(merge_configs(*centers, line), radius, line).members
+        # product row of every joint row, by explicit merge
+        index = {merge_configs(a, b, line): i * esb.n + j
+                 for i, a in enumerate(esa.ball.members) for j, b in enumerate(esb.ball.members)}
+        rows = np.array([index[cfg] for cfg in joint.ball.members])
+        kron_op = np.kron(ops[0].matrix, np.eye(esb.n)) + np.kron(np.eye(esa.n), ops[1].matrix)
+        assert np.array_equal(joint.operator.matrix, kron_op[np.ix_(rows, rows)])
+        sums = (esa.eigenvalues[:, None] + esb.eigenvalues[None, :]).ravel()
+        order = np.argsort(sums, kind="stable")
+        assert np.array_equal(joint.eigenvalues, sums[order])
+        assert np.array_equal(joint.eigenvectors, np.kron(esa.eigenvectors, esb.eigenvectors)[rows][:, order])
+
+
+class TestRefinedGreenRows:
+    """One refinement step against a direct solve of (H - E) g = delta."""
+
+    @pytest.mark.parametrize("coupling, radius, seed", [(30.0, 8, 0), (30.0, 10, 1), (10.0, 8, 2), (60.0, 12, 3)])
+    def test_matches_solve(self, line, coupling, radius, seed):
+        ball = enumerate_ball((1, 0), radius, line)
+        spec = HamiltonianSpec(geometry=line, n_particles=2, coupling=coupling,
+                               interaction=InteractionModel(kind="step", amplitude=1.0, range_=2),
+                               convention="fixed")
+        es = diagonalize(assemble_hamiltonian(spec, ball, sample_field(FieldModel(), ball.projection, seed)))
+        rows = [ball.index[c] for c in interior_boundary(ball)]
+        src = ball.center_index()
+        lam = es.eigenvalues
+        # grid energies, energies 1e-5 from an eigenvalue, and a gap midpoint
+        energies = np.array([0.0, 5.0, 15.0, lam[es.n // 2] + 1e-5, lam[3] - 1e-5, lam[-1] + 1e-5,
+                             0.5 * (lam[10] + lam[11])])
+        refined = es.refined_green_rows(src, energies, rows)
+        for k, energy in enumerate(energies):
+            delta = np.zeros(es.n)
+            delta[src] = 1.0
+            solve = np.linalg.solve(es.operator.matrix - energy * np.eye(es.n), delta)[rows]
+            worst = np.max(np.abs(solve))
+            assert abs(np.max(np.abs(refined[:, k])) - worst) <= 1e-6 * worst
+            assert np.max(np.abs(refined[:, k] - solve)) <= 1e-6 * worst
+
+    def test_refinement_is_needed_below_the_rounding_level(self, line):
+        # at strong disorder the boundary values sit far below eps |G|: the
+        # eigenbasis sum is noise there, the refined value is not
+        ball = enumerate_ball((1, 0), 12, line)
+        spec = HamiltonianSpec(geometry=line, n_particles=2, coupling=60.0,
+                               interaction=InteractionModel(kind="step", amplitude=1.0, range_=2),
+                               convention="fixed")
+        es = diagonalize(assemble_hamiltonian(spec, ball, sample_field(FieldModel(), ball.projection, 3)))
+        rows = [ball.index[c] for c in interior_boundary(ball)]
+        src = ball.center_index()
+        delta = np.zeros(es.n)
+        delta[src] = 1.0
+        worst = np.max(np.abs(np.linalg.solve(es.operator.matrix, delta)[rows]))
+        plain = np.max(np.abs(es.green_column(src, [0.0])[rows]))
+        refined = np.max(np.abs(es.refined_green_rows(src, [0.0], rows)))
+        assert abs(plain - worst) > 1e3 * worst
+        assert abs(refined - worst) <= 1e-6 * worst
 
 
 class TestGreenFunction:
