@@ -34,8 +34,8 @@ from .experiments import (
     default_time_grid,
     estimate_event_probability,
     evc_experiment,
-    propagator_sups,
     min_event_trials,
+    propagator_sups,
     run_scaling_audit,
 )
 from .msa import check_param_constraints, predicate_report, verify_implications

@@ -306,9 +306,9 @@ def evc_experiment(
 
     Both spectra come from one ``AuditContext`` per trial, over the same
     field sample, so a ball that splits takes the factor path as in every
-    other command.  The bound curve is (2L+1)^(2 N d) * evc_bound(2s) with the supplied
-    constants; for two one-member single-particle balls with a uniform
-    marginal the exact law 2t - t^2, t = s/|g|, is attached.
+    other command.  The bound curve is (2L+1)^(2 N d) * evc_bound(2s)
+    with the supplied constants; for two one-member single-particle balls
+    with a uniform marginal the exact law 2t - t^2, t = s/|g|, is attached.
     """
     constants = constants or {}
     g = ball_x.geometry
