@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from mpdsa import msa
-from mpdsa.configspace import LatticeGeometry, enumerate_ball
-from mpdsa.disorder import FieldModel, FieldSample, sample_field
+from mpdsa.configspace import LatticeGeometry, enumerate_ball, interior_boundary
+from mpdsa.disorder import FieldModel, FieldSample, derive_seed, sample_field
 from mpdsa.msa import (
     AuditContext,
     BoundSchedule,
@@ -399,7 +399,7 @@ class TestContextSplit:
 class TestValuesOnlySpectra:
     """``AuditContext.spectrum`` against eigh and against the factor sums."""
 
-    def test_dense_balls_match_eigh(self, line):
+    def test_random_balls_match_eigh(self, line):
         rng = np.random.default_rng(31)
         for case in range(8):
             n = 2 if case < 5 else 3
@@ -460,9 +460,6 @@ class TestNsRefinement:
     def test_energy_next_to_the_spectrum(self, line):
         # a predicates-r16 benchmark trial where E = 15 sits 1.03e-5 from the
         # spectrum: the plain eigenbasis column read 9.8e-11, 35 times the solve
-        from mpdsa.configspace import interior_boundary
-        from mpdsa.disorder import derive_seed
-
         ctx = make_context(line, seed=derive_seed(1529365925, "trial", 0), coupling=30.0, radius=16)
         es = ctx.eigensystem((1, 0), 16)
         assert abs(es.spectral_distance(15.0) - 1.03e-5) < 1e-7
