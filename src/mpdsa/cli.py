@@ -49,6 +49,7 @@ from .runconfig import (
     config_center,
     config_hash,
     load_config,
+    validate_config,
 )
 from .spectral import ResonanceError
 
@@ -135,10 +136,10 @@ def _experiments_of(raw: dict, kind: str) -> list:
 def _setup_for(raw: dict, exp: dict) -> TrialSetup:
     geometry = build_geometry(raw)
     params = build_params(raw)
-    center = config_center(exp, geometry)
+    center = config_center(exp, geometry, raw["particles"])
     second = None
     if exp.get("second_center") is not None:
-        second = config_center({**exp, "center": exp["second_center"]}, geometry)
+        second = config_center(exp, geometry, raw["particles"], "second_center")
     return TrialSetup(
         geometry=geometry,
         params=params,
@@ -498,7 +499,8 @@ def cmd_sweep(raw: dict, writer: RunWriter, args) -> int:
             f"event {event!r} needs at least {min_event_trials(event)} trials, got {trials}"
         )
     seed = _seed(raw, args)
-    rows = []
+    # every point's config passes the schema (mass > 0, say) before any trial
+    setups = []
     for value in values:
         sub = json.loads(json.dumps(raw))
         if args.axis == "g":
@@ -509,9 +511,12 @@ def cmd_sweep(raw: dict, writer: RunWriter, args) -> int:
             sub.setdefault("scaling", {})["mass"] = value
         else:
             raise ConfigError(f"unknown sweep axis {args.axis!r}")
-        setup = _setup_for(sub, exp)
+        setup = _setup_for(validate_config(sub), exp)
         if args.axis == "L0":
             setup = dataclasses.replace(setup, radius=int(value))
+        setups.append((value, setup))
+    rows = []
+    for value, setup in setups:
         est = estimate_event_probability(
             setup,
             event,

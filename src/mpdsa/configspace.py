@@ -111,6 +111,14 @@ class LatticeGeometry:
             return abs(a - b)
         return sum(abs(p - q) for p, q in zip(a, b))
 
+    def site_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``site_distance`` elementwise over integer site arrays, with the
+        coordinates on the last axis when d > 1."""
+        if self.kind == "graph":
+            return self._graph_dist[a, b]
+        diff = np.abs(a - b)
+        return diff if self.d == 1 else diff.sum(axis=-1)
+
     def site_neighbors(self, site):
         if self.kind == "graph":
             return list(self.adjacency[site])

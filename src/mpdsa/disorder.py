@@ -52,13 +52,6 @@ def _digest(*parts) -> bytes:
     return h.digest()
 
 
-def substream(seed: int, *key) -> np.random.Generator:
-    """Independent generator determined by (seed, key)."""
-    raw = _digest(seed, *key)
-    words = struct.unpack("<2Q", raw)
-    return np.random.Generator(np.random.Philox(key=words))
-
-
 def derive_seed(seed: int, *key) -> int:
     """Stable 63-bit sub-seed for (seed, key), e.g. per-trial seeds."""
     raw = _digest(seed, *key)
@@ -130,28 +123,74 @@ class FieldModel:
             return MixingProfile(0, math.inf)
         return MixingProfile(len(self.kernel) - 1, math.inf)
 
-    def _draw(self, gen: np.random.Generator) -> float:
-        if self.marginal == "uniform":
-            return float(gen.random())
-        return float(gen.standard_normal())
-
     def base_value(self, site, seed: int) -> float:
         """Base IID variable eps at a site (the field itself when IID)."""
-        return self._draw(substream(seed, "eps", site))
+        return _SiteStream().eps_values(self.marginal, [site], seed)[site]
 
     def value_at(self, site, seed: int) -> float:
-        if self.kind == "iid":
-            return self.base_value(site, seed)
-        total = 0.0
-        for j, a in enumerate(self.kernel):
-            total += a * self.base_value(_shift(site, -j), seed)
-        return total
+        return _SiteStream().field_values(self, [site], seed)[site]
 
 
 def _shift(site, offset: int):
     if isinstance(site, (int, np.integer)):
         return int(site) + offset
     return (site[0] + offset,) + tuple(site[1:])
+
+
+class _SiteStream:
+    """One Philox generator, reset before each draw to a site's substream.
+
+    The base variable eps at a site is the first draw of
+    ``Generator(Philox(key=words))``, ``words`` being the two little-endian
+    64-bit words of the blake2b digest of (seed, "eps", site).  Rather
+    than build a Philox per site, the stream sets its state to what that
+    constructor makes: counter 0, an empty buffer, and the key numpy's
+    ``int_to_array`` makes of ``words``, ``np.asarray(words)`` cast to
+    uint64.  A pair with exactly one word >= 2**63 becomes float64 there,
+    which rounds both words; the cast reproduces that rounding, so every
+    value is bit for bit what the per-site constructor gives.
+    """
+
+    def __init__(self):
+        self._bitgen = np.random.Philox(key=0)
+        self._gen = np.random.Generator(self._bitgen)
+        # counter 0 and an empty buffer; only the key changes per site
+        self._state = self._bitgen.state
+
+    def eps_values(self, marginal: str, sites, seed: int) -> dict:
+        """eps at each distinct site for the seed, in first-seen order."""
+        prefix = hashlib.blake2b(digest_size=16)
+        prefix.update(_encode(seed))
+        prefix.update(_encode("eps"))
+        draw = self._gen.random if marginal == "uniform" else self._gen.standard_normal
+        state = self._state
+        out = {}
+        for site in sites:
+            if site in out:
+                continue
+            h = prefix.copy()
+            h.update(_encode(site))
+            words = struct.unpack("<2Q", h.digest())
+            state["state"]["key"] = np.asarray(words).astype(np.uint64)
+            self._bitgen.state = state
+            out[site] = float(draw())
+        return out
+
+    def field_values(self, model: "FieldModel", region, seed: int) -> dict:
+        """Field values on the region; a moving average draws each base
+        site once, however many taps share it."""
+        if model.kind == "iid":
+            return self.eps_values(model.marginal, region, seed)
+        region = list(region)
+        taps = [[_shift(site, -j) for j in range(len(model.kernel))] for site in region]
+        eps = self.eps_values(model.marginal, (s for row in taps for s in row), seed)
+        values = {}
+        for site, row in zip(region, taps):
+            total = 0.0
+            for a, s in zip(model.kernel, row):
+                total += a * eps[s]
+            values[site] = total
+        return values
 
 
 # -- samples ---------------------------------------------------------------
@@ -181,8 +220,7 @@ class FieldSample:
 
 def sample_field(model: FieldModel, region, seed: int) -> FieldSample:
     """Sample the field on a finite region of one-particle sites."""
-    values = {site: model.value_at(site, seed) for site in region}
-    return FieldSample(model, seed, values)
+    return FieldSample(model, seed, _SiteStream().field_values(model, region, seed))
 
 
 def potential_energy(x, sample: FieldSample) -> float:
@@ -236,10 +274,11 @@ def empirical_mixing(
         raise ValueError("need at least 100 trials")
     vx = np.empty(trials)
     vy = np.empty(trials)
+    stream = _SiteStream()
     for t in range(trials):
-        ts = derive_seed(seed, "mixing", t)
-        vx[t] = model.value_at(x, ts)
-        vy[t] = model.value_at(y, ts) if y != x else vx[t]
+        values = stream.field_values(model, (x, y), derive_seed(seed, "mixing", t))
+        vx[t] = values[x]
+        vy[t] = values[y]
     cx = vx - vx.mean()
     cy = vy - vy.mean()
     prod = cx * cy
@@ -292,8 +331,9 @@ def empirical_marginal_regularity(
     column is the one to compare against C * s**kappa.
     """
     draws = np.empty(trials)
+    stream = _SiteStream()
     for t in range(trials):
-        draws[t] = model.value_at(0, derive_seed(seed, "marginal", t))
+        draws[t] = stream.field_values(model, (0,), derive_seed(seed, "marginal", t))[0]
     out = []
     for s in s_values:
         est, stderr, scan = _split_window_estimate(draws, float(s))
@@ -355,9 +395,10 @@ def empirical_nu(
 
     xi = np.empty(trials)
     eta = np.empty((trials, len(box)))
+    stream = _SiteStream()
     for t in range(trials):
-        ts = derive_seed(seed, "nu", t)
-        vals = np.array([model.value_at(site, ts) for site in box])
+        values = stream.field_values(model, box, derive_seed(seed, "nu", t))
+        vals = np.array([values[site] for site in box])
         xi[t] = vals.mean()
         eta[t] = vals - xi[t]
 

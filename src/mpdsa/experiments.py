@@ -130,8 +130,7 @@ def _evaluate_event(setup: TrialSetup, event: str, energy, trial_seed: int) -> b
     ctx = setup.context(trial_seed)
     params = setup.params
     if event == "singular":
-        es = ctx.eigensystem(setup.center, setup.radius)
-        return not is_EmNS(es, float(energy), params).non_singular
+        return not ctx.non_singularity(setup.center, setup.radius, float(energy)).non_singular
     if event == "non_localized":
         return not ctx.m_loc(setup.center, setup.radius).localized
     if event == "tunneling":

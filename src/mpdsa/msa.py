@@ -31,6 +31,7 @@ from .configspace import (
 from .disorder import FieldSample
 from .operators import (
     HamiltonianSpec,
+    OperatorMatrix,
     assemble_hamiltonian,
     epsilon_bound,
     interaction_defect,
@@ -42,6 +43,8 @@ from .spectral import (
     eigenvalues_of,
     eigenvector_noise_floors,
     pairwise_sums,
+    resonance_cutoff,
+    solve_green_column,
 )
 
 # -- exact integer powers ----------------------------------------------------
@@ -437,6 +440,21 @@ class AuditContext:
             self._spectra[key] = vals
         return vals
 
+    def non_singularity(self, center, radius: int, energy: float) -> NsReport:
+        """``is_EmNS`` of the ball at one energy.  A ball whose eigensystem
+        the context holds decides as ``is_EmNS`` does; any other takes
+        ``ns_by_solve`` on its values-only spectrum and one assembly, which
+        also serves the spectrum's values-only solve."""
+        key = (tuple(center), radius)
+        es = self._systems.get(key)
+        if es is not None:
+            return is_EmNS(es, energy, self.params)
+        ball = self.ball(center, radius)
+        op = self._operator(ball)
+        if key not in self._spectra and self._factor_centers(ball) is None:
+            self._spectra[key] = eigenvalues_of(op)
+        return ns_by_solve(op, self.spectrum(center, radius), energy, self.params)
+
     def m_loc(
         self, center, radius: int, m: float | None = None, params: ScalingParams | None = None
     ) -> LocReport:
@@ -608,6 +626,26 @@ def is_EmNS(
     resonant = not math.isfinite(worst[0])
     thr = _clamped_ns_threshold(es.ball, params, m)
     return NsReport(bool(flags[0]), float(worst[0]), thr, resonant)
+
+
+def ns_by_solve(
+    op: OperatorMatrix, spectrum: np.ndarray, energy: float, params: ScalingParams
+) -> NsReport:
+    """``is_EmNS`` without eigenvectors.  The ascending spectrum screens the
+    energy with the resonance cutoff of ``ns_flags`` (inside it: flag
+    False, worst value +inf); outside it one dense solve of
+    (H - E) g = delta_centre gives the boundary values, decided on the
+    same clamped threshold."""
+    ball = op.ball
+    thr = _clamped_ns_threshold(ball, params, None)
+    boundary = interior_boundary(ball)
+    if not boundary:
+        return NsReport(True, 0.0, thr)
+    if np.min(np.abs(spectrum - energy)) <= resonance_cutoff(spectrum):
+        return NsReport(False, math.inf, thr, True)
+    g = solve_green_column(op, ball.center_index(), energy)
+    worst = float(np.max(np.abs(g[[ball.index[c] for c in boundary]])))
+    return NsReport(bool(ns_decision(worst, thr)), worst, thr)
 
 
 @dataclass(frozen=True)

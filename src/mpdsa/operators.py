@@ -30,7 +30,7 @@ from .configspace import (
     merge_configs,
     product_rows,
 )
-from .disorder import FieldSample, MissingDataError, potential_energy
+from .disorder import FieldSample, MissingDataError
 
 
 # -- interactions -----------------------------------------------------------
@@ -187,24 +187,94 @@ class OperatorMatrix:
         return float(np.max(np.sum(np.abs(self.matrix), axis=1), initial=0.0))
 
 
-def laplacian_matrix(ball: Ball, convention: str = "induced") -> OperatorMatrix:
-    """Negative graph Laplacian of the ball, hopping -1 on sector edges."""
+@dataclass(frozen=True)
+class _BallStructure:
+    """The field-independent part of H on one ball, O(n) in size.
+
+    ``hops`` holds the index arrays (i, j), i < j, of the hopping pairs;
+    ``sites`` the index in ``ball.projection`` of each member's particles,
+    shape (n, N), in member order.
+    """
+
+    hops: tuple
+    laplacian_diagonal: np.ndarray
+    interaction_diagonal: np.ndarray
+    sites: np.ndarray
+
+
+def _interaction_diagonal(ball: Ball, model: InteractionModel) -> np.ndarray:
+    """``interaction_energy`` of every member: pairs summed in the same
+    order, each U(r) read from a table over the distances that occur."""
+    arr = ball.member_array
+    n, npart = len(ball), ball.n_particles
+    dists = [
+        ball.geometry.site_distances(arr[:, i], arr[:, j])
+        for i in range(npart)
+        for j in range(i + 1, npart)
+    ]
+    top = max((int(r.max()) for r in dists), default=0)
+    table = np.array([model.pair_value(r) for r in range(top + 1)])
+    total = np.zeros(n)
+    for r in dists:
+        total += table[r]
+    if model.pair_counting == "ordered":
+        total *= 2.0
+    return total
+
+
+def _build_structure(ball: Ball, convention: str, interaction: InteractionModel) -> _BallStructure:
+    n, g = len(ball), ball.geometry
+    hops = np.asarray(ball.edge_index_pairs, dtype=np.int64).reshape(-1, 2).T
+    # np.unique sorts the distinct sites as ball.projection does, so its
+    # inverse indexes ball.projection
+    sites = np.unique(
+        ball.member_array.reshape(n * ball.n_particles, -1), axis=0, return_inverse=True
+    )[1].reshape(n, ball.n_particles)
+    if convention == "induced":
+        # degree within the ball
+        diag = np.bincount(hops.ravel(), minlength=n).astype(float)
+    else:
+        degrees = np.array([g.site_degree(s) for s in ball.projection], dtype=np.int64)
+        diag = degrees[sites].sum(axis=1).astype(float)
+    return _BallStructure(
+        (hops[0], hops[1]), diag, _interaction_diagonal(ball, interaction), sites
+    )
+
+
+_STRUCTURE_CACHE: dict = {}
+_STRUCTURE_CACHE_LIMIT = 512
+
+
+def _structure(ball: Ball, convention: str, interaction: InteractionModel) -> _BallStructure:
+    """The ball's structure for the convention and interaction, cached
+    like the balls themselves."""
     if convention not in ("induced", "fixed"):
         raise ValueError(f"unknown diagonal convention {convention!r}")
-    n = len(ball)
+    key = (ball, convention, interaction)
+    st = _STRUCTURE_CACHE.get(key)
+    if st is None:
+        st = _build_structure(ball, convention, interaction)
+        if len(_STRUCTURE_CACHE) >= _STRUCTURE_CACHE_LIMIT:
+            _STRUCTURE_CACHE.clear()
+        _STRUCTURE_CACHE[key] = st
+    return st
+
+
+def _matrix(st: _BallStructure, diagonal: np.ndarray) -> np.ndarray:
+    """Dense matrix with hopping -1 on the structure's pairs and the given diagonal."""
+    n = len(diagonal)
     mat = np.zeros((n, n))
-    for i, j in ball.edge_index_pairs:
-        mat[i, j] = mat[j, i] = -1.0
-    if convention == "induced":
-        diag = -np.sum(mat, axis=1)
-    else:
-        g = ball.geometry
-        diag = np.array(
-            [sum(g.site_degree(s) for s in cfg) for cfg in ball.members],
-            dtype=float,
-        )
-    mat[np.diag_indices(n)] = diag
-    return OperatorMatrix(ball, mat, convention)
+    i, j = st.hops
+    mat[i, j] = -1.0
+    mat[j, i] = -1.0
+    mat[np.diag_indices(n)] = diagonal
+    return mat
+
+
+def laplacian_matrix(ball: Ball, convention: str = "induced") -> OperatorMatrix:
+    """Negative graph Laplacian of the ball, hopping -1 on sector edges."""
+    st = _structure(ball, convention, InteractionModel())
+    return OperatorMatrix(ball, _matrix(st, st.laplacian_diagonal), convention)
 
 
 @dataclass(frozen=True)
@@ -225,17 +295,14 @@ def assemble_hamiltonian(spec: HamiltonianSpec, ball: Ball, sample: FieldSample)
     if not sample.covers(ball.projection):
         missing = [s for s in ball.projection if s not in sample.values]
         raise MissingDataError(f"sample misses sites {missing[:3]}")
-    op = laplacian_matrix(ball, spec.convention)
-    diag = np.array(
-        [
-            spec.coupling * potential_energy(cfg, sample)
-            + interaction_energy(cfg, spec.interaction, spec.geometry)
-            for cfg in ball.members
-        ]
-    )
-    mat = op.matrix.copy()
-    mat[np.diag_indices(len(ball))] += diag
-    return OperatorMatrix(ball, mat, spec.convention)
+    st = _structure(ball, spec.convention, spec.interaction)
+    field = np.array([sample.values[s] for s in ball.projection])
+    # potential summed over particles in member order, as potential_energy does
+    potential = np.zeros(len(ball))
+    for k in range(ball.n_particles):
+        potential += field[st.sites[:, k]]
+    diag = st.laplacian_diagonal + (spec.coupling * potential + st.interaction_diagonal)
+    return OperatorMatrix(ball, _matrix(st, diag), spec.convention)
 
 
 def kronecker_sum(ha: OperatorMatrix, hb: OperatorMatrix) -> OperatorMatrix:

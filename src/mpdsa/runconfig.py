@@ -137,10 +137,10 @@ SCHEMA = {
                 "beta_prime": _FRACTION,
                 "delta": _FRACTION,
                 "theta": {"type": "number"},
-                "mass": {"type": "number"},
+                "mass": {"type": "number", "exclusiveMinimum": 0},
                 "initial_scale": {"type": "integer", "minimum": 3},
                 "cn_variant": {"enum": ["11N", "2A+3"]},
-                "numerical_floor": {"type": "number"},
+                "numerical_floor": {"type": "number", "exclusiveMinimum": 0},
             },
         },
         "schedule": {
@@ -253,16 +253,40 @@ def build_schedule(raw: dict) -> BoundSchedule | None:
     return BoundSchedule(p=cfg["p"], b=cfg["b"], n_particles=raw["particles"])
 
 
-def config_center(exp: dict, geometry: LatticeGeometry) -> tuple:
-    center = exp.get("center")
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def config_center(
+    exp: dict, geometry: LatticeGeometry, particles: int, key: str = "center"
+) -> tuple:
+    """The experiment's ``key`` entry as a tuple of ``particles`` distinct
+    sites: integers, lists of d integers on a d > 1 lattice, or vertex
+    numbers of a graph."""
+    center = exp.get(key)
     if center is None:
-        raise ConfigError(f"experiment {exp['kind']!r} needs a center")
-    if geometry.kind == "lattice" and geometry.d > 1:
-        sites = tuple(tuple(int(c) for c in site) for site in center)
+        raise ConfigError(f"experiment {exp['kind']!r} needs a {key}")
+    nested = geometry.kind == "lattice" and geometry.d > 1
+    if nested:
+        shape = f"a list of {geometry.d} integers"
+        ok = all(
+            isinstance(site, list) and len(site) == geometry.d and all(map(_is_int, site))
+            for site in center
+        )
+    elif geometry.kind == "graph":
+        shape = f"a vertex from 0 to {len(geometry.adjacency) - 1}"
+        ok = all(_is_int(v) and 0 <= v < len(geometry.adjacency) for v in center)
     else:
-        sites = tuple(int(c) for c in center)
+        shape = "an integer"
+        ok = all(map(_is_int, center))
+    if not ok or len(center) != particles:
+        raise ConfigError(
+            f"experiment {exp['kind']!r} {key} {json.dumps(center)} must hold "
+            f"{particles} sites, each {shape}"
+        )
+    sites = tuple(tuple(site) for site in center) if nested else tuple(center)
     if len(set(sites)) != len(sites):
         raise ConfigError(
-            f"experiment {exp['kind']!r} center {json.dumps(center)} repeats a site"
+            f"experiment {exp['kind']!r} {key} {json.dumps(center)} repeats a site"
         )
     return sites

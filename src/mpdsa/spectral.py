@@ -89,7 +89,7 @@ class EigenSystem:
         return 1.0 / d
 
     def resonance_cutoff(self) -> float:
-        return 1e-12 * max(self.spectral_norm, 1e-300)
+        return resonance_cutoff(self.eigenvalues)
 
     def check_energy(self, energy: float) -> None:
         d = self.spectral_distance(energy)
@@ -124,6 +124,24 @@ class EigenSystem:
         r[source_idx] += 1.0
         correction = (v.T @ r) / (self.eigenvalues[:, None] - energies[None, :])
         return g0[rows] + v[rows] @ correction
+
+
+def resonance_cutoff(eigenvalues: np.ndarray) -> float:
+    """Distance to the spectrum at or below which no resolvent is
+    evaluated: 1e-12 times the spectral norm."""
+    return 1e-12 * max(float(np.max(np.abs(eigenvalues), initial=0.0)), 1e-300)
+
+
+def solve_green_column(op: OperatorMatrix, source_idx: int, energy: float) -> np.ndarray:
+    """G(x, source; E) for all x from one dense solve of (H - E) g = delta_source.
+
+    No resonance guard: callers screen the energy against the spectrum.
+    """
+    shifted = op.matrix.copy()
+    shifted[np.diag_indices(op.n)] -= energy
+    rhs = np.zeros(op.n)
+    rhs[source_idx] = 1.0
+    return np.linalg.solve(shifted, rhs)
 
 
 def _symmetric_part(op: OperatorMatrix) -> np.ndarray:

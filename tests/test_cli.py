@@ -396,6 +396,117 @@ class TestNothingWrittenOnExit2:
         assert not out.exists()
 
 
+class TestCenterChecks:
+    """A centre must hold ``particles`` integer sites (lists of d integers
+    when d > 1); anything else exits 2 with nothing written."""
+
+    @pytest.mark.parametrize(
+        "center, key",
+        [
+            (["a", 0], "center"),
+            ([1.5, 0], "center"),
+            ([3], "center"),
+            ([True, 0], "center"),
+            ([[1, 0], 0], "center"),
+            ([9, "b"], "second_center"),
+            ([9], "second_center"),
+        ],
+    )
+    def test_bad_center_exits_2(self, tmp_path, capsys, center, key):
+        out = tmp_path / "out"
+        experiment = {"kind": "evc", "center": [1, 0], "second_center": [9, 5], "radius": 0}
+        experiment[key] = center
+        cfg = base_config(out, [experiment], particles=2)
+        assert main(["evc", "--config", write_config(tmp_path / "c.json", cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and f"{key} {json.dumps(center)}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("center", [[[1, 0], [0]], [[1, 0, 0], [0, 0, 0]], [1, 0]])
+    def test_plane_needs_nested_pairs(self, tmp_path, capsys, center):
+        out = tmp_path / "out"
+        cfg = base_config(out, [{"kind": "spectrum", "center": center, "radius": 1}],
+                          particles=2, geometry={"kind": "lattice", "d": 2})
+        assert main(["spectrum", "--config", write_config(tmp_path / "c.json", cfg)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_graph_vertex_out_of_range(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = base_config(out, [{"kind": "spectrum", "center": [7], "radius": 1}],
+                          geometry={"kind": "graph", "adjacency": [[1], [0, 2], [1]]})
+        assert main(["spectrum", "--config", write_config(tmp_path / "c.json", cfg)]) == 2
+        assert "a vertex from 0 to 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_plane_center_accepted(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = base_config(out, [{"kind": "spectrum", "center": [[1, 0], [0, 0]], "radius": 1}],
+                          particles=2, geometry={"kind": "lattice", "d": 2})
+        assert main(["spectrum", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+
+
+class TestSchemaBounds:
+    @pytest.mark.parametrize("scaling", [{"mass": -1.0}, {"mass": 0}, {"numerical_floor": 0.0}])
+    def test_nonpositive_scaling_values_exit_2(self, tmp_path, capsys, scaling):
+        out = tmp_path / "out"
+        cfg = base_config(out, [{"kind": "spectrum", "center": [0], "radius": 1}],
+                          scaling={"initial_scale": 6, **scaling})
+        assert main(["spectrum", "--config", write_config(tmp_path / "c.json", cfg)]) == 2
+        (name,) = scaling
+        assert f"config rejected: {scaling[name]} is less than or equal to the minimum of 0 " \
+            f"(at ['scaling', '{name}'])" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("axis, value", [("m", "-1"), ("L0", "2")])
+    def test_sweep_points_pass_the_schema(self, tmp_path, capsys, axis, value):
+        out = tmp_path / "out"
+        experiment = {"kind": "event", "event": "singular", "energy": 0.0, "center": [0],
+                      "radius": 2, "trials": 30}
+        cfg = base_config(out, [experiment], coupling=5.0)
+        argv = ["sweep", "--config", write_config(tmp_path / "c.json", cfg),
+                "--axis", axis, "--values", f"6,{value}"]
+        assert main(argv) == 2
+        assert "config rejected" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestPinnedOutputs:
+    """sha256 of two small runs, fixed before the field sampler, the
+    assembly and the singular event's solve path changed; any change in a
+    drawn value, an assembled entry or a decided flag moves them."""
+
+    def _cfg(self, out, experiment, **overrides):
+        cfg = base_config(out, [experiment], particles=2, coupling=10.0, seed=20261018,
+                          disorder={"kind": "iid", "marginal": "gaussian"},
+                          interaction={"kind": "step", "amplitude": 1.0, "range": 1},
+                          convention="fixed")
+        cfg.update(overrides)
+        return cfg
+
+    def test_sweep_trend(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = self._cfg(out, {"kind": "event", "event": "singular", "center": [1, 0],
+                              "radius": 5, "energy": 0.0, "trials": 200})
+        argv = ["sweep", "--config", write_config(tmp_path / "c.json", cfg),
+                "--axis", "g", "--values", "2,6,20"]
+        assert main(argv) == 0
+        assert sha(out / "trend.csv") == (
+            "f0e63f1fb1c9cbbeff1cd5b88e3bd86abc310504ef72d9095dc2a488f332b21d"
+        )
+
+    def test_predicates_table(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = self._cfg(out, {"kind": "predicates", "center": [1, 0], "radius": 8,
+                              "sub_scale": 4, "trials": 2, "energies": [0.0, 5.0]},
+                        coupling=40.0, disorder={"kind": "iid", "marginal": "uniform"})
+        assert main(["predicates", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
+        assert sha(out / "predicates.csv") == (
+            "c0e43148fcd0fd10d48be8d411c7acfd93adf756b4a7ab891ec11dad258d8753"
+        )
+
+
 class TestSchema:
     def test_schema_is_a_valid_schema(self):
         import jsonschema

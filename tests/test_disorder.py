@@ -1,5 +1,7 @@
 import math
+import struct
 
+import numpy as np
 import pytest
 
 from mpdsa.disorder import (
@@ -13,6 +15,7 @@ from mpdsa.disorder import (
     mean_fluct_decompose,
     potential_energy,
     sample_field,
+    _digest,
 )
 
 
@@ -204,3 +207,92 @@ class TestConcentration:
         assert derive_seed(5, "trial", 3) == derive_seed(5, "trial", 3)
         assert derive_seed(5, "trial", 3) != derive_seed(5, "trial", 4)
         assert derive_seed(5, "a") != derive_seed(6, "a")
+
+
+def reference_words(site, seed) -> tuple:
+    return struct.unpack("<2Q", _digest(seed, "eps", site))
+
+
+def reference_eps(marginal, site, seed) -> float:
+    """eps drawn from a generator built for the one site: the reference the
+    reused, reset generator must match bit for bit."""
+    gen = np.random.Generator(np.random.Philox(key=reference_words(site, seed)))
+    return gen.random() if marginal == "uniform" else gen.standard_normal()
+
+
+def reference_value(model, site, seed) -> float:
+    if model.kind == "iid":
+        return reference_eps(model.marginal, site, seed)
+    total = 0.0
+    for j, a in enumerate(model.kernel):
+        shifted = site - j if isinstance(site, int) else (site[0] - j,) + site[1:]
+        total += a * reference_eps(model.marginal, shifted, seed)
+    return total
+
+
+def bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+MODELS = [
+    FieldModel(kind=kind, marginal=marginal, kernel=kernel)
+    for kind, kernel in (("iid", (1.0,)), ("moving_average", (1.0, 0.3, -0.25)))
+    for marginal in ("uniform", "gaussian")
+]
+
+
+class TestSamplerOracle:
+    """The reused Philox, reset per site, against one generator per site."""
+
+    def test_sample_field_bit_for_bit(self):
+        regions = [list(range(-9, 9)), [(a, b) for a in range(-2, 2) for b in range(-2, 3)]]
+        pairs = 0
+        one_high_word = 0
+        for model in MODELS:
+            for seed in range(36):
+                for region in regions:
+                    sample = sample_field(model, region, seed)
+                    assert list(sample.values) == region
+                    expected = [reference_value(model, site, seed) for site in region]
+                    assert bits(list(sample.values.values())) == bits(expected)
+                    pairs += len(region)
+                    one_high_word += sum(
+                        (w0 >= 2**63) != (w1 >= 2**63)
+                        for w0, w1 in (reference_words(site, seed) for site in region)
+                    )
+        assert pairs >= 5000
+        # numpy rounds such keys through float64; the sampler must too
+        assert one_high_word >= 1000
+
+    def test_rounded_key_case(self):
+        # a site whose digest has exactly one word >= 2**63
+        site = next(
+            s for s in range(100) if sum(w >= 2**63 for w in reference_words(s, 3)) == 1
+        )
+        for marginal in ("uniform", "gaussian"):
+            model = FieldModel(marginal=marginal)
+            drawn = sample_field(model, [site], 3)[site]
+            assert bits([drawn]) == bits([reference_eps(marginal, site, 3)])
+
+    def test_base_value_and_value_at(self):
+        for model in MODELS:
+            for seed in range(5):
+                for site in (0, 4, (1, -2)):
+                    expected = reference_value(model, site, seed)
+                    assert bits([model.value_at(site, seed)]) == bits([expected])
+                    expected = reference_eps(model.marginal, site, seed)
+                    assert bits([model.base_value(site, seed)]) == bits([expected])
+
+    def test_generator_region_and_repeated_sites(self):
+        model = MODELS[3]
+        sample = sample_field(model, (s for s in (2, 5, 2)), 8)
+        assert list(sample.values) == [2, 5]
+        assert bits([sample[2], sample[5]]) == bits([reference_value(model, s, 8) for s in (2, 5)])
+
+    def test_mixing_diagnostic_unchanged(self):
+        model = MODELS[3]
+        est = empirical_mixing(model, 0, 1, trials=100, seed=6)
+        vx = np.array([reference_value(model, 0, derive_seed(6, "mixing", t)) for t in range(100)])
+        vy = np.array([reference_value(model, 1, derive_seed(6, "mixing", t)) for t in range(100)])
+        prod = (vx - vx.mean()) * (vy - vy.mean())
+        assert est.covariance == float(prod.mean())

@@ -8,6 +8,7 @@ import pytest
 from mpdsa import msa
 from mpdsa.configspace import LatticeGeometry, enumerate_ball, interior_boundary
 from mpdsa.disorder import FieldModel, FieldSample, derive_seed, sample_field
+from mpdsa.experiments import TrialSetup
 from mpdsa.msa import (
     AuditContext,
     BoundSchedule,
@@ -470,6 +471,80 @@ class TestNsRefinement:
         rep = is_EmNS(es, 15.0, ctx.params)
         assert abs(rep.worst_boundary_value - worst) <= 1e-9 * worst
         assert rep.non_singular == (worst <= rep.threshold)
+
+
+class TestNsBySolve:
+    """The singular event's path (values-only spectrum plus one solve)
+    against the eigen path (``is_EmNS`` on the eigensystem)."""
+
+    def _both(self, ctx, center, radius, energy):
+        fresh = AuditContext(ctx.spec, ctx.sample, ctx.params)
+        solved = fresh.non_singularity(center, radius, energy)
+        return solved, is_EmNS(ctx.eigensystem(center, radius), energy, ctx.params)
+
+    def test_flags_and_values_match_the_eigen_path(self, line):
+        rng = np.random.default_rng(7)
+        checked = 0
+        for case in range(10):
+            n = 2 if case < 7 else 3
+            center = tuple(sorted(rng.choice(8, size=n, replace=False).tolist(), reverse=True))
+            radius = int(rng.integers(2, 7 if n == 2 else 4))
+            ctx = make_context(line, seed=case, coupling=float(rng.uniform(2, 40)), center=center,
+                               radius=radius, n=n)
+            spectrum = ctx.spectrum(center, radius)
+            energies = [0.0, 3.0, float(spectrum[len(spectrum) // 2]) + 1e-5]
+            for energy in energies:
+                solved, eigen = self._both(ctx, center, radius, energy)
+                floor = ctx.params.ns_noise_floor(radius)
+                assert solved.non_singular == eigen.non_singular
+                assert solved.threshold == eigen.threshold
+                assert abs(solved.worst_boundary_value - eigen.worst_boundary_value) <= (
+                    1e-6 * eigen.worst_boundary_value + floor
+                )
+                checked += 1
+        assert checked == 30
+
+    def test_split_centre(self, line):
+        step = InteractionModel(kind="step", amplitude=1.0, range_=1)
+        ctx = make_context(line, seed=5, coupling=12.0, center=(20, 0), radius=3, interaction=step)
+        for energy in (0.0, 6.0, 12.5):
+            solved, eigen = self._both(ctx, (20, 0), 3, energy)
+            assert solved.non_singular == eigen.non_singular
+            assert abs(solved.worst_boundary_value - eigen.worst_boundary_value) <= (
+                1e-6 * eigen.worst_boundary_value + ctx.params.ns_noise_floor(3)
+            )
+
+    def test_energy_at_an_eigenvalue(self, line):
+        ctx = make_context(line, seed=3, coupling=20.0, radius=5)
+        es = ctx.eigensystem((1, 0), 5)
+        for energy in es.eigenvalues[[0, 17, -1]]:
+            solved, eigen = self._both(ctx, (1, 0), 5, float(energy))
+            for rep in (solved, eigen):
+                assert not rep.non_singular and rep.resonant
+                assert rep.worst_boundary_value == math.inf
+
+    def test_the_context_picks_the_path_by_what_it_holds(self, line, monkeypatch):
+        ctx = make_context(line, seed=4, coupling=30.0, radius=6)
+        monkeypatch.setattr(msa, "diagonalize", None)  # any eigensolve would fail
+        rep = ctx.non_singularity((1, 0), 6, 0.0)
+        assert not ctx._systems and ((1, 0), 6) in ctx._spectra
+        monkeypatch.undo()
+        es = ctx.eigensystem((1, 0), 6)
+        assert ctx.non_singularity((1, 0), 6, 0.0) == is_EmNS(es, 0.0, ctx.params)
+        assert rep.non_singular == is_EmNS(es, 0.0, ctx.params).non_singular
+
+    def test_sweep_trials_match_the_eigen_path(self, line):
+        # the sweep-r6 benchmark trial: Gaussian field, step range 1, E = 0
+        setup = TrialSetup(
+            geometry=line, params=ScalingParams.finite_range(2, initial_scale=6),
+            field_model=FieldModel(marginal="gaussian"),
+            interaction=InteractionModel(kind="step", amplitude=1.0, range_=1),
+            center=(1, 0), radius=6, coupling=3.0,
+        )
+        for t in range(40):
+            ctx = setup.context(derive_seed(770001, "trial", t))
+            solved, eigen = self._both(ctx, (1, 0), 6, 0.0)
+            assert solved.non_singular == eigen.non_singular
 
 
 class TestTunneling:

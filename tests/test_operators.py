@@ -3,8 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from mpdsa.configspace import GeometryError, enumerate_ball, merge_configs
-from mpdsa.disorder import FieldModel, FieldSample, MissingDataError, sample_field
+from mpdsa.configspace import GeometryError, LatticeGeometry, enumerate_ball, merge_configs
+from mpdsa.disorder import (
+    FieldModel,
+    FieldSample,
+    MissingDataError,
+    potential_energy,
+    sample_field,
+)
 from mpdsa.operators import (
     HamiltonianSpec,
     InteractionModel,
@@ -193,6 +199,85 @@ class TestAssembly:
                     ),
                 )
             assert worst <= 2.0 * SUBEXP.tail_sup(radius) + 1e-15
+
+
+def reference_laplacian(ball, convention):
+    """The per-member construction the structure cache replaced."""
+    n = len(ball)
+    mat = np.zeros((n, n))
+    for i, j in ball.edge_index_pairs:
+        mat[i, j] = mat[j, i] = -1.0
+    if convention == "induced":
+        diag = -np.sum(mat, axis=1)
+    else:
+        g = ball.geometry
+        diag = np.array(
+            [sum(g.site_degree(s) for s in cfg) for cfg in ball.members], dtype=float
+        )
+    mat[np.diag_indices(n)] = diag
+    return mat
+
+
+def reference_assembly(spec, ball, sample):
+    mat = reference_laplacian(ball, spec.convention)
+    diag = np.array(
+        [
+            spec.coupling * potential_energy(cfg, sample)
+            + interaction_energy(cfg, spec.interaction, spec.geometry)
+            for cfg in ball.members
+        ]
+    )
+    mat[np.diag_indices(len(ball))] += diag
+    return mat
+
+
+class TestAssemblyOracle:
+    """Assembly from the cached ball structure against the per-member loop."""
+
+    INTERACTIONS = [
+        InteractionModel(),
+        InteractionModel(kind="step", amplitude=1.5, range_=2),
+        InteractionModel(kind="subexp", prefactor=2.0, rate=0.7, tail_exponent=0.3,
+                         truncation_radius=3),
+        InteractionModel(kind="table", table=((1, 1.0), (2, -0.5)), pair_counting="unordered"),
+    ]
+
+    def _balls(self, line, plane):
+        hexagon = LatticeGeometry(
+            kind="graph", adjacency=((1, 5), (0, 2), (1, 3), (2, 4), (3, 5), (4, 0))
+        )
+        cases = [
+            (line, (0,), 4), (line, (1, 0), 3), (line, (6, 2, 0), 2),
+            (plane, ((0, 0),), 2), (plane, ((1, 0), (0, 0)), 2),
+            (plane, ((1, 1), (0, 1), (0, 0)), 1),
+            (hexagon, (2,), 2), (hexagon, (3, 0), 1), (hexagon, (4, 2, 0), 1),
+        ]
+        return [enumerate_ball(c, r, g) for g, c, r in cases]
+
+    def test_against_the_member_loop(self, line, plane):
+        checked = 0
+        for ball in self._balls(line, plane):
+            for convention in ("induced", "fixed"):
+                assert np.array_equal(
+                    laplacian_matrix(ball, convention).matrix, reference_laplacian(ball, convention)
+                )
+                for k, interaction in enumerate(self.INTERACTIONS):
+                    model = FieldModel(marginal="gaussian" if k % 2 else "uniform")
+                    sample = sample_field(model, ball.projection, 17 + k)
+                    spec = HamiltonianSpec(ball.geometry, ball.n_particles, 2.5, interaction,
+                                           convention)
+                    h = assemble_hamiltonian(spec, ball, sample)
+                    assert np.array_equal(h.matrix, reference_assembly(spec, ball, sample))
+                    checked += 1
+        assert checked == 9 * 2 * 4
+
+    def test_structure_cache_serves_every_sample(self, line):
+        ball = enumerate_ball((4, 1), 3, line)
+        spec = HamiltonianSpec(line, 2, 7.0, STEP, "fixed")
+        for seed in range(3):
+            sample = sample_field(FieldModel(), ball.projection, seed)
+            h = assemble_hamiltonian(spec, ball, sample)
+            assert np.array_equal(h.matrix, reference_assembly(spec, ball, sample))
 
 
 class TestKroneckerSum:
