@@ -33,6 +33,7 @@ from .experiments import (
     correlator_completeness,
     default_time_grid,
     estimate_event_probability,
+    event_input_error,
     evc_experiment,
     min_event_trials,
     propagator_sups,
@@ -499,7 +500,8 @@ def cmd_sweep(raw: dict, writer: RunWriter, args) -> int:
             f"event {event!r} needs at least {min_event_trials(event)} trials, got {trials}"
         )
     seed = _seed(raw, args)
-    # every point's config passes the schema (mass > 0, say) before any trial
+    # every point's config passes the schema (mass > 0, say) and carries the
+    # event's own inputs before any trial
     setups = []
     for value in values:
         sub = json.loads(json.dumps(raw))
@@ -514,6 +516,9 @@ def cmd_sweep(raw: dict, writer: RunWriter, args) -> int:
         setup = _setup_for(validate_config(sub), exp)
         if args.axis == "L0":
             setup = dataclasses.replace(setup, radius=int(value))
+        problem = event_input_error(setup, event, exp.get("energy"))
+        if problem is not None:
+            raise ConfigError(problem)
         setups.append((value, setup))
     rows = []
     for value, setup in setups:

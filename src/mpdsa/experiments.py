@@ -25,6 +25,7 @@ from .msa import (
     AuditContext,
     BoundSchedule,
     ScalingParams,
+    block_non_singularity,
     energy_grid,
     is_EmNS,
     is_m_tunneling,
@@ -122,25 +123,30 @@ EVENTS = (
 )
 
 
-def _evaluate_event(setup: TrialSetup, event: str, energy, trial_seed: int) -> bool:
+def event_input_error(setup: TrialSetup, event: str, energy) -> str | None:
+    """What the event needs that the setup or energy lacks, else None."""
+    if event == "singular" and energy is None:
+        return "singular event needs an energy"
+    if event == "tunneling" and setup.sub_scale is None:
+        return "tunneling event needs a sub-scale"
+    if event == "distant_pair_singular" and setup.second_center is None:
+        return "pair event needs a second center"
+    return None
+
+
+def _evaluate_event(setup: TrialSetup, event: str, trial_seed: int) -> bool:
     if event == "always_true":
         return True
     if event == "always_false":
         return False
     ctx = setup.context(trial_seed)
     params = setup.params
-    if event == "singular":
-        return not ctx.non_singularity(setup.center, setup.radius, float(energy)).non_singular
     if event == "non_localized":
         return not ctx.m_loc(setup.center, setup.radius).localized
     if event == "tunneling":
-        if setup.sub_scale is None:
-            raise ValueError("tunneling event needs a sub-scale")
         ball = ctx.ball(setup.center, setup.radius)
         return is_m_tunneling(ctx, ball, setup.sub_scale, params).tunneling
     if event == "distant_pair_singular":
-        if setup.second_center is None:
-            raise ValueError("pair event needs a second center")
         es1 = ctx.eigensystem(setup.center, setup.radius)
         es2 = ctx.eigensystem(setup.second_center, setup.radius)
         grid = energy_grid([es1.eigenvalues, es2.eigenvalues])
@@ -148,6 +154,26 @@ def _evaluate_event(setup: TrialSetup, event: str, energy, trial_seed: int) -> b
         f2, _ = ns_flags(es2, grid, params)
         return bool(np.any((~f1) & (~f2)))
     raise ValueError(f"unknown event {event!r}")
+
+
+def singular_trials(setup: TrialSetup, energy: float, trial_seeds) -> list:
+    """``is_EmNS`` reports of the setup's ball at the energy, one per trial
+    seed, decided in blocks of trials (``msa.block_non_singularity``).
+    A block's matrices take about 1 MB at most; a ball of 363 members or
+    more goes one trial at a time."""
+    n = len(enumerate_ball(setup.center, setup.radius, setup.geometry))
+    block = max(1, 2**17 // n**2)
+    spec, region = setup.ham_spec(), setup.region()
+    reports = []
+    for start in range(0, len(trial_seeds), block):
+        samples = [
+            sample_field(setup.field_model, region, s)
+            for s in trial_seeds[start : start + block]
+        ]
+        reports += block_non_singularity(
+            spec, samples, setup.center, setup.radius, energy, setup.params
+        )
+    return reports
 
 
 def min_event_trials(event: str) -> int:
@@ -166,10 +192,14 @@ def estimate_event_probability(
     """Probability of the event over seeded trials."""
     if trials < min_event_trials(event):
         raise ValueError(f"need at least {min_event_trials(event)} trials")
-    successes = sum(
-        _evaluate_event(setup, event, energy, derive_seed(seed, "trial", t))
-        for t in range(trials)
-    )
+    problem = event_input_error(setup, event, energy)
+    if problem is not None:
+        raise ValueError(problem)
+    seeds = [derive_seed(seed, "trial", t) for t in range(trials)]
+    if event == "singular":
+        successes = sum(not r.non_singular for r in singular_trials(setup, float(energy), seeds))
+    else:
+        successes = sum(_evaluate_event(setup, event, s) for s in seeds)
     return ProbabilityEstimate.from_counts(successes, trials)
 
 
@@ -396,19 +426,24 @@ def propagator_sups(es: EigenSystem, pairs, t_grid=None) -> np.ndarray:
 
     Each value is a lower bound on the true supremum over all times and at
     most the unsigned correlator.  One real phase table, cos and sin of
-    t * lambda, serves every pair; at most two T x n float64 arrays are
-    held at once.
+    t * lambda, serves every pair; it is formed over blocks of time points
+    of about 1 MB each, so memory stays O(n) in the grid length.
     """
     if t_grid is None:
         t_grid = default_time_grid()
+    t_grid = np.asarray(t_grid, dtype=float)
     index = es.ball.index
     ix = [index[tuple(x)] for x, _ in pairs]
     iy = [index[tuple(y)] for _, y in pairs]
     weights = (es.eigenvectors[ix] * es.eigenvectors[iy]).T
-    angles = np.outer(np.asarray(t_grid, dtype=float), es.eigenvalues)
-    re = np.cos(angles) @ weights
-    im = np.sin(angles, out=angles) @ weights
-    return np.max(np.hypot(re, im), axis=0)
+    rows = max(1, 2**17 // es.n)
+    block_maxima = []
+    for start in range(0, len(t_grid), rows):
+        angles = np.outer(t_grid[start : start + rows], es.eigenvalues)
+        re = np.cos(angles) @ weights
+        im = np.sin(angles, out=angles) @ weights
+        block_maxima.append(np.max(np.hypot(re, im), axis=0))
+    return np.max(block_maxima, axis=0)
 
 
 def propagator_sup(es: EigenSystem, x, y, t_grid=None) -> float:

@@ -31,8 +31,8 @@ from .configspace import (
 from .disorder import FieldSample
 from .operators import (
     HamiltonianSpec,
-    OperatorMatrix,
     assemble_hamiltonian,
+    assemble_hamiltonians,
     epsilon_bound,
     interaction_defect,
 )
@@ -44,7 +44,8 @@ from .spectral import (
     eigenvector_noise_floors,
     pairwise_sums,
     resonance_cutoff,
-    solve_green_column,
+    solve_green_columns,
+    stacked_eigenvalues,
 )
 
 # -- exact integer powers ----------------------------------------------------
@@ -413,7 +414,7 @@ class AuditContext:
             if key in self._spectra:
                 self.resolved_for_vectors += 1
             ball = self.ball(center, radius)
-            parts = self._factor_centers(ball)
+            parts = factor_centers(self.spec, ball)
             if parts is None:
                 es = diagonalize(self._operator(ball))
             else:
@@ -432,28 +433,13 @@ class AuditContext:
         vals = self._spectra.get(key)
         if vals is None:
             ball = self.ball(center, radius)
-            parts = self._factor_centers(ball)
+            parts = factor_centers(self.spec, ball)
             if parts is None:
                 vals = eigenvalues_of(self._operator(ball))
             else:
                 vals = pairwise_sums(*(self.spectrum(p, radius) for p in parts))[0]
             self._spectra[key] = vals
         return vals
-
-    def non_singularity(self, center, radius: int, energy: float) -> NsReport:
-        """``is_EmNS`` of the ball at one energy.  A ball whose eigensystem
-        the context holds decides as ``is_EmNS`` does; any other takes
-        ``ns_by_solve`` on its values-only spectrum and one assembly, which
-        also serves the spectrum's values-only solve."""
-        key = (tuple(center), radius)
-        es = self._systems.get(key)
-        if es is not None:
-            return is_EmNS(es, energy, self.params)
-        ball = self.ball(center, radius)
-        op = self._operator(ball)
-        if key not in self._spectra and self._factor_centers(ball) is None:
-            self._spectra[key] = eigenvalues_of(op)
-        return ns_by_solve(op, self.spectrum(center, radius), energy, self.params)
 
     def m_loc(
         self, center, radius: int, m: float | None = None, params: ScalingParams | None = None
@@ -468,21 +454,26 @@ class AuditContext:
             self._locs[key] = rep
         return rep
 
-    def _factor_centers(self, ball: Ball):
-        """The two group centres of a ball that factors, else None."""
-        if ball.n_particles < 2:
-            return None
-        split = maximal_separation_split(ball.center, self.spec.geometry)
-        gap = split.separation - 2 * ball.radius
-        if gap <= 0 or epsilon_bound(self.spec.interaction, ball.n_particles, gap - 1) > SPLIT_TOL:
-            return None
-        return split.part1, split.part2
-
     def _operator(self, ball: Ball):
-        spec = self.spec
-        if spec.n_particles != ball.n_particles:
-            spec = replace(spec, n_particles=ball.n_particles)
-        return assemble_hamiltonian(spec, ball, self.sample)
+        return assemble_hamiltonian(_spec_on(self.spec, ball), ball, self.sample)
+
+
+def factor_centers(spec: HamiltonianSpec, ball: Ball):
+    """The two group centres of a ball that factors, else None."""
+    if ball.n_particles < 2:
+        return None
+    split = maximal_separation_split(ball.center, spec.geometry)
+    gap = split.separation - 2 * ball.radius
+    if gap <= 0 or epsilon_bound(spec.interaction, ball.n_particles, gap - 1) > SPLIT_TOL:
+        return None
+    return split.part1, split.part2
+
+
+def _spec_on(spec: HamiltonianSpec, ball: Ball) -> HamiltonianSpec:
+    """The spec with the ball's particle number (a factor ball has fewer)."""
+    if spec.n_particles != ball.n_particles:
+        spec = replace(spec, n_particles=ball.n_particles)
+    return spec
 
 
 # -- sub-ball selection ------------------------------------------------------
@@ -629,23 +620,64 @@ def is_EmNS(
 
 
 def ns_by_solve(
-    op: OperatorMatrix, spectrum: np.ndarray, energy: float, params: ScalingParams
-) -> NsReport:
-    """``is_EmNS`` without eigenvectors.  The ascending spectrum screens the
-    energy with the resonance cutoff of ``ns_flags`` (inside it: flag
-    False, worst value +inf); outside it one dense solve of
-    (H - E) g = delta_centre gives the boundary values, decided on the
-    same clamped threshold."""
-    ball = op.ball
+    ball: Ball, stack: np.ndarray, spectra: np.ndarray, energy: float, params: ScalingParams
+) -> list:
+    """``is_EmNS`` without eigenvectors, for a stack of operators on one
+    ball; row t of ``spectra`` is the ascending spectrum of ``stack[t]``.
+
+    Each spectrum screens the energy with the resonance cutoff of
+    ``ns_flags`` (inside it: flag False, worst value +inf); one stacked
+    dense solve of (H_t - E) g_t = delta_centre over the other matrices
+    gives their boundary values, decided on the same clamped threshold.
+    Returns one report per matrix.  The solve shifts ``stack`` in place,
+    so the caller hands it over.
+    """
     thr = _clamped_ns_threshold(ball, params, None)
     boundary = interior_boundary(ball)
     if not boundary:
-        return NsReport(True, 0.0, thr)
-    if np.min(np.abs(spectrum - energy)) <= resonance_cutoff(spectrum):
-        return NsReport(False, math.inf, thr, True)
-    g = solve_green_column(op, ball.center_index(), energy)
-    worst = float(np.max(np.abs(g[[ball.index[c] for c in boundary]])))
-    return NsReport(bool(ns_decision(worst, thr)), worst, thr)
+        return [NsReport(True, 0.0, thr) for _ in stack]
+    dist = np.min(np.abs(spectra - energy), axis=1)
+    safe = ~np.array([d <= resonance_cutoff(s) for d, s in zip(dist, spectra)], dtype=bool)
+    worst = np.full(len(stack), np.inf)
+    if np.any(safe):
+        g = solve_green_columns(
+            stack if safe.all() else stack[safe], ball.center_index(), energy
+        )
+        worst[safe] = np.max(np.abs(g[:, [ball.index[c] for c in boundary]]), axis=1)
+    flags = ns_decision(worst, thr)
+    return [NsReport(bool(f), float(w), thr, not s) for f, w, s in zip(flags, worst, safe)]
+
+
+def block_non_singularity(
+    spec: HamiltonianSpec, samples, center, radius: int, energy: float, params: ScalingParams
+) -> list:
+    """``is_EmNS`` of one ball at one energy under each of many field
+    samples, without eigenvectors: one report per sample.
+
+    The samples' operators share the ball's hopping template and differ
+    on the diagonal only, so one stacked ``eigvalsh`` gives their spectra
+    (sorted factor sums for a split ball, as ``AuditContext.spectrum``
+    takes them) and ``ns_by_solve`` decides them with one stacked solve.
+    """
+    ball = enumerate_ball(center, radius, spec.geometry)
+    stacked = assemble_hamiltonians(_spec_on(spec, ball), ball, samples)
+    spectra = _stacked_spectra(spec, ball, samples, stacked)
+    return ns_by_solve(ball, stacked[1], spectra, energy, params)
+
+
+def _stacked_spectra(spec: HamiltonianSpec, ball: Ball, samples, stacked=None) -> np.ndarray:
+    """Row t: the ascending spectrum of the ball under ``samples[t]``;
+    ``stacked`` is the ball's (template, stack) when already assembled."""
+    parts = factor_centers(spec, ball)
+    if parts is None:
+        if stacked is None:
+            stacked = assemble_hamiltonians(_spec_on(spec, ball), ball, samples)
+        return stacked_eigenvalues(*stacked)
+    a, b = (
+        _stacked_spectra(spec, enumerate_ball(p, ball.radius, spec.geometry), samples)
+        for p in parts
+    )
+    return np.array([pairwise_sums(x, y)[0] for x, y in zip(a, b)])
 
 
 @dataclass(frozen=True)
@@ -839,7 +871,11 @@ class PredicateReport:
 
     def to_jsonable(self) -> dict:
         def _cfg(c):
-            return None if c is None else [list(map(int, np.atleast_1d(s))) for s in c[:2]]
+            # a configuration as nested integer lists: one entry per
+            # particle, each a list of d coordinates when d > 1
+            if c is None:
+                return None
+            return [np.atleast_1d(np.asarray(s, dtype=np.int64)).tolist() for s in c[:2]]
 
         return {
             "center": list(self.center),

@@ -288,21 +288,46 @@ class HamiltonianSpec:
     convention: str = "induced"
 
 
-def assemble_hamiltonian(spec: HamiltonianSpec, ball: Ball, sample: FieldSample) -> OperatorMatrix:
-    """Assembled operator on the ball; the sample must cover its sites."""
+def _diagonal(
+    spec: HamiltonianSpec, ball: Ball, sample: FieldSample, st: _BallStructure
+) -> np.ndarray:
+    """Diagonal of H on the ball, from its structure ``st``; the sample
+    must cover its sites."""
     if ball.n_particles != spec.n_particles:
         raise ValueError("ball particle number does not match the spec")
     if not sample.covers(ball.projection):
         missing = [s for s in ball.projection if s not in sample.values]
         raise MissingDataError(f"sample misses sites {missing[:3]}")
-    st = _structure(ball, spec.convention, spec.interaction)
     field = np.array([sample.values[s] for s in ball.projection])
     # potential summed over particles in member order, as potential_energy does
     potential = np.zeros(len(ball))
     for k in range(ball.n_particles):
         potential += field[st.sites[:, k]]
-    diag = st.laplacian_diagonal + (spec.coupling * potential + st.interaction_diagonal)
-    return OperatorMatrix(ball, _matrix(st, diag), spec.convention)
+    return st.laplacian_diagonal + (spec.coupling * potential + st.interaction_diagonal)
+
+
+def assemble_hamiltonian(spec: HamiltonianSpec, ball: Ball, sample: FieldSample) -> OperatorMatrix:
+    """Assembled operator on the ball; the sample must cover its sites."""
+    st = _structure(ball, spec.convention, spec.interaction)
+    return OperatorMatrix(ball, _matrix(st, _diagonal(spec, ball, sample, st)), spec.convention)
+
+
+def assemble_hamiltonians(spec: HamiltonianSpec, ball: Ball, samples) -> tuple:
+    """(template, stack) for many samples on one ball.
+
+    The template is H with its diagonal left zero, the hopping part every
+    sample shares; ``stack[t]`` equals ``assemble_hamiltonian(spec, ball,
+    samples[t]).matrix`` entry for entry: the template with the sample's
+    diagonal written in.
+    """
+    st = _structure(ball, spec.convention, spec.interaction)
+    n = len(ball)
+    template = OperatorMatrix(ball, _matrix(st, np.zeros(n)), spec.convention)
+    stack = np.empty((len(samples), n, n))
+    stack[:] = template.matrix
+    i = np.arange(n)
+    stack[:, i, i] = [_diagonal(spec, ball, s, st) for s in samples]
+    return template, stack
 
 
 def kronecker_sum(ha: OperatorMatrix, hb: OperatorMatrix) -> OperatorMatrix:

@@ -132,20 +132,28 @@ def resonance_cutoff(eigenvalues: np.ndarray) -> float:
     return 1e-12 * max(float(np.max(np.abs(eigenvalues), initial=0.0)), 1e-300)
 
 
-def solve_green_column(op: OperatorMatrix, source_idx: int, energy: float) -> np.ndarray:
-    """G(x, source; E) for all x from one dense solve of (H - E) g = delta_source.
+def solve_green_columns(stack: np.ndarray, source_idx: int, energy: float) -> np.ndarray:
+    """G(x, source; E) for all x and every matrix H_t of the stack, from one
+    dense solve of the stacked systems (H_t - E) g_t = delta_source; row t
+    holds g_t.  The stack is shifted in place: it holds H_t - E afterwards.
 
-    No resonance guard: callers screen the energy against the spectrum.
+    No resonance guard: callers screen the energy against the spectra.
     """
-    shifted = op.matrix.copy()
-    shifted[np.diag_indices(op.n)] -= energy
-    rhs = np.zeros(op.n)
-    rhs[source_idx] = 1.0
-    return np.linalg.solve(shifted, rhs)
+    k, n, _ = stack.shape
+    i = np.arange(n)
+    stack[:, i, i] -= energy
+    rhs = np.zeros((k, n, 1))
+    rhs[:, source_idx] = 1.0
+    return np.linalg.solve(stack, rhs)[..., 0]
 
 
 def _symmetric_part(op: OperatorMatrix) -> np.ndarray:
-    """(H + H^T) / 2, after checking that H is symmetric to tolerance."""
+    """(H + H^T) / 2, after checking that H is symmetric to tolerance.
+
+    An exactly symmetric H is its own symmetric part and is returned
+    as is, without copies."""
+    if np.array_equal(op.matrix, op.matrix.T):
+        return op.matrix
     scale = max(op.norm_bound(), 1.0)
     if op.asymmetry() > ASYMMETRY_TOL * scale:
         raise ValueError(
@@ -164,6 +172,18 @@ def eigenvalues_of(op: OperatorMatrix) -> np.ndarray:
     """Ascending eigenvalues of a symmetric operator matrix, without the
     eigenvectors: the same checks as ``diagonalize``, then ``eigvalsh``."""
     return np.linalg.eigvalsh(_symmetric_part(op))
+
+
+def stacked_eigenvalues(template: OperatorMatrix, stack: np.ndarray) -> np.ndarray:
+    """``eigenvalues_of`` every matrix of a stack that differ from the
+    template only on the diagonal, in one ``eigvalsh``; row t holds the
+    spectrum of ``stack[t]``.
+
+    A diagonal changes no entry of H - H^T, so the symmetry check runs
+    once, on the template.  The template's row sums are no larger than
+    any matrix's, so its tolerance is the tightest of them."""
+    _symmetric_part(template)
+    return np.linalg.eigvalsh(stack)
 
 
 def eigenvector_noise_floors(es: EigenSystem, safety: float = 32.0) -> np.ndarray:

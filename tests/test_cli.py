@@ -259,6 +259,30 @@ class TestPredicatesCommand:
         violations = read_csv(out / "violations.csv")
         assert (code == 1) == (len(violations) > 1)
 
+    def test_plane_witnesses_are_nested_lists(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = base_config(
+            out,
+            [{"kind": "predicates", "center": [[1, 0], [0, 0]], "radius": 3, "sub_scale": 2,
+              "trials": 1, "energies": [0.0, 3.0]}],
+            geometry={"kind": "lattice", "d": 2},
+            particles=2,
+            coupling=10.0,
+            convention="fixed",
+            disorder={"kind": "moving_average", "marginal": "uniform"},
+        )
+        code = main(["predicates", "--config", write_config(tmp_path / "c.json", cfg)])
+        assert code in (0, 1)
+        assert "Traceback" not in capsys.readouterr().err
+        records = json.load(open(out / "summary.json"))["predicates"]
+        witnesses = [r["loc_witness"] for r in records if r["loc_witness"] is not None]
+        assert witnesses
+        for pair in witnesses:
+            for cfg_sites in pair:
+                assert len(cfg_sites) == 2
+                assert all(len(site) == 2 and all(type(v) is int for v in site)
+                           for site in cfg_sites)
+
 
 class TestThreadsFlagRemoved:
     def test_threads_is_a_usage_error(self, tmp_path):
@@ -379,6 +403,25 @@ class TestNothingWrittenOnExit2:
         argv = ["sweep", "--config", write_config(tmp_path / "c.json", cfg),
                 "--axis", "g", "--values", "1"]
         assert main(argv) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "event, message",
+        [
+            ("singular", "needs an energy"),
+            ("tunneling", "needs a sub-scale"),
+            ("distant_pair_singular", "needs a second center"),
+        ],
+    )
+    def test_sweep_event_without_its_input(self, tmp_path, capsys, event, message):
+        out = tmp_path / "out"
+        experiment = {"kind": "event", "event": event, "center": [0], "radius": 1, "trials": 30}
+        cfg = base_config(out, [experiment])
+        argv = ["sweep", "--config", write_config(tmp_path / "c.json", cfg),
+                "--axis", "g", "--values", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

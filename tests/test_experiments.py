@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mpdsa.configspace import enumerate_ball
+from mpdsa.configspace import enumerate_ball, interior_boundary
 from mpdsa.disorder import FieldModel, derive_seed, sample_field
 from mpdsa.experiments import (
     ProbabilityEstimate,
@@ -20,11 +21,12 @@ from mpdsa.experiments import (
     propagator_sup,
     propagator_sups,
     run_scaling_audit,
+    singular_trials,
     wilson_interval,
 )
-from mpdsa.msa import BoundSchedule, ScalingParams
+from mpdsa.msa import BoundSchedule, ScalingParams, block_non_singularity
 from mpdsa.operators import HamiltonianSpec, InteractionModel, assemble_hamiltonian
-from mpdsa.spectral import diagonalize
+from mpdsa.spectral import diagonalize, eigenvalues_of
 
 
 def basic_setup(line, coupling=30.0, radius=6, mass=1.0, second=None, sub=None):
@@ -103,6 +105,115 @@ class TestEventProbability:
         a = estimate_event_probability(setup, "singular", 40, 11, energy=0.0)
         b = estimate_event_probability(setup, "singular", 40, 11, energy=0.0)
         assert a == b
+
+
+def reference_ns(setup, seed, energy, parts=None):
+    """(flag, worst boundary value) of the singular event's decision for
+    one trial, computed alone: assemble H, take its eigenvalues (sorted
+    factor sums when ``parts`` splits the centre), then one direct solve."""
+    spec, params, radius = setup.ham_spec(), setup.params, setup.radius
+    sample = sample_field(setup.field_model, setup.region(), seed)
+    ball = enumerate_ball(setup.center, radius, setup.geometry)
+    op = assemble_hamiltonian(spec, ball, sample)
+    if parts is None:
+        spectrum = eigenvalues_of(op)
+    else:
+        fa, fb = (
+            eigenvalues_of(assemble_hamiltonian(
+                replace(spec, n_particles=len(p)), enumerate_ball(p, radius, setup.geometry), sample
+            ))
+            for p in parts
+        )
+        spectrum = np.sort((fa[:, None] + fb[None, :]).ravel())
+    threshold = max(params.ns_threshold(radius, n=ball.n_particles), params.ns_noise_floor(radius))
+    boundary = interior_boundary(ball)
+    if not boundary:
+        return True, 0.0
+    if np.min(np.abs(spectrum - energy)) <= 1e-12 * max(np.max(np.abs(spectrum)), 1e-300):
+        return False, math.inf
+    shifted = op.matrix.copy()
+    shifted[np.diag_indices(op.n)] -= energy
+    rhs = np.zeros(op.n)
+    rhs[ball.center_index()] = 1.0
+    g = np.linalg.solve(shifted, rhs)
+    worst = float(np.max(np.abs(g[[ball.index[c] for c in boundary]])))
+    return worst <= threshold, worst
+
+
+class TestSingularBlockOracle:
+    """Every trial of the blocked singular event, flag and worst value bit
+    for bit, against ``reference_ns`` run one trial at a time."""
+
+    @staticmethod
+    def _sweep_setup(line, coupling):
+        # the sweep-r6 benchmark trial: Gaussian field, step range 1, E = 0
+        return TrialSetup(
+            geometry=line, params=ScalingParams.finite_range(2, initial_scale=6),
+            field_model=FieldModel(marginal="gaussian"),
+            interaction=InteractionModel(kind="step", amplitude=1.0, range_=1),
+            center=(1, 0), radius=6, coupling=coupling, convention="fixed",
+        )
+
+    @staticmethod
+    def _check(setup, seeds, energy, parts=None):
+        reports = singular_trials(setup, energy, seeds)
+        assert len(reports) == len(seeds)
+        for seed, rep in zip(seeds, reports):
+            assert (rep.non_singular, rep.worst_boundary_value) == reference_ns(
+                setup, seed, energy, parts
+            )
+        return reports
+
+    def test_sweep_trials(self, line):
+        flags = []
+        for coupling in (3.0, 30.0):
+            setup = self._sweep_setup(line, coupling)
+            sweep_seed = derive_seed(770001, "sweep", repr(coupling))
+            seeds = [derive_seed(sweep_seed, "trial", t) for t in range(1000)]
+            flags += [r.non_singular for r in self._check(setup, seeds, 0.0)]
+        assert 0 < sum(flags) < len(flags)
+
+    def test_block_size_does_not_divide_the_count(self, line):
+        # 91 members give blocks of 15: 37 trials end on a block of 7
+        setup = self._sweep_setup(line, 3.0)
+        seeds = [derive_seed(41, "trial", t) for t in range(37)]
+        reports = self._check(setup, seeds, 0.0)
+        est = estimate_event_probability(setup, "singular", 37, 41, energy=0.0)
+        assert est.successes == sum(not r.non_singular for r in reports)
+
+    def test_split_centre(self, line):
+        setup = replace(self._sweep_setup(line, 12.0), center=(20, 0), radius=3)
+        seeds = [derive_seed(5, "trial", t) for t in range(60)]
+        for energy in (0.0, 6.0):
+            self._check(setup, seeds, energy, parts=((20,), (0,)))
+
+    def test_one_particle_ball(self, line):
+        setup = replace(self._sweep_setup(line, 4.0), params=ScalingParams.finite_range(1),
+                        center=(0,), radius=8)
+        self._check(setup, [derive_seed(6, "trial", t) for t in range(40)], 0.5)
+
+    def test_ball_without_interior_boundary(self, path_graph):
+        setup = replace(self._sweep_setup(path_graph, 4.0), center=(2, 0), radius=4)
+        assert not interior_boundary(enumerate_ball((2, 0), 4, path_graph))
+        reports = self._check(setup, [derive_seed(7, "trial", t) for t in range(20)], 0.0)
+        assert all(r.non_singular for r in reports)
+
+    def test_energy_at_one_trials_eigenvalue(self, line):
+        setup = self._sweep_setup(line, 3.0)
+        seeds = [derive_seed(8, "trial", t) for t in range(6)]
+        samples = [sample_field(setup.field_model, setup.region(), s) for s in seeds]
+        ball = enumerate_ball(setup.center, setup.radius, line)
+        energy = float(eigenvalues_of(assemble_hamiltonian(setup.ham_spec(), ball, samples[2]))[40])
+        reports = block_non_singularity(setup.ham_spec(), samples, setup.center, setup.radius,
+                                        energy, setup.params)
+        assert (reports[2].non_singular, reports[2].worst_boundary_value) == (False, math.inf)
+        assert reports[2].resonant
+        for t, (seed, rep) in enumerate(zip(seeds, reports)):
+            if t != 2:
+                assert not rep.resonant
+                assert (rep.non_singular, rep.worst_boundary_value) == reference_ns(
+                    setup, seed, energy
+                )
 
 
 class TestScalingAudit:
@@ -286,6 +397,19 @@ class TestPropagatorOracle:
             u = linalg.expm(-1j * t * op.matrix)
             for (x, y), value in zip(pairs, got):
                 assert abs(u[es.ball.index[x], es.ball.index[y]]) <= value + 1e-12
+
+    def test_row_blocks_match_one_table(self, line):
+        _, es, pairs = self._case(line)
+        rows = 2**17 // es.n
+        grid = default_time_grid(3 * rows + 10)
+        assert len(grid) % rows != 0
+        # the whole grid's phase table at once
+        ix = [es.ball.index[x] for x, _ in pairs]
+        iy = [es.ball.index[y] for _, y in pairs]
+        weights = (es.eigenvectors[ix] * es.eigenvectors[iy]).T
+        angles = np.outer(grid, es.eigenvalues)
+        one_table = np.max(np.hypot(np.cos(angles) @ weights, np.sin(angles) @ weights), axis=0)
+        assert np.array_equal(propagator_sups(es, pairs, grid), one_table)
 
     def test_single_pair_wrapper_is_bitwise(self, line):
         _, es, pairs = self._case(line)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mpdsa import msa
+from mpdsa import msa, spectral
 from mpdsa.configspace import LatticeGeometry, enumerate_ball, interior_boundary
 from mpdsa.disorder import FieldModel, FieldSample, derive_seed, sample_field
 from mpdsa.experiments import TrialSetup
@@ -14,6 +14,7 @@ from mpdsa.msa import (
     BoundSchedule,
     LocReport,
     ScalingParams,
+    block_non_singularity,
     ceil_rational_power,
     check_param_constraints,
     cnr_radii,
@@ -474,12 +475,13 @@ class TestNsRefinement:
 
 
 class TestNsBySolve:
-    """The singular event's path (values-only spectrum plus one solve)
-    against the eigen path (``is_EmNS`` on the eigensystem)."""
+    """The singular event's block path (stacked values-only spectra plus
+    one stacked solve) against the eigen path (``is_EmNS`` on the
+    eigensystem)."""
 
     def _both(self, ctx, center, radius, energy):
-        fresh = AuditContext(ctx.spec, ctx.sample, ctx.params)
-        solved = fresh.non_singularity(center, radius, energy)
+        (solved,) = block_non_singularity(ctx.spec, [ctx.sample], center, radius, energy,
+                                          ctx.params)
         return solved, is_EmNS(ctx.eigensystem(center, radius), energy, ctx.params)
 
     def test_flags_and_values_match_the_eigen_path(self, line):
@@ -523,15 +525,24 @@ class TestNsBySolve:
                 assert not rep.non_singular and rep.resonant
                 assert rep.worst_boundary_value == math.inf
 
-    def test_the_context_picks_the_path_by_what_it_holds(self, line, monkeypatch):
-        ctx = make_context(line, seed=4, coupling=30.0, radius=6)
-        monkeypatch.setattr(msa, "diagonalize", None)  # any eigensolve would fail
-        rep = ctx.non_singularity((1, 0), 6, 0.0)
-        assert not ctx._systems and ((1, 0), 6) in ctx._spectra
+    def test_the_block_path_never_diagonalizes(self, line, monkeypatch):
+        step = InteractionModel(kind="step", amplitude=1.0, range_=1)
+        contexts = [make_context(line, seed=s, coupling=30.0, radius=6) for s in range(4)]
+        split = make_context(line, seed=9, coupling=30.0, center=(20, 0), radius=3,
+                             interaction=step)
+        for module in (msa, spectral):
+            monkeypatch.setattr(module, "diagonalize", None)  # any eigensolve would fail
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        spec, params = contexts[0].spec, contexts[0].params
+        reports = block_non_singularity(spec, [c.sample for c in contexts], (1, 0), 6, 0.0, params)
+        (split_report,) = block_non_singularity(split.spec, [split.sample], (20, 0), 3, 0.0,
+                                                split.params)
         monkeypatch.undo()
-        es = ctx.eigensystem((1, 0), 6)
-        assert ctx.non_singularity((1, 0), 6, 0.0) == is_EmNS(es, 0.0, ctx.params)
-        assert rep.non_singular == is_EmNS(es, 0.0, ctx.params).non_singular
+        for ctx, rep in zip(contexts, reports):
+            assert rep.non_singular == is_EmNS(ctx.eigensystem((1, 0), 6), 0.0, params).non_singular
+        assert split_report.non_singular == is_EmNS(
+            split.eigensystem((20, 0), 3), 0.0, split.params
+        ).non_singular
 
     def test_sweep_trials_match_the_eigen_path(self, line):
         # the sweep-r6 benchmark trial: Gaussian field, step range 1, E = 0

@@ -15,6 +15,7 @@ from mpdsa.operators import (
     HamiltonianSpec,
     InteractionModel,
     assemble_hamiltonian,
+    assemble_hamiltonians,
     epsilon_bound,
     interaction_defect,
     interaction_energy,
@@ -270,6 +271,24 @@ class TestAssemblyOracle:
                     assert np.array_equal(h.matrix, reference_assembly(spec, ball, sample))
                     checked += 1
         assert checked == 9 * 2 * 4
+
+    def test_stacked_assembly_against_the_member_loop(self, line, plane):
+        for ball in self._balls(line, plane):
+            for convention in ("induced", "fixed"):
+                spec = HamiltonianSpec(ball.geometry, ball.n_particles, 2.5, STEP, convention)
+                samples = [sample_field(FieldModel(), ball.projection, s) for s in range(3)]
+                template, stack = assemble_hamiltonians(spec, ball, samples)
+                assert not np.any(np.diag(template.matrix))
+                for sample, matrix in zip(samples, stack):
+                    assert np.array_equal(matrix, reference_assembly(spec, ball, sample))
+
+    def test_stacked_assembly_checks_every_sample(self, line):
+        ball = enumerate_ball((4, 1), 3, line)
+        spec = HamiltonianSpec(line, 2, 7.0, STEP, "fixed")
+        short = FieldSample(FieldModel(), 0, {s: 0.0 for s in ball.projection[1:]})
+        full = sample_field(FieldModel(), ball.projection, 1)
+        with pytest.raises(MissingDataError):
+            assemble_hamiltonians(spec, ball, [full, short])
 
     def test_structure_cache_serves_every_sample(self, line):
         ball = enumerate_ball((4, 1), 3, line)

@@ -13,6 +13,7 @@ from mpdsa.operators import (
 )
 from mpdsa.spectral import (
     ResonanceError,
+    _symmetric_part,
     diagonalize,
     eigensystem_from_factors,
     eigenvalues_of,
@@ -20,6 +21,7 @@ from mpdsa.spectral import (
     green_function,
     radial_descent_bound,
     radial_descent_bound_two,
+    stacked_eigenvalues,
     subharmonic_check,
     verify_gri,
     verify_gri_eigenfunction,
@@ -99,6 +101,40 @@ class TestValuesOnlySolve:
         bad = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(ValueError):
             eigenvalues_of(OperatorMatrix(ball, bad))
+
+
+class TestSymmetryCheck:
+    def test_exactly_symmetric_matrix_is_not_copied(self, line):
+        op = random_operator(line, seed=2)
+        assert _symmetric_part(op) is op.matrix
+        es = diagonalize(op)
+        vals, vecs = np.linalg.eigh(0.5 * (op.matrix + op.matrix.T))
+        assert np.array_equal(es.eigenvalues, vals) and np.array_equal(es.eigenvectors, vecs)
+
+    def test_rounding_asymmetry_is_symmetrized(self, line):
+        op = random_operator(line, seed=3)
+        nudged = op.matrix.copy()
+        nudged[0, 1] += 1e-15
+        got = _symmetric_part(OperatorMatrix(op.ball, nudged))
+        assert np.array_equal(got, 0.5 * (nudged + nudged.T))
+
+    def test_asymmetric_matrix_raises(self, line):
+        ball = enumerate_ball((0,), 1, line)
+        bad = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        for solve in (diagonalize, eigenvalues_of):
+            with pytest.raises(ValueError, match="asymmetry"):
+                solve(OperatorMatrix(ball, bad))
+        stack = np.array([bad + np.diag([1.0, 2.0, 3.0])])
+        with pytest.raises(ValueError, match="asymmetry"):
+            stacked_eigenvalues(OperatorMatrix(ball, bad), stack)
+
+    def test_stacked_eigenvalues_match_one_at_a_time(self, line):
+        ops = [random_operator(line, seed=s) for s in range(4)]
+        template = OperatorMatrix(ops[0].ball, ops[0].matrix - np.diag(np.diag(ops[0].matrix)))
+        stack = np.array([op.matrix for op in ops])
+        got = stacked_eigenvalues(template, stack)
+        for row, op in zip(got, ops):
+            assert np.array_equal(row, eigenvalues_of(op))
 
 
 class TestFactorPathOracle:
