@@ -194,9 +194,14 @@ def cmd_predicates(raw: dict, writer: RunWriter, args) -> int:
     records = []
     violation_rows = []
     total_violations = 0
-    for idx, exp in enumerate(_experiments_of(raw, "predicates")):
+    plans = []
+    for exp in _experiments_of(raw, "predicates"):
         setup = _setup_for(raw, exp)
         sub_scale = exp.get("sub_scale") or max(1, setup.radius // 2)
+        if sub_scale >= setup.radius:
+            raise ConfigError(f"sub-scale {sub_scale} must be below radius {setup.radius}")
+        plans.append((exp, setup, sub_scale))
+    for idx, (exp, setup, sub_scale) in enumerate(plans):
         trials = _trials(exp, args)
         energies = exp.get("energies", [0.0])
         for t in range(trials):
@@ -521,6 +526,7 @@ def cmd_sweep(raw: dict, writer: RunWriter, args) -> int:
             raise ConfigError(problem)
         setups.append((value, setup))
     rows = []
+    diagnostics = []
     for value, setup in setups:
         est = estimate_event_probability(
             setup,
@@ -532,12 +538,18 @@ def cmd_sweep(raw: dict, writer: RunWriter, args) -> int:
         rows.append(
             [args.axis, value, est.successes, est.trials, est.p_hat, est.ci_lo, est.ci_hi]
         )
+        if est.cleared is not None:
+            diagnostics.append({"value": value, "certificate_cleared": est.cleared,
+                                "eigvalsh_screened": est.trials - est.cleared})
     writer.write_csv(
         "trend.csv",
         ["axis", "value", "successes", "trials", "p_hat", "ci_lo", "ci_hi"],
         rows,
     )
-    writer.write_json("summary.json", {"sweep": {"axis": args.axis, "points": len(rows)}})
+    summary = {"sweep": {"axis": args.axis, "points": len(rows)}}
+    if diagnostics:
+        summary["diagnostics"] = diagnostics
+    writer.write_json("summary.json", summary)
     return EXIT_OK
 
 

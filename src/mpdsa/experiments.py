@@ -27,11 +27,9 @@ from .msa import (
     ScalingParams,
     block_non_singularity,
     energy_grid,
-    is_EmNS,
     is_m_tunneling,
     ns_flags,
     verify_implications,
-    verify_longrange_split,
 )
 from .operators import HamiltonianSpec, InteractionModel
 from .spectral import EigenSystem
@@ -60,6 +58,7 @@ class ProbabilityEstimate:
     p_hat: float
     ci_lo: float
     ci_hi: float
+    cleared: int | None = None  # singular event: trials the gap certificate screened
 
     @classmethod
     def from_counts(cls, successes: int, trials: int) -> "ProbabilityEstimate":
@@ -127,8 +126,12 @@ def event_input_error(setup: TrialSetup, event: str, energy) -> str | None:
     """What the event needs that the setup or energy lacks, else None."""
     if event == "singular" and energy is None:
         return "singular event needs an energy"
+    if event in ("singular", "distant_pair_singular") and setup.radius < 1:
+        return f"{event} event needs a radius of at least 1"
     if event == "tunneling" and setup.sub_scale is None:
         return "tunneling event needs a sub-scale"
+    if event == "tunneling" and setup.sub_scale >= setup.radius:
+        return f"sub-scale {setup.sub_scale} must be below radius {setup.radius}"
     if event == "distant_pair_singular" and setup.second_center is None:
         return "pair event needs a second center"
     return None
@@ -196,11 +199,12 @@ def estimate_event_probability(
     if problem is not None:
         raise ValueError(problem)
     seeds = [derive_seed(seed, "trial", t) for t in range(trials)]
-    if event == "singular":
-        successes = sum(not r.non_singular for r in singular_trials(setup, float(energy), seeds))
-    else:
+    if event != "singular":
         successes = sum(_evaluate_event(setup, event, s) for s in seeds)
-    return ProbabilityEstimate.from_counts(successes, trials)
+        return ProbabilityEstimate.from_counts(successes, trials)
+    reports = singular_trials(setup, float(energy), seeds)
+    est = ProbabilityEstimate.from_counts(sum(not r.non_singular for r in reports), trials)
+    return replace(est, cleared=sum(r.cleared for r in reports))
 
 
 # -- scaling audit -----------------------------------------------------------
@@ -525,74 +529,4 @@ def decay_fit(pairs) -> DecayFit:
         residual_log=best[0],
         used_points=len(rho),
         excluded_points=excluded,
-    )
-
-
-# -- combined per-trial audit (used by the acceptance battery) ----------------
-
-
-@dataclass
-class TrialAudit:
-    violations: list
-    correlator_defect: float
-    completeness_defect: float
-    propagator_excess: float
-    non_localized: bool
-    singular_at_energy: bool | None
-
-
-def audit_trial(
-    setup: TrialSetup,
-    trial_seed: int,
-    energy: float | None = None,
-    check_correlators: bool = True,
-    propagator_points: int = 2000,
-    grid_stride: int | None = None,
-    longrange_center: tuple | None = None,
-) -> TrialAudit:
-    """One disorder trial: implication audit plus correlator invariants.
-
-    Correlator checks run on the centre paired with the farthest member
-    and with itself; the propagator uses a reduced default grid to keep
-    single-core audits affordable.
-    """
-    ctx = setup.context(trial_seed)
-    es = ctx.eigensystem(setup.center, setup.radius)
-    violations = []
-    if setup.sub_scale is not None:
-        res = verify_implications(
-            ctx, setup.center, setup.radius, setup.sub_scale, grid_stride=grid_stride
-        )
-        violations.extend(res.violations)
-    if longrange_center is not None and setup.params.regime == "infinite":
-        res2 = verify_longrange_split(
-            ctx,
-            longrange_center,
-            setup.radius,
-            setup.sub_scale or max(1, setup.radius // 2),
-            grid_stride=grid_stride,
-        )
-        violations.extend(res2.violations)
-    loc = ctx.m_loc(setup.center, setup.radius)
-    singular = None
-    if energy is not None:
-        singular = not is_EmNS(es, energy, setup.params).non_singular
-    q_defect = comp_defect = prop_excess = 0.0
-    if check_correlators:
-        ball = es.ball
-        far_idx = int(np.argmax(ball.distances_from_center))
-        pairs = [(ball.center, ball.members[far_idx]), (ball.center, ball.center)]
-        sups = propagator_sups(es, pairs, default_time_grid(propagator_points)).tolist()
-        for (x, y), sup in zip(pairs, sups):
-            q = ef_correlator(es, x, y)
-            q_defect = max(q_defect, q - 1.0)
-            comp_defect = max(comp_defect, abs(correlator_completeness(es, x, y)))
-            prop_excess = max(prop_excess, sup - q)
-    return TrialAudit(
-        violations=violations,
-        correlator_defect=q_defect,
-        completeness_defect=comp_defect,
-        propagator_excess=prop_excess,
-        non_localized=not loc.localized,
-        singular_at_energy=singular,
     )

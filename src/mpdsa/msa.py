@@ -42,6 +42,7 @@ from .spectral import (
     eigensystem_from_factors,
     eigenvalues_of,
     eigenvector_noise_floors,
+    gap_certificate,
     pairwise_sums,
     resonance_cutoff,
     solve_green_columns,
@@ -575,6 +576,7 @@ class NsReport:
     worst_boundary_value: float
     threshold: float
     resonant: bool = False
+    cleared: bool = False  # the gap certificate screened it, with no spectrum
 
 
 def _clamped_ns_threshold(ball: Ball, params: ScalingParams, m: float | None) -> float:
@@ -620,32 +622,30 @@ def is_EmNS(
 
 
 def ns_by_solve(
-    ball: Ball, stack: np.ndarray, spectra: np.ndarray, energy: float, params: ScalingParams
+    ball: Ball, shifted: np.ndarray, safe: np.ndarray, cleared: np.ndarray, params: ScalingParams
 ) -> list:
     """``is_EmNS`` without eigenvectors, for a stack of operators on one
-    ball; row t of ``spectra`` is the ascending spectrum of ``stack[t]``.
+    ball, shifted to H_t - E: one report per matrix.
 
-    Each spectrum screens the energy with the resonance cutoff of
-    ``ns_flags`` (inside it: flag False, worst value +inf); one stacked
-    dense solve of (H_t - E) g_t = delta_centre over the other matrices
-    gives their boundary values, decided on the same clamped threshold.
-    Returns one report per matrix.  The solve shifts ``stack`` in place,
-    so the caller hands it over.
+    ``safe[t]`` says E lies outside the resonance cutoff of H_t's spectrum;
+    an unsafe matrix gets flag False and worst value +inf, as in
+    ``ns_flags``.  One stacked dense solve of (H_t - E) g_t = delta_centre
+    over the safe matrices gives their boundary values, decided on the
+    same clamped threshold.  ``cleared`` goes on the reports as is.
     """
     thr = _clamped_ns_threshold(ball, params, None)
     boundary = interior_boundary(ball)
     if not boundary:
-        return [NsReport(True, 0.0, thr) for _ in stack]
-    dist = np.min(np.abs(spectra - energy), axis=1)
-    safe = ~np.array([d <= resonance_cutoff(s) for d, s in zip(dist, spectra)], dtype=bool)
-    worst = np.full(len(stack), np.inf)
+        return [NsReport(True, 0.0, thr, cleared=bool(c)) for c in cleared]
+    worst = np.full(len(shifted), np.inf)
     if np.any(safe):
-        g = solve_green_columns(
-            stack if safe.all() else stack[safe], ball.center_index(), energy
-        )
+        g = solve_green_columns(shifted if safe.all() else shifted[safe], ball.center_index())
         worst[safe] = np.max(np.abs(g[:, [ball.index[c] for c in boundary]]), axis=1)
     flags = ns_decision(worst, thr)
-    return [NsReport(bool(f), float(w), thr, not s) for f, w, s in zip(flags, worst, safe)]
+    return [
+        NsReport(bool(f), float(w), thr, not s, bool(c))
+        for f, w, s, c in zip(flags, worst, safe, cleared)
+    ]
 
 
 def block_non_singularity(
@@ -655,24 +655,37 @@ def block_non_singularity(
     samples, without eigenvectors: one report per sample.
 
     The samples' operators share the ball's hopping template and differ
-    on the diagonal only, so one stacked ``eigvalsh`` gives their spectra
-    (sorted factor sums for a split ball, as ``AuditContext.spectrum``
-    takes them) and ``ns_by_solve`` decides them with one stacked solve.
+    on the diagonal only.  ``gap_certificate`` clears most of them without
+    a spectrum; one stacked ``eigvalsh`` screens the rest with the
+    resonance cutoff, and ``ns_by_solve`` decides them all with one
+    stacked solve.  A split ball keeps its factor spectra (sorted factor
+    sums, as ``AuditContext.spectrum`` takes them), which cost less than
+    the certificate's joint n^3.
     """
     ball = enumerate_ball(center, radius, spec.geometry)
-    stacked = assemble_hamiltonians(_spec_on(spec, ball), ball, samples)
-    spectra = _stacked_spectra(spec, ball, samples, stacked)
-    return ns_by_solve(ball, stacked[1], spectra, energy, params)
+    template, stack = assemble_hamiltonians(_spec_on(spec, ball), ball, samples)
+    i = np.arange(len(ball))
+    if factor_centers(spec, ball) is None:
+        diagonals = stack[:, i, i]
+        cleared = gap_certificate(stack, energy)
+        rest = stack[~cleared]
+        rest[:, i, i] = diagonals[~cleared]  # unshifted, bit for bit
+        spectra = stacked_eigenvalues(template, rest)
+    else:
+        cleared = np.zeros(len(samples), dtype=bool)
+        spectra = _stacked_spectra(spec, ball, samples)
+        stack[:, i, i] -= energy
+    safe = cleared.copy()
+    dist = np.min(np.abs(spectra - energy), axis=1)
+    safe[~cleared] = [not d <= resonance_cutoff(s) for d, s in zip(dist, spectra)]
+    return ns_by_solve(ball, stack, safe, cleared, params)
 
 
-def _stacked_spectra(spec: HamiltonianSpec, ball: Ball, samples, stacked=None) -> np.ndarray:
-    """Row t: the ascending spectrum of the ball under ``samples[t]``;
-    ``stacked`` is the ball's (template, stack) when already assembled."""
+def _stacked_spectra(spec: HamiltonianSpec, ball: Ball, samples) -> np.ndarray:
+    """Row t: the ascending spectrum of the ball under ``samples[t]``."""
     parts = factor_centers(spec, ball)
     if parts is None:
-        if stacked is None:
-            stacked = assemble_hamiltonians(_spec_on(spec, ball), ball, samples)
-        return stacked_eigenvalues(*stacked)
+        return stacked_eigenvalues(*assemble_hamiltonians(_spec_on(spec, ball), ball, samples))
     a, b = (
         _stacked_spectra(spec, enumerate_ball(p, ball.radius, spec.geometry), samples)
         for p in parts

@@ -29,6 +29,9 @@ _FRACTION = {
     ]
 }
 
+_INTS = {"type": "array", "items": {"type": "integer"}}
+_PAIR = {"type": "array", "minItems": 2, "maxItems": 2}
+
 _EXPERIMENT = {
     "type": "object",
     "additionalProperties": False,
@@ -70,7 +73,8 @@ _EXPERIMENT = {
                 "b2": {"type": "number"},
             },
         },
-        "pairs": {"type": "array"},
+        # each pair: two one-particle sites [x, y], or two configurations
+        "pairs": {"type": "array", "items": {"oneOf": [_INTS | _PAIR, _PAIR | {"items": _INTS}]}},
         "time_points": {"type": "integer", "minimum": 1},
         "window": {
             "type": "array",

@@ -132,19 +132,56 @@ def resonance_cutoff(eigenvalues: np.ndarray) -> float:
     return 1e-12 * max(float(np.max(np.abs(eigenvalues), initial=0.0)), 1e-300)
 
 
-def solve_green_columns(stack: np.ndarray, source_idx: int, energy: float) -> np.ndarray:
-    """G(x, source; E) for all x and every matrix H_t of the stack, from one
-    dense solve of the stacked systems (H_t - E) g_t = delta_source; row t
-    holds g_t.  The stack is shifted in place: it holds H_t - E afterwards.
+def solve_green_columns(shifted: np.ndarray, source_idx: int) -> np.ndarray:
+    """G(x, source; E) for all x and every matrix of a stack shifted to
+    H_t - E, from one dense solve of the stacked systems
+    (H_t - E) g_t = delta_source; row t holds g_t.
 
     No resonance guard: callers screen the energy against the spectra.
     """
-    k, n, _ = stack.shape
-    i = np.arange(n)
-    stack[:, i, i] -= energy
+    k, n, _ = shifted.shape
     rhs = np.zeros((k, n, 1))
     rhs[:, source_idx] = 1.0
-    return np.linalg.solve(stack, rhs)[..., 0]
+    return np.linalg.solve(shifted, rhs)[..., 0]
+
+
+def gap_certificate(stack: np.ndarray, energy: float) -> np.ndarray:
+    """One bool per matrix H_t of the stack: True when a Cholesky factor
+    proves that no eigenvalue of H_t lies near E.  The stack is shifted in
+    place: it holds A_t = H_t - E afterwards.
+
+    With N_t = ||H_t||_inf + |E| (the row sums of ``norm_bound``, before
+    the shift) and sigma_t = 10 n sqrt(eps) N_t, one stacked Cholesky
+    factors A_t A_t - sigma_t^2 I; if it fails, each matrix is factored
+    alone.  Forming A_t A_t errs by at most gamma_n N_t^2 in the 2-norm,
+    and a Cholesky that completes is the exact factor of a matrix within
+    about n gamma_{n+1} N_t^2 (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, Thms 3.5 and 10.3); the shift and an asymmetry
+    within ``ASYMMETRY_TOL`` add far less.  So success means
+    A_t^2 > (sigma_t^2 - 3 n^2 eps N_t^2) I: every eigenvalue of H_t is at
+    least about 9.8 n sqrt(eps) N_t from E, over 1e5 times
+    ``resonance_cutoff`` and far beyond the error of ``eigvalsh``.
+    """
+    k, n, _ = stack.shape
+    i = np.arange(n)
+    sigma = 10 * n * math.sqrt(np.finfo(float).eps) * (
+        np.max(np.sum(np.abs(stack), axis=2), axis=1) + abs(energy)
+    )
+    stack[:, i, i] -= energy
+    square = np.matmul(stack, stack)
+    square[:, i, i] -= (sigma * sigma)[:, None]
+    if _factors(square):
+        return np.ones(k, dtype=bool)
+    return np.array([_factors(m) for m in square], dtype=bool)
+
+
+def _factors(matrices: np.ndarray) -> bool:
+    """Whether Cholesky factors the matrix, or every matrix of a stack."""
+    try:
+        np.linalg.cholesky(matrices)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _symmetric_part(op: OperatorMatrix) -> np.ndarray:

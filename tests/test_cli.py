@@ -1,11 +1,18 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
+import tempfile
 
+import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpdsa.cli import main
+from mpdsa.runconfig import SCHEMA
 
 
 def write_config(path, payload):
@@ -220,6 +227,35 @@ class TestSweepCommand:
         assert len(rows) == 4
         assert [r[1] for r in rows[1:]] == ["3.0", "10.0", "30.0"]
 
+    def test_summary_counts_each_points_screens(self, tmp_path):
+        out = tmp_path / "out"
+        path = write_config(tmp_path / "c.json", self._cfg(out))
+        assert main(["sweep", "--config", path, "--axis", "g", "--values", "3,10,30"]) == 0
+        points = json.load(open(out / "summary.json"))["diagnostics"]
+        assert [p["value"] for p in points] == [3.0, 10.0, 30.0]
+        for p in points:
+            assert p["certificate_cleared"] + p["eigvalsh_screened"] == 30
+
+    def test_a_trial_at_an_eigenvalue_counts_as_screened(self, tmp_path):
+        # at g = 0 every trial is the path Laplacian, and E = 1 is its eigenvalue
+        out = tmp_path / "out"
+        experiment = {"kind": "event", "event": "singular", "center": [0], "radius": 1,
+                      "energy": 1.0, "trials": 30}
+        path = write_config(tmp_path / "c.json", base_config(out, [experiment]))
+        assert main(["sweep", "--config", path, "--axis", "g", "--values", "0,20"]) == 0
+        at_zero, at_twenty = json.load(open(out / "summary.json"))["diagnostics"]
+        assert (at_zero["certificate_cleared"], at_zero["eigvalsh_screened"]) == (0, 30)
+        assert at_twenty["certificate_cleared"] > 0
+        assert read_csv(out / "trend.csv")[1][2] == "30"
+
+    def test_other_events_have_no_diagnostics(self, tmp_path):
+        out = tmp_path / "out"
+        experiment = {"kind": "event", "event": "always_true", "center": [0], "radius": 1,
+                      "trials": 30}
+        path = write_config(tmp_path / "c.json", base_config(out, [experiment]))
+        assert main(["sweep", "--config", path, "--axis", "g", "--values", "1"]) == 0
+        assert "diagnostics" not in json.load(open(out / "summary.json"))
+
     def test_empty_values_rejected(self, tmp_path):
         path = write_config(tmp_path / "c.json", self._cfg(tmp_path / "o"))
         code = main(["sweep", "--config", path, "--axis", "g", "--values", ""])
@@ -425,6 +461,47 @@ class TestNothingWrittenOnExit2:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "command, experiment, message",
+        [
+            ("sweep", {"kind": "event", "event": "singular", "energy": 0.0, "radius": 0},
+             "singular event needs a radius of at least 1"),
+            ("predicates", {"kind": "predicates", "radius": 0}, "sub-scale 1 must be below radius 0"),
+            ("predicates", {"kind": "predicates", "radius": 3, "sub_scale": 3},
+             "sub-scale 3 must be below radius 3"),
+            ("predicates", {"kind": "predicates", "radius": 1}, "sub-scale 1 must be below radius 1"),
+            ("sweep", {"kind": "event", "event": "tunneling", "radius": 2, "sub_scale": 4},
+             "sub-scale 4 must be below radius 2"),
+        ],
+    )
+    def test_scales_checked_before_the_first_trial(self, tmp_path, capsys, command, experiment,
+                                                   message):
+        out = tmp_path / "out"
+        cfg = base_config(out, [{"center": [0], "trials": 30, **experiment}])
+        extra = ["--axis", "g", "--values", "1"] if command == "sweep" else []
+        assert main([command, "--config", write_config(tmp_path / "c.json", cfg), *extra]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_dynamics_pair_items_are_typed(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = base_config(out, [{"kind": "dynamics", "center": [0], "radius": 2, "trials": 1,
+                                 "time_points": 5, "pairs": [5]}])
+        assert main(["dynamics", "--config", write_config(tmp_path / "c.json", cfg)]) == 2
+        with pytest.raises(jsonschema.ValidationError) as ref:
+            jsonschema.validate(cfg, SCHEMA)
+        err = capsys.readouterr().err
+        assert f"config rejected: {ref.value.message} (at {list(ref.value.path)})" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pairs", [[[0, 1]], [[[0], [1]], [[1], [-1]]]])
+    def test_both_pair_forms_accepted(self, tmp_path, pairs):
+        cfg = base_config(tmp_path / "out", [{"kind": "dynamics", "center": [0], "radius": 2,
+                                              "trials": 1, "time_points": 5, "pairs": pairs}])
+        assert main(["dynamics", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+
+    @pytest.mark.parametrize(
         "command, experiment",
         [
             ("spectrum", {"kind": "spectrum", "center": [1, 1], "radius": 1}),
@@ -575,3 +652,68 @@ class TestSchema:
             with pytest.raises(ConfigError) as got:
                 validate_config(raw)
             assert str(got.value) == f"config rejected: {ref.value.message} (at {list(ref.value.path)})"
+
+
+def _main_quietly(argv):
+    """(exit code, stderr) of one in-process run; a usage error exits via
+    argparse's SystemExit, any other exception escapes as a traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+_SITE = st.one_of(st.integers(-2, 4), st.sampled_from(["a", 1.5, True, [0, 1]]))
+_INTS = st.lists(st.integers(-2, 4), min_size=1, max_size=3)
+_PAIR = st.one_of(_SITE, _INTS, st.lists(st.one_of(_INTS, _SITE), min_size=1, max_size=3))
+_ENERGY = st.one_of(st.floats(-8.0, 8.0), st.sampled_from([0.0, 1.0]))
+
+
+class TestContractFuzz:
+    """Small configs, mutated across four commands: radius, sub-scale,
+    energy, centre items (one run in four) and dynamics pairs.  Every run
+    exits 0, 1, 2 or 3, never with a traceback, and writes nothing when it
+    exits 2."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_contract(self, data):
+        command = data.draw(st.sampled_from(["spectrum", "predicates", "dynamics", "sweep"]))
+        particles = data.draw(st.sampled_from([1, 2]))
+        experiment = {"kind": "event" if command == "sweep" else command, "trials": 1,
+                      "center": [1, 0][:particles], "radius": data.draw(st.integers(0, 4))}
+        if data.draw(st.integers(0, 3)) == 0:
+            experiment["center"] = data.draw(st.lists(_SITE, min_size=1, max_size=3))
+        extra = []
+        if command in ("predicates", "sweep"):
+            sub_scale = data.draw(st.one_of(st.none(), st.integers(1, 5)))
+            if sub_scale is not None:
+                experiment["sub_scale"] = sub_scale
+        if command == "predicates":
+            experiment["energies"] = data.draw(st.lists(_ENERGY, max_size=2))
+        if command == "sweep":
+            experiment.update(
+                event=data.draw(st.sampled_from(
+                    ["singular", "tunneling", "non_localized", "distant_pair_singular"]
+                )),
+                energy=data.draw(_ENERGY), trials=30, second_center=[9, 0][:particles],
+            )
+            extra = ["--axis", "g", "--values", "4"]
+        if command == "dynamics":
+            experiment["time_points"] = 20
+            pairs = data.draw(st.one_of(st.none(), st.lists(_PAIR, min_size=1, max_size=2)))
+            if pairs is not None:
+                experiment["pairs"] = pairs
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "out")
+            cfg = base_config(out, [experiment], particles=particles, coupling=6.0,
+                              convention="fixed")
+            path = write_config(os.path.join(tmp, "c.json"), cfg)
+            code, err = _main_quietly([command, "--config", path, *extra])
+            assert code in (0, 1, 2, 3)
+            assert "Traceback" not in err
+            if code == 2:
+                assert not os.path.exists(out)

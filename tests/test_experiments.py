@@ -9,7 +9,6 @@ from mpdsa.disorder import FieldModel, derive_seed, sample_field
 from mpdsa.experiments import (
     ProbabilityEstimate,
     TrialSetup,
-    audit_trial,
     correlator_completeness,
     decay_fit,
     default_time_grid,
@@ -24,8 +23,15 @@ from mpdsa.experiments import (
     singular_trials,
     wilson_interval,
 )
+from mpdsa import msa
 from mpdsa.msa import BoundSchedule, ScalingParams, block_non_singularity
-from mpdsa.operators import HamiltonianSpec, InteractionModel, assemble_hamiltonian
+from mpdsa.operators import (
+    HamiltonianSpec,
+    InteractionModel,
+    OperatorMatrix,
+    assemble_hamiltonian,
+    assemble_hamiltonians,
+)
 from mpdsa.spectral import diagonalize, eigenvalues_of
 
 
@@ -216,6 +222,68 @@ class TestSingularBlockOracle:
                 )
 
 
+class TestGapCertificateInTheBlock:
+    """Which trials of a block the gap certificate clears, and which take
+    the ``eigvalsh`` screen."""
+
+    @pytest.fixture
+    def eigvalsh_stacks(self, monkeypatch):
+        seen, original = [], msa.stacked_eigenvalues
+
+        def spy(template, stack):
+            seen.append(len(stack))
+            return original(template, stack)
+
+        monkeypatch.setattr(msa, "stacked_eigenvalues", spy)
+        return seen
+
+    def test_only_the_trial_at_its_eigenvalue_is_screened(self, line, eigvalsh_stacks):
+        setup = TestSingularBlockOracle._sweep_setup(line, 3.0)
+        seeds = [derive_seed(8, "trial", t) for t in range(6)]
+        samples = [sample_field(setup.field_model, setup.region(), s) for s in seeds]
+        ball = enumerate_ball(setup.center, setup.radius, line)
+        energy = float(eigenvalues_of(assemble_hamiltonian(setup.ham_spec(), ball, samples[2]))[40])
+        reports = block_non_singularity(setup.ham_spec(), samples, setup.center, setup.radius,
+                                        energy, setup.params)
+        assert eigvalsh_stacks == [1]
+        assert [r.cleared for r in reports] == [True, True, False, True, True, True]
+        assert reports[2].resonant and reports[2].worst_boundary_value == math.inf
+        for t, (seed, rep) in enumerate(zip(seeds, reports)):
+            if t != 2:
+                assert (rep.non_singular, rep.worst_boundary_value) == reference_ns(
+                    setup, seed, energy
+                )
+
+    def test_a_split_ball_keeps_the_factor_screen(self, line, eigvalsh_stacks):
+        setup = replace(TestSingularBlockOracle._sweep_setup(line, 12.0), center=(20, 0), radius=3)
+        reports = singular_trials(setup, 0.0, [derive_seed(5, "trial", t) for t in range(10)])
+        assert not any(r.cleared for r in reports)
+        assert eigvalsh_stacks == [10, 10]  # one stack per factor ball
+
+    def test_the_counts_cover_every_trial(self, line):
+        setup = TestSingularBlockOracle._sweep_setup(line, 3.0)
+        est = estimate_event_probability(setup, "singular", 40, 12, energy=0.0)
+        reports = singular_trials(setup, 0.0, [derive_seed(12, "trial", t) for t in range(40)])
+        assert est.cleared == sum(r.cleared for r in reports) == 40
+        assert estimate_event_probability(setup, "always_true", 40, 12).cleared is None
+
+    def test_an_asymmetric_template_still_raises(self, line, monkeypatch):
+        setup = TestSingularBlockOracle._sweep_setup(line, 3.0)
+
+        def skewed(spec, ball, samples):
+            template, stack = assemble_hamiltonians(spec, ball, samples)
+            bad = template.matrix.copy()
+            bad[0, 1] += 0.5
+            stack[:, 0, 1] += 0.5
+            return OperatorMatrix(ball, bad, template.convention), stack
+
+        monkeypatch.setattr(msa, "assemble_hamiltonians", skewed)
+        samples = [sample_field(setup.field_model, setup.region(), s) for s in (1, 2, 3)]
+        with pytest.raises(ValueError, match="asymmetry"):
+            block_non_singularity(setup.ham_spec(), samples, setup.center, setup.radius, 0.0,
+                                  setup.params)
+
+
 class TestScalingAudit:
     def test_k_zero_reduces_to_event_estimate(self, line):
         setup = basic_setup(line, coupling=25.0)
@@ -341,13 +409,6 @@ class TestCorrelators:
         for y in es.ball.members[::9]:
             q = ef_correlator(es, es.ball.center, y)
             assert propagator_sup(es, es.ball.center, y, grid) <= q + 1e-10
-
-    def test_trial_audit_invariants(self, line):
-        setup = basic_setup(line, coupling=40.0, radius=6, sub=3)
-        audit = audit_trial(setup, trial_seed=17, energy=0.0, propagator_points=300)
-        assert audit.correlator_defect <= 1e-10
-        assert audit.completeness_defect <= 1e-10
-        assert audit.propagator_excess <= 1e-10
 
 
 class TestPropagatorOracle:

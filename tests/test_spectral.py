@@ -18,9 +18,11 @@ from mpdsa.spectral import (
     eigensystem_from_factors,
     eigenvalues_of,
     eigenvector_noise_floors,
+    gap_certificate,
     green_function,
     radial_descent_bound,
     radial_descent_bound_two,
+    resonance_cutoff,
     stacked_eigenvalues,
     subharmonic_check,
     verify_gri,
@@ -101,6 +103,67 @@ class TestValuesOnlySolve:
         bad = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(ValueError):
             eigenvalues_of(OperatorMatrix(ball, bad))
+
+
+class TestGapCertificate:
+    """``gap_certificate`` against the ``eigvalsh`` screen it stands in for:
+    every matrix it clears lies outside the resonance cutoff, and at least
+    about 9.8 n sqrt(eps) (||H||_inf + |E|) from E, as its docstring proves."""
+
+    OFFSETS = (0.0, 1e-15, 1e-12, 1e-10, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 3e-3, 1e-2)
+
+    @staticmethod
+    def _operators(line, plane, path_graph):
+        # n = 1, 11, 53, 378, 280 (three particles), 41, 133 (plane), 10, 3 (graph)
+        cases = [
+            (line, (0,), 0), (line, (3,), 5), (line, (3, 1), 4), (line, (1, 0), 13),
+            (line, (9, 5, 0), 3), (plane, ((0, 0),), 4), (plane, ((1, 0), (0, 0)), 2),
+            (path_graph, (2, 0), 4), (path_graph, (2,), 1),
+        ]
+        rng = np.random.default_rng(2026)
+        for k, (geometry, center, radius) in enumerate(cases):
+            ball = enumerate_ball(center, radius, geometry)
+            spec = HamiltonianSpec(
+                geometry=geometry, n_particles=len(center), coupling=float(rng.uniform(0.5, 40)),
+                interaction=InteractionModel(kind="step", amplitude=1.0, range_=1),
+                convention="fixed",
+            )
+            model = FieldModel(marginal=("uniform", "gaussian")[k % 2])
+            yield assemble_hamiltonian(spec, ball, sample_field(model, ball.projection, k)), rng
+
+    def test_cleared_energies_pass_the_eigvalsh_screen(self, line, plane, path_graph):
+        eps = np.finfo(float).eps
+        cleared_far = screened_near = 0
+        for op, rng in self._operators(line, plane, path_graph):
+            n, norm = op.n, op.norm_bound()
+            vals = eigenvalues_of(op)
+            for j in rng.choice(n, size=min(n, 3), replace=False):
+                for offset in self.OFFSETS:
+                    energy = float(vals[j] + rng.choice([-1.0, 1.0]) * offset * norm)
+                    stack = op.matrix[None].copy()
+                    (cleared,) = gap_certificate(stack, energy)
+                    shifted = op.matrix.copy()
+                    shifted[np.diag_indices(n)] -= energy
+                    assert np.array_equal(stack[0], shifted)
+                    dist = float(np.min(np.abs(vals - energy)))
+                    scale = n * np.sqrt(eps) * (norm + abs(energy))
+                    if cleared:
+                        assert dist > resonance_cutoff(vals)
+                        assert dist >= 9.0 * scale
+                        cleared_far += 1
+                    else:
+                        # the Cholesky succeeds wherever the gap is wide enough
+                        assert dist < 100.0 * scale
+                        screened_near += offset <= 1e-7
+        assert cleared_far > 100 and screened_near > 50
+
+    def test_stacked_matches_one_at_a_time(self, line):
+        ops = [random_operator(line, seed=s) for s in range(6)]
+        stack = np.array([op.matrix for op in ops])
+        energy = float(eigenvalues_of(ops[3])[10])
+        got = gap_certificate(stack.copy(), energy)
+        assert got.tolist() == [gap_certificate(m[None].copy(), energy)[0] for m in stack]
+        assert not got[3] and got.sum() == 5
 
 
 class TestSymmetryCheck:
