@@ -6,8 +6,9 @@ recorded (the run itself succeeded), 2 invalid configuration or usage
 
 All CSV output is RFC-4180 style with a header row and full-precision
 decimal floats; reruns with the same configuration and seed produce
-byte-identical CSV files.  The manifest lists every output file with its
-SHA-256 checksum.
+byte-identical CSV files on the same numpy/BLAS build and thread count.
+The manifest lists every output file with its SHA-256 checksum, and that
+environment.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import platform
 import sys
 import time
 
@@ -66,6 +68,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def environment() -> dict:
+    """What a byte-identical rerun needs to match besides config and seed:
+    eigensolver and solve results can move in the last bits with the
+    numpy/BLAS build and its thread count."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpus": len(cpus) if cpus is not None else os.cpu_count(),
+        "threads": {
+            name: os.environ.get(name)
+            for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        },
+    }
+
+
 class RunWriter:
     """Collects output files, then writes a manifest with checksums.
 
@@ -111,6 +129,7 @@ class RunWriter:
         manifest = {
             "tool_version": __version__,
             "config_sha256": config_hash(self.raw_config),
+            "environment": environment(),
             "started_utc": self.started,
             "finished_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "outputs": outputs,

@@ -3,7 +3,10 @@
 Every random value is a pure function of (master seed, site): sites are
 keyed into independent counter-based substreams, so the value drawn at a
 site never depends on which region was sampled or in which order.  Trials
-derive their own 64-bit seeds by hashing (seed, trial index).
+derive their own 64-bit seeds by hashing (seed, trial index).  The value
+at a site is the first draw of numpy's ``Generator(Philox(key=...))``
+keyed on the site's digest; ``field_array`` computes the draws of many
+seeds and sites at once, bit for bit, with a vectorized Philox4x64-10.
 
 Two field kinds are provided: IID fields, and moving averages of an IID
 base field with a finite kernel.  The moving average is strongly mixing
@@ -18,7 +21,7 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -56,6 +59,150 @@ def derive_seed(seed: int, *key) -> int:
     """Stable 63-bit sub-seed for (seed, key), e.g. per-trial seeds."""
     raw = _digest(seed, *key)
     return struct.unpack("<Q", raw[:8])[0] >> 1
+
+
+def _site_keys(seeds, sites) -> np.ndarray:
+    """Philox key of every (seed, site), seed-major, shape (seeds * sites, 2).
+
+    The words are the two little-endian 64-bit words of the blake2b digest
+    of (seed, "eps", site); the key is what numpy's ``int_to_array`` makes
+    of them, ``np.asarray(words).astype(np.uint64)``.  A pair with exactly
+    one word >= 2**63 becomes float64 there, which rounds both words; the
+    same casts reproduce that rounding here.
+    """
+    encoded = [_encode(site) for site in sites]
+    digests = bytearray(16 * len(seeds) * len(encoded))
+    view, end = memoryview(digests), 0
+    for seed in seeds:
+        prefix = hashlib.blake2b(digest_size=16)
+        prefix.update(_encode(seed))
+        prefix.update(_encode("eps"))
+        for raw in encoded:
+            h = prefix.copy()
+            h.update(raw)
+            view[end : end + 16] = h.digest()
+            end += 16
+    keys = np.frombuffer(digests, dtype="<u8").astype(np.uint64, copy=False).reshape(-1, 2)
+    mixed = (keys[:, 0] >> np.uint64(63)) != (keys[:, 1] >> np.uint64(63))
+    keys[mixed] = keys[mixed].astype(np.float64).astype(np.uint64)
+    return keys
+
+
+# Philox4x64-10 (Salmon et al., SC'11) as numpy runs it, on columns: the
+# multipliers and Weyl increments of words (0, 2) and of the key (0, 1)
+_MULTIPLIERS = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_WEYL = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
+_LANES = 4096  # keys per pass: a few hundred kB of temporaries
+_MULTIPLIER_HALVES = (_MULTIPLIERS & _LOW32, _MULTIPLIERS >> _32)
+
+
+def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """High words of the 128-bit products a * b, ``a`` given as its 32-bit
+    halves (lo, hi)."""
+    a_lo, a_hi = a
+    b_lo, b_hi = b & _LOW32, b >> _32
+    cross1, cross2 = a_lo * b_hi, a_hi * b_lo
+    mid = ((a_lo * b_lo) >> _32) + (cross1 & _LOW32) + (cross2 & _LOW32)
+    return a_hi * b_hi + (cross1 >> _32) + (cross2 >> _32) + (mid >> _32)
+
+
+def _first_raw(keys: np.ndarray) -> np.ndarray:
+    """First ``random_raw()`` of ``Philox(key=k)`` for each key row.
+
+    A fresh generator increments its counter from 0 before the first block,
+    so the output is word 0 of the ten rounds on the counter (1, 0, 0, 0).
+    A round maps words (c0, c1, c2, c3) to (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2),
+    hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)); on that counter the first round
+    leaves (k0, 0, k1, M0).  ``x`` holds words (0, 2), ``y`` words (1, 3).
+    """
+    key = keys.T.copy()
+    x, y = key.copy(), np.zeros_like(key)
+    y[1] = _MULTIPLIERS[0]
+    for _ in range(9):
+        key += _WEYL
+        x, y = _mulhi(_MULTIPLIER_HALVES, x)[::-1] ^ y ^ key, (_MULTIPLIERS * x)[::-1]
+    return x[0]
+
+
+def _reset_generator():
+    """One Philox ``Generator`` and its state at counter 0, buffer empty."""
+    bitgen = np.random.Philox(key=0)
+    return bitgen, np.random.Generator(bitgen), bitgen.state
+
+
+@cache
+def _ziggurat() -> tuple:
+    """(wi, bound): layer widths of numpy's ``standard_normal`` ziggurat and
+    the fast-path bound per layer.
+
+    The ziggurat reads one 64-bit word r: layer i = r & 0xff, sign = bit 8,
+    rabs = the 52 bits above; it returns x = +-rabs * wi[i] when
+    rabs < ki[i] and rejects otherwise.  numpy does not export wi or ki.
+    With r = i | 1 << 9 in a Philox buffer, ``standard_normal`` returns
+    wi[i] itself, so the widths are read exactly.  For layers 3 to 255,
+    ki[i] is 2**52 wi[i-1] / wi[i] to within 0.5, so that value minus 2
+    never exceeds it; layers 0 to 2 get bound 0 and always fall back.
+    """
+    bitgen, gen, state = _reset_generator()
+    wi = np.zeros(256)
+    for i in range(2, 256):
+        state["buffer"] = np.array([i | 1 << 9, 0, 0, 0], dtype=np.uint64)
+        state["buffer_pos"] = 0
+        bitgen.state = state
+        wi[i] = gen.standard_normal()
+        if bitgen.state["buffer_pos"] != 1:
+            raise RuntimeError(f"numpy's ziggurat rejected its own layer width {i}")
+    bound = np.zeros(256)
+    bound[3:] = 2.0**52 * wi[2:-1] / wi[3:] - 2.0
+    return wi, bound
+
+
+def _standard_normals(keys: np.ndarray) -> np.ndarray:
+    """``standard_normal()`` of ``Generator(Philox(key=k))`` per key row,
+    from one generator reset before each draw."""
+    bitgen, gen, state = _reset_generator()
+    out = np.empty(len(keys))
+    for i, key in enumerate(keys):
+        state["state"]["key"] = key
+        bitgen.state = state
+        out[i] = gen.standard_normal()
+    return out
+
+
+def _uniforms(keys: np.ndarray) -> np.ndarray:
+    """``random()`` of ``Generator(Philox(key=k))`` per key row:
+    ``(raw >> 11) * 2**-53``."""
+    return (_first_raw(keys) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _normals(keys: np.ndarray) -> np.ndarray:
+    """``standard_normal()`` of ``Generator(Philox(key=k))`` per key row:
+    the ziggurat's first-word fast path wherever the bound accepts it, and
+    a generator reset to its key for every other lane."""
+    wi, bound = _ziggurat()
+    raw = _first_raw(keys)
+    layer = (raw & np.uint64(0xFF)).astype(np.intp)
+    rabs = ((raw >> np.uint64(9)) & np.uint64(2**52 - 1)).astype(np.float64)
+    values = rabs * wi[layer]
+    np.negative(values, out=values, where=(raw & np.uint64(1 << 8)) != 0)
+    slow = ~(rabs < bound[layer])
+    values[slow] = _standard_normals(keys[slow])
+    return values
+
+
+def _eps(marginal: str, seeds, sites) -> np.ndarray:
+    """Base variables eps, shape (seeds, sites): each the first draw of
+    ``Generator(Philox(key=k))`` with its (seed, site) key, bit for bit,
+    computed a few thousand lanes at a time."""
+    seeds, sites = list(seeds), list(sites)
+    keys = _site_keys(seeds, sites)
+    draw = _uniforms if marginal == "uniform" else _normals
+    values = np.empty(len(keys))
+    for start in range(0, len(keys), _LANES):
+        values[start : start + _LANES] = draw(keys[start : start + _LANES])
+    return values.reshape(len(seeds), len(sites))
 
 
 # -- models ----------------------------------------------------------------
@@ -125,10 +272,10 @@ class FieldModel:
 
     def base_value(self, site, seed: int) -> float:
         """Base IID variable eps at a site (the field itself when IID)."""
-        return _SiteStream().eps_values(self.marginal, [site], seed)[site]
+        return float(_eps(self.marginal, [seed], [site])[0, 0])
 
     def value_at(self, site, seed: int) -> float:
-        return _SiteStream().field_values(self, [site], seed)[site]
+        return float(field_array(self, [site], [seed])[0, 0])
 
 
 def _shift(site, offset: int):
@@ -137,60 +284,27 @@ def _shift(site, offset: int):
     return (site[0] + offset,) + tuple(site[1:])
 
 
-class _SiteStream:
-    """One Philox generator, reset before each draw to a site's substream.
+def field_array(model: FieldModel, region, seeds) -> np.ndarray:
+    """Field values on the region, one row per seed: ``out[t, k]`` is the
+    value at ``region[k]`` under ``seeds[t]``.
 
-    The base variable eps at a site is the first draw of
-    ``Generator(Philox(key=words))``, ``words`` being the two little-endian
-    64-bit words of the blake2b digest of (seed, "eps", site).  Rather
-    than build a Philox per site, the stream sets its state to what that
-    constructor makes: counter 0, an empty buffer, and the key numpy's
-    ``int_to_array`` makes of ``words``, ``np.asarray(words)`` cast to
-    uint64.  A pair with exactly one word >= 2**63 becomes float64 there,
-    which rounds both words; the cast reproduces that rounding, so every
-    value is bit for bit what the per-site constructor gives.
+    Every value is bit for bit what per-site ``Generator(Philox(key=...))``
+    draws give (``_eps``).  A moving average draws each base site once per
+    seed and sums its taps in kernel order.
     """
-
-    def __init__(self):
-        self._bitgen = np.random.Philox(key=0)
-        self._gen = np.random.Generator(self._bitgen)
-        # counter 0 and an empty buffer; only the key changes per site
-        self._state = self._bitgen.state
-
-    def eps_values(self, marginal: str, sites, seed: int) -> dict:
-        """eps at each distinct site for the seed, in first-seen order."""
-        prefix = hashlib.blake2b(digest_size=16)
-        prefix.update(_encode(seed))
-        prefix.update(_encode("eps"))
-        draw = self._gen.random if marginal == "uniform" else self._gen.standard_normal
-        state = self._state
-        out = {}
-        for site in sites:
-            if site in out:
-                continue
-            h = prefix.copy()
-            h.update(_encode(site))
-            words = struct.unpack("<2Q", h.digest())
-            state["state"]["key"] = np.asarray(words).astype(np.uint64)
-            self._bitgen.state = state
-            out[site] = float(draw())
-        return out
-
-    def field_values(self, model: "FieldModel", region, seed: int) -> dict:
-        """Field values on the region; a moving average draws each base
-        site once, however many taps share it."""
-        if model.kind == "iid":
-            return self.eps_values(model.marginal, region, seed)
-        region = list(region)
-        taps = [[_shift(site, -j) for j in range(len(model.kernel))] for site in region]
-        eps = self.eps_values(model.marginal, (s for row in taps for s in row), seed)
-        values = {}
-        for site, row in zip(region, taps):
-            total = 0.0
-            for a, s in zip(model.kernel, row):
-                total += a * eps[s]
-            values[site] = total
-        return values
+    region, seeds = list(region), list(seeds)
+    taps = 1 if model.kind == "iid" else len(model.kernel)
+    shifted = [[_shift(site, -j) for site in region] for j in range(taps)]
+    base = list(dict.fromkeys(s for row in shifted for s in row))
+    eps = _eps(model.marginal, seeds, base)
+    index = {s: k for k, s in enumerate(base)}
+    columns = [[index[s] for s in row] for row in shifted]
+    if model.kind == "iid":
+        return eps[:, columns[0]]
+    values = np.zeros((len(seeds), len(region)))
+    for a, cols in zip(model.kernel, columns):
+        values += a * eps[:, cols]
+    return values
 
 
 # -- samples ---------------------------------------------------------------
@@ -219,8 +333,17 @@ class FieldSample:
 
 
 def sample_field(model: FieldModel, region, seed: int) -> FieldSample:
-    """Sample the field on a finite region of one-particle sites."""
-    return FieldSample(model, seed, _SiteStream().field_values(model, region, seed))
+    """Sample the field on a finite region of one-particle sites: one row
+    of ``field_array``."""
+    return next(field_samples(model, region, [seed]))
+
+
+def field_samples(model: FieldModel, region, seeds):
+    """``sample_field`` of each seed in turn, all drawn in one
+    ``field_array`` call."""
+    sites, seeds = list(dict.fromkeys(region)), list(seeds)
+    for seed, row in zip(seeds, field_array(model, sites, seeds)):
+        yield FieldSample(model, seed, dict(zip(sites, row.tolist())))
 
 
 def potential_energy(x, sample: FieldSample) -> float:
@@ -272,13 +395,8 @@ def empirical_mixing(
     """Sample covariance of V(x), V(y) over independent field draws."""
     if trials < 100:
         raise ValueError("need at least 100 trials")
-    vx = np.empty(trials)
-    vy = np.empty(trials)
-    stream = _SiteStream()
-    for t in range(trials):
-        values = stream.field_values(model, (x, y), derive_seed(seed, "mixing", t))
-        vx[t] = values[x]
-        vy[t] = values[y]
+    seeds = [derive_seed(seed, "mixing", t) for t in range(trials)]
+    vx, vy = field_array(model, (x, y), seeds).T
     cx = vx - vx.mean()
     cy = vy - vy.mean()
     prod = cx * cy
@@ -330,10 +448,8 @@ def empirical_marginal_regularity(
     Rows are (s, debiased estimate, stderr, scan maximum); the debiased
     column is the one to compare against C * s**kappa.
     """
-    draws = np.empty(trials)
-    stream = _SiteStream()
-    for t in range(trials):
-        draws[t] = stream.field_values(model, (0,), derive_seed(seed, "marginal", t))[0]
+    seeds = [derive_seed(seed, "marginal", t) for t in range(trials)]
+    draws = field_array(model, (0,), seeds)[:, 0]
     out = []
     for s in s_values:
         est, stderr, scan = _split_window_estimate(draws, float(s))
@@ -393,14 +509,9 @@ def empirical_nu(
     if constants:
         cst.update(constants)
 
-    xi = np.empty(trials)
-    eta = np.empty((trials, len(box)))
-    stream = _SiteStream()
-    for t in range(trials):
-        values = stream.field_values(model, box, derive_seed(seed, "nu", t))
-        vals = np.array([values[site] for site in box])
-        xi[t] = vals.mean()
-        eta[t] = vals - xi[t]
+    vals = field_array(model, box, [derive_seed(seed, "nu", t) for t in range(trials)])
+    xi = vals.mean(axis=1)
+    eta = vals - xi[:, None]
 
     n_bins = max(1, math.ceil(trials ** (1.0 / 3.0)))
     centers = eta[:: max(1, trials // n_bins)][:n_bins]

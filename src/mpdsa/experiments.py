@@ -20,7 +20,7 @@ from .configspace import (
     enumerate_ball,
     find_separability_witness,
 )
-from .disorder import FieldModel, derive_seed, sample_field
+from .disorder import FieldModel, derive_seed, field_array, field_samples, sample_field
 from .msa import (
     AuditContext,
     BoundSchedule,
@@ -111,6 +111,13 @@ class TrialSetup:
         sample = sample_field(self.field_model, self.region(), trial_seed)
         return AuditContext(self.ham_spec(), sample, self.params)
 
+    def contexts(self, trial_seeds):
+        """``context`` of each trial seed in turn, their fields drawn in one
+        call."""
+        spec = self.ham_spec()
+        for sample in field_samples(self.field_model, self.region(), trial_seeds):
+            yield AuditContext(spec, sample, self.params)
+
 
 EVENTS = (
     "singular",
@@ -137,12 +144,7 @@ def event_input_error(setup: TrialSetup, event: str, energy) -> str | None:
     return None
 
 
-def _evaluate_event(setup: TrialSetup, event: str, trial_seed: int) -> bool:
-    if event == "always_true":
-        return True
-    if event == "always_false":
-        return False
-    ctx = setup.context(trial_seed)
+def _evaluate_event(setup: TrialSetup, event: str, ctx: AuditContext) -> bool:
     params = setup.params
     if event == "non_localized":
         return not ctx.m_loc(setup.center, setup.radius).localized
@@ -161,20 +163,19 @@ def _evaluate_event(setup: TrialSetup, event: str, trial_seed: int) -> bool:
 
 def singular_trials(setup: TrialSetup, energy: float, trial_seeds) -> list:
     """``is_EmNS`` reports of the setup's ball at the energy, one per trial
-    seed, decided in blocks of trials (``msa.block_non_singularity``).
+    seed, decided in blocks of trials (``msa.block_non_singularity``) from
+    one ``field_array`` of every trial's field.
     A block's matrices take about 1 MB at most; a ball of 363 members or
     more goes one trial at a time."""
     n = len(enumerate_ball(setup.center, setup.radius, setup.geometry))
     block = max(1, 2**17 // n**2)
     spec, region = setup.ham_spec(), setup.region()
+    fields = field_array(setup.field_model, region, trial_seeds)
     reports = []
-    for start in range(0, len(trial_seeds), block):
-        samples = [
-            sample_field(setup.field_model, region, s)
-            for s in trial_seeds[start : start + block]
-        ]
+    for start in range(0, len(fields), block):
         reports += block_non_singularity(
-            spec, samples, setup.center, setup.radius, energy, setup.params
+            spec, region, fields[start : start + block], setup.center, setup.radius, energy,
+            setup.params,
         )
     return reports
 
@@ -198,9 +199,11 @@ def estimate_event_probability(
     problem = event_input_error(setup, event, energy)
     if problem is not None:
         raise ValueError(problem)
+    if event in ("always_true", "always_false"):
+        return ProbabilityEstimate.from_counts(trials if event == "always_true" else 0, trials)
     seeds = [derive_seed(seed, "trial", t) for t in range(trials)]
     if event != "singular":
-        successes = sum(_evaluate_event(setup, event, s) for s in seeds)
+        successes = sum(_evaluate_event(setup, event, ctx) for ctx in setup.contexts(seeds))
         return ProbabilityEstimate.from_counts(successes, trials)
     reports = singular_trials(setup, float(energy), seeds)
     est = ProbabilityEstimate.from_counts(sum(not r.non_singular for r in reports), trials)
@@ -269,9 +272,8 @@ def run_scaling_audit(
         seed_k = derive_seed(seed, "scale", k)
         nonloc = 0
         vio_count = 0
-        for t in range(trials):
-            ts = derive_seed(seed_k, "trial", t)
-            ctx = scale_setup.context(ts)
+        seeds = [derive_seed(seed_k, "trial", t) for t in range(trials)]
+        for t, ctx in enumerate(scale_setup.contexts(seeds)):
             if not ctx.m_loc(setup.center, L).localized:
                 nonloc += 1
             if k > 0:
@@ -356,9 +358,9 @@ def evc_experiment(
     region = tuple(sorted(set(ball_x.projection) | set(ball_y.projection)))
     # the context wants scaling parameters; spectra never read them
     params = ScalingParams(n_particles=n)
+    seeds = [derive_seed(seed, "evc", t) for t in range(trials)]
     dists = np.empty(trials)
-    for t in range(trials):
-        sample = sample_field(model, region, derive_seed(seed, "evc", t))
+    for t, sample in enumerate(field_samples(model, region, seeds)):
         ctx = AuditContext(spec, sample, params)
         e1 = ctx.spectrum(ball_x.center, ball_x.radius)
         e2 = ctx.spectrum(ball_y.center, ball_y.radius)

@@ -649,12 +649,14 @@ def ns_by_solve(
 
 
 def block_non_singularity(
-    spec: HamiltonianSpec, samples, center, radius: int, energy: float, params: ScalingParams
+    spec: HamiltonianSpec, region, fields, center, radius: int, energy: float,
+    params: ScalingParams,
 ) -> list:
-    """``is_EmNS`` of one ball at one energy under each of many field
-    samples, without eigenvectors: one report per sample.
+    """``is_EmNS`` of one ball at one energy under each of many fields,
+    without eigenvectors: one report per row of ``fields``, the field on
+    ``region`` (as ``assemble_hamiltonians`` takes it).
 
-    The samples' operators share the ball's hopping template and differ
+    The fields' operators share the ball's hopping template and differ
     on the diagonal only.  ``gap_certificate`` clears most of them without
     a spectrum; one stacked ``eigvalsh`` screens the rest with the
     resonance cutoff, and ``ns_by_solve`` decides them all with one
@@ -663,7 +665,7 @@ def block_non_singularity(
     the certificate's joint n^3.
     """
     ball = enumerate_ball(center, radius, spec.geometry)
-    template, stack = assemble_hamiltonians(_spec_on(spec, ball), ball, samples)
+    template, stack = assemble_hamiltonians(_spec_on(spec, ball), ball, region, fields)
     i = np.arange(len(ball))
     if factor_centers(spec, ball) is None:
         diagonals = stack[:, i, i]
@@ -672,8 +674,8 @@ def block_non_singularity(
         rest[:, i, i] = diagonals[~cleared]  # unshifted, bit for bit
         spectra = stacked_eigenvalues(template, rest)
     else:
-        cleared = np.zeros(len(samples), dtype=bool)
-        spectra = _stacked_spectra(spec, ball, samples)
+        cleared = np.zeros(len(stack), dtype=bool)
+        spectra = _stacked_spectra(spec, ball, region, fields)
         stack[:, i, i] -= energy
     safe = cleared.copy()
     dist = np.min(np.abs(spectra - energy), axis=1)
@@ -681,13 +683,15 @@ def block_non_singularity(
     return ns_by_solve(ball, stack, safe, cleared, params)
 
 
-def _stacked_spectra(spec: HamiltonianSpec, ball: Ball, samples) -> np.ndarray:
-    """Row t: the ascending spectrum of the ball under ``samples[t]``."""
+def _stacked_spectra(spec: HamiltonianSpec, ball: Ball, region, fields) -> np.ndarray:
+    """Row t: the ascending spectrum of the ball under ``fields[t]``."""
     parts = factor_centers(spec, ball)
     if parts is None:
-        return stacked_eigenvalues(*assemble_hamiltonians(_spec_on(spec, ball), ball, samples))
+        return stacked_eigenvalues(
+            *assemble_hamiltonians(_spec_on(spec, ball), ball, region, fields)
+        )
     a, b = (
-        _stacked_spectra(spec, enumerate_ball(p, ball.radius, spec.geometry), samples)
+        _stacked_spectra(spec, enumerate_ball(p, ball.radius, spec.geometry), region, fields)
         for p in parts
     )
     return np.array([pairwise_sums(x, y)[0] for x, y in zip(a, b)])

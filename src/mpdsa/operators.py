@@ -289,44 +289,51 @@ class HamiltonianSpec:
 
 
 def _diagonal(
-    spec: HamiltonianSpec, ball: Ball, sample: FieldSample, st: _BallStructure
+    spec: HamiltonianSpec, ball: Ball, st: _BallStructure, fields: np.ndarray, sites: np.ndarray
 ) -> np.ndarray:
-    """Diagonal of H on the ball, from its structure ``st``; the sample
-    must cover its sites."""
+    """Diagonal of H on the ball, from its structure ``st``.  ``sites[m, k]``
+    is the column of ``fields`` that holds particle k of member m; a stack
+    of fields (one per row) gives a stack of diagonals."""
     if ball.n_particles != spec.n_particles:
         raise ValueError("ball particle number does not match the spec")
-    if not sample.covers(ball.projection):
-        missing = [s for s in ball.projection if s not in sample.values]
-        raise MissingDataError(f"sample misses sites {missing[:3]}")
-    field = np.array([sample.values[s] for s in ball.projection])
     # potential summed over particles in member order, as potential_energy does
-    potential = np.zeros(len(ball))
+    potential = np.zeros(fields.shape[:-1] + (len(ball),))
     for k in range(ball.n_particles):
-        potential += field[st.sites[:, k]]
+        potential += fields[..., sites[:, k]]
     return st.laplacian_diagonal + (spec.coupling * potential + st.interaction_diagonal)
 
 
 def assemble_hamiltonian(spec: HamiltonianSpec, ball: Ball, sample: FieldSample) -> OperatorMatrix:
     """Assembled operator on the ball; the sample must cover its sites."""
     st = _structure(ball, spec.convention, spec.interaction)
-    return OperatorMatrix(ball, _matrix(st, _diagonal(spec, ball, sample, st)), spec.convention)
+    field = np.array([sample[s] for s in ball.projection])
+    return OperatorMatrix(
+        ball, _matrix(st, _diagonal(spec, ball, st, field, st.sites)), spec.convention
+    )
 
 
-def assemble_hamiltonians(spec: HamiltonianSpec, ball: Ball, samples) -> tuple:
-    """(template, stack) for many samples on one ball.
+def assemble_hamiltonians(spec: HamiltonianSpec, ball: Ball, region, fields: np.ndarray) -> tuple:
+    """(template, stack) for many fields on one ball.
 
-    The template is H with its diagonal left zero, the hopping part every
-    sample shares; ``stack[t]`` equals ``assemble_hamiltonian(spec, ball,
-    samples[t]).matrix`` entry for entry: the template with the sample's
-    diagonal written in.
+    ``fields[t, k]`` is field t at ``region[k]``, and the region must cover
+    the ball's sites.  The template is H with its diagonal left zero, the
+    hopping part every field shares; ``stack[t]`` equals
+    ``assemble_hamiltonian`` under field t entry for entry: the template
+    with that field's diagonal written in, gathered through the structure's
+    member-to-site table.
     """
     st = _structure(ball, spec.convention, spec.interaction)
     n = len(ball)
     template = OperatorMatrix(ball, _matrix(st, np.zeros(n)), spec.convention)
-    stack = np.empty((len(samples), n, n))
+    stack = np.empty((len(fields), n, n))
     stack[:] = template.matrix
+    column = {s: k for k, s in enumerate(region)}
+    missing = [s for s in ball.projection if s not in column]
+    if missing:
+        raise MissingDataError(f"region misses sites {missing[:3]}")
+    sites = np.array([column[s] for s in ball.projection], dtype=np.intp)[st.sites]
     i = np.arange(n)
-    stack[:, i, i] = [_diagonal(spec, ball, s, st) for s in samples]
+    stack[:, i, i] = _diagonal(spec, ball, st, np.asarray(fields), sites)
     return template, stack
 
 

@@ -182,7 +182,7 @@ def load_config(path) -> dict:
 def validate_config(raw: dict) -> dict:
     error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
     if error is not None:
-        raise ConfigError(f"config rejected: {error.message} (at {list(error.path)})")
+        raise ConfigError(f"config rejected: {error.message} (at {list(error.absolute_path)})")
     return raw
 
 
@@ -206,11 +206,14 @@ def build_geometry(raw: dict) -> LatticeGeometry:
 
 def build_field_model(raw: dict) -> FieldModel:
     cfg = raw.get("disorder", {})
-    return FieldModel(
-        kind=cfg.get("kind", "iid"),
-        marginal=cfg.get("marginal", "uniform"),
-        kernel=tuple(cfg.get("kernel", (1.0,))),
-    )
+    try:
+        return FieldModel(
+            kind=cfg.get("kind", "iid"),
+            marginal=cfg.get("marginal", "uniform"),
+            kernel=tuple(cfg.get("kernel", (1.0,))),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"disorder {json.dumps(cfg)}: {exc}")
 
 
 def build_interaction(raw: dict) -> InteractionModel:

@@ -4,9 +4,11 @@ import hashlib
 import io
 import json
 import os
+import platform
 import tempfile
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -102,6 +104,21 @@ class TestSpectrumCommand:
         manifest = json.load(open(out / "manifest.json"))
         for entry in manifest["outputs"]:
             assert sha(out / entry["path"]) == entry["sha256"]
+
+    def test_manifest_records_the_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "o"
+        cfg = base_config(out, [{"kind": "spectrum", "center": [0], "radius": 1}])
+        assert main(["spectrum", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+        env = json.load(open(out / "manifest.json"))["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert env["cpus"] >= 1
+        assert env["threads"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert env["threads"]["MKL_NUM_THREADS"] is None
+        assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                       "MKL_NUM_THREADS"}
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         target = tmp_path / "envout"
@@ -491,7 +508,31 @@ class TestNothingWrittenOnExit2:
         with pytest.raises(jsonschema.ValidationError) as ref:
             jsonschema.validate(cfg, SCHEMA)
         err = capsys.readouterr().err
-        assert f"config rejected: {ref.value.message} (at {list(ref.value.path)})" in err
+        assert f"config rejected: {ref.value.message} (at {list(ref.value.absolute_path)})" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "disorder, message",
+        [
+            ({"kind": "moving_average", "kernel": [0.5, 0.3, 0.2]},
+             "leading kernel coefficient must dominate the tail"),
+            ({"kind": "moving_average", "kernel": []}, "kernel must be nonempty"),
+            ({"kind": "iid", "kernel": []}, "kernel must be nonempty"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["spectrum", "sweep"])
+    def test_bad_kernel(self, tmp_path, capsys, command, disorder, message):
+        out = tmp_path / "out"
+        experiment = {"kind": command, "center": [0], "radius": 1}
+        extra = []
+        if command == "sweep":
+            experiment.update(kind="event", event="singular", energy=0.0, trials=30)
+            extra = ["--axis", "g", "--values", "1"]
+        cfg = base_config(out, [experiment], disorder=disorder)
+        assert main([command, "--config", write_config(tmp_path / "c.json", cfg), *extra]) == 2
+        err = capsys.readouterr().err
+        assert f"error: disorder {json.dumps(disorder)}: {message}" in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -651,7 +692,17 @@ class TestSchema:
                 jsonschema.validate(raw, SCHEMA)
             with pytest.raises(ConfigError) as got:
                 validate_config(raw)
-            assert str(got.value) == f"config rejected: {ref.value.message} (at {list(ref.value.path)})"
+            assert str(got.value) == (
+                f"config rejected: {ref.value.message} (at {list(ref.value.absolute_path)})"
+            )
+
+    def test_an_error_inside_one_of_names_its_whole_path(self):
+        from mpdsa.runconfig import ConfigError, validate_config
+
+        raw = base_config("o", [{"kind": "dynamics", "center": [0], "pairs": [[0, 1, 2]]}])
+        with pytest.raises(ConfigError) as got:
+            validate_config(raw)
+        assert str(got.value).endswith("(at ['experiments', 0, 'pairs', 0, 0])")
 
 
 def _main_quietly(argv):
@@ -672,11 +723,16 @@ _PAIR = st.one_of(_SITE, _INTS, st.lists(st.one_of(_INTS, _SITE), min_size=1, ma
 _ENERGY = st.one_of(st.floats(-8.0, 8.0), st.sampled_from([0.0, 1.0]))
 
 
+_KERNEL = st.one_of(st.none(), st.just([]), st.just([0.5, 0.3, 0.2]),
+                    st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3))
+
+
 class TestContractFuzz:
     """Small configs, mutated across four commands: radius, sub-scale,
-    energy, centre items (one run in four) and dynamics pairs.  Every run
-    exits 0, 1, 2 or 3, never with a traceback, and writes nothing when it
-    exits 2."""
+    energy, centre items (one run in four), dynamics pairs and the
+    disorder block (kind, marginal and kernel, empty and non-dominant
+    kernels among them).  Every run exits 0, 1, 2 or 3, never with a
+    traceback, and writes nothing when it exits 2."""
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(data=st.data())
@@ -707,10 +763,15 @@ class TestContractFuzz:
             pairs = data.draw(st.one_of(st.none(), st.lists(_PAIR, min_size=1, max_size=2)))
             if pairs is not None:
                 experiment["pairs"] = pairs
+        disorder = {"kind": data.draw(st.sampled_from(["iid", "moving_average"])),
+                    "marginal": data.draw(st.sampled_from(["uniform", "gaussian"]))}
+        kernel = data.draw(_KERNEL)
+        if kernel is not None:
+            disorder["kernel"] = kernel
         with tempfile.TemporaryDirectory() as tmp:
             out = os.path.join(tmp, "out")
             cfg = base_config(out, [experiment], particles=particles, coupling=6.0,
-                              convention="fixed")
+                              convention="fixed", disorder=disorder)
             path = write_config(os.path.join(tmp, "c.json"), cfg)
             code, err = _main_quietly([command, "--config", path, *extra])
             assert code in (0, 1, 2, 3)

@@ -1,5 +1,9 @@
+import functools
 import math
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,11 +16,16 @@ from mpdsa.disorder import (
     empirical_marginal_regularity,
     empirical_mixing,
     empirical_nu,
+    field_array,
+    field_samples,
     mean_fluct_decompose,
     potential_energy,
     sample_field,
     _digest,
+    _first_raw,
+    _ziggurat,
 )
+import mpdsa.disorder as disorder
 
 
 def gauss_cdf(x):
@@ -213,6 +222,7 @@ def reference_words(site, seed) -> tuple:
     return struct.unpack("<2Q", _digest(seed, "eps", site))
 
 
+@functools.cache
 def reference_eps(marginal, site, seed) -> float:
     """eps drawn from a generator built for the one site: the reference the
     reused, reset generator must match bit for bit."""
@@ -242,7 +252,8 @@ MODELS = [
 
 
 class TestSamplerOracle:
-    """The reused Philox, reset per site, against one generator per site."""
+    """``sample_field`` and the model's one-site draws against one
+    generator per site."""
 
     def test_sample_field_bit_for_bit(self):
         regions = [list(range(-9, 9)), [(a, b) for a in range(-2, 2) for b in range(-2, 3)]]
@@ -296,3 +307,105 @@ class TestSamplerOracle:
         vy = np.array([reference_value(model, 1, derive_seed(6, "mixing", t)) for t in range(100)])
         prod = (vx - vx.mean()) * (vy - vy.mean())
         assert est.covariance == float(prod.mean())
+
+
+class TestBulkSampler:
+    """``field_array``: the vectorized Philox, the ziggurat fast path and
+    its fallback, against one generator per (seed, site)."""
+
+    def test_philox_kernel_against_random_raw(self):
+        rng = np.random.default_rng(11)
+        keys = rng.integers(0, 2**64, size=(3000, 2), dtype=np.uint64)
+        keys[:8] = [[0, 0], [2**64 - 1, 2**64 - 1], [1, 0], [0, 1], [2**63, 0], [0, 2**63],
+                    [2**64 - 1, 0], [0, 2**64 - 1]]
+        expected = [np.random.Philox(key=k).random_raw() for k in keys]
+        assert _first_raw(keys).tolist() == expected
+
+    def test_field_array_bit_for_bit(self, monkeypatch):
+        fallback_lanes = []
+        fallback = disorder._standard_normals
+
+        def counting(keys):
+            fallback_lanes.append(len(keys))
+            return fallback(keys)
+
+        monkeypatch.setattr(disorder, "_standard_normals", counting)
+        regions = [list(range(-9, 9)), [(a, b) for a in range(-2, 2) for b in range(-2, 3)]]
+        # trial seeds of 63 bits, as sweeps derive them, and small ones
+        seeds = [derive_seed(17, "oracle", t) for t in range(100)] + list(range(32))
+        pairs = one_high_word = 0
+        for model in MODELS:
+            for region in regions:
+                drawn = field_array(model, region, seeds)
+                assert drawn.shape == (len(seeds), len(region))
+                for seed, row in zip(seeds, drawn):
+                    assert bits(row) == bits([reference_value(model, s, seed) for s in region])
+                    one_high_word += sum(
+                        (w0 >= 2**63) != (w1 >= 2**63)
+                        for w0, w1 in (reference_words(s, seed) for s in region)
+                    )
+                pairs += drawn.size
+        assert pairs >= 20_000
+        # numpy rounds such keys through float64; the sampler must too
+        assert one_high_word >= 3000
+        # lanes the ziggurat fast path cannot take: a few percent
+        assert 0 < sum(fallback_lanes) < 0.05 * pairs
+
+    def test_samples_are_rows(self):
+        model = MODELS[3]
+        region = [(1, 0), (0, 0), (-3, 2), (0, 0)]
+        rows = field_array(model, region[:3], [8, 9])
+        for seed, row, sample in zip((8, 9), rows, field_samples(model, region, [8, 9])):
+            assert (sample.seed, list(sample.values)) == (seed, region[:3])
+            assert all(type(v) is float for v in sample.values.values())
+            assert bits(list(sample.values.values())) == bits(row)
+            assert sample_field(model, region, seed) == sample
+            assert sample_field(model, region, seed).values == sample.values
+
+    def test_empty_region_and_no_seeds(self):
+        assert field_array(MODELS[1], [], [1, 2]).shape == (2, 0)
+        assert field_array(MODELS[3], [0, 1], []).shape == (0, 2)
+
+    @staticmethod
+    def _numpy_accepts(probe, layer: int, rabs: int) -> bool:
+        """Whether numpy's standard_normal returns on its first word
+        r = layer | rabs << 9 (sign bit 0) and draws nothing more."""
+        bitgen, gen, state = probe
+        state["buffer"] = np.array([layer | rabs << 9, 0, 0, 0], dtype=np.uint64)
+        state["buffer_pos"] = 0
+        bitgen.state = state
+        gen.standard_normal()
+        after = bitgen.state
+        return after["buffer_pos"] == 1 and not after["state"]["counter"].any()
+
+    def test_fast_path_bound_never_exceeds_numpys_threshold(self):
+        bitgen = np.random.Philox(key=0)
+        probe = bitgen, np.random.Generator(bitgen), bitgen.state
+        _, bound = _ziggurat()
+        for layer in range(256):
+            # smallest rabs numpy rejects, 2**52 when it takes every one
+            lo, hi = 0, 2**52
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if self._numpy_accepts(probe, layer, mid):
+                    lo = mid + 1
+                else:
+                    hi = mid
+            assert bound[layer] <= lo
+            if layer >= 3:
+                assert lo - bound[layer] <= 3
+            else:
+                assert bound[layer] == 0.0
+
+    def test_tables_are_read_at_the_first_gaussian_draw(self):
+        script = (
+            "from mpdsa.disorder import FieldModel, sample_field, _ziggurat\n"
+            "assert _ziggurat.cache_info().currsize == 0\n"
+            "sample_field(FieldModel(), [0], 1)\n"
+            "assert _ziggurat.cache_info().currsize == 0\n"
+            "sample_field(FieldModel(marginal='gaussian'), [0], 1)\n"
+            "assert _ziggurat.cache_info().currsize == 1\n"
+        )
+        src = os.path.dirname(os.path.dirname(disorder.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c", script], check=True, env=env)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mpdsa.configspace import enumerate_ball, interior_boundary
-from mpdsa.disorder import FieldModel, derive_seed, sample_field
+from mpdsa.disorder import FieldModel, derive_seed, field_array, sample_field
 from mpdsa.experiments import (
     ProbabilityEstimate,
     TrialSetup,
@@ -207,11 +207,13 @@ class TestSingularBlockOracle:
     def test_energy_at_one_trials_eigenvalue(self, line):
         setup = self._sweep_setup(line, 3.0)
         seeds = [derive_seed(8, "trial", t) for t in range(6)]
-        samples = [sample_field(setup.field_model, setup.region(), s) for s in seeds]
+        region = setup.region()
         ball = enumerate_ball(setup.center, setup.radius, line)
-        energy = float(eigenvalues_of(assemble_hamiltonian(setup.ham_spec(), ball, samples[2]))[40])
-        reports = block_non_singularity(setup.ham_spec(), samples, setup.center, setup.radius,
-                                        energy, setup.params)
+        sample = sample_field(setup.field_model, region, seeds[2])
+        energy = float(eigenvalues_of(assemble_hamiltonian(setup.ham_spec(), ball, sample))[40])
+        reports = block_non_singularity(setup.ham_spec(), region,
+                                        field_array(setup.field_model, region, seeds),
+                                        setup.center, setup.radius, energy, setup.params)
         assert (reports[2].non_singular, reports[2].worst_boundary_value) == (False, math.inf)
         assert reports[2].resonant
         for t, (seed, rep) in enumerate(zip(seeds, reports)):
@@ -240,11 +242,13 @@ class TestGapCertificateInTheBlock:
     def test_only_the_trial_at_its_eigenvalue_is_screened(self, line, eigvalsh_stacks):
         setup = TestSingularBlockOracle._sweep_setup(line, 3.0)
         seeds = [derive_seed(8, "trial", t) for t in range(6)]
-        samples = [sample_field(setup.field_model, setup.region(), s) for s in seeds]
+        region = setup.region()
         ball = enumerate_ball(setup.center, setup.radius, line)
-        energy = float(eigenvalues_of(assemble_hamiltonian(setup.ham_spec(), ball, samples[2]))[40])
-        reports = block_non_singularity(setup.ham_spec(), samples, setup.center, setup.radius,
-                                        energy, setup.params)
+        sample = sample_field(setup.field_model, region, seeds[2])
+        energy = float(eigenvalues_of(assemble_hamiltonian(setup.ham_spec(), ball, sample))[40])
+        reports = block_non_singularity(setup.ham_spec(), region,
+                                        field_array(setup.field_model, region, seeds),
+                                        setup.center, setup.radius, energy, setup.params)
         assert eigvalsh_stacks == [1]
         assert [r.cleared for r in reports] == [True, True, False, True, True, True]
         assert reports[2].resonant and reports[2].worst_boundary_value == math.inf
@@ -270,18 +274,19 @@ class TestGapCertificateInTheBlock:
     def test_an_asymmetric_template_still_raises(self, line, monkeypatch):
         setup = TestSingularBlockOracle._sweep_setup(line, 3.0)
 
-        def skewed(spec, ball, samples):
-            template, stack = assemble_hamiltonians(spec, ball, samples)
+        def skewed(spec, ball, region, fields):
+            template, stack = assemble_hamiltonians(spec, ball, region, fields)
             bad = template.matrix.copy()
             bad[0, 1] += 0.5
             stack[:, 0, 1] += 0.5
             return OperatorMatrix(ball, bad, template.convention), stack
 
         monkeypatch.setattr(msa, "assemble_hamiltonians", skewed)
-        samples = [sample_field(setup.field_model, setup.region(), s) for s in (1, 2, 3)]
+        region = setup.region()
+        fields = field_array(setup.field_model, region, (1, 2, 3))
         with pytest.raises(ValueError, match="asymmetry"):
-            block_non_singularity(setup.ham_spec(), samples, setup.center, setup.radius, 0.0,
-                                  setup.params)
+            block_non_singularity(setup.ham_spec(), region, fields, setup.center, setup.radius,
+                                  0.0, setup.params)
 
 
 class TestScalingAudit:

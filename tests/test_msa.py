@@ -474,14 +474,20 @@ class TestNsRefinement:
         assert rep.non_singular == (worst <= rep.threshold)
 
 
+def stacked(samples) -> tuple:
+    """(region, fields) of samples that share one region, for the block path."""
+    region = tuple(samples[0].values)
+    return region, np.array([[s[site] for site in region] for s in samples])
+
+
 class TestNsBySolve:
     """The singular event's block path (stacked values-only spectra plus
     one stacked solve) against the eigen path (``is_EmNS`` on the
     eigensystem)."""
 
     def _both(self, ctx, center, radius, energy):
-        (solved,) = block_non_singularity(ctx.spec, [ctx.sample], center, radius, energy,
-                                          ctx.params)
+        (solved,) = block_non_singularity(ctx.spec, *stacked([ctx.sample]), center, radius,
+                                          energy, ctx.params)
         return solved, is_EmNS(ctx.eigensystem(center, radius), energy, ctx.params)
 
     def test_flags_and_values_match_the_eigen_path(self, line):
@@ -534,9 +540,10 @@ class TestNsBySolve:
             monkeypatch.setattr(module, "diagonalize", None)  # any eigensolve would fail
         monkeypatch.setattr(np.linalg, "eigh", None)
         spec, params = contexts[0].spec, contexts[0].params
-        reports = block_non_singularity(spec, [c.sample for c in contexts], (1, 0), 6, 0.0, params)
-        (split_report,) = block_non_singularity(split.spec, [split.sample], (20, 0), 3, 0.0,
-                                                split.params)
+        reports = block_non_singularity(spec, *stacked([c.sample for c in contexts]), (1, 0), 6,
+                                        0.0, params)
+        (split_report,) = block_non_singularity(split.spec, *stacked([split.sample]), (20, 0), 3,
+                                                0.0, split.params)
         monkeypatch.undo()
         for ctx, rep in zip(contexts, reports):
             assert rep.non_singular == is_EmNS(ctx.eigensystem((1, 0), 6), 0.0, params).non_singular

@@ -8,6 +8,7 @@ from mpdsa.disorder import (
     FieldModel,
     FieldSample,
     MissingDataError,
+    field_array,
     potential_energy,
     sample_field,
 )
@@ -277,7 +278,8 @@ class TestAssemblyOracle:
             for convention in ("induced", "fixed"):
                 spec = HamiltonianSpec(ball.geometry, ball.n_particles, 2.5, STEP, convention)
                 samples = [sample_field(FieldModel(), ball.projection, s) for s in range(3)]
-                template, stack = assemble_hamiltonians(spec, ball, samples)
+                fields = field_array(FieldModel(), ball.projection, range(3))
+                template, stack = assemble_hamiltonians(spec, ball, ball.projection, fields)
                 assert not np.any(np.diag(template.matrix))
                 for sample, matrix in zip(samples, stack):
                     assert np.array_equal(matrix, reference_assembly(spec, ball, sample))
@@ -285,10 +287,9 @@ class TestAssemblyOracle:
     def test_stacked_assembly_checks_every_sample(self, line):
         ball = enumerate_ball((4, 1), 3, line)
         spec = HamiltonianSpec(line, 2, 7.0, STEP, "fixed")
-        short = FieldSample(FieldModel(), 0, {s: 0.0 for s in ball.projection[1:]})
-        full = sample_field(FieldModel(), ball.projection, 1)
-        with pytest.raises(MissingDataError):
-            assemble_hamiltonians(spec, ball, [full, short])
+        short = ball.projection[1:]
+        with pytest.raises(MissingDataError, match="region misses sites"):
+            assemble_hamiltonians(spec, ball, short, field_array(FieldModel(), short, (1, 2)))
 
     def test_structure_cache_serves_every_sample(self, line):
         ball = enumerate_ball((4, 1), 3, line)
