@@ -18,6 +18,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -182,6 +183,10 @@ def _trials(exp: dict, args) -> int:
     return args.trials if args.trials is not None else exp.get("trials", 1)
 
 
+def _trial_seeds(seed: int, trials: int) -> list:
+    return [derive_seed(seed, "trial", t) for t in range(trials)]
+
+
 # -- commands ----------------------------------------------------------------
 
 
@@ -192,8 +197,7 @@ def cmd_spectrum(raw: dict, writer: RunWriter, args) -> int:
     for idx, exp in enumerate(_experiments_of(raw, "spectrum")):
         setup = _setup_for(raw, exp)
         trials = _trials(exp, args)
-        for t in range(trials):
-            ctx = setup.context(derive_seed(seed, "trial", t))
+        for t, ctx in enumerate(setup.contexts(_trial_seeds(seed, trials))):
             es = ctx.eigensystem(setup.center, setup.radius)
             for i, lam in enumerate(es.eigenvalues):
                 rows.append([idx, t, i, float(lam)])
@@ -223,8 +227,7 @@ def cmd_predicates(raw: dict, writer: RunWriter, args) -> int:
     for idx, (exp, setup, sub_scale) in enumerate(plans):
         trials = _trials(exp, args)
         energies = exp.get("energies", [0.0])
-        for t in range(trials):
-            ctx = setup.context(derive_seed(seed, "trial", t))
+        for t, ctx in enumerate(setup.contexts(_trial_seeds(seed, trials))):
             for energy in energies:
                 rep = predicate_report(
                     ctx, setup.center, setup.radius, energy, sub_scale
@@ -443,8 +446,7 @@ def cmd_dynamics(raw: dict, writer: RunWriter, args) -> int:
         worst_q = 0.0
         worst_comp = 0.0
         worst_prop = 0.0
-        for t in range(trials):
-            ctx = setup.context(derive_seed(seed, "trial", t))
+        for t, ctx in enumerate(setup.contexts(_trial_seeds(seed, trials))):
             es = ctx.eigensystem(setup.center, setup.radius)
             sups = propagator_sups(es, pairs, t_grid).tolist()
             for (x, y), prop in zip(pairs, sups):
@@ -514,6 +516,11 @@ def cmd_sweep(raw: dict, writer: RunWriter, args) -> int:
         raise ConfigError(f"bad sweep values: {exc}")
     if not values:
         raise ConfigError("empty sweep value list")
+    for value in values:
+        if not math.isfinite(value):
+            raise ConfigError(f"sweep value {value!r} is not finite")
+        if args.axis == "L0" and value != int(value):
+            raise ConfigError(f"L0 sweep value {value!r} is not an integer")
     exp = _experiments_of(raw, "event")[0]
     event = exp.get("event")
     if event is None:
@@ -612,6 +619,8 @@ def main(argv=None) -> int:
         # validate sweep flags before creating any output
         if args.command == "sweep" and (args.axis is None or args.values is None):
             raise ConfigError("sweep needs --axis and --values")
+        if args.trials is not None and args.trials < 1:
+            raise ConfigError(f"--trials must be at least 1, got {args.trials}")
         writer = RunWriter(out_dir, raw)
         code = COMMANDS[args.command](raw, writer, args)
         writer.finalize()

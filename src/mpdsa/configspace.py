@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -356,10 +356,6 @@ def _descending_tuples(lo_hi: list) -> list:
     return out
 
 
-_BALL_CACHE: dict = {}
-_BALL_CACHE_LIMIT = 512
-
-
 def enumerate_ball(center, radius: int, geometry: LatticeGeometry) -> Ball:
     """Enumerate the sector ball of the given radius around ``center``.
 
@@ -369,19 +365,11 @@ def enumerate_ball(center, radius: int, geometry: LatticeGeometry) -> Ball:
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    center = canonical_config(center, geometry)
-    key = (geometry, center, radius)
-    cached = _BALL_CACHE.get(key)
-    if cached is not None:
-        return cached
-    ball = _enumerate_ball_uncached(center, radius, geometry)
-    if len(_BALL_CACHE) >= _BALL_CACHE_LIMIT:
-        _BALL_CACHE.clear()
-    _BALL_CACHE[key] = ball
-    return ball
+    return _build_ball(canonical_config(center, geometry), radius, geometry)
 
 
-def _enumerate_ball_uncached(center, radius: int, geometry: LatticeGeometry) -> Ball:
+@lru_cache(maxsize=512)
+def _build_ball(center, radius: int, geometry: LatticeGeometry) -> Ball:
     if geometry.kind == "lattice" and geometry.d == 1:
         bounds = [(c - radius, c + radius) for c in center]
         members = _descending_tuples(bounds)

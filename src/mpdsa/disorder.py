@@ -328,9 +328,6 @@ class FieldSample:
         except KeyError:
             raise MissingDataError(f"site {site!r} not in sampled region")
 
-    def covers(self, sites) -> bool:
-        return all(s in self.values for s in sites)
-
 
 def sample_field(model: FieldModel, region, seed: int) -> FieldSample:
     """Sample the field on a finite region of one-particle sites: one row

@@ -20,7 +20,7 @@ from .configspace import (
     enumerate_ball,
     find_separability_witness,
 )
-from .disorder import FieldModel, derive_seed, field_array, field_samples, sample_field
+from .disorder import FieldModel, derive_seed, field_array, field_samples
 from .msa import (
     AuditContext,
     BoundSchedule,
@@ -108,12 +108,12 @@ class TrialSetup:
         return tuple(sorted(sites))
 
     def context(self, trial_seed: int) -> AuditContext:
-        sample = sample_field(self.field_model, self.region(), trial_seed)
-        return AuditContext(self.ham_spec(), sample, self.params)
+        """One row of ``contexts``."""
+        return next(self.contexts([trial_seed]))
 
     def contexts(self, trial_seeds):
-        """``context`` of each trial seed in turn, their fields drawn in one
-        call."""
+        """The ``AuditContext`` of each trial seed in turn, every trial's
+        field drawn in one call."""
         spec = self.ham_spec()
         for sample in field_samples(self.field_model, self.region(), trial_seeds):
             yield AuditContext(spec, sample, self.params)

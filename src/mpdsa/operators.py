@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -222,6 +223,7 @@ def _interaction_diagonal(ball: Ball, model: InteractionModel) -> np.ndarray:
     return total
 
 
+@lru_cache(maxsize=512)
 def _build_structure(ball: Ball, convention: str, interaction: InteractionModel) -> _BallStructure:
     n, g = len(ball), ball.geometry
     hops = np.asarray(ball.edge_index_pairs, dtype=np.int64).reshape(-1, 2).T
@@ -241,40 +243,31 @@ def _build_structure(ball: Ball, convention: str, interaction: InteractionModel)
     )
 
 
-_STRUCTURE_CACHE: dict = {}
-_STRUCTURE_CACHE_LIMIT = 512
-
-
 def _structure(ball: Ball, convention: str, interaction: InteractionModel) -> _BallStructure:
     """The ball's structure for the convention and interaction, cached
     like the balls themselves."""
     if convention not in ("induced", "fixed"):
         raise ValueError(f"unknown diagonal convention {convention!r}")
-    key = (ball, convention, interaction)
-    st = _STRUCTURE_CACHE.get(key)
-    if st is None:
-        st = _build_structure(ball, convention, interaction)
-        if len(_STRUCTURE_CACHE) >= _STRUCTURE_CACHE_LIMIT:
-            _STRUCTURE_CACHE.clear()
-        _STRUCTURE_CACHE[key] = st
-    return st
+    return _build_structure(ball, convention, interaction)
 
 
-def _matrix(st: _BallStructure, diagonal: np.ndarray) -> np.ndarray:
-    """Dense matrix with hopping -1 on the structure's pairs and the given diagonal."""
-    n = len(diagonal)
-    mat = np.zeros((n, n))
+def _assemble(st: _BallStructure, diagonals: np.ndarray) -> np.ndarray:
+    """(k, n, n) stack of dense matrices, hopping -1 on the structure's
+    pairs and ``diagonals[t]`` on the diagonal of matrix t."""
+    k, n = np.shape(diagonals)
+    stack = np.zeros((k, n, n))
     i, j = st.hops
-    mat[i, j] = -1.0
-    mat[j, i] = -1.0
-    mat[np.diag_indices(n)] = diagonal
-    return mat
+    stack[:, i, j] = -1.0
+    stack[:, j, i] = -1.0
+    d = np.arange(n)
+    stack[:, d, d] = diagonals
+    return stack
 
 
 def laplacian_matrix(ball: Ball, convention: str = "induced") -> OperatorMatrix:
     """Negative graph Laplacian of the ball, hopping -1 on sector edges."""
     st = _structure(ball, convention, InteractionModel())
-    return OperatorMatrix(ball, _matrix(st, st.laplacian_diagonal), convention)
+    return OperatorMatrix(ball, _assemble(st, [st.laplacian_diagonal])[0], convention)
 
 
 @dataclass(frozen=True)
@@ -288,53 +281,48 @@ class HamiltonianSpec:
     convention: str = "induced"
 
 
-def _diagonal(
-    spec: HamiltonianSpec, ball: Ball, st: _BallStructure, fields: np.ndarray, sites: np.ndarray
-) -> np.ndarray:
-    """Diagonal of H on the ball, from its structure ``st``.  ``sites[m, k]``
-    is the column of ``fields`` that holds particle k of member m; a stack
-    of fields (one per row) gives a stack of diagonals."""
+def _diagonals(spec: HamiltonianSpec, ball: Ball, st: _BallStructure, region, fields) -> np.ndarray:
+    """Row t: the diagonal of H on the ball under ``fields[t]``, the field
+    at ``region[k]`` in column k; the region must cover the ball's sites."""
     if ball.n_particles != spec.n_particles:
         raise ValueError("ball particle number does not match the spec")
+    column = {s: k for k, s in enumerate(region)}
+    missing = [s for s in ball.projection if s not in column]
+    if missing:
+        raise MissingDataError(f"region misses sites {missing[:3]}")
+    # column of fields that holds particle k of member m
+    sites = np.array([column[s] for s in ball.projection], dtype=np.intp)[st.sites]
+    fields = np.asarray(fields)
     # potential summed over particles in member order, as potential_energy does
-    potential = np.zeros(fields.shape[:-1] + (len(ball),))
+    potential = np.zeros((len(fields), len(ball)))
     for k in range(ball.n_particles):
-        potential += fields[..., sites[:, k]]
+        potential += fields[:, sites[:, k]]
     return st.laplacian_diagonal + (spec.coupling * potential + st.interaction_diagonal)
 
 
 def assemble_hamiltonian(spec: HamiltonianSpec, ball: Ball, sample: FieldSample) -> OperatorMatrix:
-    """Assembled operator on the ball; the sample must cover its sites."""
+    """Assembled operator on the ball; the sample must cover its sites.
+    Row 0 of ``assemble_hamiltonians`` under the sample's field."""
     st = _structure(ball, spec.convention, spec.interaction)
-    field = np.array([sample[s] for s in ball.projection])
-    return OperatorMatrix(
-        ball, _matrix(st, _diagonal(spec, ball, st, field, st.sites)), spec.convention
-    )
+    field = [[sample[s] for s in ball.projection]]
+    diagonals = _diagonals(spec, ball, st, ball.projection, field)
+    return OperatorMatrix(ball, _assemble(st, diagonals)[0], spec.convention)
 
 
-def assemble_hamiltonians(spec: HamiltonianSpec, ball: Ball, region, fields: np.ndarray) -> tuple:
+def assemble_hamiltonians(spec: HamiltonianSpec, ball: Ball, region, fields) -> tuple:
     """(template, stack) for many fields on one ball.
 
     ``fields[t, k]`` is field t at ``region[k]``, and the region must cover
     the ball's sites.  The template is H with its diagonal left zero, the
     hopping part every field shares; ``stack[t]`` equals
-    ``assemble_hamiltonian`` under field t entry for entry: the template
-    with that field's diagonal written in, gathered through the structure's
-    member-to-site table.
+    ``assemble_hamiltonian`` under field t entry for entry.
     """
     st = _structure(ball, spec.convention, spec.interaction)
-    n = len(ball)
-    template = OperatorMatrix(ball, _matrix(st, np.zeros(n)), spec.convention)
-    stack = np.empty((len(fields), n, n))
-    stack[:] = template.matrix
-    column = {s: k for k, s in enumerate(region)}
-    missing = [s for s in ball.projection if s not in column]
-    if missing:
-        raise MissingDataError(f"region misses sites {missing[:3]}")
-    sites = np.array([column[s] for s in ball.projection], dtype=np.intp)[st.sites]
-    i = np.arange(n)
-    stack[:, i, i] = _diagonal(spec, ball, st, np.asarray(fields), sites)
-    return template, stack
+    stack = _assemble(st, _diagonals(spec, ball, st, region, fields))
+    # a call of its own: one stack row taller than the block's other
+    # arrays, near 1 MB, costs a sweep half again as many page faults
+    template = _assemble(st, np.zeros((1, len(ball))))[0]
+    return OperatorMatrix(ball, template, spec.convention), stack
 
 
 def kronecker_sum(ha: OperatorMatrix, hb: OperatorMatrix) -> OperatorMatrix:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import jsonschema
 
@@ -168,10 +169,18 @@ SCHEMA = {
 _VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
 
 
+def _finite(text: str) -> float:
+    """A JSON number, refusing NaN, Infinity and literals that overflow."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config holds the non-finite number {text}")
+    return value
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:

@@ -393,6 +393,10 @@ class TestOneTrialPath:
             assert prop <= q + 1e-12
 
 
+SINGULAR = {"kind": "event", "event": "singular", "energy": 0.0, "center": [0], "radius": 1,
+            "trials": 30}
+
+
 class TestNothingWrittenOnExit2:
     """A command that rejects its configuration exits 2 before the output
     directory exists."""
@@ -407,12 +411,33 @@ class TestNothingWrittenOnExit2:
             ),
             ("evc", {"kind": "evc", "center": [0], "radius": 0}, []),
             ("audit", {"kind": "audit", "center": [0], "k_max": 0, "trials": 5}, []),
+            ("sweep", SINGULAR, ["--axis", "L0", "--values", "inf"]),
+            ("sweep", SINGULAR, ["--axis", "L0", "--values", "6,nan"]),
+            ("sweep", SINGULAR, ["--axis", "L0", "--values", "6.5"]),
+            ("sweep", SINGULAR, ["--axis", "g", "--values", "nan"]),
+            ("sweep", SINGULAR, ["--axis", "g", "--values", "1,-inf"]),
+            ("sweep", SINGULAR, ["--axis", "m", "--values", "1e400"]),
+            ("predicates", {"kind": "predicates", "center": [0], "radius": 3}, ["--trials", "-1"]),
+            ("predicates", {"kind": "predicates", "center": [0], "radius": 3}, ["--trials", "0"]),
+            ("sweep", {**SINGULAR, "event": "always_true"},
+             ["--axis", "g", "--values", "1", "--trials", "0"]),
         ],
     )
     def test_rejected_config_leaves_no_directory(self, tmp_path, command, experiment, extra):
         out = tmp_path / "out"
         cfg = base_config(out, [experiment])
         assert main([command, "--config", write_config(tmp_path / "c.json", cfg), *extra]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_number_in_the_config(self, tmp_path, capsys, literal):
+        out = tmp_path / "out"
+        cfg = base_config(out, [{"kind": "spectrum", "center": [0], "radius": 1}], coupling=7.5)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg).replace("7.5", literal))
+        assert main(["spectrum", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"non-finite number {literal}" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_dynamics_pair_outside_ball(self, tmp_path, capsys):
@@ -634,9 +659,9 @@ class TestSchemaBounds:
 
 
 class TestPinnedOutputs:
-    """sha256 of two small runs, fixed before the field sampler, the
-    assembly and the singular event's solve path changed; any change in a
-    drawn value, an assembled entry or a decided flag moves them."""
+    """sha256 of small runs, fixed before the field sampler, the assembly,
+    the singular event's solve path and the trial draws changed; any change
+    in a drawn value, an assembled entry or a decided flag moves them."""
 
     def _cfg(self, out, experiment, **overrides):
         cfg = base_config(out, [experiment], particles=2, coupling=10.0, seed=20261018,
@@ -665,6 +690,25 @@ class TestPinnedOutputs:
         assert main(["predicates", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
         assert sha(out / "predicates.csv") == (
             "c0e43148fcd0fd10d48be8d411c7acfd93adf756b4a7ab891ec11dad258d8753"
+        )
+
+    def test_spectrum_table(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = self._cfg(out, {"kind": "spectrum", "center": [1, 0], "radius": 5, "trials": 3})
+        assert main(["spectrum", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+        assert sha(out / "spectrum.csv") == (
+            "635f3e1ddba071160753e5d6f6791ccabefd942368955ce447527c3816bbc661"
+        )
+
+    def test_dynamics_table(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = self._cfg(out, {"kind": "dynamics", "center": [1, 0], "radius": 4, "trials": 2,
+                              "time_points": 100},
+                        disorder={"kind": "moving_average", "marginal": "uniform",
+                                  "kernel": [1.0, 0.3]})
+        assert main(["dynamics", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+        assert sha(out / "dynamics.csv") == (
+            "c30dd0511734177911fde85c8fa8c082b42df7d3f25de5cfbf156f0d23c6fa77"
         )
 
 
