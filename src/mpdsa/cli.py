@@ -44,6 +44,7 @@ from .experiments import (
 )
 from .msa import check_param_constraints, predicate_report, verify_implications
 from .runconfig import (
+    MAX_MAGNITUDE,
     ConfigError,
     build_field_model,
     build_geometry,
@@ -519,6 +520,8 @@ def cmd_sweep(raw: dict, writer: RunWriter, args) -> int:
     for value in values:
         if not math.isfinite(value):
             raise ConfigError(f"sweep value {value!r} is not finite")
+        if abs(value) > MAX_MAGNITUDE:
+            raise ConfigError(f"sweep value {value!r} exceeds {MAX_MAGNITUDE:g} in magnitude")
         if args.axis == "L0" and value != int(value):
             raise ConfigError(f"L0 sweep value {value!r} is not an integer")
     exp = _experiments_of(raw, "event")[0]
@@ -566,7 +569,9 @@ def cmd_sweep(raw: dict, writer: RunWriter, args) -> int:
         )
         if est.cleared is not None:
             diagnostics.append({"value": value, "certificate_cleared": est.cleared,
-                                "eigvalsh_screened": est.trials - est.cleared})
+                                "eigvalsh_screened": est.trials - est.cleared,
+                                "blocks": est.blocks,
+                                "cholesky_fallback_blocks": est.cholesky_fallback_blocks})
     writer.write_csv(
         "trend.csv",
         ["axis", "value", "successes", "trials", "p_hat", "ci_lo", "ci_hi"],

@@ -23,6 +23,7 @@ from .configspace import (
 from .disorder import FieldModel, derive_seed, field_array, field_samples
 from .msa import (
     AuditContext,
+    BlockReports,
     BoundSchedule,
     ScalingParams,
     block_non_singularity,
@@ -58,7 +59,11 @@ class ProbabilityEstimate:
     p_hat: float
     ci_lo: float
     ci_hi: float
-    cleared: int | None = None  # singular event: trials the gap certificate screened
+    # singular event: trials the gap certificate screened, blocks of trials,
+    # and blocks whose stacked Cholesky failed
+    cleared: int | None = None
+    blocks: int | None = None
+    cholesky_fallback_blocks: int | None = None
 
     @classmethod
     def from_counts(cls, successes: int, trials: int) -> "ProbabilityEstimate":
@@ -161,23 +166,15 @@ def _evaluate_event(setup: TrialSetup, event: str, ctx: AuditContext) -> bool:
     raise ValueError(f"unknown event {event!r}")
 
 
-def singular_trials(setup: TrialSetup, energy: float, trial_seeds) -> list:
+def singular_trials(setup: TrialSetup, energy: float, trial_seeds) -> BlockReports:
     """``is_EmNS`` reports of the setup's ball at the energy, one per trial
     seed, decided in blocks of trials (``msa.block_non_singularity``) from
-    one ``field_array`` of every trial's field.
-    A block's matrices take about 1 MB at most; a ball of 363 members or
-    more goes one trial at a time."""
-    n = len(enumerate_ball(setup.center, setup.radius, setup.geometry))
-    block = max(1, 2**17 // n**2)
-    spec, region = setup.ham_spec(), setup.region()
-    fields = field_array(setup.field_model, region, trial_seeds)
-    reports = []
-    for start in range(0, len(fields), block):
-        reports += block_non_singularity(
-            spec, region, fields[start : start + block], setup.center, setup.radius, energy,
-            setup.params,
-        )
-    return reports
+    one ``field_array`` of every trial's field."""
+    region = setup.region()
+    return block_non_singularity(
+        setup.ham_spec(), region, field_array(setup.field_model, region, trial_seeds),
+        setup.center, setup.radius, energy, setup.params,
+    )
 
 
 def min_event_trials(event: str) -> int:
@@ -205,9 +202,10 @@ def estimate_event_probability(
     if event != "singular":
         successes = sum(_evaluate_event(setup, event, ctx) for ctx in setup.contexts(seeds))
         return ProbabilityEstimate.from_counts(successes, trials)
-    reports = singular_trials(setup, float(energy), seeds)
-    est = ProbabilityEstimate.from_counts(sum(not r.non_singular for r in reports), trials)
-    return replace(est, cleared=sum(r.cleared for r in reports))
+    run = singular_trials(setup, float(energy), seeds)
+    est = ProbabilityEstimate.from_counts(sum(not r.non_singular for r in run.reports), trials)
+    return replace(est, cleared=sum(r.cleared for r in run.reports), blocks=run.blocks,
+                   cholesky_fallback_blocks=run.cholesky_fallback_blocks)
 
 
 # -- scaling audit -----------------------------------------------------------

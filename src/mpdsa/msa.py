@@ -32,17 +32,18 @@ from .disorder import FieldSample
 from .operators import (
     HamiltonianSpec,
     assemble_hamiltonian,
-    assemble_hamiltonians,
     epsilon_bound,
+    hamiltonian_diagonals,
+    hopping_template,
     interaction_defect,
 )
 from .spectral import (
     EigenSystem,
+    GapCertificate,
     diagonalize,
     eigensystem_from_factors,
     eigenvalues_of,
     eigenvector_noise_floors,
-    gap_certificate,
     pairwise_sums,
     resonance_cutoff,
     solve_green_columns,
@@ -622,73 +623,114 @@ def is_EmNS(
 
 
 def ns_by_solve(
-    ball: Ball, shifted: np.ndarray, safe: np.ndarray, cleared: np.ndarray, params: ScalingParams
+    shifted: np.ndarray, safe: np.ndarray, cleared: np.ndarray, source: int, rows: list,
+    threshold: float,
 ) -> list:
     """``is_EmNS`` without eigenvectors, for a stack of operators on one
-    ball, shifted to H_t - E: one report per matrix.
+    ball, shifted to H_t - E: one report per matrix.  ``source`` is the
+    ball's centre row, ``rows`` its interior boundary rows and
+    ``threshold`` the clamped threshold of ``is_EmNS``.
 
     ``safe[t]`` says E lies outside the resonance cutoff of H_t's spectrum;
     an unsafe matrix gets flag False and worst value +inf, as in
     ``ns_flags``.  One stacked dense solve of (H_t - E) g_t = delta_centre
-    over the safe matrices gives their boundary values, decided on the
-    same clamped threshold.  ``cleared`` goes on the reports as is.
+    over the safe matrices gives their boundary values.  ``cleared`` goes
+    on the reports as is.
     """
-    thr = _clamped_ns_threshold(ball, params, None)
-    boundary = interior_boundary(ball)
-    if not boundary:
-        return [NsReport(True, 0.0, thr, cleared=bool(c)) for c in cleared]
+    if not rows:
+        return [NsReport(True, 0.0, threshold, cleared=bool(c)) for c in cleared]
     worst = np.full(len(shifted), np.inf)
     if np.any(safe):
-        g = solve_green_columns(shifted if safe.all() else shifted[safe], ball.center_index())
-        worst[safe] = np.max(np.abs(g[:, [ball.index[c] for c in boundary]]), axis=1)
-    flags = ns_decision(worst, thr)
+        g = solve_green_columns(shifted if safe.all() else shifted[safe], source)
+        worst[safe] = np.max(np.abs(g[:, rows]), axis=1)
+    flags = ns_decision(worst, threshold)
     return [
-        NsReport(bool(f), float(w), thr, not s, bool(c))
+        NsReport(bool(f), float(w), threshold, not s, bool(c))
         for f, w, s, c in zip(flags, worst, safe, cleared)
     ]
+
+
+@dataclass(frozen=True)
+class BlockReports:
+    """The reports of ``block_non_singularity``, one per field, and how its
+    blocks went: ``cholesky_fallback_blocks`` counts the blocks whose
+    stacked Cholesky failed, so the certificate factored their matrices
+    one at a time."""
+
+    reports: list
+    blocks: int
+    cholesky_fallback_blocks: int
 
 
 def block_non_singularity(
     spec: HamiltonianSpec, region, fields, center, radius: int, energy: float,
     params: ScalingParams,
-) -> list:
+) -> BlockReports:
     """``is_EmNS`` of one ball at one energy under each of many fields,
     without eigenvectors: one report per row of ``fields``, the field on
-    ``region`` (as ``assemble_hamiltonians`` takes it).
+    ``region`` (as ``hamiltonian_diagonals`` takes it).
 
-    The fields' operators share the ball's hopping template and differ
-    on the diagonal only.  ``gap_certificate`` clears most of them without
-    a spectrum; one stacked ``eigvalsh`` screens the rest with the
-    resonance cutoff, and ``ns_by_solve`` decides them all with one
+    The fields' operators share the ball's hopping template and differ on
+    the diagonal only.  They are decided in blocks of
+    ``max(1, 2**17 // n**2)`` fields, about 1 MB of matrices, in one stack
+    buffer that holds the template off the diagonal throughout: a block
+    writes only its diagonals.  ``GapCertificate`` clears most of a block
+    without a spectrum; one stacked ``eigvalsh`` screens the rest with the
+    resonance cutoff, and ``ns_by_solve`` decides the block with one
     stacked solve.  A split ball keeps its factor spectra (sorted factor
     sums, as ``AuditContext.spectrum`` takes them), which cost less than
     the certificate's joint n^3.
     """
     ball = enumerate_ball(center, radius, spec.geometry)
-    template, stack = assemble_hamiltonians(_spec_on(spec, ball), ball, region, fields)
-    i = np.arange(len(ball))
-    if factor_centers(spec, ball) is None:
-        diagonals = stack[:, i, i]
-        cleared = gap_certificate(stack, energy)
-        rest = stack[~cleared]
-        rest[:, i, i] = diagonals[~cleared]  # unshifted, bit for bit
-        spectra = stacked_eigenvalues(template, rest)
-    else:
-        cleared = np.zeros(len(stack), dtype=bool)
-        spectra = _stacked_spectra(spec, ball, region, fields)
-        stack[:, i, i] -= energy
-    safe = cleared.copy()
-    dist = np.min(np.abs(spectra - energy), axis=1)
-    safe[~cleared] = [not d <= resonance_cutoff(s) for d, s in zip(dist, spectra)]
-    return ns_by_solve(ball, stack, safe, cleared, params)
+    n = len(ball)
+    block = max(1, 2**17 // n**2)
+    ball_spec = _spec_on(spec, ball)
+    template = hopping_template(ball_spec, ball)
+    rows = min(block, len(fields))
+    stack = np.repeat(template.matrix[None], rows, axis=0)
+    certificate = None if factor_centers(spec, ball) else GapCertificate(template, rows)
+    # rebuilt for the rare block the certificate cannot clear, so that the
+    # point holds no n^2 array beyond its two buffers
+    del template
+    i = np.arange(n)
+    source = ball.center_index()
+    boundary = [ball.index[c] for c in interior_boundary(ball)]
+    threshold = _clamped_ns_threshold(ball, params, None)
+    starts = range(0, len(fields), block)
+    reports = []
+    for start in starts:
+        part = fields[start : start + block]
+        # diagonals block by block: a point's working memory stays at the
+        # two buffers
+        h = hamiltonian_diagonals(ball_spec, ball, region, part)
+        shifted = stack[: len(h)]
+        shifted[:, i, i] = h
+        if certificate is None:
+            cleared = np.zeros(len(h), dtype=bool)
+            spectra = _stacked_spectra(spec, ball, region, part)
+            shifted[:, i, i] -= energy
+        else:
+            cleared = certificate(shifted, energy)
+            spectra = None
+            if not cleared.all():
+                spectra = stacked_eigenvalues(hopping_template(ball_spec, ball), h[~cleared])
+        safe = cleared.copy()
+        if spectra is not None:
+            dist = np.min(np.abs(spectra - energy), axis=1)
+            safe[~cleared] = [not d <= resonance_cutoff(s) for d, s in zip(dist, spectra)]
+        reports += ns_by_solve(shifted, safe, cleared, source, boundary, threshold)
+    fallbacks = 0 if certificate is None else certificate.fallbacks
+    return BlockReports(reports, len(starts), fallbacks)
 
 
 def _stacked_spectra(spec: HamiltonianSpec, ball: Ball, region, fields) -> np.ndarray:
     """Row t: the ascending spectrum of the ball under ``fields[t]``."""
     parts = factor_centers(spec, ball)
     if parts is None:
+        ball_spec = _spec_on(spec, ball)
         return stacked_eigenvalues(
-            *assemble_hamiltonians(_spec_on(spec, ball), ball, region, fields)
+            hopping_template(ball_spec, ball),
+            hamiltonian_diagonals(ball_spec, ball, region, fields),
         )
     a, b = (
         _stacked_spectra(spec, enumerate_ball(p, ball.radius, spec.geometry), region, fields)
@@ -724,7 +766,8 @@ def _log_excess_bounds(log_vecs, peaks, dmat, rmin: int, rate: float, floors) ->
     prof = np.full(n * R, -np.inf)
     keys = np.take(dmat, peaks, axis=1)
     keys += np.arange(n) * R
-    np.maximum.at(prof, keys, log_vecs)
+    # 1-D operands take numpy's fast path; the maximum ignores the order
+    np.maximum.at(prof, keys.ravel(), log_vecs.ravel())
     prof = np.maximum.accumulate(prof.reshape(n, R)[:, ::-1], axis=1)[:, ::-1]
     log_floors = np.log(floors)[:, None]
     bounds = np.full(n, -np.inf)

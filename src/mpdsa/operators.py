@@ -251,23 +251,20 @@ def _structure(ball: Ball, convention: str, interaction: InteractionModel) -> _B
     return _build_structure(ball, convention, interaction)
 
 
-def _assemble(st: _BallStructure, diagonals: np.ndarray) -> np.ndarray:
-    """(k, n, n) stack of dense matrices, hopping -1 on the structure's
-    pairs and ``diagonals[t]`` on the diagonal of matrix t."""
-    k, n = np.shape(diagonals)
-    stack = np.zeros((k, n, n))
+def _assemble(st: _BallStructure, diagonal: np.ndarray) -> np.ndarray:
+    """Dense matrix, hopping -1 on the structure's pairs and ``diagonal``
+    on the diagonal."""
+    matrix = np.diag(np.asarray(diagonal, dtype=float))
     i, j = st.hops
-    stack[:, i, j] = -1.0
-    stack[:, j, i] = -1.0
-    d = np.arange(n)
-    stack[:, d, d] = diagonals
-    return stack
+    matrix[i, j] = -1.0
+    matrix[j, i] = -1.0
+    return matrix
 
 
 def laplacian_matrix(ball: Ball, convention: str = "induced") -> OperatorMatrix:
     """Negative graph Laplacian of the ball, hopping -1 on sector edges."""
     st = _structure(ball, convention, InteractionModel())
-    return OperatorMatrix(ball, _assemble(st, [st.laplacian_diagonal])[0], convention)
+    return OperatorMatrix(ball, _assemble(st, st.laplacian_diagonal), convention)
 
 
 @dataclass(frozen=True)
@@ -281,11 +278,14 @@ class HamiltonianSpec:
     convention: str = "induced"
 
 
-def _diagonals(spec: HamiltonianSpec, ball: Ball, st: _BallStructure, region, fields) -> np.ndarray:
-    """Row t: the diagonal of H on the ball under ``fields[t]``, the field
-    at ``region[k]`` in column k; the region must cover the ball's sites."""
+def hamiltonian_diagonals(spec: HamiltonianSpec, ball: Ball, region, fields) -> np.ndarray:
+    """Row t: the diagonal of H on the ball under field t, where
+    ``fields[t, k]`` is its value at ``region[k]``; the region must cover
+    the ball's sites.  ``hopping_template`` plus diag(row t) equals
+    ``assemble_hamiltonian`` under field t entry for entry."""
     if ball.n_particles != spec.n_particles:
         raise ValueError("ball particle number does not match the spec")
+    st = _structure(ball, spec.convention, spec.interaction)
     column = {s: k for k, s in enumerate(region)}
     missing = [s for s in ball.projection if s not in column]
     if missing:
@@ -300,29 +300,21 @@ def _diagonals(spec: HamiltonianSpec, ball: Ball, st: _BallStructure, region, fi
     return st.laplacian_diagonal + (spec.coupling * potential + st.interaction_diagonal)
 
 
+def hopping_template(spec: HamiltonianSpec, ball: Ball) -> OperatorMatrix:
+    """H on the ball with its diagonal left zero: the hopping part every
+    field shares."""
+    st = _structure(ball, spec.convention, spec.interaction)
+    return OperatorMatrix(ball, _assemble(st, np.zeros(len(ball))), spec.convention)
+
+
 def assemble_hamiltonian(spec: HamiltonianSpec, ball: Ball, sample: FieldSample) -> OperatorMatrix:
     """Assembled operator on the ball; the sample must cover its sites.
-    Row 0 of ``assemble_hamiltonians`` under the sample's field."""
-    st = _structure(ball, spec.convention, spec.interaction)
+    ``hopping_template`` plus the diagonal of ``hamiltonian_diagonals``
+    under the sample's field."""
     field = [[sample[s] for s in ball.projection]]
-    diagonals = _diagonals(spec, ball, st, ball.projection, field)
-    return OperatorMatrix(ball, _assemble(st, diagonals)[0], spec.convention)
-
-
-def assemble_hamiltonians(spec: HamiltonianSpec, ball: Ball, region, fields) -> tuple:
-    """(template, stack) for many fields on one ball.
-
-    ``fields[t, k]`` is field t at ``region[k]``, and the region must cover
-    the ball's sites.  The template is H with its diagonal left zero, the
-    hopping part every field shares; ``stack[t]`` equals
-    ``assemble_hamiltonian`` under field t entry for entry.
-    """
+    (diagonal,) = hamiltonian_diagonals(spec, ball, ball.projection, field)
     st = _structure(ball, spec.convention, spec.interaction)
-    stack = _assemble(st, _diagonals(spec, ball, st, region, fields))
-    # a call of its own: one stack row taller than the block's other
-    # arrays, near 1 MB, costs a sweep half again as many page faults
-    template = _assemble(st, np.zeros((1, len(ball))))[0]
-    return OperatorMatrix(ball, template, spec.convention), stack
+    return OperatorMatrix(ball, _assemble(st, diagonal), spec.convention)
 
 
 def kronecker_sum(ha: OperatorMatrix, hb: OperatorMatrix) -> OperatorMatrix:

@@ -18,6 +18,14 @@ class ConfigError(ValueError):
     """Invalid run configuration."""
 
 
+# Largest magnitude of a number that enters the diagonal of H or the
+# energy it is shifted by: the coupling, energies, interaction amplitudes
+# and table values, kernel taps and sweep values.  The gap certificate
+# squares H - E, whose entries reach coupling x kernel tap, so each factor
+# at 1e50 keeps the squares near 1e200, well inside double range.
+MAX_MAGNITUDE = 1e50
+_BOUNDED = {"type": "number", "minimum": -MAX_MAGNITUDE, "maximum": MAX_MAGNITUDE}
+
 _FRACTION = {
     "oneOf": [
         {"type": "number"},
@@ -46,8 +54,8 @@ _EXPERIMENT = {
         "radius": {"type": "integer", "minimum": 0},
         "sub_scale": {"type": "integer", "minimum": 1},
         "trials": {"type": "integer", "minimum": 1},
-        "energies": {"type": "array", "items": {"type": "number"}},
-        "energy": {"type": "number"},
+        "energies": {"type": "array", "items": _BOUNDED},
+        "energy": _BOUNDED,
         "event": {
             "enum": [
                 "singular",
@@ -104,14 +112,14 @@ SCHEMA = {
             },
         },
         "particles": {"type": "integer", "minimum": 1},
-        "coupling": {"type": "number"},
+        "coupling": _BOUNDED,
         "disorder": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
                 "kind": {"enum": ["iid", "moving_average"]},
                 "marginal": {"enum": ["uniform", "gaussian"]},
-                "kernel": {"type": "array", "items": {"type": "number"}},
+                "kernel": {"type": "array", "items": _BOUNDED},
             },
         },
         "interaction": {
@@ -119,12 +127,12 @@ SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "kind": {"enum": ["none", "step", "subexp", "table"]},
-                "amplitude": {"type": "number"},
+                "amplitude": _BOUNDED,
                 "range": {"type": "integer", "minimum": 0},
-                "prefactor": {"type": "number"},
+                "prefactor": _BOUNDED,
                 "rate": {"type": "number"},
                 "tail_exponent": {"type": "number"},
-                "table": {"type": "array"},
+                "table": {"type": "array", "items": {"type": "array", "items": _BOUNDED}},
                 "truncation_radius": {"type": "integer", "minimum": 0},
                 "pair_counting": {"enum": ["ordered", "unordered"]},
             },

@@ -145,34 +145,82 @@ def solve_green_columns(shifted: np.ndarray, source_idx: int) -> np.ndarray:
     return np.linalg.solve(shifted, rhs)[..., 0]
 
 
-def gap_certificate(stack: np.ndarray, energy: float) -> np.ndarray:
-    """One bool per matrix H_t of the stack: True when a Cholesky factor
-    proves that no eigenvalue of H_t lies near E.  The stack is shifted in
-    place: it holds A_t = H_t - E afterwards.
+class GapCertificate:
+    """Cholesky gap certificates for matrices H_t = T + diag(h_t) that
+    share one hopping template T (symmetric, zero diagonal, entries 0
+    and -1, as ``hopping_template`` returns it).
 
-    With N_t = ||H_t||_inf + |E| (the row sums of ``norm_bound``, before
-    the shift) and sigma_t = 10 n sqrt(eps) N_t, one stacked Cholesky
-    factors A_t A_t - sigma_t^2 I; if it fails, each matrix is factored
-    alone.  Forming A_t A_t errs by at most gamma_n N_t^2 in the 2-norm,
-    and a Cholesky that completes is the exact factor of a matrix within
-    about n gamma_{n+1} N_t^2 (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, Thms 3.5 and 10.3); the shift and an asymmetry
-    within ``ASYMMETRY_TOL`` add far less.  So success means
-    A_t^2 > (sigma_t^2 - 3 n^2 eps N_t^2) I: every eigenvalue of H_t is at
-    least about 9.8 n sqrt(eps) N_t from E, over 1e5 times
-    ``resonance_cutoff`` and far beyond the error of ``eigvalsh``.
+    Called on a stack of such matrices and an energy E, it gives one bool
+    per matrix: True when a Cholesky factor proves that no eigenvalue of
+    H_t lies near E.  The stack is shifted in place: its diagonal holds
+    d_t = fl(h_t - E) afterwards, so the stack holds A_t = H_t - E.
+
+    With N_t = ||H_t||_inf + |E| = max_i (deg_i + |h_ti|) + |E| and
+    sigma_t = 10 n sqrt(eps) N_t, one stacked Cholesky factors
+    S_t = A_t^2 - sigma_t^2 I; if it fails, each matrix is factored alone.
+    S_t is formed without a matrix product, from
+
+        A_t^2 = T^2 + [T_ij (d_i + d_j) on the hopping pairs] + diag(d_i^2),
+
+    where T^2, a matrix of small integers, is computed once and is exact.
+    A hopping entry takes one rounding (of d_i + d_j), two where T^2_ij is
+    not zero; a diagonal entry takes the rounding of d_i^2, one add and the
+    sigma^2 subtraction.  With u = eps / 2 that is at most a few u N_t per
+    hopping entry (N_t >= 1 wherever there is one) and about 3 u N_t^2 on
+    the diagonal, so the formed square lies within about 4 eps N_t^2 of
+    S_t in the 2-norm; a matrix product would err by up to gamma_n N_t^2.
+    A Cholesky that completes is the exact factor of a matrix within about
+    n gamma_{n+1} N_t^2 (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, Thm 10.3), and the shift fl(h - E) moves A_t by at most
+    u N_t.  So success means A_t^2 > (sigma_t^2 - (n^2 + 4) eps N_t^2) I:
+    every eigenvalue of H_t is at least about 9.8 n sqrt(eps) N_t from E,
+    over 1e5 times ``resonance_cutoff`` and far beyond the error of
+    ``eigvalsh``.
+
+    The symmetry check runs on the template before T is read.  The
+    squares live in one buffer of ``rows`` matrices, the most a stack may
+    hold, filled with T^2 once; a call rewrites only the hopping pairs and
+    the diagonal.  ``fallbacks`` counts the calls whose stacked Cholesky
+    failed.
     """
-    k, n, _ = stack.shape
-    i = np.arange(n)
-    sigma = 10 * n * math.sqrt(np.finfo(float).eps) * (
-        np.max(np.sum(np.abs(stack), axis=2), axis=1) + abs(energy)
-    )
-    stack[:, i, i] -= energy
-    square = np.matmul(stack, stack)
-    square[:, i, i] -= (sigma * sigma)[:, None]
-    if _factors(square):
-        return np.ones(k, dtype=bool)
-    return np.array([_factors(m) for m in square], dtype=bool)
+
+    def __init__(self, template: OperatorMatrix, rows: int):
+        t = _symmetric_part(template)
+        if np.any(np.diag(t)):
+            raise ValueError("a hopping template must have a zero diagonal")
+        square = t @ t
+        self._pairs = np.nonzero(np.triu(t))
+        self._pair_hops = t[self._pairs]
+        self._pair_squares = square[self._pairs]
+        self._diagonal_squares = np.diag(square).copy()
+        self._degrees = np.sum(np.abs(t), axis=1)
+        self._squares = np.repeat(square[None], rows, axis=0)
+        self.fallbacks = 0
+
+    def __call__(self, stack: np.ndarray, energy: float) -> np.ndarray:
+        square = self.square(stack, energy)
+        if _factors(square):
+            return np.ones(len(square), dtype=bool)
+        self.fallbacks += 1
+        return np.array([_factors(m) for m in square], dtype=bool)
+
+    def square(self, stack: np.ndarray, energy: float) -> np.ndarray:
+        """Shift the stack in place and form its S_t in the buffer; returns
+        the buffer's first len(stack) matrices."""
+        k, n, _ = stack.shape
+        i = np.arange(n)
+        h = stack[:, i, i]
+        norm = np.max(self._degrees + np.abs(h), axis=1) + abs(energy)
+        sigma = 10 * n * math.sqrt(np.finfo(float).eps) * norm
+        d = h - energy
+        stack[:, i, i] = d
+        square = self._squares[:k]
+        a, b = self._pairs
+        cross = self._pair_squares + self._pair_hops * (d[:, a] + d[:, b])
+        square[:, a, b] = cross
+        square[:, b, a] = cross
+        square[:, i, i] = (self._diagonal_squares + d * d) - (sigma * sigma)[:, None]
+        return square
 
 
 def _factors(matrices: np.ndarray) -> bool:
@@ -211,15 +259,18 @@ def eigenvalues_of(op: OperatorMatrix) -> np.ndarray:
     return np.linalg.eigvalsh(_symmetric_part(op))
 
 
-def stacked_eigenvalues(template: OperatorMatrix, stack: np.ndarray) -> np.ndarray:
-    """``eigenvalues_of`` every matrix of a stack that differ from the
-    template only on the diagonal, in one ``eigvalsh``; row t holds the
-    spectrum of ``stack[t]``.
+def stacked_eigenvalues(template: OperatorMatrix, diagonals: np.ndarray) -> np.ndarray:
+    """``eigenvalues_of`` the template with each row of ``diagonals`` on
+    its diagonal, in one ``eigvalsh``; row t holds the spectrum of
+    template + diag(diagonals[t]).
 
     A diagonal changes no entry of H - H^T, so the symmetry check runs
     once, on the template.  The template's row sums are no larger than
     any matrix's, so its tolerance is the tightest of them."""
     _symmetric_part(template)
+    stack = np.repeat(template.matrix[None], len(diagonals), axis=0)
+    i = np.arange(template.n)
+    stack[:, i, i] = diagonals
     return np.linalg.eigvalsh(stack)
 
 

@@ -252,6 +252,10 @@ class TestSweepCommand:
         assert [p["value"] for p in points] == [3.0, 10.0, 30.0]
         for p in points:
             assert p["certificate_cleared"] + p["eigvalsh_screened"] == 30
+            # n = 91 gives blocks of 15 trials; a screened trial's block
+            # failed its stacked Cholesky
+            assert p["blocks"] == 2
+            assert (p["eigvalsh_screened"] > 0) <= p["cholesky_fallback_blocks"] <= 2
 
     def test_a_trial_at_an_eigenvalue_counts_as_screened(self, tmp_path):
         # at g = 0 every trial is the path Laplacian, and E = 1 is its eigenvalue
@@ -428,6 +432,46 @@ class TestNothingWrittenOnExit2:
         cfg = base_config(out, [experiment])
         assert main([command, "--config", write_config(tmp_path / "c.json", cfg), *extra]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, experiment, extra, overrides",
+        [
+            ("sweep", SINGULAR, ["--axis", "g", "--values", "1e160"], {}),
+            ("sweep", SINGULAR, ["--axis", "g", "--values", "3,-1e51"], {}),
+            ("sweep", SINGULAR, ["--axis", "m", "--values", "1e51"], {}),
+            ("sweep", {**SINGULAR, "energy": 1e200}, ["--axis", "g", "--values", "1"], {}),
+            ("spectrum", {"kind": "spectrum", "center": [0], "radius": 1}, [],
+             {"coupling": -1e60}),
+            ("predicates", {"kind": "predicates", "center": [0], "radius": 3,
+                            "energies": [0.0, 2e50]}, [], {}),
+            ("spectrum", {"kind": "spectrum", "center": [0], "radius": 1}, [],
+             {"interaction": {"kind": "step", "amplitude": 1e51, "range": 1}}),
+            ("spectrum", {"kind": "spectrum", "center": [0], "radius": 1}, [],
+             {"interaction": {"kind": "subexp", "prefactor": 1e300}}),
+            ("spectrum", {"kind": "spectrum", "center": [0], "radius": 1}, [],
+             {"interaction": {"kind": "table", "table": [[1, 1e99]]}}),
+            ("spectrum", {"kind": "spectrum", "center": [0], "radius": 1}, [],
+             {"disorder": {"kind": "moving_average", "kernel": [1e60, 1.0]}}),
+        ],
+    )
+    def test_magnitude_beyond_the_bound(self, tmp_path, capsys, command, experiment, extra,
+                                        overrides):
+        out = tmp_path / "out"
+        cfg = base_config(out, [experiment], **overrides)
+        assert main([command, "--config", write_config(tmp_path / "c.json", cfg), *extra]) == 2
+        assert "1e+50" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_magnitude_at_the_bound(self, tmp_path):
+        # coupling x kernel tap at 1e100 and E = 1e50: the certificate's
+        # squares stay finite, and no RuntimeWarning is raised
+        out = tmp_path / "out"
+        cfg = base_config(out, [{**SINGULAR, "energy": -1e50}], particles=2,
+                          disorder={"kind": "moving_average", "kernel": [1e50, -1e49]})
+        cfg["experiments"][0]["center"] = [1, 0]
+        path = write_config(tmp_path / "c.json", cfg)
+        assert main(["sweep", "--config", path, "--axis", "g", "--values", "1e50,-1e50"]) == 0
+        assert [row[2:4] for row in read_csv(out / "trend.csv")[1:]] == [["0", "30"]] * 2
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
     def test_non_finite_number_in_the_config(self, tmp_path, capsys, literal):

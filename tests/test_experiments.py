@@ -30,7 +30,7 @@ from mpdsa.operators import (
     InteractionModel,
     OperatorMatrix,
     assemble_hamiltonian,
-    assemble_hamiltonians,
+    hopping_template,
 )
 from mpdsa.spectral import diagonalize, eigenvalues_of
 
@@ -162,7 +162,7 @@ class TestSingularBlockOracle:
 
     @staticmethod
     def _check(setup, seeds, energy, parts=None):
-        reports = singular_trials(setup, energy, seeds)
+        reports = singular_trials(setup, energy, seeds).reports
         assert len(reports) == len(seeds)
         for seed, rep in zip(seeds, reports):
             assert (rep.non_singular, rep.worst_boundary_value) == reference_ns(
@@ -186,6 +186,22 @@ class TestSingularBlockOracle:
         reports = self._check(setup, seeds, 0.0)
         est = estimate_event_probability(setup, "singular", 37, 41, energy=0.0)
         assert est.successes == sum(not r.non_singular for r in reports)
+
+    @pytest.mark.parametrize("count", [1, 15, 16, 37])
+    def test_one_call_over_every_block(self, line, count):
+        # 91 members give blocks of 15: one partial block, one full, a full
+        # and a single, two full and a partial
+        setup = self._sweep_setup(line, 3.0)
+        seeds = [derive_seed(43, "trial", t) for t in range(count)]
+        region = setup.region()
+        run = block_non_singularity(setup.ham_spec(), region,
+                                    field_array(setup.field_model, region, seeds),
+                                    setup.center, setup.radius, 0.0, setup.params)
+        assert run.blocks == -(-count // 15)
+        assert run.cholesky_fallback_blocks == 0 and all(r.cleared for r in run.reports)
+        assert len(run.reports) == count
+        for seed, rep in zip(seeds, run.reports):
+            assert (rep.non_singular, rep.worst_boundary_value) == reference_ns(setup, seed, 0.0)
 
     def test_split_centre(self, line):
         setup = replace(self._sweep_setup(line, 12.0), center=(20, 0), radius=3)
@@ -213,7 +229,8 @@ class TestSingularBlockOracle:
         energy = float(eigenvalues_of(assemble_hamiltonian(setup.ham_spec(), ball, sample))[40])
         reports = block_non_singularity(setup.ham_spec(), region,
                                         field_array(setup.field_model, region, seeds),
-                                        setup.center, setup.radius, energy, setup.params)
+                                        setup.center, setup.radius, energy,
+                                        setup.params).reports
         assert (reports[2].non_singular, reports[2].worst_boundary_value) == (False, math.inf)
         assert reports[2].resonant
         for t, (seed, rep) in enumerate(zip(seeds, reports)):
@@ -246,10 +263,12 @@ class TestGapCertificateInTheBlock:
         ball = enumerate_ball(setup.center, setup.radius, line)
         sample = sample_field(setup.field_model, region, seeds[2])
         energy = float(eigenvalues_of(assemble_hamiltonian(setup.ham_spec(), ball, sample))[40])
-        reports = block_non_singularity(setup.ham_spec(), region,
-                                        field_array(setup.field_model, region, seeds),
-                                        setup.center, setup.radius, energy, setup.params)
+        run = block_non_singularity(setup.ham_spec(), region,
+                                    field_array(setup.field_model, region, seeds),
+                                    setup.center, setup.radius, energy, setup.params)
+        reports = run.reports
         assert eigvalsh_stacks == [1]
+        assert (run.blocks, run.cholesky_fallback_blocks) == (1, 1)
         assert [r.cleared for r in reports] == [True, True, False, True, True, True]
         assert reports[2].resonant and reports[2].worst_boundary_value == math.inf
         for t, (seed, rep) in enumerate(zip(seeds, reports)):
@@ -260,28 +279,30 @@ class TestGapCertificateInTheBlock:
 
     def test_a_split_ball_keeps_the_factor_screen(self, line, eigvalsh_stacks):
         setup = replace(TestSingularBlockOracle._sweep_setup(line, 12.0), center=(20, 0), radius=3)
-        reports = singular_trials(setup, 0.0, [derive_seed(5, "trial", t) for t in range(10)])
-        assert not any(r.cleared for r in reports)
+        seeds = [derive_seed(5, "trial", t) for t in range(10)]
+        run = singular_trials(setup, 0.0, seeds)
+        assert not any(r.cleared for r in run.reports)
+        assert (run.blocks, run.cholesky_fallback_blocks) == (1, 0)
         assert eigvalsh_stacks == [10, 10]  # one stack per factor ball
 
     def test_the_counts_cover_every_trial(self, line):
         setup = TestSingularBlockOracle._sweep_setup(line, 3.0)
         est = estimate_event_probability(setup, "singular", 40, 12, energy=0.0)
-        reports = singular_trials(setup, 0.0, [derive_seed(12, "trial", t) for t in range(40)])
+        seeds = [derive_seed(12, "trial", t) for t in range(40)]
+        reports = singular_trials(setup, 0.0, seeds).reports
         assert est.cleared == sum(r.cleared for r in reports) == 40
         assert estimate_event_probability(setup, "always_true", 40, 12).cleared is None
 
     def test_an_asymmetric_template_still_raises(self, line, monkeypatch):
         setup = TestSingularBlockOracle._sweep_setup(line, 3.0)
 
-        def skewed(spec, ball, region, fields):
-            template, stack = assemble_hamiltonians(spec, ball, region, fields)
+        def skewed(spec, ball):
+            template = hopping_template(spec, ball)
             bad = template.matrix.copy()
             bad[0, 1] += 0.5
-            stack[:, 0, 1] += 0.5
-            return OperatorMatrix(ball, bad, template.convention), stack
+            return OperatorMatrix(ball, bad, template.convention)
 
-        monkeypatch.setattr(msa, "assemble_hamiltonians", skewed)
+        monkeypatch.setattr(msa, "hopping_template", skewed)
         region = setup.region()
         fields = field_array(setup.field_model, region, (1, 2, 3))
         with pytest.raises(ValueError, match="asymmetry"):

@@ -487,7 +487,7 @@ class TestNsBySolve:
 
     def _both(self, ctx, center, radius, energy):
         (solved,) = block_non_singularity(ctx.spec, *stacked([ctx.sample]), center, radius,
-                                          energy, ctx.params)
+                                          energy, ctx.params).reports
         return solved, is_EmNS(ctx.eigensystem(center, radius), energy, ctx.params)
 
     def test_flags_and_values_match_the_eigen_path(self, line):
@@ -541,9 +541,9 @@ class TestNsBySolve:
         monkeypatch.setattr(np.linalg, "eigh", None)
         spec, params = contexts[0].spec, contexts[0].params
         reports = block_non_singularity(spec, *stacked([c.sample for c in contexts]), (1, 0), 6,
-                                        0.0, params)
+                                        0.0, params).reports
         (split_report,) = block_non_singularity(split.spec, *stacked([split.sample]), (20, 0), 3,
-                                                0.0, split.params)
+                                                0.0, split.params).reports
         monkeypatch.undo()
         for ctx, rep in zip(contexts, reports):
             assert rep.non_singular == is_EmNS(ctx.eigensystem((1, 0), 6), 0.0, params).non_singular

@@ -16,8 +16,9 @@ from mpdsa.operators import (
     HamiltonianSpec,
     InteractionModel,
     assemble_hamiltonian,
-    assemble_hamiltonians,
     epsilon_bound,
+    hamiltonian_diagonals,
+    hopping_template,
     interaction_defect,
     interaction_energy,
     kronecker_sum,
@@ -279,9 +280,11 @@ class TestAssemblyOracle:
                 spec = HamiltonianSpec(ball.geometry, ball.n_particles, 2.5, STEP, convention)
                 samples = [sample_field(FieldModel(), ball.projection, s) for s in range(3)]
                 fields = field_array(FieldModel(), ball.projection, range(3))
-                template, stack = assemble_hamiltonians(spec, ball, ball.projection, fields)
+                template = hopping_template(spec, ball)
+                diagonals = hamiltonian_diagonals(spec, ball, ball.projection, fields)
                 assert not np.any(np.diag(template.matrix))
-                for sample, matrix in zip(samples, stack):
+                for sample, diagonal in zip(samples, diagonals):
+                    matrix = template.matrix + np.diag(diagonal)
                     assert np.array_equal(matrix, reference_assembly(spec, ball, sample))
 
     def test_stacked_assembly_checks_every_sample(self, line):
@@ -289,7 +292,7 @@ class TestAssemblyOracle:
         spec = HamiltonianSpec(line, 2, 7.0, STEP, "fixed")
         short = ball.projection[1:]
         with pytest.raises(MissingDataError, match="region misses sites"):
-            assemble_hamiltonians(spec, ball, short, field_array(FieldModel(), short, (1, 2)))
+            hamiltonian_diagonals(spec, ball, short, field_array(FieldModel(), short, (1, 2)))
 
     def test_structure_cache_serves_every_sample(self, line):
         ball = enumerate_ball((4, 1), 3, line)

@@ -12,13 +12,13 @@ from mpdsa.operators import (
     laplacian_matrix,
 )
 from mpdsa.spectral import (
+    GapCertificate,
     ResonanceError,
     _symmetric_part,
     diagonalize,
     eigensystem_from_factors,
     eigenvalues_of,
     eigenvector_noise_floors,
-    gap_certificate,
     green_function,
     radial_descent_bound,
     radial_descent_bound_two,
@@ -41,6 +41,11 @@ def random_operator(line, seed, center=(3, 1), radius=4, coupling=5.0, conventio
     )
     sample = sample_field(FieldModel(), ball.projection, seed)
     return assemble_hamiltonian(spec, ball, sample)
+
+
+def template_of(op):
+    """The operator with its diagonal zeroed: the hopping template."""
+    return OperatorMatrix(op.ball, op.matrix - np.diag(np.diag(op.matrix)), op.convention)
 
 
 class TestDiagonalize:
@@ -105,10 +110,26 @@ class TestValuesOnlySolve:
             eigenvalues_of(OperatorMatrix(ball, bad))
 
 
+def product_form_clears(matrix, energy) -> bool:
+    """The gap certificate formed with a dense product: whether Cholesky
+    factors (H - E)^2 - sigma^2 I, the square taken by ``@``."""
+    n = len(matrix)
+    norm = np.max(np.sum(np.abs(matrix), axis=1)) + abs(energy)
+    sigma = 10 * n * np.sqrt(np.finfo(float).eps) * norm
+    shifted = matrix - energy * np.eye(n)
+    try:
+        np.linalg.cholesky(shifted @ shifted - sigma**2 * np.eye(n))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 class TestGapCertificate:
-    """``gap_certificate`` against the ``eigvalsh`` screen it stands in for:
+    """``GapCertificate`` against the ``eigvalsh`` screen it stands in for:
     every matrix it clears lies outside the resonance cutoff, and at least
-    about 9.8 n sqrt(eps) (||H||_inf + |E|) from E, as its docstring proves."""
+    about 9.8 n sqrt(eps) (||H||_inf + |E|) from E, as its docstring proves.
+    Its square, formed from the template's, is checked against the dense
+    product entry by entry, and its flags against the product form's."""
 
     OFFSETS = (0.0, 1e-15, 1e-12, 1e-10, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 3e-3, 1e-2)
 
@@ -137,14 +158,16 @@ class TestGapCertificate:
         for op, rng in self._operators(line, plane, path_graph):
             n, norm = op.n, op.norm_bound()
             vals = eigenvalues_of(op)
+            certificate = GapCertificate(template_of(op), 1)
             for j in rng.choice(n, size=min(n, 3), replace=False):
                 for offset in self.OFFSETS:
                     energy = float(vals[j] + rng.choice([-1.0, 1.0]) * offset * norm)
                     stack = op.matrix[None].copy()
-                    (cleared,) = gap_certificate(stack, energy)
+                    (cleared,) = certificate(stack, energy)
                     shifted = op.matrix.copy()
                     shifted[np.diag_indices(n)] -= energy
                     assert np.array_equal(stack[0], shifted)
+                    assert cleared == product_form_clears(op.matrix, energy)
                     dist = float(np.min(np.abs(vals - energy)))
                     scale = n * np.sqrt(eps) * (norm + abs(energy))
                     if cleared:
@@ -157,12 +180,36 @@ class TestGapCertificate:
                         screened_near += offset <= 1e-7
         assert cleared_far > 100 and screened_near > 50
 
+    def test_formed_square_matches_the_product(self, line, plane, path_graph):
+        # the reference square in extended precision where numpy has it; its
+        # own rounding, n eps_ref N^2, widens the docstring's 4 eps N^2
+        eps, ref_eps = np.finfo(float).eps, np.finfo(np.longdouble).eps
+        for op, rng in self._operators(line, plane, path_graph):
+            n = op.n
+            certificate = GapCertificate(template_of(op), 1)
+            vals = eigenvalues_of(op)
+            for energy in (0.0, float(vals[rng.integers(n)]) + 1e-3, -3.5 * op.norm_bound()):
+                stack = op.matrix[None].copy()
+                (square,) = certificate.square(stack, energy)
+                norm = op.norm_bound() + abs(energy)
+                sigma = 10 * n * np.sqrt(eps) * norm
+                shifted = stack[0].astype(np.longdouble)
+                exact = shifted @ shifted - np.longdouble(sigma) ** 2 * np.eye(n)
+                assert np.max(np.abs(square - exact)) <= (4 * eps + n * ref_eps) * norm**2
+                assert np.array_equal(square, square.T)
+
+    def test_a_template_with_a_diagonal_raises(self, line):
+        op = random_operator(line, seed=1)
+        with pytest.raises(ValueError, match="zero diagonal"):
+            GapCertificate(op, 1)
+
     def test_stacked_matches_one_at_a_time(self, line):
         ops = [random_operator(line, seed=s) for s in range(6)]
         stack = np.array([op.matrix for op in ops])
         energy = float(eigenvalues_of(ops[3])[10])
-        got = gap_certificate(stack.copy(), energy)
-        assert got.tolist() == [gap_certificate(m[None].copy(), energy)[0] for m in stack]
+        certificate = GapCertificate(template_of(ops[0]), len(stack))
+        got = certificate(stack.copy(), energy)
+        assert got.tolist() == [certificate(m[None].copy(), energy)[0] for m in stack]
         assert not got[3] and got.sum() == 5
 
 
@@ -187,15 +234,13 @@ class TestSymmetryCheck:
         for solve in (diagonalize, eigenvalues_of):
             with pytest.raises(ValueError, match="asymmetry"):
                 solve(OperatorMatrix(ball, bad))
-        stack = np.array([bad + np.diag([1.0, 2.0, 3.0])])
         with pytest.raises(ValueError, match="asymmetry"):
-            stacked_eigenvalues(OperatorMatrix(ball, bad), stack)
+            stacked_eigenvalues(OperatorMatrix(ball, bad), np.array([[1.0, 2.0, 3.0]]))
 
     def test_stacked_eigenvalues_match_one_at_a_time(self, line):
         ops = [random_operator(line, seed=s) for s in range(4)]
-        template = OperatorMatrix(ops[0].ball, ops[0].matrix - np.diag(np.diag(ops[0].matrix)))
-        stack = np.array([op.matrix for op in ops])
-        got = stacked_eigenvalues(template, stack)
+        diagonals = np.array([np.diag(op.matrix) for op in ops])
+        got = stacked_eigenvalues(template_of(ops[0]), diagonals)
         for row, op in zip(got, ops):
             assert np.array_equal(row, eigenvalues_of(op))
 
