@@ -252,7 +252,9 @@ def cmd_predicates(raw: dict, writer: RunWriter, args) -> int:
                 records.append(
                     {"experiment": idx, "trial": t, **rep.to_jsonable()}
                 )
-            res = verify_implications(ctx, setup.center, setup.radius, sub_scale)
+            res = verify_implications(
+                ctx, setup.center, setup.radius, sub_scale, grid_stride=exp.get("grid_stride")
+            )
             total_violations += len(res.violations)
             violation_rows += [_violation_row(idx, t, v) for v in res.violations]
     writer.write_csv(
@@ -362,17 +364,11 @@ def cmd_evc(raw: dict, writer: RunWriter, args) -> int:
         setup = _setup_for(raw, exp)
         if setup.second_center is None:
             raise ConfigError("evc needs a second center")
-        ball_x, ball_y = setup.balls()
         report = evc_experiment(
-            ball_x,
-            ball_y,
-            setup.field_model,
-            setup.coupling,
+            setup,
             _trials(exp, args),
             exp.get("s_grid", [0.01, 0.05, 0.1]),
             derive_seed(seed, "evc", idx),
-            interaction=setup.interaction,
-            convention=setup.convention,
             constants=exp.get("constants"),
         )
         closed_ok = None
@@ -524,7 +520,11 @@ def cmd_sweep(raw: dict, writer: RunWriter, args) -> int:
             raise ConfigError(f"sweep value {value!r} exceeds {MAX_MAGNITUDE:g} in magnitude")
         if args.axis == "L0" and value != int(value):
             raise ConfigError(f"L0 sweep value {value!r} is not an integer")
-    exp = _experiments_of(raw, "event")[0]
+    experiments = _experiments_of(raw, "event")
+    if len(experiments) > 1:
+        # trend.csv has no experiment column
+        raise ConfigError(f"sweep takes one event experiment, got {len(experiments)}")
+    exp = experiments[0]
     event = exp.get("event")
     if event is None:
         raise ConfigError("event experiment needs an event")

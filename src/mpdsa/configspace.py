@@ -514,7 +514,7 @@ def classify_ball(ball: Ball, params) -> str:
     exact integer arithmetic through ``params.is_pi_diameter``.
     """
     d = diam(ball.center, ball.geometry)
-    return "PI" if params.is_pi_diameter(d, ball.radius, ball.n_particles) else "FI"
+    return "PI" if params.is_pi_diameter(d, ball.radius) else "FI"
 
 
 def maximal_separation_split(x, geometry: LatticeGeometry) -> Decomposition:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .configspace import (
-    Ball,
     LatticeGeometry,
     edge_boundary,
     enumerate_ball,
@@ -38,11 +37,12 @@ from .spectral import EigenSystem
 Z95 = 1.959963984540054
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z95) -> tuple:
-    """(point estimate, lower, upper) of a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple:
+    """(point estimate, lower, upper) of a binomial proportion, at 95%."""
     if trials <= 0:
         raise ValueError("need at least one trial")
     phat = successes / trials
+    z = Z95
     z2 = z * z
     denom = 1.0 + z2 / trials
     center = (phat + z2 / (2 * trials)) / denom
@@ -150,18 +150,17 @@ def event_input_error(setup: TrialSetup, event: str, energy) -> str | None:
 
 
 def _evaluate_event(setup: TrialSetup, event: str, ctx: AuditContext) -> bool:
-    params = setup.params
     if event == "non_localized":
         return not ctx.m_loc(setup.center, setup.radius).localized
     if event == "tunneling":
         ball = ctx.ball(setup.center, setup.radius)
-        return is_m_tunneling(ctx, ball, setup.sub_scale, params).tunneling
+        return is_m_tunneling(ctx, ball, setup.sub_scale).tunneling
     if event == "distant_pair_singular":
         es1 = ctx.eigensystem(setup.center, setup.radius)
         es2 = ctx.eigensystem(setup.second_center, setup.radius)
         grid = energy_grid([es1.eigenvalues, es2.eigenvalues])
-        f1, _ = ns_flags(es1, grid, params)
-        f2, _ = ns_flags(es2, grid, params)
+        f1, _ = ns_flags(es1, grid, ctx.params)
+        f2, _ = ns_flags(es2, grid, ctx.params)
         return bool(np.any((~f1) & (~f2)))
     raise ValueError(f"unknown event {event!r}")
 
@@ -230,7 +229,6 @@ class ScaleRow:
 class ScalingAuditResult:
     rows: list
     violations: list
-    counters: dict
 
 
 def run_scaling_audit(
@@ -249,7 +247,6 @@ def run_scaling_audit(
     ladder = params.scale_ladder(k_max)
     rows = []
     all_violations = []
-    counters: dict = {"trials": trials}
     for k, L in enumerate(ladder):
         ball = enumerate_ball(setup.center, L, setup.geometry)
         if len(ball) > matrix_cap:
@@ -287,7 +284,7 @@ def run_scaling_audit(
                 schedule.bound(L, params.n_particles, k), vio_count,
             )
         )
-    return ScalingAuditResult(rows, all_violations, counters)
+    return ScalingAuditResult(rows, all_violations)
 
 
 # -- eigenvalue-spacing experiments -------------------------------------------
@@ -324,54 +321,39 @@ class EvcReport:
 
 
 def evc_experiment(
-    ball_x: Ball,
-    ball_y: Ball,
-    model: FieldModel,
-    coupling: float,
-    trials: int,
-    s_grid,
-    seed: int,
-    interaction: InteractionModel = InteractionModel(),
-    convention: str = "fixed",
-    constants: dict | None = None,
+    setup: TrialSetup, trials: int, s_grid, seed: int, constants: dict | None = None
 ) -> EvcReport:
-    """Empirical CDF of the spectral distance between two balls.
+    """Empirical CDF of the spectral distance between the setup's ball and
+    the ball of the same radius around its second centre.
 
-    Both spectra come from one ``AuditContext`` per trial, over the same
-    field sample, so a ball that splits takes the factor path as in every
-    other command.  The bound curve is (2L+1)^(2 N d) * evc_bound(2s)
-    with the supplied constants; for two one-member single-particle balls
-    with a uniform marginal the exact law 2t - t^2, t = s/|g|, is attached.
+    Both spectra come from one ``AuditContext`` per trial
+    (``TrialSetup.contexts``), so a ball that splits takes the factor path
+    as in every other command.  The bound curve is
+    (2L+1)^(2 N d) * evc_bound(2s) with the supplied constants; for two
+    one-member single-particle balls with a uniform marginal the exact law
+    2t - t^2, t = s/|g|, is attached (at g = 0 the distance is 0, so the
+    law is the step at s = 0).
     """
+    if setup.second_center is None:
+        raise ValueError("evc needs a second center")
     constants = constants or {}
-    g = ball_x.geometry
-    n = ball_x.n_particles
-    spec = HamiltonianSpec(
-        geometry=g,
-        n_particles=n,
-        coupling=coupling,
-        interaction=interaction,
-        convention=convention,
-    )
-    region = tuple(sorted(set(ball_x.projection) | set(ball_y.projection)))
-    # the context wants scaling parameters; spectra never read them
-    params = ScalingParams(n_particles=n)
+    ball_x, ball_y = setup.balls()
     seeds = [derive_seed(seed, "evc", t) for t in range(trials)]
     dists = np.empty(trials)
-    for t, sample in enumerate(field_samples(model, region, seeds)):
-        ctx = AuditContext(spec, sample, params)
-        e1 = ctx.spectrum(ball_x.center, ball_x.radius)
-        e2 = ctx.spectrum(ball_y.center, ball_y.radius)
+    for t, ctx in enumerate(setup.contexts(seeds)):
+        e1 = ctx.spectrum(setup.center, setup.radius)
+        e2 = ctx.spectrum(setup.second_center, setup.radius)
         dists[t] = float(np.min(np.abs(e1[:, None] - e2[None, :])))
     s_grid = np.asarray(list(s_grid), dtype=float)
     cdf = np.array([np.mean(dists <= s) for s in s_grid])
     stderr = np.sqrt(np.maximum(cdf * (1 - cdf), 1e-12) / trials)
-    L = ball_x.radius
+    L, n, g = setup.radius, setup.params.n_particles, setup.geometry
     theorem_factor = float(2 * L + 1) ** (2 * n * g.d)
     bound = theorem_factor * np.array(
         [evc_bound(2.0 * s, L, (len(ball_x), len(ball_y)), constants) for s in s_grid]
     )
     closed = None
+    model = setup.field_model
     if (
         len(ball_x) == 1
         and len(ball_y) == 1
@@ -379,8 +361,11 @@ def evc_experiment(
         and model.kind == "iid"
         and model.marginal == "uniform"
     ):
-        t_vals = np.clip(s_grid / abs(coupling), 0.0, 1.0)
-        closed = 2.0 * t_vals - t_vals**2
+        if setup.coupling == 0.0:
+            closed = (s_grid >= 0.0).astype(float)
+        else:
+            t_vals = np.clip(s_grid / abs(setup.coupling), 0.0, 1.0)
+            closed = 2.0 * t_vals - t_vals**2
     witness = None
     if g.kind == "lattice":
         witness = find_separability_witness(ball_x, ball_y)
@@ -455,20 +440,12 @@ def propagator_sup(es: EigenSystem, x, y, t_grid=None) -> float:
     return float(propagator_sups(es, [(x, y)], t_grid)[0])
 
 
-def finite_volume_dl_bound(
-    L: int,
-    d: int,
-    m: float,
-    f_L: float,
-    boundary_pairs: int | None = None,
-) -> float:
-    """Correlator bound f(L) + 2 |S| e^{-m L} with the boundary count
-    enumerated exactly (two disjoint radius-L balls by default)."""
-    if boundary_pairs is None:
-        geom = LatticeGeometry(kind="lattice", d=d)
-        origin = (0,) if d == 1 else (tuple([0] * d),)
-        ball = enumerate_ball(origin, L, geom)
-        boundary_pairs = 2 * len(edge_boundary(ball))
+def finite_volume_dl_bound(L: int, d: int, m: float, f_L: float) -> float:
+    """Correlator bound f(L) + 2 |S| e^{-m L} with the boundary count |S|
+    of two disjoint radius-L balls enumerated exactly."""
+    geom = LatticeGeometry(kind="lattice", d=d)
+    origin = (0,) if d == 1 else (tuple([0] * d),)
+    boundary_pairs = 2 * len(edge_boundary(enumerate_ball(origin, L, geom)))
     return f_L + 2.0 * boundary_pairs * math.exp(-m * L)
 
 

@@ -198,25 +198,23 @@ class ScalingParams:
 
     # -- analytic quantities
 
-    def decay_rate(self, L: int, n: int | None = None, m: float | None = None) -> float:
+    def decay_rate(self, L: int, n: int | None = None) -> float:
         """Rate m (1 + L^-tau)^(N - n + 1); the plain rate when n = N."""
-        if m is None:
-            m = self.mass
         expo = 1
         if self.regime == "infinite":
             n_eff = self.n_particles if n is None else n
             expo = self.n_particles - n_eff + 1
         elif n is not None:
             expo = self.n_particles - n + 1
-        return m * (1.0 + float(L) ** (-float(self.tau))) ** expo
+        return self.mass * (1.0 + float(L) ** (-float(self.tau))) ** expo
 
     def resonance_scale(self, L: int) -> float:
         """Width e^{-L^beta} below which an energy counts as resonant."""
         return math.exp(-(float(L) ** float(self.beta)))
 
-    def ns_threshold(self, L: int, n: int | None = None, m: float | None = None) -> float:
+    def ns_threshold(self, L: int, n: int | None = None) -> float:
         """Boundary decay threshold e^{-rate*L + 2 L^beta}."""
-        rate = self.decay_rate(L, n=n, m=m)
+        rate = self.decay_rate(L, n=n)
         return math.exp(-rate * L + 2.0 * float(L) ** float(self.beta))
 
     def ns_noise_floor(self, L: int) -> float:
@@ -228,10 +226,9 @@ class ScalingParams:
         """
         return self.numerical_floor * (1.0 + 1.0 / self.resonance_scale(L))
 
-    def ns_exponent_margin(self, L: int, m: float | None = None) -> float:
+    def ns_exponent_margin(self, L: int) -> float:
         """Slack of rate*L - 2 L^beta over the halved-softening rate."""
-        if m is None:
-            m = self.mass
+        m = self.mass
         tau = float(self.tau)
         beta = float(self.beta)
         full = m * (1.0 + L ** (-tau)) * L - 2.0 * L**beta
@@ -240,7 +237,7 @@ class ScalingParams:
 
     # -- exact structural thresholds
 
-    def is_pi_diameter(self, diameter: int, L: int, n: int | None = None) -> bool:
+    def is_pi_diameter(self, diameter: int, L: int) -> bool:
         if self.regime == "finite":
             return diameter > self.a_n * L
         return int_power_exceeds(diameter, L, 1 + self.delta)
@@ -276,14 +273,15 @@ class ScalingParams:
         return scales(self.initial_scale, self.alpha, count)
 
 
-def smallest_scale_with_ns_margin(params: ScalingParams, m: float | None = None, limit: int = 10**7) -> int:
-    """Smallest L at which the non-singularity exponent margin turns >= 0."""
+def smallest_scale_with_ns_margin(params: ScalingParams) -> int:
+    """Smallest L at which the non-singularity exponent margin turns >= 0,
+    searched up to 10**7."""
     L = 1
-    while L <= limit and params.ns_exponent_margin(L, m=m) < 0:
+    while L <= 10**7 and params.ns_exponent_margin(L) < 0:
         L += 1 if L < 256 else max(1, L // 256)
-    if L > limit:
+    if L > 10**7:
         raise RuntimeError("no scale with nonnegative margin below the limit")
-    while L > 1 and params.ns_exponent_margin(L - 1, m=m) >= 0:
+    while L > 1 and params.ns_exponent_margin(L - 1) >= 0:
         L -= 1
     return L
 
@@ -443,16 +441,13 @@ class AuditContext:
             self._spectra[key] = vals
         return vals
 
-    def m_loc(
-        self, center, radius: int, m: float | None = None, params: ScalingParams | None = None
-    ) -> LocReport:
+    def m_loc(self, center, radius: int) -> LocReport:
         """``is_m_loc`` of the ball's eigensystem, computed once per
-        (centre, radius, mass, parameters); energy plays no role in it."""
-        params = params or self.params
-        key = (tuple(center), radius, m, params)
+        (centre, radius); energy plays no role in it."""
+        key = (tuple(center), radius)
         rep = self._locs.get(key)
         if rep is None:
-            rep = is_m_loc(self.eigensystem(center, radius), params, m=m)
+            rep = is_m_loc(self.eigensystem(center, radius), self.params)
             self._locs[key] = rep
         return rep
 
@@ -549,13 +544,13 @@ def _dist_to_sorted(sorted_vals: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return np.minimum(left, right)
 
 
-def is_E_CNR(ctx: AuditContext, ball: Ball, energy: float, params: ScalingParams | None = None):
+def is_E_CNR(ctx: AuditContext, ball: Ball, energy: float):
     """No resonant sub-ball (the ball itself included); returns witness.
 
     Sub-balls are inspected on the documented conservative policy: ladder
     radii at least L**(1/alpha), centres on a half-radius stride grid.
     """
-    params = params or ctx.params
+    params = ctx.params
     big = ctx.eigensystem(ball.center, ball.radius)
     if not is_E_NR(big, energy, params):
         return False, (ball.center, ball.radius)
@@ -580,16 +575,14 @@ class NsReport:
     cleared: bool = False  # the gap certificate screened it, with no spectrum
 
 
-def _clamped_ns_threshold(ball: Ball, params: ScalingParams, m: float | None) -> float:
+def _clamped_ns_threshold(ball: Ball, params: ScalingParams) -> float:
     """The threshold NS decides with: the analytic one, clamped from below
     at the double-precision noise floor for resolvent entries."""
     L = ball.radius
-    return max(params.ns_threshold(L, n=ball.n_particles, m=m), params.ns_noise_floor(L))
+    return max(params.ns_threshold(L, n=ball.n_particles), params.ns_noise_floor(L))
 
 
-def ns_flags(
-    es: EigenSystem, energies: np.ndarray, params: ScalingParams, m: float | None = None
-):
+def ns_flags(es: EigenSystem, energies: np.ndarray, params: ScalingParams):
     """Vectorized boundary-decay test at many energies.
 
     Decides with the clamped threshold on boundary values refined by one
@@ -609,16 +602,14 @@ def ns_flags(
     if np.any(safe):
         vals = es.refined_green_rows(ball.center_index(), energies[safe], rows)
         worst[safe] = np.max(np.abs(vals), axis=0)
-    return ns_decision(worst, _clamped_ns_threshold(ball, params, m)), worst
+    return ns_decision(worst, _clamped_ns_threshold(ball, params)), worst
 
 
-def is_EmNS(
-    es: EigenSystem, energy: float, params: ScalingParams, m: float | None = None
-) -> NsReport:
+def is_EmNS(es: EigenSystem, energy: float, params: ScalingParams) -> NsReport:
     """Boundary Green decay from the centre at one energy."""
-    flags, worst = ns_flags(es, np.array([energy]), params, m=m)
+    flags, worst = ns_flags(es, np.array([energy]), params)
     resonant = not math.isfinite(worst[0])
-    thr = _clamped_ns_threshold(es.ball, params, m)
+    thr = _clamped_ns_threshold(es.ball, params)
     return NsReport(bool(flags[0]), float(worst[0]), thr, resonant)
 
 
@@ -695,7 +686,7 @@ def block_non_singularity(
     i = np.arange(n)
     source = ball.center_index()
     boundary = [ball.index[c] for c in interior_boundary(ball)]
-    threshold = _clamped_ns_threshold(ball, params, None)
+    threshold = _clamped_ns_threshold(ball, params)
     starts = range(0, len(fields), block)
     reports = []
     for start in starts:
@@ -781,9 +772,7 @@ def _log_excess_bounds(log_vecs, peaks, dmat, rmin: int, rate: float, floors) ->
     return bounds
 
 
-def is_m_loc(
-    es: EigenSystem, params: ScalingParams, m: float | None = None
-) -> LocReport:
+def is_m_loc(es: EigenSystem, params: ScalingParams) -> LocReport:
     """Eigenfunction product decay over all sufficiently separated pairs.
 
     Checks |psi(x) psi(y)| <= e^{-rate * dist(x,y)} for every eigenfunction
@@ -801,7 +790,7 @@ def is_m_loc(
     qualifying = int(np.count_nonzero(dmat >= rmin) // 2)
     if qualifying == 0:
         return LocReport(True, 0.0, None, rmin, 0)
-    rate = params.decay_rate(L, n=ball.n_particles, m=m)
+    rate = params.decay_rate(L, n=ball.n_particles)
     # eigenvector entries below eps*|H|/gap are dominated by rounding in
     # the eigensolve; the certifiable floor adapts per eigenfunction
     floors = np.maximum(params.numerical_floor, eigenvector_noise_floors(es))
@@ -879,19 +868,13 @@ class TunnelingReport:
     witness: tuple | None
 
 
-def is_m_tunneling(
-    ctx: AuditContext,
-    ball: Ball,
-    sub_scale: int,
-    params: ScalingParams | None = None,
-    m: float | None = None,
-) -> TunnelingReport:
+def is_m_tunneling(ctx: AuditContext, ball: Ball, sub_scale: int) -> TunnelingReport:
     """Does the ball contain two distant non-localized sub-balls?
 
     Sub-ball centres run over the half-sub-scale stride grid; distance
     thresholds follow the active regime.  Energy plays no role here.
     """
-    params = params or ctx.params
+    params = ctx.params
     if sub_scale >= ball.radius:
         raise ValueError("sub-scale must be below the ball radius")
     centers = stride_centers(ball, max(1, sub_scale // 2), ball.radius - sub_scale)
@@ -902,10 +885,7 @@ def is_m_tunneling(
             if not params.pair_is_distant(config_distance(c1, c2, g), sub_scale):
                 continue
             distant += 1
-            if not (
-                ctx.m_loc(c1, sub_scale, m, params).localized
-                or ctx.m_loc(c2, sub_scale, m, params).localized
-            ):
+            if not (ctx.m_loc(c1, sub_scale).localized or ctx.m_loc(c2, sub_scale).localized):
                 return TunnelingReport(True, distant, (c1, c2))
     return TunnelingReport(False, distant, None)
 
@@ -961,26 +941,21 @@ class PredicateReport:
 
 
 def predicate_report(
-    ctx: AuditContext,
-    center,
-    radius: int,
-    energy: float,
-    sub_scale: int,
-    m: float | None = None,
+    ctx: AuditContext, center, radius: int, energy: float, sub_scale: int
 ) -> PredicateReport:
     params = ctx.params
     ball = ctx.ball(center, radius)
     es = ctx.eigensystem(center, radius)
     nr = is_E_NR(es, energy, params)
-    cnr, res_witness = is_E_CNR(ctx, ball, energy, params)
-    ns = is_EmNS(es, energy, params, m=m)
-    loc = ctx.m_loc(center, radius, m)
-    tun = is_m_tunneling(ctx, ball, sub_scale, params, m=m)
+    cnr, res_witness = is_E_CNR(ctx, ball, energy)
+    ns = is_EmNS(es, energy, params)
+    loc = ctx.m_loc(center, radius)
+    tun = is_m_tunneling(ctx, ball, sub_scale)
     return PredicateReport(
         center=tuple(center),
         radius=radius,
         energy=float(energy),
-        mass=ctx.params.mass if m is None else m,
+        mass=params.mass,
         e_nr=nr,
         e_cnr=cnr,
         e_ns=ns.non_singular,
@@ -1013,7 +988,7 @@ class AuditResult:
     counters: dict
 
 
-def energy_grid(spectra, pad: float = 0.0) -> np.ndarray:
+def energy_grid(spectra) -> np.ndarray:
     """Sorted union of the given spectra plus midpoints of adjacent gaps."""
     vals = np.unique(np.concatenate([np.asarray(s, dtype=float) for s in spectra]))
     if len(vals) < 2:
@@ -1060,12 +1035,7 @@ def _green_violations(lemma: str, center, radius: int, energies, worst, thr: flo
 
 
 def verify_implications(
-    ctx: AuditContext,
-    center,
-    radius: int,
-    sub_scale: int,
-    m: float | None = None,
-    grid_stride: int | None = None,
+    ctx: AuditContext, center, radius: int, sub_scale: int, grid_stride: int | None = None
 ) -> AuditResult:
     """Audit the deterministic implications on one ball and one sample.
 
@@ -1099,14 +1069,14 @@ def verify_implications(
         "volume_condition_ok": int(
             math.log(len(ball)) <= float(L) ** float(params.beta)
         ),
-        "ns_exponent_margin": params.ns_exponent_margin(L, m=m),
+        "ns_exponent_margin": params.ns_exponent_margin(L),
         "pair_geometry_possible": 0,  # set below
     }
 
     grid_centers, grid, nr, cnr = _audit_grid(ctx, es, sub_scale, grid_stride)
     counters["energies"] = len(grid)
 
-    loc = ctx.m_loc(center, radius, m)
+    loc = ctx.m_loc(center, radius)
 
     # distant sub-ball pairs (geometry first; empty at desk scales)
     g = ball.geometry
@@ -1130,8 +1100,8 @@ def verify_implications(
     pair_free = np.ones(len(grid), dtype=bool)
     if distant_pairs:
         for c1, c2 in distant_pairs:
-            f1, _ = ns_flags(ctx.eigensystem(c1, sub_scale), grid, params, m=m)
-            f2, _ = ns_flags(ctx.eigensystem(c2, sub_scale), grid, params, m=m)
+            f1, _ = ns_flags(ctx.eigensystem(c1, sub_scale), grid, params)
+            f2, _ = ns_flags(ctx.eigensystem(c2, sub_scale), grid, params)
             both_singular = (~f1) & (~f2)
             pair_free &= ~both_singular
         counters["pair_energy_exclusions"] = int(np.count_nonzero(~pair_free))
@@ -1140,11 +1110,11 @@ def verify_implications(
     ns_ok = np.zeros(len(grid), dtype=bool)
     worst = np.zeros(len(grid))
     if np.any(need_ns):
-        flags, w = ns_flags(es, grid[need_ns], params, m=m)
+        flags, w = ns_flags(es, grid[need_ns], params)
         ns_ok[need_ns] = flags
         worst[need_ns] = w
 
-    thr = params.ns_threshold(L, n=ball.n_particles, m=m)
+    thr = params.ns_threshold(L, n=ball.n_particles)
     bad = loc.localized & nr & ~ns_ok
     violations += _green_violations(
         "loc_nr_implies_ns", center, radius, grid[bad], worst[bad], thr
@@ -1173,12 +1143,7 @@ def verify_implications(
 
 
 def verify_longrange_split(
-    ctx: AuditContext,
-    center,
-    radius: int,
-    sub_scale: int,
-    m: float | None = None,
-    grid_stride: int | None = None,
+    ctx: AuditContext, center, radius: int, sub_scale: int, grid_stride: int | None = None
 ) -> AuditResult:
     """Audit the decomposable-ball implication for long-range interactions.
 
@@ -1202,10 +1167,9 @@ def verify_longrange_split(
     if split.separation <= r_trunc:
         return AuditResult([], {"skipped": 1})
 
-    m_eff = ctx.params.mass if m is None else m
     model = ctx.spec.interaction
     bound = epsilon_bound(model, ball.n_particles, r_trunc)
-    if bound >= math.exp(-2.0 * m_eff * L):
+    if bound >= math.exp(-2.0 * params.mass * L):
         violations.append(
             Violation(
                 "truncation_control",
@@ -1229,10 +1193,7 @@ def verify_longrange_split(
             )
         )
 
-    if not (
-        ctx.m_loc(split.part1, L, m).localized
-        and ctx.m_loc(split.part2, L, m).localized
-    ):
+    if not (ctx.m_loc(split.part1, L).localized and ctx.m_loc(split.part2, L).localized):
         return AuditResult(violations, counters)
 
     es = ctx.eigensystem(center, radius)
@@ -1241,8 +1202,8 @@ def verify_longrange_split(
     counters["hypothesis_instances"] = int(np.count_nonzero(cnr))
 
     if np.any(cnr):
-        flags, worst = ns_flags(es, grid[cnr], params, m=m)
-        thr = params.ns_threshold(L, n=ball.n_particles, m=m)
+        flags, worst = ns_flags(es, grid[cnr], params)
+        thr = params.ns_threshold(L, n=ball.n_particles)
         violations += _green_violations(
             "split_loc_cnr_implies_ns", center, radius, grid[cnr][~flags], worst[~flags], thr
         )

@@ -274,7 +274,11 @@ def stacked_eigenvalues(template: OperatorMatrix, diagonals: np.ndarray) -> np.n
     return np.linalg.eigvalsh(stack)
 
 
-def eigenvector_noise_floors(es: EigenSystem, safety: float = 32.0) -> np.ndarray:
+# multiple of eps * |H| / gap below which an eigenvector entry is noise
+NOISE_SAFETY = 32.0
+
+
+def eigenvector_noise_floors(es: EigenSystem) -> np.ndarray:
     """Per-eigenfunction amplitude below which entries are rounding noise.
 
     Computed eigenvector entries carry an absolute error of order
@@ -287,7 +291,7 @@ def eigenvector_noise_floors(es: EigenSystem, safety: float = 32.0) -> np.ndarra
         diffs = np.diff(lam)
         gaps[:-1] = diffs
         gaps[1:] = np.minimum(gaps[1:], diffs)
-    noise = safety * np.finfo(float).eps * max(es.spectral_norm, 1.0)
+    noise = NOISE_SAFETY * np.finfo(float).eps * max(es.spectral_norm, 1.0)
     return noise / np.maximum(gaps, 1e-300)
 
 
@@ -346,6 +350,9 @@ def green_function(es: EigenSystem, energy: float) -> GreenEvaluation:
 
 # -- resolvent patching inequality ------------------------------------------
 
+# relative slack a patching inequality's two sides may differ by in rounding
+GRI_REL_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class PatchReport:
@@ -359,12 +366,7 @@ class PatchReport:
 
 
 def verify_gri(
-    es_small: EigenSystem,
-    es_large: EigenSystem,
-    energy: float,
-    x,
-    y,
-    rel_slack: float = 1e-9,
+    es_small: EigenSystem, es_large: EigenSystem, energy: float, x, y
 ) -> PatchReport:
     """Check |G_large(x,y)| <= C * max_in |G_small(x,.)| * max_out |G_large(.,y)|.
 
@@ -396,14 +398,11 @@ def verify_gri(
     )
     lhs = abs(g_large.entry(large.index[x], yi))
     rhs = constant * inner * outer
-    return PatchReport(lhs, rhs, constant, lhs <= rhs * (1.0 + rel_slack))
+    return PatchReport(lhs, rhs, constant, lhs <= rhs * (1.0 + GRI_REL_SLACK))
 
 
 def verify_gri_eigenfunction(
-    es_small: EigenSystem,
-    es_large: EigenSystem,
-    which: int,
-    rel_slack: float = 1e-9,
+    es_small: EigenSystem, es_large: EigenSystem, which: int
 ) -> PatchReport:
     """Eigenfunction form: |psi(x)| <= C ||G_small(E)|| max_{rho<=l+1} |psi|.
 
@@ -427,7 +426,7 @@ def verify_gri_eigenfunction(
         if config_distance(x, cfg, g) <= ell + 1
     )
     rhs = constant * norm * neighborhood
-    return PatchReport(lhs, rhs, constant, lhs <= rhs * (1.0 + rel_slack))
+    return PatchReport(lhs, rhs, constant, lhs <= rhs * (1.0 + GRI_REL_SLACK))
 
 
 # -- subharmonic descent -----------------------------------------------------

@@ -210,14 +210,14 @@ class TestResolventPatchAudit:
                     break
             if energy is None:
                 continue
-            rep = verify_gri(es_small, es_big, energy, x, y, rel_slack=1e-9)
+            rep = verify_gri(es_small, es_big, energy, x, y)
             checked_green += 1
             if not rep.satisfied:
                 violations += 1
             for j in range(0, es_big.n, max(1, es_big.n // 2)):
                 if es_small.spectral_distance(float(es_big.eigenvalues[j])) <= 1e-10:
                     continue
-                ef = verify_gri_eigenfunction(es_small, es_big, j, rel_slack=1e-9)
+                ef = verify_gri_eigenfunction(es_small, es_big, j)
                 checked_ef += 1
                 if not ef.satisfied:
                     violations += 1
@@ -430,13 +430,19 @@ class TestSpacingClosedForm:
     def test_single_site_pair(self):
         start = time.monotonic()
         coupling = 5.0
-        bx = enumerate_ball((0,), 0, LINE)
-        by = enumerate_ball((50,), 0, LINE)
+        setup = TrialSetup(
+            geometry=LINE,
+            params=ScalingParams.finite_range(1),
+            field_model=FieldModel(),
+            interaction=InteractionModel(),
+            center=(0,),
+            radius=0,
+            coupling=coupling,
+            second_center=(50,),
+        )
         ratios = [0.01, 0.02, 0.05, 0.1, 0.15, 0.2]
         s_grid = [r * coupling for r in ratios]
-        rep = evc_experiment(
-            bx, by, FieldModel(), coupling, 5000, s_grid, seed=606, convention="fixed"
-        )
+        rep = evc_experiment(setup, 5000, s_grid, seed=606)
         assert rep.closed_form is not None
         worst_sigma = 0.0
         for emp, exact, err in zip(rep.empirical_cdf, rep.closed_form, rep.stderr):

@@ -184,6 +184,19 @@ class TestEvcCommand:
         rows = read_csv(out / "evc.csv")
         assert len(rows) == 4
 
+    def test_zero_coupling_closed_form_is_the_step(self, tmp_path):
+        # at g = 0 both site energies are the same number: the distance is 0
+        out = tmp_path / "out"
+        experiment = {"kind": "evc", "center": [0], "second_center": [5], "radius": 0,
+                      "trials": 40, "s_grid": [0.0, 0.1]}
+        cfg = base_config(out, [experiment], coupling=0.0)
+        assert main(["evc", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+        rows = read_csv(out / "evc.csv")[1:]
+        assert not any("nan" in cell for row in rows for cell in row)
+        assert [(row[2], row[5]) for row in rows] == [("1.0", "1.0")] * 2
+        info = json.load(open(out / "summary.json"))["experiment_0"]
+        assert info["closed_form_within_3_stderr"] is True
+
 
 class TestDynamicsCommand:
     def test_single_config_ball(self, tmp_path):
@@ -315,6 +328,24 @@ class TestPredicatesCommand:
         assert len(summary["predicates"]) == 4
         violations = read_csv(out / "violations.csv")
         assert (code == 1) == (len(violations) > 1)
+
+    def test_grid_stride_reaches_the_audit(self, tmp_path):
+        from mpdsa.cli import _setup_for
+        from mpdsa.disorder import derive_seed
+        from mpdsa.msa import verify_implications
+
+        out = tmp_path / "out"
+        experiment = {"kind": "predicates", "center": [1, 0], "radius": 8, "sub_scale": 4,
+                      "trials": 1, "energies": [0.0], "grid_stride": 5}
+        cfg = base_config(out, [experiment], particles=2, coupling=10.0, convention="fixed",
+                          interaction={"kind": "step", "amplitude": 1.0, "range": 1}, seed=7)
+        assert main(["predicates", "--config", write_config(tmp_path / "c.json", cfg)]) == 1
+        ctx = _setup_for(cfg, experiment).context(derive_seed(7, "trial", 0))
+        strided = verify_implications(ctx, (1, 0), 8, 4, grid_stride=5)
+        default = verify_implications(ctx, (1, 0), 8, 4)
+        count = json.load(open(out / "summary.json"))["violation_count"]
+        assert count == len(strided.violations) != len(default.violations)
+        assert len(read_csv(out / "violations.csv")) == 1 + count
 
     def test_plane_witnesses_are_nested_lists(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -517,6 +548,16 @@ class TestNothingWrittenOnExit2:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "at least 30 trials" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_sweep_with_two_event_experiments(self, tmp_path, capsys):
+        # trend.csv has no experiment column to tell two events apart
+        out = tmp_path / "out"
+        cfg = base_config(out, [{**SINGULAR, "event": "always_true"}, SINGULAR])
+        argv = ["sweep", "--config", write_config(tmp_path / "c.json", cfg),
+                "--axis", "g", "--values", "1"]
+        assert main(argv) == 2
+        assert "one event experiment, got 2" in capsys.readouterr().err
         assert not out.exists()
 
     def test_sweep_without_an_event(self, tmp_path):

@@ -348,6 +348,20 @@ class TestScalingAudit:
         assert "exceeds cap" in result.rows[1].note
 
 
+def evc_setup(line, center, second, radius, coupling):
+    """The two balls of an evc run under IID uniform disorder."""
+    return TrialSetup(
+        geometry=line,
+        params=ScalingParams.finite_range(len(center)),
+        field_model=FieldModel(),
+        interaction=InteractionModel(),
+        center=center,
+        radius=radius,
+        coupling=coupling,
+        second_center=second,
+    )
+
+
 class TestEvcExperiment:
     def test_bound_formula(self):
         constants = {"C1": 1.0, "A1": 0.0, "b1": 1.0, "C2": 1.0, "A2": 0.0, "b2": 1.0}
@@ -357,13 +371,9 @@ class TestEvcExperiment:
         assert doubled == pytest.approx(0.2 + 2 * 0.2)
 
     def test_single_site_closed_form(self, line):
-        bx = enumerate_ball((0,), 0, line)
-        by = enumerate_ball((40,), 0, line)
         g = 4.0
         s_grid = [0.01 * g, 0.05 * g, 0.1 * g, 0.2 * g]
-        report = evc_experiment(
-            bx, by, FieldModel(), g, 800, s_grid, seed=13, convention="fixed"
-        )
+        report = evc_experiment(evc_setup(line, (0,), (40,), 0, g), 800, s_grid, seed=13)
         assert report.weakly_separable
         assert report.monotone()
         assert report.closed_form is not None
@@ -373,17 +383,12 @@ class TestEvcExperiment:
             assert abs(emp - exact) <= 3 * err + 1e-9
 
     def test_zero_width_has_zero_mass(self, line):
-        bx = enumerate_ball((0,), 0, line)
-        by = enumerate_ball((40,), 0, line)
-        report = evc_experiment(bx, by, FieldModel(), 2.0, 200, [0.0], seed=1)
+        report = evc_experiment(evc_setup(line, (0,), (40,), 0, 2.0), 200, [0.0], seed=1)
         assert report.empirical_cdf[0] == 0.0
 
     def test_separated_two_particle_pair(self, line):
-        bx = enumerate_ball((1, 0), 2, line)
-        by = enumerate_ball((61, 60), 2, line)
-        report = evc_experiment(
-            bx, by, FieldModel(), 10.0, 60, [0.02, 0.1, 0.4], seed=3
-        )
+        setup = evc_setup(line, (1, 0), (61, 60), 2, 10.0)
+        report = evc_experiment(setup, 60, [0.02, 0.1, 0.4], seed=3)
         assert report.weakly_separable
         assert report.monotone()
         assert np.all(report.bound_curve >= 0)

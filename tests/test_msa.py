@@ -79,20 +79,20 @@ class TestScales:
 class TestParams:
     def test_decay_rate_exact_power(self):
         params = ScalingParams.finite_range(2)
-        assert params.decay_rate(256, m=1.0) == pytest.approx(1.5, abs=1e-14)
-        assert params.decay_rate(256, m=2.0) == pytest.approx(3.0, abs=1e-14)
+        assert params.decay_rate(256) == pytest.approx(1.5, abs=1e-14)
+        assert replace(params, mass=2.0).decay_rate(256) == pytest.approx(3.0, abs=1e-14)
 
     def test_long_range_rate_exponent(self):
         params = ScalingParams.infinite_range(3, delta=Fraction(1, 20))
-        base = params.decay_rate(256, n=3, m=1.0)
+        base = params.decay_rate(256, n=3)
         assert base == pytest.approx(1.0 + 256 ** (-float(params.tau)))
-        two_level = params.decay_rate(256, n=2, m=1.0)
+        two_level = params.decay_rate(256, n=2)
         assert two_level == pytest.approx(base**2)
 
     def test_rate_exceeds_mass(self):
-        params = ScalingParams.finite_range(2)
+        params = ScalingParams.finite_range(2, mass=1.3)
         for L in (2, 10, 100):
-            assert params.decay_rate(L, m=1.3) > 1.3
+            assert params.decay_rate(L) > 1.3
 
     def test_long_range_exponent_relations(self):
         params = ScalingParams.infinite_range(2, delta=Fraction(1, 20))
@@ -255,17 +255,16 @@ class TestPredicates:
     def test_loc_monotone_in_mass(self, line):
         ctx = make_context(line, seed=12, coupling=30.0, radius=10)
         es = ctx.eigensystem((1, 0), 10)
-        params = ctx.params
-        worst_small = is_m_loc(es, params, m=0.3).worst_ratio
-        worst_large = is_m_loc(es, params, m=1.5).worst_ratio
+        worst_small = is_m_loc(es, replace(ctx.params, mass=0.3)).worst_ratio
+        worst_large = is_m_loc(es, replace(ctx.params, mass=1.5)).worst_ratio
         assert worst_small <= worst_large
 
     def test_ns_threshold_monotone_in_mass(self):
-        params = ScalingParams.finite_range(2)
-        assert params.ns_threshold(8, m=0.5) > params.ns_threshold(8, m=1.0)
+        params = ScalingParams.finite_range(2, mass=1.0)
+        assert replace(params, mass=0.5).ns_threshold(8) > params.ns_threshold(8)
 
 
-def brute_force_m_loc(es, params, m=None) -> LocReport:
+def brute_force_m_loc(es, params) -> LocReport:
     """Reference for ``is_m_loc``: every eigenfunction, every member pair.
 
     Pairs of one eigenfunction are visited in descending-amplitude order
@@ -275,7 +274,7 @@ def brute_force_m_loc(es, params, m=None) -> LocReport:
     ball = es.ball
     L = ball.radius
     rmin = params.loc_min_distance(L)
-    rate = params.decay_rate(L, n=ball.n_particles, m=m)
+    rate = params.decay_rate(L, n=ball.n_particles)
     dist = ball.pairwise_distances.tolist()
     qualifying = sum(dist[x][y] >= rmin for x in range(len(ball)) for y in range(x))
     if qualifying == 0:
@@ -312,9 +311,11 @@ class TestLocOracle:
     """The pruned ``is_m_loc`` returns the brute-force report bit for bit."""
 
     @staticmethod
-    def _same(es, params, m=None) -> LocReport:
-        rep = is_m_loc(es, params, m=m)
-        assert rep == brute_force_m_loc(es, params, m=m)
+    def _same(es, params, mass=None) -> LocReport:
+        if mass is not None:
+            params = replace(params, mass=mass)
+        rep = is_m_loc(es, params)
+        assert rep == brute_force_m_loc(es, params)
         return rep
 
     @pytest.mark.parametrize("seed", [1, 2])
@@ -356,26 +357,24 @@ class TestLocMemo:
         kernel = msa.is_m_loc
         calls = []
 
-        def counting(es, params, m=None):
-            calls.append((es.ball.center, es.ball.radius, m, params.mass))
-            return kernel(es, params, m=m)
+        def counting(es, params):
+            calls.append((es.ball.center, es.ball.radius, params.mass))
+            return kernel(es, params)
 
         monkeypatch.setattr(msa, "is_m_loc", counting)
         ctx = make_context(line, seed=5, coupling=30.0, radius=8)
         for energy in (0.0, 5.0, 15.0):
             predicate_report(ctx, (1, 0), 8, energy, sub_scale=4)
         verify_implications(ctx, (1, 0), 8, 4)
-        assert calls == [((1, 0), 8, None, 1.0)]
-        ctx.m_loc((1, 0), 8, m=2.0)
-        ctx.m_loc((1, 0), 8, m=2.0)
-        assert calls[1:] == [((1, 0), 8, 2.0, 1.0)]
-        # a parameter override gets its own entry, never the context's
-        other = replace(ctx.params, mass=2.0)
-        rep = ctx.m_loc((1, 0), 8, params=other)
-        assert calls[2:] == [((1, 0), 8, None, 2.0)]
-        assert rep == kernel(ctx.eigensystem((1, 0), 8), other)
+        assert calls == [((1, 0), 8, 1.0)]
+        # a context at another mass gets its own entry, never the first's
+        other = make_context(line, seed=5, coupling=30.0, radius=8, mass=2.0)
+        rep = other.m_loc((1, 0), 8)
+        other.m_loc((1, 0), 8)
+        assert calls[1:] == [((1, 0), 8, 2.0)]
+        assert rep == kernel(ctx.eigensystem((1, 0), 8), other.params)
         assert rep != ctx.m_loc((1, 0), 8)
-        assert len(calls) == 3
+        assert len(calls) == 2
 
 
 class TestContextSplit:
@@ -572,7 +571,7 @@ class TestTunneling:
         spec = HamiltonianSpec(geometry=line, n_particles=1, coupling=2000.0, convention="fixed")
         sample = sample_field(FieldModel(), ball.projection, 21)
         ctx = AuditContext(spec, sample, params)
-        rep = is_m_tunneling(ctx, ball, 1, params)
+        rep = is_m_tunneling(ctx, ball, 1)
         assert rep.distant_pairs > 0
         assert not rep.tunneling
 
@@ -597,7 +596,7 @@ class TestTunneling:
         sample = FieldSample(FieldModel(), 0, values)
         spec = HamiltonianSpec(geometry=line, n_particles=1, coupling=40.0, convention="fixed")
         ctx = AuditContext(spec, sample, params)
-        rep = is_m_tunneling(ctx, ball, 1, params)
+        rep = is_m_tunneling(ctx, ball, 1)
         assert rep.tunneling
         assert rep.witness is not None
         c1, c2 = rep.witness
@@ -610,7 +609,7 @@ class TestTunneling:
         sample = FieldSample(FieldModel(), 0, values)
         spec = HamiltonianSpec(geometry=line, n_particles=1, coupling=40.0, convention="fixed")
         ctx = AuditContext(spec, sample, params)
-        assert not is_m_tunneling(ctx, ball, 1, params).tunneling
+        assert not is_m_tunneling(ctx, ball, 1).tunneling
 
     def test_params_override_does_not_read_context_entries(self, line):
         params = ScalingParams.finite_range(1, initial_scale=6, mass=1.0)
@@ -619,11 +618,12 @@ class TestTunneling:
         spec = HamiltonianSpec(geometry=line, n_particles=1, coupling=40.0, convention="fixed")
         ctx = AuditContext(spec, sample, params)
         assert is_m_tunneling(ctx, ball, 1).tunneling
-        # at a tiny mass every sub-ball is localized: no tunneling
-        lenient = replace(params, mass=0.01)
-        rep = is_m_tunneling(ctx, ball, 1, lenient)
+        # at a tiny mass every sub-ball is localized: no tunneling, whatever
+        # the first context has computed
+        lenient = AuditContext(spec, sample, replace(params, mass=0.01))
+        rep = is_m_tunneling(lenient, ball, 1)
         assert not rep.tunneling
-        assert rep == is_m_tunneling(AuditContext(spec, sample, lenient), ball, 1)
+        assert rep != is_m_tunneling(ctx, ball, 1)
 
 
 class TestGridsAndReports:
