@@ -42,7 +42,7 @@ from .experiments import (
     propagator_sups,
     run_scaling_audit,
 )
-from .msa import check_param_constraints, predicate_report, verify_implications
+from .msa import check_param_constraints, predicate_report, usable_cpus, verify_implications
 from .runconfig import (
     MAX_MAGNITUDE,
     ConfigError,
@@ -74,11 +74,10 @@ def environment() -> dict:
     """What a byte-identical rerun needs to match besides config and seed:
     eigensolver and solve results can move in the last bits with the
     numpy/BLAS build and its thread count."""
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "cpus": len(cpus) if cpus is not None else os.cpu_count(),
+        "cpus": usable_cpus(),
         "threads": {
             name: os.environ.get(name)
             for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

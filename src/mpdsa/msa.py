@@ -14,6 +14,8 @@ inequality conventions of the definitions they implement.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -32,6 +34,7 @@ from .disorder import FieldSample
 from .operators import (
     HamiltonianSpec,
     assemble_hamiltonian,
+    diagonal_gather,
     epsilon_bound,
     hamiltonian_diagonals,
     hopping_template,
@@ -644,13 +647,21 @@ def ns_by_solve(
 @dataclass(frozen=True)
 class BlockReports:
     """The reports of ``block_non_singularity``, one per field, and how its
-    blocks went: ``cholesky_fallback_blocks`` counts the blocks whose
-    stacked Cholesky failed, so the certificate factored their matrices
+    blocks went: ``cholesky_fallback_blocks`` counts the blocks in which
+    a stacked Cholesky failed, so the certificate factored their matrices
     one at a time."""
 
     reports: list
     blocks: int
     cholesky_fallback_blocks: int
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def block_non_singularity(
@@ -663,55 +674,94 @@ def block_non_singularity(
 
     The fields' operators share the ball's hopping template and differ on
     the diagonal only.  They are decided in blocks of
-    ``max(1, 2**17 // n**2)`` fields, about 1 MB of matrices, in one stack
-    buffer that holds the template off the diagonal throughout: a block
-    writes only its diagonals.  ``GapCertificate`` clears most of a block
-    without a spectrum; one stacked ``eigvalsh`` screens the rest with the
-    resonance cutoff, and ``ns_by_solve`` decides the block with one
-    stacked solve.  A split ball keeps its factor spectra (sorted factor
-    sums, as ``AuditContext.spectrum`` takes them), which cost less than
-    the certificate's joint n^3.
+    ``max(1, 2**17 // n**2)`` fields, about 1 MB of matrices.  The blocks
+    go to one thread per usable CPU (``usable_cpus``, at most one per
+    block), whose LAPACK calls run in parallel.  With blocks of b fields
+    and w workers, a worker owns a stack buffer, which holds the template
+    off the diagonal throughout, and a ``GapCertificate``, each of
+    ceil(b / w) matrices, and runs each block it takes as sub-stacks of
+    that size, so the pool holds about one block in all.  The certificate clears most trials without a spectrum,
+    and one stacked solve per sub-stack decides the cleared ones.
+
+    Every other trial waits until the pool is done: the calling thread
+    screens it with one stacked ``eigvalsh`` per block of such trials and
+    the resonance cutoff, then decides it with ``ns_by_solve``.  That
+    eigensolve is the one multithreaded BLAS call here, whose helper
+    threads would take the cores from the workers.  A split ball waits
+    whole and keeps its factor spectra (sorted factor sums, as
+    ``AuditContext.spectrum`` takes them), which cost less than the
+    certificate's joint n^3.  Each matrix is factored and solved alone
+    within a stacked call, so the outputs do not depend on the number of
+    workers.
     """
     ball = enumerate_ball(center, radius, spec.geometry)
     n = len(ball)
     block = max(1, 2**17 // n**2)
     ball_spec = _spec_on(spec, ball)
     template = hopping_template(ball_spec, ball)
-    rows = min(block, len(fields))
-    stack = np.repeat(template.matrix[None], rows, axis=0)
-    certificate = None if factor_centers(spec, ball) else GapCertificate(template, rows)
-    # rebuilt for the rare block the certificate cannot clear, so that the
-    # point holds no n^2 array beyond its two buffers
-    del template
+    diagonals = diagonal_gather(ball_spec, ball, region)
     i = np.arange(n)
     source = ball.center_index()
     boundary = [ball.index[c] for c in interior_boundary(ball)]
     threshold = _clamped_ns_threshold(ball, params)
+    split = factor_centers(spec, ball) is not None
     starts = range(0, len(fields), block)
-    reports = []
-    for start in starts:
-        part = fields[start : start + block]
-        # diagonals block by block: a point's working memory stays at the
-        # two buffers
-        h = hamiltonian_diagonals(ball_spec, ball, region, part)
-        shifted = stack[: len(h)]
-        shifted[:, i, i] = h
-        if certificate is None:
-            cleared = np.zeros(len(h), dtype=bool)
-            spectra = _stacked_spectra(spec, ball, region, part)
-            shifted[:, i, i] -= energy
-        else:
+    workers = min(usable_cpus(), len(starts))
+    rows = -(-min(block, len(fields)) // max(workers, 1))
+    # each thread that decides blocks owns its buffers, built at its first block
+    owned = threading.local()
+
+    def decide(start):
+        """A block's reports, None for each trial the certificate leaves,
+        and whether a stacked Cholesky of the block failed."""
+        if not hasattr(owned, "certificate"):
+            owned.stack = np.repeat(template.matrix[None], rows, axis=0)
+            owned.certificate = GapCertificate(template, rows)
+        stack, certificate = owned.stack, owned.certificate
+        before = certificate.fallbacks
+        part = []
+        end = min(start + block, len(fields))
+        for s in range(start, end, rows):
+            h = diagonals(fields[s : min(s + rows, end)])
+            shifted = stack[: len(h)]
+            shifted[:, i, i] = h
             cleared = certificate(shifted, energy)
-            spectra = None
-            if not cleared.all():
-                spectra = stacked_eigenvalues(hopping_template(ball_spec, ball), h[~cleared])
-        safe = cleared.copy()
-        if spectra is not None:
-            dist = np.min(np.abs(spectra - energy), axis=1)
-            safe[~cleared] = [not d <= resonance_cutoff(s) for d, s in zip(dist, spectra)]
-        reports += ns_by_solve(shifted, safe, cleared, source, boundary, threshold)
-    fallbacks = 0 if certificate is None else certificate.fallbacks
-    return BlockReports(reports, len(starts), fallbacks)
+            solved = ns_by_solve(shifted, cleared, cleared, source, boundary, threshold)
+            part += [r if c else None for r, c in zip(solved, cleared)]
+        return part, certificate.fallbacks > before
+
+    if split:
+        # no certificate: every trial waits for the factor screen
+        results = [([None] * len(fields), False)]
+    elif workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(workers)
+        try:
+            results = list(pool.map(decide, starts))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    else:
+        results = [decide(start) for start in starts]
+    reports = [r for part, _ in results for r in part]
+    deferred = [t for t, r in enumerate(reports) if r is None]
+    buffer = np.repeat(template.matrix[None], min(block, len(deferred)), axis=0)
+    for start in range(0, len(deferred), block):
+        trials = deferred[start : start + block]
+        part = fields[trials]
+        h = diagonals(part)
+        if split:
+            spectra = _stacked_spectra(spec, ball, region, part)
+        else:
+            spectra = stacked_eigenvalues(template, h)
+        dist = np.min(np.abs(spectra - energy), axis=1)
+        safe = np.array([not d <= resonance_cutoff(s) for d, s in zip(dist, spectra)])
+        shifted = buffer[: len(h)]
+        shifted[:, i, i] = h - energy
+        cleared = np.zeros(len(h), dtype=bool)
+        for t, r in zip(trials, ns_by_solve(shifted, safe, cleared, source, boundary, threshold)):
+            reports[t] = r
+    return BlockReports(reports, len(starts), sum(failed for _, failed in results))
 
 
 def _stacked_spectra(spec: HamiltonianSpec, ball: Ball, region, fields) -> np.ndarray:

@@ -283,6 +283,13 @@ def hamiltonian_diagonals(spec: HamiltonianSpec, ball: Ball, region, fields) -> 
     ``fields[t, k]`` is its value at ``region[k]``; the region must cover
     the ball's sites.  ``hopping_template`` plus diag(row t) equals
     ``assemble_hamiltonian`` under field t entry for entry."""
+    return diagonal_gather(spec, ball, region)(fields)
+
+
+def diagonal_gather(spec: HamiltonianSpec, ball: Ball, region):
+    """``hamiltonian_diagonals`` on one ball and region, as a function of
+    the field rows alone: the region-to-column table is built here, once,
+    and a call is only the numpy gather and sum."""
     if ball.n_particles != spec.n_particles:
         raise ValueError("ball particle number does not match the spec")
     st = _structure(ball, spec.convention, spec.interaction)
@@ -292,12 +299,16 @@ def hamiltonian_diagonals(spec: HamiltonianSpec, ball: Ball, region, fields) -> 
         raise MissingDataError(f"region misses sites {missing[:3]}")
     # column of fields that holds particle k of member m
     sites = np.array([column[s] for s in ball.projection], dtype=np.intp)[st.sites]
-    fields = np.asarray(fields)
-    # potential summed over particles in member order, as potential_energy does
-    potential = np.zeros((len(fields), len(ball)))
-    for k in range(ball.n_particles):
-        potential += fields[:, sites[:, k]]
-    return st.laplacian_diagonal + (spec.coupling * potential + st.interaction_diagonal)
+
+    def diagonals(fields) -> np.ndarray:
+        fields = np.asarray(fields)
+        # potential summed over particles in member order, as potential_energy does
+        potential = np.zeros((len(fields), len(ball)))
+        for k in range(ball.n_particles):
+            potential += fields[:, sites[:, k]]
+        return st.laplacian_diagonal + (spec.coupling * potential + st.interaction_diagonal)
+
+    return diagonals
 
 
 def hopping_template(spec: HamiltonianSpec, ball: Ball) -> OperatorMatrix:

@@ -69,7 +69,8 @@ _EXPERIMENT = {
         "k_max": {"type": "integer", "minimum": 0},
         "matrix_cap": {"type": "integer", "minimum": 1},
         "grid_stride": {"type": "integer", "minimum": 1},
-        "s_grid": {"type": "array", "items": {"type": "number"}},
+        # spacing thresholds: evc_bound raises them to fractional powers
+        "s_grid": {"type": "array", "items": {"type": "number", "minimum": 0}},
         "constants": {
             "type": "object",
             "additionalProperties": False,

@@ -464,6 +464,15 @@ class TestNothingWrittenOnExit2:
         assert main([command, "--config", write_config(tmp_path / "c.json", cfg), *extra]) == 2
         assert not out.exists()
 
+    def test_negative_spacing_threshold(self, tmp_path):
+        # a fractional bound exponent of a negative s gave nan in bound_curve
+        out = tmp_path / "out"
+        experiment = {"kind": "evc", "center": [0], "second_center": [5], "radius": 0,
+                      "s_grid": [-0.1, 0.1], "constants": {"b1": 0.5, "b2": 0.5}}
+        cfg = base_config(out, [experiment], coupling=2.0)
+        assert main(["evc", "--config", write_config(tmp_path / "c.json", cfg)]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, experiment, extra, overrides",
         [

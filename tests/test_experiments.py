@@ -1,4 +1,5 @@
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -30,8 +31,10 @@ from mpdsa.operators import (
     InteractionModel,
     OperatorMatrix,
     assemble_hamiltonian,
+    hamiltonian_diagonals,
     hopping_template,
 )
+from mpdsa.spectral import stacked_eigenvalues
 from mpdsa.spectral import diagonalize, eigenvalues_of
 
 
@@ -308,6 +311,91 @@ class TestGapCertificateInTheBlock:
         with pytest.raises(ValueError, match="asymmetry"):
             block_non_singularity(setup.ham_spec(), region, fields, setup.center, setup.radius,
                                   0.0, setup.params)
+
+
+class TestBlockPool:
+    """The blocks decided on a pool of threads give what one thread gives,
+    and the rare eigensolve stays on the calling thread."""
+
+    @staticmethod
+    def _inside_the_spectrum(line):
+        # near-zero disorder at an eigenvalue of the field-free operator:
+        # the certificate clears 18 of these 60 trials, and every block
+        # falls back to one Cholesky per matrix
+        setup = TestSingularBlockOracle._sweep_setup(line, 3e-4)
+        ball = enumerate_ball(setup.center, setup.radius, line)
+        spec, region = setup.ham_spec(), setup.region()
+        free = hamiltonian_diagonals(replace(spec, coupling=0.0), ball, region,
+                                     np.zeros((1, len(region))))
+        return setup, float(stacked_eigenvalues(hopping_template(spec, ball), free)[0, 45])
+
+    @staticmethod
+    def _run(monkeypatch, workers, setup, energy, seeds):
+        monkeypatch.setattr(msa, "usable_cpus", lambda: workers)
+        return singular_trials(setup, energy, seeds)
+
+    @staticmethod
+    def _fingerprint(run):
+        worst = np.array([r.worst_boundary_value for r in run.reports])
+        return (
+            [(r.non_singular, r.resonant, r.cleared) for r in run.reports],
+            worst.tobytes(),
+            run.blocks,
+            run.cholesky_fallback_blocks,
+        )
+
+    @pytest.mark.parametrize("case", ["sweep", "inside", "split"])
+    def test_one_worker_and_three_agree(self, line, monkeypatch, case):
+        seeds = [derive_seed(44, "trial", t) for t in range(60)]
+        energy = 0.0
+        if case == "sweep":
+            setup = TestSingularBlockOracle._sweep_setup(line, 3.0)
+        elif case == "inside":
+            setup, energy = self._inside_the_spectrum(line)
+        else:
+            setup = replace(TestSingularBlockOracle._sweep_setup(line, 12.0),
+                            center=(20, 0), radius=3)
+        serial = self._run(monkeypatch, 1, setup, energy, seeds)
+        pooled = self._run(monkeypatch, 3, setup, energy, seeds)
+        assert self._fingerprint(pooled) == self._fingerprint(serial)
+        cleared = sum(r.cleared for r in serial.reports)
+        assert {"sweep": cleared == 60, "inside": cleared == 18, "split": cleared == 0}[case]
+        if case == "inside":
+            assert serial.cholesky_fallback_blocks == serial.blocks == 4
+
+    def test_the_screen_runs_on_the_main_thread(self, line, monkeypatch):
+        setup, energy = self._inside_the_spectrum(line)
+        threads, original = [], msa.stacked_eigenvalues
+
+        def spy(template, stack):
+            threads.append(threading.current_thread())
+            return original(template, stack)
+
+        monkeypatch.setattr(msa, "stacked_eigenvalues", spy)
+        self._run(monkeypatch, 3, setup, energy, [derive_seed(44, "trial", t) for t in range(60)])
+        assert threads and all(t is threading.main_thread() for t in threads)
+
+    def test_an_asymmetric_template_raises_from_a_worker(self, line, monkeypatch):
+        setup = TestSingularBlockOracle._sweep_setup(line, 3.0)
+        threads, certificate = [], msa.GapCertificate
+
+        def skewed(spec, ball):
+            template = hopping_template(spec, ball)
+            bad = template.matrix.copy()
+            bad[0, 1] += 0.5
+            return OperatorMatrix(ball, bad, template.convention)
+
+        def spy(template, rows):
+            threads.append(threading.current_thread())
+            return certificate(template, rows)
+
+        monkeypatch.setattr(msa, "hopping_template", skewed)
+        monkeypatch.setattr(msa, "GapCertificate", spy)
+        alive = threading.active_count()
+        with pytest.raises(ValueError, match="asymmetry"):
+            self._run(monkeypatch, 3, setup, 0.0, [derive_seed(45, "trial", t) for t in range(60)])
+        assert threads and threading.main_thread() not in threads
+        assert threading.active_count() == alive
 
 
 class TestScalingAudit:
