@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .msa import (
     energy_grid,
     is_m_tunneling,
     ns_flags,
+    run_pinned,
     verify_implications,
 )
 from .operators import HamiltonianSpec, InteractionModel
@@ -269,14 +271,15 @@ def run_scaling_audit(
         vio_count = 0
         seeds = [derive_seed(seed_k, "trial", t) for t in range(trials)]
         for t, ctx in enumerate(scale_setup.contexts(seeds)):
-            if not ctx.m_loc(setup.center, L).localized:
-                nonloc += 1
             if k > 0:
+                # first, so that it builds the eigensystem beside its spectra
                 res = verify_implications(
                     ctx, setup.center, L, ladder[k - 1], grid_stride=grid_stride
                 )
                 vio_count += len(res.violations)
                 all_violations.extend((t,) + (v,) for v in res.violations)
+            if not ctx.m_loc(setup.center, L).localized:
+                nonloc += 1
         p, lo, hi = wilson_interval(nonloc, trials)
         rows.append(
             ScaleRow(
@@ -416,7 +419,12 @@ def propagator_sups(es: EigenSystem, pairs, t_grid=None) -> np.ndarray:
     Each value is a lower bound on the true supremum over all times and at
     most the unsigned correlator.  One real phase table, cos and sin of
     t * lambda, serves every pair; it is formed over blocks of time points
-    of about 1 MB each, so memory stays O(n) in the grid length.
+    of about 1 MB each, so memory stays O(n) in the grid length.  The
+    blocks go to the workers of ``msa.run_pinned``; each holds one table,
+    filled with the cosines, then with the sines, so the tables in flight
+    take about 1 MB per worker.  Every block is one matrix product of the
+    same shape on any number of workers, so the values do not depend on
+    it.
     """
     if t_grid is None:
         t_grid = default_time_grid()
@@ -426,13 +434,16 @@ def propagator_sups(es: EigenSystem, pairs, t_grid=None) -> np.ndarray:
     iy = [index[tuple(y)] for _, y in pairs]
     weights = (es.eigenvectors[ix] * es.eigenvectors[iy]).T
     rows = max(1, 2**17 // es.n)
-    block_maxima = []
-    for start in range(0, len(t_grid), rows):
-        angles = np.outer(t_grid[start : start + rows], es.eigenvalues)
-        re = np.cos(angles) @ weights
-        im = np.sin(angles, out=angles) @ weights
-        block_maxima.append(np.max(np.hypot(re, im), axis=0))
-    return np.max(block_maxima, axis=0)
+
+    def block_maximum(start):
+        times = t_grid[start : start + rows]
+        table = np.outer(times, es.eigenvalues)
+        re = np.cos(table, out=table) @ weights
+        im = np.sin(np.outer(times, es.eigenvalues, out=table), out=table) @ weights
+        return np.max(np.hypot(re, im), axis=0)
+
+    starts = range(0, len(t_grid), rows)
+    return np.max(run_pinned([partial(block_maximum, start) for start in starts]), axis=0)
 
 
 def propagator_sup(es: EigenSystem, x, y, t_grid=None) -> float:

@@ -13,6 +13,9 @@ inequality conventions of the definitions they implement.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import math
 import os
 import threading
@@ -23,6 +26,7 @@ import numpy as np
 
 from .configspace import (
     Ball,
+    canonical_config,
     classify_ball,
     canonical_decomposition,
     config_distance,
@@ -43,6 +47,7 @@ from .operators import (
 from .spectral import (
     EigenSystem,
     GapCertificate,
+    diagonalization,
     diagonalize,
     eigensystem_from_factors,
     eigenvalues_of,
@@ -380,6 +385,79 @@ def check_param_constraints(
     return out
 
 
+# -- threads -----------------------------------------------------------------
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.lru_cache(maxsize=None)
+def blas_thread_setter():
+    """``openblas_set_num_threads_local`` (OpenBLAS 0.3.27 and later) of
+    the OpenBLAS that numpy's Linux wheel bundles, or None where there is
+    none.  It sets the BLAS thread count of the calling thread alone and
+    returns the previous count."""
+    package = os.path.dirname(os.path.abspath(np.__file__))
+    for path in sorted(glob.glob(os.path.join(package, "..", "numpy.libs", "*openblas*"))):
+        try:
+            setter = getattr(ctypes.CDLL(path), "openblas_set_num_threads_local", None)
+        except OSError:
+            continue
+        if setter is not None:
+            setter.restype = ctypes.c_int
+            setter.argtypes = [ctypes.c_int]
+            return setter
+    return None
+
+
+def pool_size() -> int:
+    """Threads that run kernels at once: one per usable CPU, each at one
+    BLAS thread, or one where BLAS threads cannot be set per thread."""
+    return usable_cpus() if blas_thread_setter() is not None else 1
+
+
+def run_pinned(tasks, main=None) -> list:
+    """The results of the zero-argument callables ``tasks``, in order,
+    after running them beside ``main``.
+
+    ``pool_size()`` threads work at once.  With ``main``, the calling
+    thread runs it beside up to ``pool_size() - 1`` worker threads that
+    take the tasks; without it, the calling thread waits on up to
+    ``pool_size()`` workers.  Each worker runs its BLAS calls on one
+    thread (``blas_thread_setter``), as ``cli.main`` sets the calling
+    thread, so results do not depend on the thread that computed them.
+    Where fewer than two threads would work, the calling thread runs the
+    tasks, then ``main``, and no thread starts.
+
+    A task's exception reaches the caller with its own type; queued tasks
+    are then cancelled, and no worker outlives the call.  Tasks run off
+    the main thread, so they must call nothing that keeps per-process
+    state without a lock (``perfbench/layertrace.py``'s spans, say).
+    """
+    tasks = list(tasks)
+    workers = min(pool_size() - (main is not None), len(tasks))
+    if workers + (main is not None) < 2:
+        results = [task() for task in tasks]
+        if main is not None:
+            main()
+        return results
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(workers, initializer=blas_thread_setter(), initargs=(1,))
+    try:
+        futures = [pool.submit(task) for task in tasks]
+        if main is not None:
+            main()
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 # -- evaluation context ------------------------------------------------------
 
 # cross interaction at or below which a split ball's assembled matrix is
@@ -416,10 +494,9 @@ class AuditContext:
         if es is None:
             if key in self._spectra:
                 self.resolved_for_vectors += 1
-            ball = self.ball(center, radius)
-            parts = factor_centers(self.spec, ball)
+            parts = factor_centers(self.spec, center, radius)
             if parts is None:
-                es = diagonalize(self._operator(ball))
+                es = diagonalize(self._operator(self.ball(center, radius)))
             else:
                 es = eigensystem_from_factors(*(self.eigensystem(p, radius) for p in parts))
             self._systems[key] = es
@@ -435,14 +512,36 @@ class AuditContext:
             return es.eigenvalues
         vals = self._spectra.get(key)
         if vals is None:
-            ball = self.ball(center, radius)
-            parts = factor_centers(self.spec, ball)
+            parts = factor_centers(self.spec, center, radius)
             if parts is None:
-                vals = eigenvalues_of(self._operator(ball))
+                vals = eigenvalues_of(self._operator(self.ball(center, radius)))
             else:
                 vals = pairwise_sums(*(self.spectrum(p, radius) for p in parts))[0]
             self._spectra[key] = vals
         return vals
+
+    def eigensystem_beside(self, center, radius: int, others) -> EigenSystem:
+        """``eigensystem(center, radius)``, with the spectra of the smaller
+        balls ``others`` ((centre, radius) pairs) computed meanwhile.
+
+        The calling thread assembles and checks the operator, hands the
+        bare eigensolve to a worker (``run_pinned``), computes the spectra
+        through ``spectrum``, then stores the eigensystem as ``eigensystem``
+        builds it.  Only balls that do not factor are computed ahead: a
+        split ball's spectrum sums its factors' spectra as they stand at
+        its first read.  A ball that factors, or whose eigensystem exists,
+        takes the plain path, and its ``others`` wait for their first read.
+        """
+        key = (tuple(center), radius)
+        if key in self._systems or factor_centers(self.spec, center, radius) is not None:
+            return self.eigensystem(center, radius)
+        if key in self._spectra:
+            self.resolved_for_vectors += 1
+        solve = diagonalization(self._operator(self.ball(center, radius)))
+        ahead = [(c, r) for c, r in others if factor_centers(self.spec, c, r) is None]
+        (es,) = run_pinned([solve], main=lambda: [self.spectrum(c, r) for c, r in ahead])
+        self._systems[key] = es
+        return es
 
     def m_loc(self, center, radius: int) -> LocReport:
         """``is_m_loc`` of the ball's eigensystem, computed once per
@@ -458,13 +557,14 @@ class AuditContext:
         return assemble_hamiltonian(_spec_on(self.spec, ball), ball, self.sample)
 
 
-def factor_centers(spec: HamiltonianSpec, ball: Ball):
-    """The two group centres of a ball that factors, else None."""
-    if ball.n_particles < 2:
+def factor_centers(spec: HamiltonianSpec, center, radius: int):
+    """The two group centres of the ball around ``center`` if it factors,
+    else None."""
+    if len(center) < 2:
         return None
-    split = maximal_separation_split(ball.center, spec.geometry)
-    gap = split.separation - 2 * ball.radius
-    if gap <= 0 or epsilon_bound(spec.interaction, ball.n_particles, gap - 1) > SPLIT_TOL:
+    split = maximal_separation_split(canonical_config(center, spec.geometry), spec.geometry)
+    gap = split.separation - 2 * radius
+    if gap <= 0 or epsilon_bound(spec.interaction, len(center), gap - 1) > SPLIT_TOL:
         return None
     return split.part1, split.part2
 
@@ -656,14 +756,6 @@ class BlockReports:
     cholesky_fallback_blocks: int
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one, else the machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def block_non_singularity(
     spec: HamiltonianSpec, region, fields, center, radius: int, energy: float,
     params: ScalingParams,
@@ -675,19 +767,21 @@ def block_non_singularity(
     The fields' operators share the ball's hopping template and differ on
     the diagonal only.  They are decided in blocks of
     ``max(1, 2**17 // n**2)`` fields, about 1 MB of matrices.  The blocks
-    go to one thread per usable CPU (``usable_cpus``, at most one per
-    block), whose LAPACK calls run in parallel.  With blocks of b fields
-    and w workers, a worker owns a stack buffer, which holds the template
-    off the diagonal throughout, and a ``GapCertificate``, each of
-    ceil(b / w) matrices, and runs each block it takes as sub-stacks of
-    that size, so the pool holds about one block in all.  The certificate clears most trials without a spectrum,
-    and one stacked solve per sub-stack decides the cleared ones.
+    go to the workers of ``run_pinned`` (``pool_size()`` threads, at most
+    one per block) while the calling thread waits.  With blocks of b
+    fields and w workers, a worker owns a stack buffer, which holds the
+    template off the diagonal throughout, and a ``GapCertificate``, each
+    of ceil(b / w) matrices, and runs each block it takes as sub-stacks of
+    that size, so the pool holds about one block in all.  The certificate
+    clears most trials without a spectrum, and one stacked solve per
+    sub-stack decides the cleared ones.
 
     Every other trial waits until the pool is done: the calling thread
     screens it with one stacked ``eigvalsh`` per block of such trials and
-    the resonance cutoff, then decides it with ``ns_by_solve``.  That
-    eigensolve is the one multithreaded BLAS call here, whose helper
-    threads would take the cores from the workers.  A split ball waits
+    the resonance cutoff, then decides it with ``ns_by_solve``.  These
+    trials are few (the certificate clears 994 to 999 of 1,000 at n = 91),
+    so gathering them from every block makes one eigensolve where a
+    screen inside each block would make one per block.  A split ball waits
     whole and keeps its factor spectra (sorted factor sums, as
     ``AuditContext.spectrum`` takes them), which cost less than the
     certificate's joint n^3.  Each matrix is factored and solved alone
@@ -704,9 +798,9 @@ def block_non_singularity(
     source = ball.center_index()
     boundary = [ball.index[c] for c in interior_boundary(ball)]
     threshold = _clamped_ns_threshold(ball, params)
-    split = factor_centers(spec, ball) is not None
+    split = factor_centers(spec, center, radius) is not None
     starts = range(0, len(fields), block)
-    workers = min(usable_cpus(), len(starts))
+    workers = min(pool_size(), len(starts))
     rows = -(-min(block, len(fields)) // max(workers, 1))
     # each thread that decides blocks owns its buffers, built at its first block
     owned = threading.local()
@@ -733,16 +827,8 @@ def block_non_singularity(
     if split:
         # no certificate: every trial waits for the factor screen
         results = [([None] * len(fields), False)]
-    elif workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(workers)
-        try:
-            results = list(pool.map(decide, starts))
-        finally:
-            pool.shutdown(cancel_futures=True)
     else:
-        results = [decide(start) for start in starts]
+        results = run_pinned([functools.partial(decide, start) for start in starts])
     reports = [r for part, _ in results for r in part]
     deferred = [t for t, r in enumerate(reports) if r is None]
     buffer = np.repeat(template.matrix[None], min(block, len(deferred)), axis=0)
@@ -766,7 +852,7 @@ def block_non_singularity(
 
 def _stacked_spectra(spec: HamiltonianSpec, ball: Ball, region, fields) -> np.ndarray:
     """Row t: the ascending spectrum of the ball under ``fields[t]``."""
-    parts = factor_centers(spec, ball)
+    parts = factor_centers(spec, ball.center, ball.radius)
     if parts is None:
         ball_spec = _spec_on(spec, ball)
         return stacked_eigenvalues(
@@ -1047,6 +1133,24 @@ def energy_grid(spectra) -> np.ndarray:
     return np.unique(np.concatenate([vals, mids]))
 
 
+def _grid_centers(ball: Ball, sub_scale: int, grid_stride: int | None) -> list:
+    """Centres of an implication audit's grid sub-balls of radius
+    ``sub_scale``, on a stride grid (default stride = sub-scale)."""
+    stride = grid_stride if grid_stride is not None else max(1, sub_scale)
+    return stride_centers(ball, stride, ball.radius - sub_scale)
+
+
+def audit_eigensystem(
+    ctx: AuditContext, center, radius: int, sub_scale: int, grid_stride: int | None
+) -> EigenSystem:
+    """The ball's eigensystem, built beside the spectra that ``is_E_CNR``
+    and ``verify_implications`` read: those of the grid sub-balls and of
+    the CNR sub-balls (``AuditContext.eigensystem_beside``)."""
+    ball = ctx.ball(center, radius)
+    grid = [(c, sub_scale) for c in _grid_centers(ball, sub_scale, grid_stride)]
+    return ctx.eigensystem_beside(center, radius, grid + cnr_subballs(ctx.params, ball))
+
+
 def _audit_grid(ctx: AuditContext, es: EigenSystem, sub_scale: int, grid_stride: int | None):
     """(grid centres, energy grid, NR flags, CNR flags) of an implication
     audit of the ball of ``es``.
@@ -1057,8 +1161,7 @@ def _audit_grid(ctx: AuditContext, es: EigenSystem, sub_scale: int, grid_stride:
     """
     params = ctx.params
     ball = es.ball
-    stride = grid_stride if grid_stride is not None else max(1, sub_scale)
-    centers = stride_centers(ball, stride, ball.radius - sub_scale)
+    centers = _grid_centers(ball, sub_scale, grid_stride)
     spectra = [ctx.spectrum(c, sub_scale) for c in centers]
     grid = energy_grid(spectra or [es.eigenvalues])
     nr = _dist_to_sorted(es.eigenvalues, grid) >= params.resonance_scale(ball.radius)
@@ -1104,7 +1207,7 @@ def verify_implications(
     """
     params = ctx.params
     ball = ctx.ball(center, radius)
-    es = ctx.eigensystem(center, radius)
+    es = audit_eigensystem(ctx, center, radius, sub_scale, grid_stride)
     L = ball.radius
     violations: list = []
     counters = {

@@ -249,8 +249,15 @@ def _symmetric_part(op: OperatorMatrix) -> np.ndarray:
 
 def diagonalize(op: OperatorMatrix) -> EigenSystem:
     """Eigendecomposition of a symmetric operator matrix."""
-    vals, vecs = np.linalg.eigh(_symmetric_part(op))
-    return EigenSystem(op, vals, vecs)
+    return diagonalization(op)()
+
+
+def diagonalization(op: OperatorMatrix):
+    """``diagonalize`` in two steps: the symmetry check runs now, and the
+    returned callable runs the bare ``np.linalg.eigh`` and wraps its
+    result, so it can run on another thread."""
+    matrix = _symmetric_part(op)
+    return lambda: EigenSystem(op, *np.linalg.eigh(matrix))
 
 
 def eigenvalues_of(op: OperatorMatrix) -> np.ndarray:
