@@ -26,6 +26,7 @@ import os
 import platform
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -135,7 +136,7 @@ class RunWriter:
         outputs = []
         for name in self.files:
             p = self.path(name)
-            digest = hashlib.sha256(open(p, "rb").read()).hexdigest()
+            digest = hashlib.sha256(Path(p).read_bytes()).hexdigest()
             outputs.append(
                 {"path": name, "sha256": digest, "bytes": os.path.getsize(p)}
             )
@@ -455,9 +456,15 @@ def cmd_dynamics(raw: dict, writer: RunWriter, args) -> int:
         worst_q = 0.0
         worst_comp = 0.0
         worst_prop = 0.0
-        for t, ctx in enumerate(setup.contexts(_trial_seeds(seed, trials))):
-            es = ctx.eigensystem(setup.center, setup.radius)
-            sups = propagator_sups(es, pairs, t_grid).tolist()
+        systems = (ctx.eigensystem(setup.center, setup.radius)
+                   for ctx in setup.contexts(_trial_seeds(seed, trials)))
+        ahead = [next(systems)]
+        for t in range(trials):
+            es = ahead.pop()
+            # this thread builds trial t + 1's eigensystem while workers
+            # run trial t's time blocks
+            beside = (lambda: ahead.append(next(systems))) if t + 1 < trials else None
+            sups = propagator_sups(es, pairs, t_grid, beside=beside).tolist()
             for (x, y), prop in zip(pairs, sups):
                 q = ef_correlator(es, x, y, window)
                 comp = correlator_completeness(es, x, y)

@@ -412,7 +412,7 @@ def default_time_grid(points: int = 10_000) -> np.ndarray:
     return np.concatenate([[0.0], np.logspace(-2.0, 3.0, points)])
 
 
-def propagator_sups(es: EigenSystem, pairs, t_grid=None) -> np.ndarray:
+def propagator_sups(es: EigenSystem, pairs, t_grid=None, beside=None) -> np.ndarray:
     """max over the grid of |sum_j e^{-i t lambda_j} psi_j(x) psi_j(y)| for
     every (x, y) in ``pairs``.
 
@@ -425,6 +425,11 @@ def propagator_sups(es: EigenSystem, pairs, t_grid=None) -> np.ndarray:
     take about 1 MB per worker.  Every block is one matrix product of the
     same shape on any number of workers, so the values do not depend on
     it.
+
+    ``beside``, a zero-argument callable, runs once on the calling thread
+    while the workers take the blocks (``run_pinned``'s ``main``): one
+    worker fewer takes them, and where no worker would, the calling thread
+    runs the blocks first, then ``beside``.
     """
     if t_grid is None:
         t_grid = default_time_grid()
@@ -443,7 +448,7 @@ def propagator_sups(es: EigenSystem, pairs, t_grid=None) -> np.ndarray:
         return np.max(np.hypot(re, im), axis=0)
 
     starts = range(0, len(t_grid), rows)
-    return np.max(run_pinned([partial(block_maximum, start) for start in starts]), axis=0)
+    return np.max(run_pinned([partial(block_maximum, s) for s in starts], main=beside), axis=0)
 
 
 def propagator_sup(es: EigenSystem, x, y, t_grid=None) -> float:

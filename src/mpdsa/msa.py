@@ -466,8 +466,8 @@ SPLIT_TOL = 1e-30
 
 
 class AuditContext:
-    """Caches eigensystems, values-only spectra and m-localization reports
-    for one (spec, sample) pair.
+    """Caches eigensystems, values-only spectra, m-localization and
+    m-tunneling reports for one (spec, sample) pair.
 
     When a ball's centre splits into groups farther apart than twice the
     radius and the cross interaction over the gap is at most ``SPLIT_TOL``,
@@ -483,6 +483,7 @@ class AuditContext:
         self._systems: dict = {}
         self._spectra: dict = {}
         self._locs: dict = {}
+        self._tunnels: dict = {}
         self.resolved_for_vectors = 0
 
     def ball(self, center, radius: int) -> Ball:
@@ -551,6 +552,16 @@ class AuditContext:
         if rep is None:
             rep = is_m_loc(self.eigensystem(center, radius), self.params)
             self._locs[key] = rep
+        return rep
+
+    def m_tunneling(self, center, radius: int, sub_scale: int) -> TunnelingReport:
+        """``is_m_tunneling`` of the ball at the sub-scale, computed once per
+        (centre, radius, sub-scale); energy plays no role in it either."""
+        key = (tuple(center), radius, sub_scale)
+        rep = self._tunnels.get(key)
+        if rep is None:
+            rep = is_m_tunneling(self, self.ball(center, radius), sub_scale)
+            self._tunnels[key] = rep
         return rep
 
     def _operator(self, ball: Ball):
@@ -665,7 +676,10 @@ def is_E_CNR(ctx: AuditContext, ball: Ball, energy: float):
 
 def ns_decision(worst_value, threshold: float):
     """Non-singular iff the worst boundary value is at most the threshold
-    (ties favour the good event); elementwise on arrays."""
+    (ties favour the good event); elementwise on arrays.  A NaN worst value
+    decides nothing: it raises ``FloatingPointError``."""
+    if np.isnan(worst_value).any():
+        raise FloatingPointError("boundary Green value is NaN")
     return worst_value <= threshold
 
 
@@ -1086,7 +1100,7 @@ def predicate_report(
     cnr, res_witness = is_E_CNR(ctx, ball, energy)
     ns = is_EmNS(es, energy, params)
     loc = ctx.m_loc(center, radius)
-    tun = is_m_tunneling(ctx, ball, sub_scale)
+    tun = ctx.m_tunneling(center, radius, sub_scale)
     return PredicateReport(
         center=tuple(center),
         radius=radius,

@@ -10,6 +10,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -594,7 +595,7 @@ class TestRerunDeterminism:
             assert code == 0
 
         def digest(path):
-            return hashlib.sha256(open(path, "rb").read()).hexdigest()
+            return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
         spectrum_cfg = {
             "schema_version": 1,

@@ -6,6 +6,7 @@ import json
 import os
 import platform
 import tempfile
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -46,8 +47,12 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def read_json(path):
+    return json.loads(Path(path).read_text())
+
+
 def sha(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 class TestSpectrumCommand:
@@ -90,8 +95,8 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--config", path]) == 0
         assert main(["spectrum", "--config", path, "--out", str(tmp_path / "o2")]) == 0
         assert sha(tmp_path / "o1" / "spectrum.csv") == sha(tmp_path / "o2" / "spectrum.csv")
-        m1 = json.load(open(tmp_path / "o1" / "manifest.json"))
-        m2 = json.load(open(tmp_path / "o2" / "manifest.json"))
+        m1 = read_json(tmp_path / "o1" / "manifest.json")
+        m2 = read_json(tmp_path / "o2" / "manifest.json")
         by_name1 = {o["path"]: o["sha256"] for o in m1["outputs"]}
         by_name2 = {o["path"]: o["sha256"] for o in m2["outputs"]}
         assert by_name1["spectrum.csv"] == by_name2["spectrum.csv"]
@@ -101,7 +106,7 @@ class TestSpectrumCommand:
         out = tmp_path / "o"
         cfg = base_config(out, [{"kind": "spectrum", "center": [0], "radius": 1}])
         main(["spectrum", "--config", write_config(tmp_path / "c.json", cfg)])
-        manifest = json.load(open(out / "manifest.json"))
+        manifest = read_json(out / "manifest.json")
         for entry in manifest["outputs"]:
             assert sha(out / entry["path"]) == entry["sha256"]
 
@@ -111,7 +116,7 @@ class TestSpectrumCommand:
         out = tmp_path / "o"
         cfg = base_config(out, [{"kind": "spectrum", "center": [0], "radius": 1}])
         assert main(["spectrum", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
-        env = json.load(open(out / "manifest.json"))["environment"]
+        env = read_json(out / "manifest.json")["environment"]
         assert env["python"] == platform.python_version()
         assert env["numpy"] == np.__version__
         assert env["cpus"] >= 1
@@ -143,7 +148,7 @@ class TestAuditCommand:
         assert code in (0, 1)
         rows = read_csv(out / "audit_scales.csv")
         assert len(rows) == 2  # header + one scale row
-        summary = json.load(open(out / "summary.json"))
+        summary = read_json(out / "summary.json")
         assert "experiment_0" in summary
 
     def test_needs_schedule(self, tmp_path):
@@ -176,7 +181,7 @@ class TestEvcCommand:
         )
         code = main(["evc", "--config", write_config(tmp_path / "c.json", cfg)])
         assert code == 0
-        summary = json.load(open(out / "summary.json"))
+        summary = read_json(out / "summary.json")
         info = summary["experiment_0"]
         assert info["weakly_separable"] is True
         assert info["monotone"] is True
@@ -194,7 +199,7 @@ class TestEvcCommand:
         rows = read_csv(out / "evc.csv")[1:]
         assert not any("nan" in cell for row in rows for cell in row)
         assert [(row[2], row[5]) for row in rows] == [("1.0", "1.0")] * 2
-        info = json.load(open(out / "summary.json"))["experiment_0"]
+        info = read_json(out / "summary.json")["experiment_0"]
         assert info["closed_form_within_3_stderr"] is True
 
 
@@ -211,7 +216,7 @@ class TestDynamicsCommand:
         rows = read_csv(out / "dynamics.csv")
         assert len(rows) == 3  # header + one pair per trial
         assert float(rows[1][5]) == pytest.approx(1.0)  # self correlator
-        summary = json.load(open(out / "summary.json"))
+        summary = read_json(out / "summary.json")
         assert summary["experiment_0"]["max_correlator_excess"] <= 1e-10
 
     def test_decay_fit_reported(self, tmp_path):
@@ -223,7 +228,7 @@ class TestDynamicsCommand:
         )
         code = main(["dynamics", "--config", write_config(tmp_path / "c.json", cfg)])
         assert code == 0
-        summary = json.load(open(out / "summary.json"))
+        summary = read_json(out / "summary.json")
         fit = summary["experiment_0"]["decay_fit"]
         assert fit is not None
         assert fit["m_eff"] > 0
@@ -261,7 +266,7 @@ class TestSweepCommand:
         out = tmp_path / "out"
         path = write_config(tmp_path / "c.json", self._cfg(out))
         assert main(["sweep", "--config", path, "--axis", "g", "--values", "3,10,30"]) == 0
-        points = json.load(open(out / "summary.json"))["diagnostics"]
+        points = read_json(out / "summary.json")["diagnostics"]
         assert [p["value"] for p in points] == [3.0, 10.0, 30.0]
         for p in points:
             assert p["certificate_cleared"] + p["eigvalsh_screened"] == 30
@@ -277,7 +282,7 @@ class TestSweepCommand:
                       "energy": 1.0, "trials": 30}
         path = write_config(tmp_path / "c.json", base_config(out, [experiment]))
         assert main(["sweep", "--config", path, "--axis", "g", "--values", "0,20"]) == 0
-        at_zero, at_twenty = json.load(open(out / "summary.json"))["diagnostics"]
+        at_zero, at_twenty = read_json(out / "summary.json")["diagnostics"]
         assert (at_zero["certificate_cleared"], at_zero["eigvalsh_screened"]) == (0, 30)
         assert at_twenty["certificate_cleared"] > 0
         assert read_csv(out / "trend.csv")[1][2] == "30"
@@ -288,7 +293,7 @@ class TestSweepCommand:
                       "trials": 30}
         path = write_config(tmp_path / "c.json", base_config(out, [experiment]))
         assert main(["sweep", "--config", path, "--axis", "g", "--values", "1"]) == 0
-        assert "diagnostics" not in json.load(open(out / "summary.json"))
+        assert "diagnostics" not in read_json(out / "summary.json")
 
     def test_empty_values_rejected(self, tmp_path):
         path = write_config(tmp_path / "c.json", self._cfg(tmp_path / "o"))
@@ -324,7 +329,7 @@ class TestPredicatesCommand:
         assert code in (0, 1)
         rows = read_csv(out / "predicates.csv")
         assert len(rows) == 1 + 2 * 2
-        summary = json.load(open(out / "summary.json"))
+        summary = read_json(out / "summary.json")
         assert len(summary["predicates"]) == 4
         violations = read_csv(out / "violations.csv")
         assert (code == 1) == (len(violations) > 1)
@@ -343,7 +348,7 @@ class TestPredicatesCommand:
         ctx = _setup_for(cfg, experiment).context(derive_seed(7, "trial", 0))
         strided = verify_implications(ctx, (1, 0), 8, 4, grid_stride=5)
         default = verify_implications(ctx, (1, 0), 8, 4)
-        count = json.load(open(out / "summary.json"))["violation_count"]
+        count = read_json(out / "summary.json")["violation_count"]
         assert count == len(strided.violations) != len(default.violations)
         assert len(read_csv(out / "violations.csv")) == 1 + count
 
@@ -362,7 +367,7 @@ class TestPredicatesCommand:
         code = main(["predicates", "--config", write_config(tmp_path / "c.json", cfg)])
         assert code in (0, 1)
         assert "Traceback" not in capsys.readouterr().err
-        records = json.load(open(out / "summary.json"))["predicates"]
+        records = read_json(out / "summary.json")["predicates"]
         witnesses = [r["loc_witness"] for r in records if r["loc_witness"] is not None]
         assert witnesses
         for pair in witnesses:
@@ -749,6 +754,32 @@ class TestSchemaBounds:
                 "--axis", axis, "--values", f"6,{value}"]
         assert main(argv) == 2
         assert "config rejected" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestNumericalFailure:
+    def test_a_nan_eigenvector_entry_exits_3(self, tmp_path, monkeypatch):
+        """A NaN boundary Green value is a numerical failure, never a flag."""
+        eigh = np.linalg.eigh
+
+        def with_nan(matrix):
+            values, vectors = eigh(matrix)
+            vectors[0, 0] = np.nan
+            return values, vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", with_nan)
+        out = tmp_path / "out"
+        cfg = base_config(
+            out,
+            [{"kind": "predicates", "center": [1, 0], "radius": 4, "sub_scale": 2,
+              "trials": 1, "energies": [0.0]}],
+            particles=2, coupling=10.0, convention="fixed",
+            interaction={"kind": "step", "amplitude": 1.0, "range": 1},
+        )
+        code, err = _main_quietly(["predicates", "--config", write_config(tmp_path / "c.json", cfg)])
+        assert code == 3
+        assert "numerical failure" in err and "NaN" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
 

@@ -171,6 +171,17 @@ class TestPredicates:
         assert ns_decision(0.5, 0.5)
         assert not ns_decision(0.5000001, 0.5)
 
+    def test_a_nan_boundary_value_raises(self, line):
+        ctx = make_context(line, seed=5, coupling=30.0, radius=8)
+        es = ctx.eigensystem((1, 0), 8)
+        vectors = es.eigenvectors.copy()
+        vectors[es.ball.center_index(), 0] = np.nan
+        broken = replace(es, eigenvectors=vectors)
+        with pytest.raises(FloatingPointError, match="NaN"):
+            msa.ns_flags(broken, np.array([0.0, 5.0]), ctx.params)
+        with pytest.raises(FloatingPointError, match="NaN"):
+            ns_decision(np.array([0.1, np.nan, np.inf]), 0.5)
+
     def test_diagonal_operator_is_ns(self, line):
         ball = enumerate_ball((1, 0), 3, line)
         rng = np.random.default_rng(0)
@@ -375,6 +386,26 @@ class TestLocMemo:
         assert rep == kernel(ctx.eigensystem((1, 0), 8), other.params)
         assert rep != ctx.m_loc((1, 0), 8)
         assert len(calls) == 2
+
+
+    def test_one_tunneling_call_per_ball_and_sub_scale(self, line, monkeypatch):
+        kernel = msa.is_m_tunneling
+        calls = []
+
+        def counting(ctx, ball, sub_scale):
+            calls.append((ball.center, ball.radius, sub_scale))
+            return kernel(ctx, ball, sub_scale)
+
+        monkeypatch.setattr(msa, "is_m_tunneling", counting)
+        ctx = make_context(line, seed=5, coupling=30.0, radius=8)
+        reports = [predicate_report(ctx, (1, 0), 8, e, sub_scale=4) for e in (0.0, 5.0, 15.0)]
+        predicate_report(ctx, (1, 0), 8, 0.0, sub_scale=3)
+        assert calls == [((1, 0), 8, 4), ((1, 0), 8, 3)]
+        fresh = make_context(line, seed=5, coupling=30.0, radius=8)
+        expected = kernel(fresh, fresh.ball((1, 0), 8), 4)
+        assert {(r.m_tunneling, r.tunneling_witness) for r in reports} == {
+            (expected.tunneling, expected.witness)
+        }
 
 
 class TestContextSplit:

@@ -1,6 +1,7 @@
 """Kernels on threads: the outputs do not depend on the BLAS thread count,
 the core count or the thread a kernel ran on; errors reach the caller."""
 
+import csv
 import json
 import os
 import subprocess
@@ -13,11 +14,16 @@ import numpy as np
 import pytest
 
 import mpdsa
-from mpdsa import msa
-from mpdsa.cli import main
-from mpdsa.configspace import LatticeGeometry, enumerate_ball
-from mpdsa.disorder import FieldModel, sample_field
-from mpdsa.experiments import default_time_grid, propagator_sups
+from mpdsa import experiments, msa
+from mpdsa.cli import _setup_for, main
+from mpdsa.configspace import LatticeGeometry, config_distance, enumerate_ball
+from mpdsa.disorder import FieldModel, derive_seed, sample_field
+from mpdsa.experiments import (
+    correlator_completeness,
+    default_time_grid,
+    ef_correlator,
+    propagator_sups,
+)
 from mpdsa.msa import AuditContext, ScalingParams, predicate_report, verify_implications
 from mpdsa.operators import HamiltonianSpec, InteractionModel
 
@@ -171,6 +177,130 @@ class TestWhereKernelsRun:
         ran = msa.run_pinned([threading.current_thread] * 4, main=threading.current_thread)
         assert ran == [threading.main_thread()] * 4
         assert started == []
+
+
+def dynamics_run(tmp_path, trials):
+    """Exit code, config and output directory of a radius-8 ``dynamics``
+    run (n = 153, three time blocks a trial)."""
+    out = tmp_path / "out"
+    experiment = {**DYNAMICS, "radius": 8, "trials": trials, "time_points": 2000}
+    cfg = bench_config(out, experiment)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(cfg))
+    return main(["dynamics", "--config", str(config)]), cfg, out
+
+
+class TestDynamicsPipeline:
+    """``dynamics`` builds trial t + 1's eigensystem on the calling thread
+    while workers run trial t's propagator blocks."""
+
+    @staticmethod
+    def plain_loop(cfg):
+        """The rows and the three maxima of ``summary.json``, one trial at a
+        time: eigensystem, then propagator, then correlators."""
+        experiment = cfg["experiments"][0]
+        setup = _setup_for(cfg, experiment)
+        ball = setup.balls()[0]
+        pairs = [(ball.center, ball.center)]
+        seen = {0}
+        for member, r in zip(ball.members, ball.distances_from_center):
+            if int(r) not in seen:
+                seen.add(int(r))
+                pairs.append((ball.center, member))
+        grid = default_time_grid(experiment["time_points"])
+        rows, excess = [], [0.0, 0.0, 0.0]
+        for t in range(experiment["trials"]):
+            es = setup.context(derive_seed(cfg["seed"], "trial", t)).eigensystem(
+                setup.center, setup.radius)
+            for (x, y), prop in zip(pairs, propagator_sups(es, pairs, grid).tolist()):
+                q = ef_correlator(es, x, y, None)
+                comp = correlator_completeness(es, x, y)
+                rows.append(["0", str(t), json.dumps(list(x)), json.dumps(list(y)),
+                             str(config_distance(x, y, setup.geometry)), repr(q), repr(prop),
+                             repr(comp)])
+                excess = [max(excess[0], q - 1.0), max(excess[1], abs(comp)),
+                          max(excess[2], prop - q)]
+        return rows, excess
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("trials", [1, 2, 3])
+    def test_outputs_match_a_plain_loop(self, tmp_path, monkeypatch, one_blas_thread, trials,
+                                        cpus):
+        monkeypatch.setattr(msa, "usable_cpus", lambda: cpus)
+        code, cfg, out = dynamics_run(tmp_path, trials)
+        assert code == 0
+        rows, excess = self.plain_loop(cfg)
+        with open(out / "dynamics.csv", newline="") as fh:
+            assert list(csv.reader(fh))[1:] == rows
+        summary = json.loads((out / "summary.json").read_text())["experiment_0"]
+        assert [summary["max_correlator_excess"], summary["max_completeness_defect"],
+                summary["max_propagator_excess"]] == excess
+
+    def test_solves_stay_on_the_main_thread_and_blocks_leave_it(self, tmp_path, monkeypatch):
+        eigh, assemble, run_pinned = np.linalg.eigh, msa.assemble_hamiltonian, msa.run_pinned
+        seen = {"eigh": [], "assemble": [], "block": []}
+        beside = []
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                seen[name].append(threading.current_thread())
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def spied_run_pinned(tasks, main=None):
+            beside.append(main is not None)
+            return run_pinned([spy("block", task) for task in tasks], main=main)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy("eigh", eigh))
+        monkeypatch.setattr(msa, "assemble_hamiltonian", spy("assemble", assemble))
+        monkeypatch.setattr(experiments, "run_pinned", spied_run_pinned)
+        monkeypatch.setattr(msa, "usable_cpus", lambda: 2)
+        assert dynamics_run(tmp_path, 3)[0] == 0
+        main_thread = threading.main_thread()
+        assert beside == [True, True, False]
+        assert len(seen["eigh"]) == 3 and len(seen["assemble"]) == 3
+        assert all(t is main_thread for t in seen["eigh"] + seen["assemble"])
+        assert len(seen["block"]) == 9
+        assert all((t is not main_thread) == PINNABLE for t in seen["block"])
+
+    @pytest.mark.parametrize("setter", ["present", "missing"])
+    def test_beside_runs_once_on_the_calling_thread(self, monkeypatch, one_blas_thread, setter):
+        es = bench_context().eigensystem((1, 0), 16)
+        pairs = [(es.ball.members[0], es.ball.members[k]) for k in (0, 7, 300)]
+        grid = default_time_grid(2000)
+        reference = propagator_sups(es, pairs, grid).tobytes()
+        if setter == "missing":
+            monkeypatch.setattr(msa, "blas_thread_setter", lambda: None)
+        monkeypatch.setattr(msa, "usable_cpus", lambda: 2)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+        ran = []
+        values = propagator_sups(es, pairs, grid, beside=lambda: ran.append(
+            threading.current_thread()))
+        assert values.tobytes() == reference
+        assert ran == [threading.main_thread()]
+        assert (started == []) == (setter == "missing" or not PINNABLE)
+
+    def test_linalg_error_on_trial_1_exits_3(self, tmp_path, monkeypatch):
+        eigh = np.linalg.eigh
+        threads = []
+
+        def second_fails(*args, **kwargs):
+            threads.append(threading.current_thread())
+            if len(threads) == 2:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", second_fails)
+        monkeypatch.setattr(msa, "usable_cpus", lambda: 2)
+        alive = threading.active_count()
+        code, _, out = dynamics_run(tmp_path, 3)
+        assert code == 3
+        assert not out.exists()
+        assert threading.active_count() == alive
+        assert threads == [threading.main_thread()] * 2
 
 
 class TestManyWorkers:
