@@ -319,6 +319,8 @@ def cmd_audit(raw: dict, writer: RunWriter, args) -> int:
             grid_stride=exp.get("grid_stride"),
         )
         for r in result.rows:
+            # a skipped scale estimates nothing: empty fields, not nan
+            estimate = ("", "", "") if r.skipped else (r.p_hat, r.ci_lo, r.ci_hi)
             rows.append(
                 [
                     idx,
@@ -326,9 +328,7 @@ def cmd_audit(raw: dict, writer: RunWriter, args) -> int:
                     r.scale,
                     r.trials,
                     r.non_localized,
-                    r.p_hat,
-                    r.ci_lo,
-                    r.ci_hi,
+                    *estimate,
                     r.schedule_bound,
                     r.violation_count,
                     int(r.skipped),
@@ -631,15 +631,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# glibc's mallopt parameter for the number of malloc arenas
-M_ARENA_MAX = -8
+# glibc's mallopt parameters
+M_ARENA_MAX, M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -8, -1, -3
 
 
-def one_malloc_arena() -> None:
-    """Cap glibc's malloc at one arena for all threads, where libc has
-    ``mallopt``.  By default each thread that allocates gets an arena of
-    its own, and memory freed in a worker's arena is not reused by the
-    main thread, which raised the peak resident set by about a sixth."""
+def configure_malloc() -> None:
+    """Set glibc's malloc up for this program, where libc has ``mallopt``.
+
+    One arena for all threads: by default each thread that allocates gets
+    an arena of its own, and memory freed in a worker's arena is not
+    reused by the main thread, which raised the peak resident set by about
+    a sixth.  Blocks up to 32 MB come from the heap, and up to 512 MB of
+    free heap stays mapped, so one trial's n x n matrices and LAPACK
+    workspaces are reused by the next instead of each a fresh ``mmap``
+    whose pages fault in again.
+    """
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):  # no such symbol, or no C library handle
@@ -647,6 +653,9 @@ def one_malloc_arena() -> None:
     mallopt.restype = ctypes.c_int
     mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
     mallopt(M_ARENA_MAX, 1)
+    mallopt(M_TRIM_THRESHOLD, 512 * 2**20)
+    # glibc's ceiling on 64-bit hosts
+    mallopt(M_MMAP_THRESHOLD, 32 * 2**20)
 
 
 def main(argv=None) -> int:
@@ -657,7 +666,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = args.out or os.environ.get("MPDSA_OUT") or raw.get("output_dir", "out")
-    one_malloc_arena()
+    configure_malloc()
     # parallelism comes from independent kernels on threads (msa.run_pinned),
     # never from BLAS: one BLAS thread per Python thread
     set_blas_threads = blas_thread_setter()

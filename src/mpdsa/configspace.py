@@ -282,8 +282,16 @@ class Ball:
     def center_index(self) -> int:
         return self.index[self.center]
 
+    @property
+    def _is_1d_sector(self) -> bool:
+        g = self.geometry
+        return g.kind == "lattice" and g.d == 1
+
     @cached_property
     def distances_from_center(self) -> np.ndarray:
+        if self._is_1d_sector:
+            center = np.asarray(self.center, dtype=np.int64)
+            return np.abs(self.member_array - center).max(axis=1)
         g = self.geometry
         return np.array(
             [config_distance(self.center, cfg, g) for cfg in self.members],
@@ -294,17 +302,18 @@ class Ball:
     def pairwise_distances(self) -> np.ndarray:
         """Configuration distances between all member pairs.
 
-        Cheap Chebyshev formula on canonical coordinates for the 1D sector;
-        matching-minimized elsewhere.
+        Cheap Chebyshev formula on canonical coordinates for the 1D sector,
+        one coordinate at a time into one int64 array; matching-minimized
+        elsewhere.
         """
-        g = self.geometry
-        if g.kind == "lattice" and g.d == 1:
-            arr = self.member_array
-            return np.max(
-                np.abs(arr[:, None, :] - arr[None, :, :]), axis=2
-            ).astype(np.int64)
         n = len(self.members)
         out = np.zeros((n, n), dtype=np.int64)
+        if self._is_1d_sector:
+            for col in self.member_array.T:
+                diff = np.subtract.outer(col, col)
+                np.maximum(out, np.abs(diff, out=diff), out=out)
+            return out
+        g = self.geometry
         for i in range(n):
             for j in range(i + 1, n):
                 out[i, j] = out[j, i] = config_distance(
@@ -313,8 +322,46 @@ class Ball:
         return out
 
     @cached_property
-    def edge_index_pairs(self) -> tuple:
-        """Index pairs (i, j), i < j, of adjacent members."""
+    def _sector_moves(self):
+        """Every one-particle move of every member of a 1D sector ball, as
+        ``config_neighbors`` lists them: (stays, target), both shaped
+        (member, particle, step -1 then +1).  ``stays`` says the move keeps
+        the configuration in the sector, ``target`` is the index of the
+        moved configuration in the ball, -1 outside it.  None off the 1D
+        sector, or when the integer keys would overflow int64.
+
+        A move keeps the strict order unless it lands on the adjacent
+        particle, so the moved configuration needs no re-sorting.  Members
+        are looked up by a mixed-radix key that orders like the tuples.
+        """
+        if not self._is_1d_sector:
+            return None
+        arr = self.member_array
+        n, npart = arr.shape
+        # moves reach one site beyond the members' range on each side
+        lo = arr.min(axis=0) - 1
+        base = int((arr.max(axis=0) - lo).max()) + 2
+        if base**npart > np.iinfo(np.int64).max:
+            return None
+        place = base ** np.arange(npart - 1, -1, -1, dtype=np.int64)
+        keys = ((arr - lo) * place).sum(axis=1)
+        moved = keys[:, None, None] + place[:, None] * np.array([-1, 1])
+        stays = np.ones((n, npart, 2), dtype=bool)
+        apart = arr[:, :-1] - arr[:, 1:] > 1
+        stays[:, :-1, 0] = apart
+        stays[:, 1:, 1] = apart
+        pos = np.minimum(np.searchsorted(keys, moved), n - 1)
+        target = np.where(keys[pos] == moved, pos, -1)
+        return stays, target
+
+    @cached_property
+    def edge_index_pairs(self) -> np.ndarray:
+        """Index pairs (i, j), i < j, of adjacent members, shape (m, 2)."""
+        if self._sector_moves is not None:
+            stays, target = self._sector_moves
+            i = np.broadcast_to(np.arange(len(self))[:, None, None], target.shape)
+            keep = stays & (target > i)
+            return np.stack([i[keep], target[keep]], axis=1)
         pairs = []
         idx = self.index
         for i, cfg in enumerate(self.members):
@@ -322,11 +369,19 @@ class Ball:
                 j = idx.get(nb)
                 if j is not None and j > i:
                     pairs.append((i, j))
-        return tuple(pairs)
+        return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
     @cached_property
     def sector_boundary_pairs(self) -> tuple:
         """Edge boundary pairs (inside, outside) within the full sector."""
+        if self._sector_moves is not None:
+            stays, target = self._sector_moves
+            i, j, step = np.nonzero(stays & (target < 0))
+            outside = self.member_array[i]
+            outside[np.arange(len(i)), j] += 2 * step - 1
+            return tuple(
+                (self.members[k], tuple(nb)) for k, nb in zip(i.tolist(), outside.tolist())
+            )
         pairs = []
         idx = self.index
         for cfg in self.members:
@@ -334,6 +389,14 @@ class Ball:
                 if nb not in idx:
                     pairs.append((cfg, nb))
         return tuple(pairs)
+
+    @cached_property
+    def interior_boundary_rows(self) -> np.ndarray:
+        """Member indices of ``interior_boundary(self)``, in its order
+        (read-only: every caller shares it)."""
+        rows = np.array([self.index[c] for c in interior_boundary(self)], dtype=np.intp)
+        rows.flags.writeable = False
+        return rows
 
 
 def _descending_tuples(lo_hi: list) -> list:

@@ -31,7 +31,6 @@ from .configspace import (
     canonical_decomposition,
     config_distance,
     enumerate_ball,
-    interior_boundary,
     maximal_separation_split,
 )
 from .disorder import FieldSample
@@ -646,9 +645,18 @@ def cnr_subballs(params: ScalingParams, ball: Ball) -> list:
 # -- predicates --------------------------------------------------------------
 
 
+def _not_resonant(spectrum: np.ndarray, energy: float, scale: float) -> bool:
+    """dist(E, spectrum) >= scale (ties are non-resonant).  A NaN in the
+    spectrum decides nothing: it raises ``FloatingPointError``."""
+    dist = np.min(np.abs(spectrum - energy))
+    if np.isnan(dist):
+        raise FloatingPointError("spectrum value is NaN")
+    return bool(dist >= scale)
+
+
 def is_E_NR(es: EigenSystem, energy: float, params: ScalingParams) -> bool:
     """Resolvent norm at most e^{+L^beta} (ties are non-resonant)."""
-    return es.spectral_distance(energy) >= params.resonance_scale(es.ball.radius)
+    return _not_resonant(es.eigenvalues, energy, params.resonance_scale(es.ball.radius))
 
 
 def _dist_to_sorted(sorted_vals: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -669,7 +677,7 @@ def is_E_CNR(ctx: AuditContext, ball: Ball, energy: float):
     if not is_E_NR(big, energy, params):
         return False, (ball.center, ball.radius)
     for center, r in cnr_subballs(params, ball):
-        if np.min(np.abs(ctx.spectrum(center, r) - energy)) < params.resonance_scale(r):
+        if not _not_resonant(ctx.spectrum(center, r), energy, params.resonance_scale(r)):
             return False, (center, r)
     return True, None
 
@@ -709,10 +717,9 @@ def ns_flags(es: EigenSystem, energies: np.ndarray, params: ScalingParams):
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     ball = es.ball
-    boundary = interior_boundary(ball)
-    if not boundary:
+    rows = ball.interior_boundary_rows
+    if len(rows) == 0:
         return np.ones(len(energies), dtype=bool), np.zeros(len(energies))
-    rows = [ball.index[c] for c in boundary]
     dist = _dist_to_sorted(es.eigenvalues, energies)
     safe = dist > es.resonance_cutoff()
     worst = np.full(len(energies), np.inf)
@@ -731,7 +738,7 @@ def is_EmNS(es: EigenSystem, energy: float, params: ScalingParams) -> NsReport:
 
 
 def ns_by_solve(
-    shifted: np.ndarray, safe: np.ndarray, cleared: np.ndarray, source: int, rows: list,
+    shifted: np.ndarray, safe: np.ndarray, cleared: np.ndarray, source: int, rows,
     threshold: float,
 ) -> list:
     """``is_EmNS`` without eigenvectors, for a stack of operators on one
@@ -745,7 +752,7 @@ def ns_by_solve(
     over the safe matrices gives their boundary values.  ``cleared`` goes
     on the reports as is.
     """
-    if not rows:
+    if len(rows) == 0:
         return [NsReport(True, 0.0, threshold, cleared=bool(c)) for c in cleared]
     worst = np.full(len(shifted), np.inf)
     if np.any(safe):
@@ -810,7 +817,7 @@ def block_non_singularity(
     diagonals = diagonal_gather(ball_spec, ball, region)
     i = np.arange(n)
     source = ball.center_index()
-    boundary = [ball.index[c] for c in interior_boundary(ball)]
+    boundary = ball.interior_boundary_rows
     threshold = _clamped_ns_threshold(ball, params)
     split = factor_centers(spec, center, radius) is not None
     starts = range(0, len(fields), block)
@@ -947,6 +954,9 @@ def is_m_loc(es: EigenSystem, params: ScalingParams) -> LocReport:
     # in-place steps keep the peak memory at three n x n arrays
     vecs = np.abs(es.eigenvectors)
     peaks = np.argmax(vecs, axis=0)
+    # argmax stops at a column's first NaN, so a NaN entry shows at its peak
+    if np.isnan(floors).any() or np.isnan(vecs[peaks, np.arange(len(peaks))]).any():
+        raise FloatingPointError("eigenvector entry or eigenvalue is NaN")
     log_vecs = np.maximum(vecs, 1e-320)
     np.log(log_vecs, out=log_vecs)
     bounds = _log_excess_bounds(log_vecs, peaks, dmat, rmin, rate, floors)
@@ -1138,13 +1148,27 @@ class AuditResult:
     counters: dict
 
 
+def _sorted_distinct(vals: np.ndarray) -> np.ndarray:
+    """``np.unique`` of finite values, without the ``numpy.ma`` import it
+    makes: the same sort, keeping the first of each run of equal values."""
+    vals = np.sort(vals)
+    keep = np.empty(len(vals), dtype=bool)
+    keep[:1] = True
+    np.not_equal(vals[1:], vals[:-1], out=keep[1:])
+    return vals[keep]
+
+
 def energy_grid(spectra) -> np.ndarray:
-    """Sorted union of the given spectra plus midpoints of adjacent gaps."""
-    vals = np.unique(np.concatenate([np.asarray(s, dtype=float) for s in spectra]))
+    """Sorted union of the given spectra plus midpoints of adjacent gaps.
+    A non-finite value decides nothing: it raises ``FloatingPointError``."""
+    vals = np.concatenate([np.asarray(s, dtype=float) for s in spectra])
+    if not np.isfinite(vals).all():
+        raise FloatingPointError("spectrum value is not finite")
+    vals = _sorted_distinct(vals)
     if len(vals) < 2:
         return vals
     mids = 0.5 * (vals[:-1] + vals[1:])
-    return np.unique(np.concatenate([vals, mids]))
+    return _sorted_distinct(np.concatenate([vals, mids]))
 
 
 def _grid_centers(ball: Ball, sub_scale: int, grid_stride: int | None) -> list:

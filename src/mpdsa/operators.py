@@ -29,7 +29,6 @@ from .configspace import (
     Ball,
     LatticeGeometry,
     merge_configs,
-    product_rows,
 )
 from .disorder import FieldSample, MissingDataError
 
@@ -226,7 +225,7 @@ def _interaction_diagonal(ball: Ball, model: InteractionModel) -> np.ndarray:
 @lru_cache(maxsize=512)
 def _build_structure(ball: Ball, convention: str, interaction: InteractionModel) -> _BallStructure:
     n, g = len(ball), ball.geometry
-    hops = np.asarray(ball.edge_index_pairs, dtype=np.int64).reshape(-1, 2).T
+    hops = ball.edge_index_pairs.T
     # np.unique sorts the distinct sites as ball.projection does, so its
     # inverse indexes ball.projection
     sites = np.unique(
@@ -328,18 +327,10 @@ def assemble_hamiltonian(spec: HamiltonianSpec, ball: Ball, sample: FieldSample)
     return OperatorMatrix(ball, _assemble(st, diagonal), spec.convention)
 
 
-def kronecker_sum(ha: OperatorMatrix, hb: OperatorMatrix) -> OperatorMatrix:
-    """H_A (x) 1 + 1 (x) H_B, reindexed to the merged ball's canonical order.
-
-    Requires the two center configurations to be separated far enough that
-    the joint ball is exactly the product of the factors; the spectrum of
-    the result is the set of pairwise sums of the factor spectra.
-    """
-    return kronecker_sum_on(ha, hb, *product_rows(ha.ball, hb.ball))
-
-
 def kronecker_sum_on(ha: OperatorMatrix, hb: OperatorMatrix, joint: Ball, rows) -> OperatorMatrix:
-    """``kronecker_sum`` on the joint ball and rows of ``product_rows``.
+    """H_A (x) 1 + 1 (x) H_B, reindexed to the joint ball's canonical order,
+    on the joint ball and rows of ``product_rows``.  The spectrum of the
+    result is the set of pairwise sums of the factor spectra.
 
     Only the entries kron(H_A, 1) + kron(1, H_B) can make nonzero are
     written: H_A among the joint rows sharing a B factor member, then H_B

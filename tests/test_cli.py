@@ -151,6 +151,25 @@ class TestAuditCommand:
         summary = read_json(out / "summary.json")
         assert "experiment_0" in summary
 
+    def test_skipped_scales_write_empty_estimates(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = base_config(
+            out,
+            [{"kind": "audit", "center": [1, 0], "k_max": 1, "trials": 2, "matrix_cap": 40}],
+            particles=2,
+            coupling=50.0,
+            convention="fixed",
+            schedule={"p": 33.0, "b": 0.01},
+        )
+        assert main(["audit", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+        header, *rows = read_csv(out / "audit_scales.csv")
+        assert len(rows) == 2
+        assert not any(cell.lower() == "nan" for row in rows for cell in row)
+        for row in rows:
+            fields = dict(zip(header, row))
+            assert fields["skipped"] == "1"
+            assert fields["p_hat"] == fields["ci_lo"] == fields["ci_hi"] == ""
+
     def test_needs_schedule(self, tmp_path):
         cfg = base_config(
             tmp_path / "o",
@@ -779,6 +798,49 @@ class TestNumericalFailure:
         code, err = _main_quietly(["predicates", "--config", write_config(tmp_path / "c.json", cfg)])
         assert code == 3
         assert "numerical failure" in err and "NaN" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "command, solver, part, entry, message",
+        [
+            # the audit's first scale decides m-localization alone
+            ("audit", "eigh", 1, (3, 2), "eigenvector entry or eigenvalue is NaN"),
+            # the ball's own spectrum
+            ("predicates", "eigh", 0, 4, "spectrum value is NaN"),
+            # the sub-balls' values-only spectra, which only CNR reads first
+            ("predicates", "eigvalsh", None, 0, "spectrum value is NaN"),
+        ],
+        ids=["m_loc", "nr", "cnr"],
+    )
+    def test_a_nan_spectrum_or_vector_exits_3(
+        self, tmp_path, monkeypatch, command, solver, part, entry, message
+    ):
+        """m-loc, NR and CNR decide nothing from a NaN: exit 3, nothing written."""
+        solve = getattr(np.linalg, solver)
+
+        def with_nan(matrix):
+            out = solve(matrix)
+            (out if part is None else out[part])[entry] = np.nan
+            return out
+
+        monkeypatch.setattr(np.linalg, solver, with_nan)
+        out = tmp_path / "out"
+        experiment = (
+            {"kind": "audit", "center": [1, 0], "k_max": 0, "trials": 1}
+            if command == "audit"
+            else {"kind": "predicates", "center": [1, 0], "radius": 4, "sub_scale": 2,
+                  "trials": 1, "energies": [0.0]}
+        )
+        cfg = base_config(
+            out, [experiment], particles=2, coupling=10.0, convention="fixed",
+            interaction={"kind": "step", "amplitude": 1.0, "range": 1},
+            schedule={"p": 33.0, "b": 0.01},
+        )
+        code, err = _main_quietly([command, "--config", write_config(tmp_path / "c.json", cfg)])
+        assert code == 3
+        assert "numerical failure" in err and message in err
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpdsa.configspace import (
+    Ball,
     DimensionError,
     LatticeGeometry,
     NotDecomposableError,
@@ -28,6 +29,7 @@ from mpdsa.configspace import (
     witness_is_valid,
 )
 from mpdsa.msa import ScalingParams
+from mpdsa.operators import InteractionModel, _build_structure
 
 
 def brute_min_over_perms(x, y, geometry):
@@ -383,3 +385,71 @@ class TestProjectionsAndOccupation:
         assert (2, 0) in nbs and (1, -1) in nbs
         assert all(len(set(nb)) == 2 for nb in nbs)
         assert (1, 1) not in nbs and (0, 0) not in nbs
+
+
+# 1D sector balls, their particles adjacent or apart, and a path graph of
+# sites shifted by OFFSET: the graph takes the generic loops (neighbour
+# lists, matching-minimized distances) and is the line wherever these
+# balls reach
+SECTOR_CENTERS = [(0,), (1, 0), (4, 0), (2, 1, 0), (6, 3, 0), (3, 2, 1, 0), (9, 6, 3, 0)]
+OFFSET = 12
+
+
+def _on_path(cfg):
+    return tuple(c + OFFSET for c in cfg)
+
+
+@pytest.fixture(scope="module")
+def long_path():
+    size = 2 * OFFSET + 6
+    adj = tuple(tuple(w for w in (v - 1, v + 1) if 0 <= w < size) for v in range(size))
+    return LatticeGeometry(kind="graph", adjacency=adj)
+
+
+class TestSectorFastPath:
+    """The 1D sector's numpy geometry against the generic loops."""
+
+    @pytest.mark.parametrize("radius", range(7))
+    @pytest.mark.parametrize("center", SECTOR_CENTERS)
+    def test_matches_the_generic_loops(self, line, long_path, center, radius):
+        ball = enumerate_ball(center, radius, line)
+        loop = enumerate_ball(_on_path(center), radius, long_path)
+        assert ball._sector_moves is not None and loop._sector_moves is None
+        assert loop.members == tuple(_on_path(m) for m in ball.members)
+        assert np.array_equal(ball.edge_index_pairs, loop.edge_index_pairs)
+        assert ball.edge_index_pairs.dtype == np.int64
+        assert [(_on_path(x), _on_path(y)) for x, y in ball.sector_boundary_pairs] == list(
+            loop.sector_boundary_pairs
+        )
+        assert np.array_equal(ball.interior_boundary_rows, loop.interior_boundary_rows)
+        assert np.array_equal(ball.distances_from_center, loop.distances_from_center)
+        assert ball.distances_from_center.dtype == np.int64
+        step = InteractionModel(kind="step", amplitude=2.0, range_=1)
+        for convention in ("induced", "fixed"):
+            fast = _build_structure(ball, convention, step)
+            slow = _build_structure(loop, convention, step)
+            assert all(np.array_equal(a, b) for a, b in zip(fast.hops, slow.hops))
+            assert np.array_equal(fast.sites, slow.sites)
+            assert np.array_equal(fast.laplacian_diagonal, slow.laplacian_diagonal)
+            assert np.array_equal(fast.interaction_diagonal, slow.interaction_diagonal)
+        if len(ball) > 2000:
+            return
+        # on an uncached copy, so that the n x n array is freed after the test
+        dist = Ball(ball.geometry, ball.center, ball.radius, ball.members).pairwise_distances
+        assert dist.dtype == np.int64
+        # the (n, n, N) broadcast it replaces
+        arr = ball.member_array
+        assert np.array_equal(dist, np.max(np.abs(arr[:, None] - arr[None]), axis=2))
+        if len(ball) <= 150:
+            assert np.array_equal(dist, loop.pairwise_distances)
+
+    def test_keys_that_would_overflow_take_the_loop(self, line):
+        # a key has one base-5 digit per particle at radius 1: 5**27 fits
+        # in int64, 5**28 does not
+        for n, fast in ((27, True), (28, False)):
+            ball = enumerate_ball(tuple(range(n - 1, -1, -1)), 1, line)
+            assert (ball._sector_moves is not None) == fast
+            loop = Ball(ball.geometry, ball.center, ball.radius, ball.members)
+            loop.__dict__["_sector_moves"] = None
+            assert np.array_equal(ball.edge_index_pairs, loop.edge_index_pairs)
+            assert ball.sector_boundary_pairs == loop.sector_boundary_pairs

@@ -171,6 +171,24 @@ class TestPredicates:
         assert ns_decision(0.5, 0.5)
         assert not ns_decision(0.5000001, 0.5)
 
+    def test_a_nan_spectrum_decides_no_resonance(self, line):
+        ctx = make_context(line, seed=5, coupling=30.0, radius=8)
+        ball = ctx.ball((1, 0), 8)
+        es = ctx.eigensystem((1, 0), 8)
+        values = es.eigenvalues.copy()
+        values[-1] = np.nan
+        with pytest.raises(FloatingPointError, match="NaN"):
+            is_E_NR(replace(es, eigenvalues=values), 0.0, ctx.params)
+        # the ball itself is non-resonant at an energy far from its spectrum,
+        # so the decision reaches the sub-balls
+        energy = float(es.eigenvalues[-1]) + 10.0
+        assert is_E_CNR(ctx, ball, energy) == (True, None)
+        center, r = cnr_subballs(ctx.params, ball)[0]
+        sub = ctx.spectrum(center, r)
+        sub[0] = np.nan
+        with pytest.raises(FloatingPointError, match="NaN"):
+            is_E_CNR(ctx, ball, energy)
+
     def test_a_nan_boundary_value_raises(self, line):
         ctx = make_context(line, seed=5, coupling=30.0, radius=8)
         es = ctx.eigensystem((1, 0), 8)
@@ -351,6 +369,22 @@ class TestLocOracle:
         rep = self._same(ctx.eigensystem((1, 0), 6), params)
         assert rep.qualifying_pairs > 0
         assert rep.worst_ratio == 0.0 and rep.witness is None
+
+    def test_a_nan_entry_or_eigenvalue_raises(self, line):
+        ctx = make_context(line, seed=3, coupling=30.0, radius=6)
+        es = ctx.eigensystem((1, 0), 6)
+        vecs = np.abs(es.eigenvectors)
+        # a column's peak, its smallest entry, and the last row of the last column
+        spots = [(int(np.argmax(vecs[:, 5])), 5), (int(np.argmin(vecs[:, 40])), 40), (-1, -1)]
+        for row, col in spots:
+            vectors = es.eigenvectors.copy()
+            vectors[row, col] = np.nan
+            with pytest.raises(FloatingPointError, match="NaN"):
+                is_m_loc(replace(es, eigenvectors=vectors), ctx.params)
+        values = es.eigenvalues.copy()
+        values[7] = np.nan
+        with pytest.raises(FloatingPointError, match="NaN"):
+            is_m_loc(replace(es, eigenvalues=values), ctx.params)
 
     def test_matching_minimized_metric(self):
         # 12-site path graph: ball distances minimize over particle matchings
@@ -661,6 +695,35 @@ class TestGridsAndReports:
     def test_energy_grid_midpoints(self):
         grid = energy_grid([np.array([0.0, 1.0]), np.array([2.0])])
         assert np.array_equal(grid, np.array([0.0, 0.5, 1.0, 1.5, 2.0]))
+
+    def test_energy_grid_matches_unique(self):
+        def oracle(spectra):
+            vals = np.unique(np.concatenate([np.asarray(s, dtype=float) for s in spectra]))
+            if len(vals) < 2:
+                return vals
+            return np.unique(np.concatenate([vals, 0.5 * (vals[:-1] + vals[1:])]))
+
+        rng = np.random.default_rng(17)
+        cases = [
+            [np.array([0.0])],
+            [np.array([1.0, 1.0, 1.0])],
+            [np.array([-0.0, 0.0, 1.0]), np.array([0.0, -0.0])],
+            [np.array([0.0, -0.0, -1.0, 1.0]), np.array([-0.0])],
+            # a midpoint that equals a spectrum value, and repeated values
+            [np.array([0.0, 2.0]), np.array([1.0, 1.0, 2.0])],
+        ] + [
+            [rng.integers(-4, 5, size=k) * 0.5 * rng.choice([-1.0, 1.0]) for k in (7, 5, 9)]
+            for _ in range(50)
+        ]
+        for spectra in cases:
+            grid, expected = energy_grid(spectra), oracle(spectra)
+            # bit for bit, the sign of a zero included
+            assert grid.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_energy_grid_refuses_a_non_finite_value(self, bad):
+        with pytest.raises(FloatingPointError, match="not finite"):
+            energy_grid([np.array([0.0, 1.0]), np.array([bad, 2.0, bad])])
 
     def test_stride_centers_lattice(self, line):
         ball = enumerate_ball((1, 0), 8, line)

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from mpdsa.configspace import GeometryError, LatticeGeometry, enumerate_ball, merge_configs
+from mpdsa.configspace import (
+    GeometryError,
+    LatticeGeometry,
+    enumerate_ball,
+    merge_configs,
+    product_rows,
+)
 from mpdsa.disorder import (
     FieldModel,
     FieldSample,
@@ -21,7 +27,7 @@ from mpdsa.operators import (
     hopping_template,
     interaction_defect,
     interaction_energy,
-    kronecker_sum,
+    kronecker_sum_on,
     laplacian_matrix,
     truncate_interaction,
 )
@@ -311,7 +317,7 @@ class TestKroneckerSum:
 
         ha = OperatorMatrix(ba, np.array([[2.5]]), "fixed")
         hb = OperatorMatrix(bb, np.array([[-1.0]]), "fixed")
-        ks = kronecker_sum(ha, hb)
+        ks = kronecker_sum_on(ha, hb, *product_rows(ha.ball, hb.ball))
         assert ks.matrix.shape == (1, 1)
         assert ks.matrix[0, 0] == pytest.approx(1.5)
 
@@ -322,7 +328,7 @@ class TestKroneckerSum:
         sample = sample_field(FieldModel(), sorted(set(ba.projection) | set(bb.projection)), 5)
         ha = assemble_hamiltonian(spec1, ba, sample)
         hb = assemble_hamiltonian(spec1, bb, sample)
-        ks = kronecker_sum(ha, hb)
+        ks = kronecker_sum_on(ha, hb, *product_rows(ha.ball, hb.ball))
         sums = np.sort(
             (np.linalg.eigvalsh(ha.matrix)[:, None] + np.linalg.eigvalsh(hb.matrix)[None, :]).ravel()
         )
@@ -346,7 +352,7 @@ class TestKroneckerSum:
             direct = assemble_hamiltonian(spec2, joint, sample)
             ha = assemble_hamiltonian(spec1, enumerate_ball(x1, radius, line), sample)
             hb = assemble_hamiltonian(spec1, enumerate_ball(x2, radius, line), sample)
-            ks = kronecker_sum(ha, hb)
+            ks = kronecker_sum_on(ha, hb, *product_rows(ha.ball, hb.ball))
             assert ks.ball.members == joint.members
             assert np.max(np.abs(ks.matrix - direct.matrix)) < 1e-12
 
@@ -358,4 +364,4 @@ class TestKroneckerSum:
         ha = assemble_hamiltonian(spec1, ba, sample)
         hb = assemble_hamiltonian(spec1, bb, sample)
         with pytest.raises(GeometryError):
-            kronecker_sum(ha, hb)
+            kronecker_sum_on(ha, hb, *product_rows(ha.ball, hb.ball))
