@@ -451,6 +451,8 @@ def cmd_dynamics(raw: dict, writer: RunWriter, args) -> int:
                 if int(r) not in seen:
                     seen.add(int(r))
                     pairs.append((ball.center, ball.members[i]))
+        # the eigenvector rows the correlators and propagators read
+        read = sorted({ball.index[tuple(site)] for pair in pairs for site in pair})
         trials = _trials(exp, args)
         fit_points = {}
         worst_q = 0.0
@@ -461,6 +463,8 @@ def cmd_dynamics(raw: dict, writer: RunWriter, args) -> int:
         ahead = [next(systems)]
         for t in range(trials):
             es = ahead.pop()
+            if np.isnan(es.eigenvalues).any() or np.isnan(es.eigenvectors[read]).any():
+                raise FloatingPointError("eigenvalue or eigenvector entry is NaN")
             # this thread builds trial t + 1's eigensystem while workers
             # run trial t's time blocks
             beside = (lambda: ahead.append(next(systems))) if t + 1 < trials else None

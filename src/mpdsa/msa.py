@@ -802,10 +802,11 @@ def block_non_singularity(
     the resonance cutoff, then decides it with ``ns_by_solve``.  These
     trials are few (the certificate clears 994 to 999 of 1,000 at n = 91),
     so gathering them from every block makes one eigensolve where a
-    screen inside each block would make one per block.  A split ball waits
-    whole and keeps its factor spectra (sorted factor sums, as
-    ``AuditContext.spectrum`` takes them), which cost less than the
-    certificate's joint n^3.  Each matrix is factored and solved alone
+    screen inside each block would make one per block.  A NaN in a
+    screened spectrum decides nothing: it raises ``FloatingPointError``.
+    A split ball waits whole and keeps its factor spectra (sorted factor
+    sums, as ``AuditContext.spectrum`` takes them), which cost less than
+    the certificate's joint n^3.  Each matrix is factored and solved alone
     within a stacked call, so the outputs do not depend on the number of
     workers.
     """
@@ -862,7 +863,9 @@ def block_non_singularity(
         else:
             spectra = stacked_eigenvalues(template, h)
         dist = np.min(np.abs(spectra - energy), axis=1)
-        safe = np.array([not d <= resonance_cutoff(s) for d, s in zip(dist, spectra)])
+        if np.isnan(dist).any():
+            raise FloatingPointError("spectrum value is NaN")
+        safe = np.array([d > resonance_cutoff(s) for d, s in zip(dist, spectra)])
         shifted = buffer[: len(h)]
         shifted[:, i, i] = h - energy
         cleared = np.zeros(len(h), dtype=bool)

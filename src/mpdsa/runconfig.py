@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
-
-import jsonschema
+import operator
 
 from .configspace import LatticeGeometry
 from .disorder import FieldModel
@@ -173,9 +173,81 @@ SCHEMA = {
 }
 
 
-# built once: jsonschema.validate would re-check SCHEMA against the
-# metaschema on every call
-_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+_KEYWORDS = frozenset(
+    ("type", "const", "enum", "oneOf", "minimum", "maximum", "exclusiveMinimum", "required",
+     "properties", "additionalProperties", "items", "minItems", "maxItems")
+)
+# the comparison that breaks each bound, as jsonschema makes it
+_BREAKS_NUMBER = {"minimum": operator.lt, "maximum": operator.gt, "exclusiveMinimum": operator.le}
+_BREAKS_LENGTH = {"minItems": operator.lt, "maxItems": operator.gt}
+# the JSON type of each Python type ``json.load`` returns
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number",
+               float: "number", bool: "boolean", type(None): "null"}
+
+
+class _Unsure(Exception):
+    """The schema walk met a keyword or value it does not judge."""
+
+
+def _equal(value, rule) -> bool:
+    """jsonschema's equality against a scalar: a bool equals no number."""
+    if type(rule) not in (str, int, float, type(None)):
+        raise _Unsure
+    return type(value) is not bool and value == rule
+
+
+def _conforms(value, schema) -> bool:
+    """Whether ``value`` satisfies ``schema`` under draft 2020-12, as
+    jsonschema applies it.  Both verdicts are exact, since ``oneOf``
+    counts the branches that match.  A keyword outside ``_KEYWORDS``, a
+    schema that is not an object, or a value of a type ``json.load`` does
+    not return raises ``_Unsure``."""
+    kind = _JSON_TYPES.get(type(value))
+    if kind is None or type(schema) is not dict or not schema.keys() <= _KEYWORDS:
+        raise _Unsure
+    for key, rule in schema.items():
+        if key == "type":
+            types = [rule] if isinstance(rule, str) else rule
+            ok = kind in types or (
+                "integer" in types
+                and kind == "number"
+                and (type(value) is int or value.is_integer())
+            )
+        elif key == "const":
+            ok = _equal(value, rule)
+        elif key == "enum":
+            ok = any(_equal(value, each) for each in rule)
+        elif key == "oneOf":
+            ok = sum(_conforms(value, branch) for branch in rule) == 1
+        elif key == "additionalProperties" and rule is not False:
+            raise _Unsure
+        # every other keyword applies only to values of its own type
+        elif kind == "number" and key in _BREAKS_NUMBER:
+            ok = not _BREAKS_NUMBER[key](value, rule)
+        elif kind == "array" and key in _BREAKS_LENGTH:
+            ok = not _BREAKS_LENGTH[key](len(value), rule)
+        elif kind == "array" and key == "items":
+            ok = all(_conforms(each, rule) for each in value)
+        elif kind == "object" and key == "required":
+            ok = all(name in value for name in rule)
+        elif kind == "object" and key == "properties":
+            ok = all(_conforms(value[name], sub) for name, sub in rule.items() if name in value)
+        elif kind == "object" and key == "additionalProperties":
+            ok = value.keys() <= schema.get("properties", {}).keys()
+        else:
+            ok = True
+        if not ok:
+            return False
+    return True
+
+
+@functools.cache
+def _validator():
+    """jsonschema's validator of ``SCHEMA``, built once, on the first
+    config ``_conforms`` does not accept: it words the rejection."""
+    import jsonschema
+
+    return jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
 
 
 def _finite(text: str) -> float:
@@ -198,7 +270,17 @@ def load_config(path) -> dict:
 
 
 def validate_config(raw: dict) -> dict:
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    """``raw`` if it satisfies ``SCHEMA``, else ``ConfigError`` with
+    jsonschema's best-match message.  jsonschema is imported only when the
+    schema walk does not accept ``raw``, and its verdict stands."""
+    try:
+        if _conforms(raw, SCHEMA):
+            return raw
+    except _Unsure:
+        pass
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_validator().iter_errors(raw))
     if error is not None:
         raise ConfigError(f"config rejected: {error.message} (at {list(error.absolute_path)})")
     return raw

@@ -1,10 +1,14 @@
 import contextlib
+import copy
 import csv
 import hashlib
 import io
 import json
+import math
 import os
 import platform
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,8 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mpdsa
 from mpdsa.cli import main
-from mpdsa.runconfig import SCHEMA
+from mpdsa.runconfig import SCHEMA, ConfigError, _conforms, _Unsure, validate_config
 
 
 def write_config(path, payload):
@@ -844,6 +849,52 @@ class TestNumericalFailure:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_a_nan_screened_spectrum_exits_3(self, tmp_path, monkeypatch):
+        """The singular event's block path screens no trial as safe from a
+        NaN spectrum."""
+        from mpdsa import msa
+
+        stacked = msa.stacked_eigenvalues
+
+        def with_nan(template, diagonals):
+            spectra = stacked(template, diagonals)
+            spectra[:, 0] = np.nan
+            return spectra
+
+        monkeypatch.setattr(msa, "stacked_eigenvalues", with_nan)
+        out = tmp_path / "out"
+        # a split ball: every trial waits for the screen of its factor spectra
+        experiment = {"kind": "event", "event": "singular", "center": [6, 0], "radius": 1,
+                      "energy": 0.0, "trials": 30}
+        path = write_config(tmp_path / "c.json", base_config(out, [experiment], particles=2))
+        code, err = _main_quietly(["sweep", "--config", path, "--axis", "g", "--values", "3"])
+        assert code == 3
+        assert "numerical failure: spectrum value is NaN" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("part, entry", [(0, 3), (1, (0, 2))], ids=["value", "vector"])
+    def test_a_nan_eigensystem_stops_dynamics(self, tmp_path, monkeypatch, part, entry):
+        """dynamics forms no correlator or propagator from a NaN eigenvalue
+        or a NaN entry in an eigenvector row it reads."""
+        eigh = np.linalg.eigh
+
+        def with_nan(matrix):
+            out = eigh(matrix)
+            out[part][entry] = np.nan
+            return out
+
+        monkeypatch.setattr(np.linalg, "eigh", with_nan)
+        out = tmp_path / "out"
+        # row 0, the member (-3,), is the first at distance 3: a default pair reads it
+        cfg = base_config(out, [{"kind": "dynamics", "center": [0], "radius": 3, "trials": 2,
+                                 "time_points": 20}], coupling=2.0)
+        code, err = _main_quietly(["dynamics", "--config", write_config(tmp_path / "c.json", cfg)])
+        assert code == 3
+        assert "numerical failure: eigenvalue or eigenvector entry is NaN" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestPinnedOutputs:
     """sha256 of small runs, fixed before the field sampler, the assembly,
@@ -899,24 +950,150 @@ class TestPinnedOutputs:
         )
 
 
+def workload_configs():
+    """The benchmark's three workload configs, and one that sets every
+    other key the schema knows, with both forms of each ``oneOf``."""
+    common = dict(particles=2, convention="fixed", seed=550001,
+                  scaling={"initial_scale": 6, "mass": 1.0})
+    step = {"kind": "step", "amplitude": 1.0, "range": 2}
+    return [
+        base_config("out", [{"kind": "predicates", "center": [1, 0], "radius": 16,
+                             "sub_scale": 6, "trials": 4, "energies": [0.0, 5.0, 15.0]}],
+                    coupling=30.0, interaction=step, **common),
+        base_config("out", [{"kind": "dynamics", "center": [1, 0], "radius": 16, "trials": 3,
+                             "time_points": 2000}],
+                    coupling=30.0, interaction=step, **common),
+        base_config("out", [{"kind": "event", "event": "singular", "energy": 0.0,
+                             "center": [1, 0], "radius": 6, "trials": 1000}],
+                    coupling=3.0, disorder={"kind": "iid", "marginal": "gaussian"},
+                    interaction={**step, "range": 1}, **common),
+        base_config(
+            "out",
+            [
+                {"kind": "dynamics", "center": [1, 0], "second_center": [4, 3],
+                 "pairs": [[0, 1], [[1, 0], [2, 0]]], "window": [-1.0, 1], "time_points": 10},
+                {"kind": "evc", "center": [0], "radius": 0, "s_grid": [0, 0.1],
+                 "constants": {"C1": 1, "A1": 1.0, "b1": 0.5, "C2": 2, "A2": 1, "b2": 0.5}},
+                {"kind": "audit", "center": [0], "k_max": 1, "trials": 5, "matrix_cap": 40,
+                 "grid_stride": 2},
+                {"kind": "event", "event": "tunneling", "energy": 1e50, "sub_scale": 2,
+                 "radius": 2, "center": [0]},
+            ],
+            geometry={"kind": "graph", "d": 1, "growth_constant": 2.0, "adjacency": [[1], [0]]},
+            coupling=-1e50,
+            disorder={"kind": "moving_average", "marginal": "uniform", "kernel": [1.0, -0.5]},
+            interaction={"kind": "table", "amplitude": 0.0, "range": 0, "prefactor": 1.0,
+                         "rate": 1.0, "tail_exponent": 0.5, "table": [[1, 0.5]],
+                         "truncation_radius": 3, "pair_counting": "unordered"},
+            scaling={"regime": "infinite", "alpha": 1.5, "varrho": [1, 2], "tau": [2, 3],
+                     "beta": 0.5, "beta_prime": [1, 3], "delta": 0.1, "theta": 0.02,
+                     "mass": 1.0, "initial_scale": 8, "cn_variant": "2A+3",
+                     "numerical_floor": 1e-12},
+            schedule={"p": 33.0, "b": 0.01},
+        ),
+    ]
+
+
+def _property_names(schema):
+    if isinstance(schema, dict):
+        yield from schema.get("properties", ())
+        for sub in schema.values():
+            yield from _property_names(sub)
+    elif isinstance(schema, list):
+        for sub in schema:
+            yield from _property_names(sub)
+
+
+# every key the schema knows, and one it does not
+_NAMES = sorted(set(_property_names(SCHEMA))) + ["zz"]
+_BEYOND = math.nextafter(1e50, math.inf)
+# numbers at each edge the schema draws: bools, integral floats, zeros of
+# both signs, the magnitude bound and just beyond it, and integers that
+# are no float
+_NUMBERS = [
+    True, False, 0, 1, 2, 3, -1, 2.0, 3.0, 0.5, -0.0, 1e50, -1e50, _BEYOND, -_BEYOND,
+    10**50, 10**50 + 1, -(10**50) - 1,
+]
+_EDGES = _NUMBERS + [
+    None, "", "x", "lattice", "graph", "iid", "gaussian", "step", "table", "spectrum",
+    "dynamics", "event", "singular", "infinite", "11N", "induced",
+    [], [1, 2], [2.0, 3], [1, 2, 3], [True, 1], [0.5, 2], [[0, 1], [2, 3]], [[0], [1]],
+    [[1, 0.5]], {}, {"kind": "lattice"}, {"p": 1, "b": 2},
+]
+_VALUES = st.recursive(
+    st.one_of(st.sampled_from(_EDGES).map(copy.deepcopy), st.integers(-3, 20),
+              st.floats(-10.0, 10.0)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.sampled_from(_NAMES), inner, max_size=2)
+    ),
+    max_leaves=6,
+)
+
+
+def _replacement(data, old):
+    """A value for an entry that holds ``old``: a numeric edge for a
+    number one time in two, else any value."""
+    if type(old) in (int, float) and data.draw(st.booleans()):
+        return data.draw(st.sampled_from(_NUMBERS))
+    return data.draw(_VALUES)
+
+
+def mutate(data, cfg):
+    """Set, delete or add one entry of a container anywhere in ``cfg``."""
+    node = cfg
+    while True:
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        inner = [k for k in keys if isinstance(node[k], (dict, list))]
+        if not inner or data.draw(st.booleans()):
+            break
+        node = node[data.draw(st.sampled_from(inner))]
+    if isinstance(node, dict):
+        # an existing key three times in four
+        known = node and data.draw(st.integers(0, 3)) > 0
+        key = data.draw(st.sampled_from(sorted(node) if known else _NAMES))
+        if key in node and data.draw(st.integers(0, 3)) == 0:
+            del node[key]
+        else:
+            node[key] = _replacement(data, node.get(key))
+    elif node and data.draw(st.booleans()):
+        index = data.draw(st.integers(0, len(node) - 1))
+        if data.draw(st.integers(0, 3)) == 0:
+            del node[index]
+        else:
+            node[index] = _replacement(data, node[index])
+    else:
+        node.append(data.draw(_VALUES))
+
+
+_JSONSCHEMA = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+
+
 class TestSchema:
     def test_schema_is_a_valid_schema(self):
-        import jsonschema
-
-        from mpdsa.runconfig import SCHEMA
-
         jsonschema.validators.validator_for(SCHEMA).check_schema(SCHEMA)
 
     def test_messages_match_jsonschema_validate(self):
-        import jsonschema
-
-        from mpdsa.runconfig import SCHEMA, ConfigError, validate_config
-
+        one = [{"kind": "spectrum"}]
         bad = [
             {"schema_version": 1},
             base_config("o", [{"kind": "spectrum", "radius": -1}]),
             base_config("o", [{"kind": "nope"}], particles=0),
             {**base_config("o", [{"kind": "spectrum"}]), "extra": 1},
+            # one per keyword the schema walk judges
+            base_config("o", one, particles=True),  # type: a bool is no integer
+            base_config("o", one, particles=2.5),  # type
+            base_config("o", one, schema_version=True),  # const
+            base_config("o", one, convention="free"),  # enum
+            base_config("o", one, scaling={"alpha": [1, 2, 3]}),  # oneOf
+            base_config("o", one, seed=-1),  # minimum
+            base_config("o", one, coupling=_BEYOND),  # maximum
+            base_config("o", one, scaling={"mass": -0.0}),  # exclusiveMinimum
+            base_config("o", one, schedule={"p": 1.0}),  # required
+            base_config("o", one, geometry={"kind": "lattice", "d": 0}),  # properties
+            base_config("o", [{"kind": "spectrum", "k": 1}]),  # additionalProperties
+            base_config("o", [{"kind": "spectrum", "energies": [0.0, "1"]}]),  # items
+            base_config("o", []),  # minItems
+            base_config("o", [{"kind": "dynamics", "window": [0, 1, 2]}]),  # maxItems
         ]
         for raw in bad:
             with pytest.raises(jsonschema.ValidationError) as ref:
@@ -928,12 +1105,98 @@ class TestSchema:
             )
 
     def test_an_error_inside_one_of_names_its_whole_path(self):
-        from mpdsa.runconfig import ConfigError, validate_config
-
         raw = base_config("o", [{"kind": "dynamics", "center": [0], "pairs": [[0, 1, 2]]}])
         with pytest.raises(ConfigError) as got:
             validate_config(raw)
         assert str(got.value).endswith("(at ['experiments', 0, 'pairs', 0, 0])")
+
+    def test_the_workload_configs_conform(self):
+        for raw in workload_configs():
+            assert _JSONSCHEMA.is_valid(raw) and _conforms(raw, SCHEMA)
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_the_walk_agrees_with_jsonschema(self, data):
+        raw = copy.deepcopy(data.draw(st.sampled_from(workload_configs())))
+        for _ in range(data.draw(st.integers(1, 3))):
+            mutate(data, raw)
+        assert _conforms(raw, SCHEMA) == _JSONSCHEMA.is_valid(raw)
+
+    @pytest.mark.parametrize(
+        "value, schema",
+        [
+            (2, {"oneOf": [{"type": "integer"}, {"type": "number"}]}),  # both match
+            (2.5, {"oneOf": [{"type": "integer"}, {"type": "number"}]}),
+            (True, {"oneOf": [{"type": "integer"}, {"type": "number"}]}),
+            (2.0, {"type": "integer"}),
+            (-0.0, {"type": "integer", "exclusiveMinimum": 0}),
+            (True, {"const": 1}),
+            (1.0, {"const": 1}),
+            (False, {"enum": [0, "a"]}),
+            # each keyword applies to its own type only
+            ("5", {"minimum": 6, "maxItems": 0, "required": ["a"]}),
+            ([1], {"minimum": 6, "exclusiveMinimum": 6}),
+            (5, {"maxItems": 0, "minItems": 6, "items": {"type": "string"}}),
+            ([1], {"type": ["object", "array"], "items": {"type": "string"}}),
+            ({"a": 1}, {"additionalProperties": False, "properties": {"b": {}}}),
+        ],
+    )
+    def test_the_walk_is_exact_on_each_keyword(self, value, schema):
+        assert _conforms(value, schema) == jsonschema.validators.validator_for(schema)(
+            schema
+        ).is_valid(value)
+
+    @pytest.mark.parametrize(
+        "value, schema",
+        [
+            # an unknown keyword defers the whole config, not only its branch
+            (4, {"oneOf": [{"type": "number", "multipleOf": 2}, {"type": "number"}]}),
+            ({"a": 1}, {"additionalProperties": {"type": "integer"}}),
+            ([1], {"items": True}),
+            ([True], {"const": [1]}),
+            ((1, 0), {"type": "array"}),
+            (np.float64(1.0), {"type": "number"}),
+        ],
+    )
+    def test_the_walk_defers_what_it_does_not_judge(self, value, schema):
+        with pytest.raises(_Unsure):
+            _conforms(value, schema)
+
+    def test_jsonschema_decides_what_the_walk_defers(self):
+        raw = base_config("o", [{"kind": "spectrum"}], coupling=np.float64(2.0))
+        assert validate_config(raw) is raw
+        raw = base_config("o", [{"kind": "spectrum", "center": (0,)}])
+        with pytest.raises(ConfigError, match=r"\(0,\) is not of type 'array'"):
+            validate_config(raw)
+
+    def test_a_valid_config_never_imports_jsonschema(self, tmp_path):
+        configs = workload_configs()
+        paths = [write_config(tmp_path / f"{i}.json", raw) for i, raw in enumerate(configs)]
+        bad = {**configs[0], "seed": -1}
+        paths.append(write_config(tmp_path / "bad.json", bad))
+        script = (
+            "import sys\n"
+            "import mpdsa.cli\n"
+            "from mpdsa.runconfig import ConfigError, load_config\n"
+            "for path in sys.argv[1:-1]:\n"
+            "    load_config(path)\n"
+            "heavy = ('jsonschema', 'referencing', 'attrs', 'rpds')\n"
+            "print([name for name in heavy if name in sys.modules])\n"
+            "try:\n"
+            "    load_config(sys.argv[-1])\n"
+            "except ConfigError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(mpdsa.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script, *paths], capture_output=True,
+                              text=True, env=env, timeout=120, check=True)
+        loaded, message = proc.stdout.splitlines()
+        assert loaded == "[]"
+        with pytest.raises(jsonschema.ValidationError) as ref:
+            jsonschema.validate(bad, SCHEMA)
+        assert message == f"config rejected: {ref.value.message} (at ['seed'])"
 
 
 def _main_quietly(argv):
@@ -951,29 +1214,38 @@ def _main_quietly(argv):
 _SITE = st.one_of(st.integers(-2, 4), st.sampled_from(["a", 1.5, True, [0, 1]]))
 _INTS = st.lists(st.integers(-2, 4), min_size=1, max_size=3)
 _PAIR = st.one_of(_SITE, _INTS, st.lists(st.one_of(_INTS, _SITE), min_size=1, max_size=3))
-_ENERGY = st.one_of(st.floats(-8.0, 8.0), st.sampled_from([0.0, 1.0]))
+# at the magnitude bound, and a negative zero
+_MAGNITUDE = st.sampled_from([1e50, -1e50, -0.0])
+_ENERGY = st.one_of(st.floats(-8.0, 8.0), st.sampled_from([0.0, 1.0]), _MAGNITUDE)
 
 
 _KERNEL = st.one_of(st.none(), st.just([]), st.just([0.5, 0.3, 0.2]),
-                    st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3))
+                    st.lists(st.one_of(st.floats(-2.0, 2.0), _MAGNITUDE), min_size=1, max_size=3))
 
 
 class TestContractFuzz:
-    """Small configs, mutated across four commands: radius, sub-scale,
-    energy, centre items (one run in four), dynamics pairs and the
-    disorder block (kind, marginal and kernel, empty and non-dominant
-    kernels among them).  Every run exits 0, 1, 2 or 3, never with a
-    traceback, and writes nothing when it exits 2."""
+    """Small configs, mutated across six commands: radius, sub-scale,
+    energy, coupling, centre items (one run in four), dynamics pairs, evc
+    spacing thresholds and the disorder block (kind, marginal and kernel,
+    empty and non-dominant kernels among them).  Numbers that reach H are
+    drawn inside and at the magnitude bound, and in one run in three one
+    of them just beyond it.  Every run exits 0, 1, 2 or 3, never with a
+    traceback, and writes nothing when it exits 2; a number beyond the
+    bound exits 2 with the schema's message, and a run that exits 0 or 1
+    writes no NaN cell."""
 
-    @settings(max_examples=40, derandomize=True, deadline=None)
+    @settings(max_examples=100, derandomize=True, deadline=None)
     @given(data=st.data())
     def test_exit_code_contract(self, data):
-        command = data.draw(st.sampled_from(["spectrum", "predicates", "dynamics", "sweep"]))
+        command = data.draw(st.sampled_from(
+            ["spectrum", "predicates", "dynamics", "sweep", "audit", "evc"]
+        ))
         particles = data.draw(st.sampled_from([1, 2]))
         experiment = {"kind": "event" if command == "sweep" else command, "trials": 1,
                       "center": [1, 0][:particles], "radius": data.draw(st.integers(0, 4))}
         if data.draw(st.integers(0, 3)) == 0:
             experiment["center"] = data.draw(st.lists(_SITE, min_size=1, max_size=3))
+        coupling = data.draw(st.one_of(st.just(6.0), _MAGNITUDE))
         extra = []
         if command in ("predicates", "sweep"):
             sub_scale = data.draw(st.one_of(st.none(), st.integers(1, 5)))
@@ -994,18 +1266,42 @@ class TestContractFuzz:
             pairs = data.draw(st.one_of(st.none(), st.lists(_PAIR, min_size=1, max_size=2)))
             if pairs is not None:
                 experiment["pairs"] = pairs
+        if command == "audit":
+            experiment["k_max"] = 0
+        if command == "evc":
+            experiment.update(
+                second_center=[9, 0][:particles], trials=5,
+                s_grid=data.draw(st.lists(st.sampled_from([-0.0, 0.05, 1.0, 1e50]),
+                                          min_size=1, max_size=3)),
+            )
         disorder = {"kind": data.draw(st.sampled_from(["iid", "moving_average"])),
                     "marginal": data.draw(st.sampled_from(["uniform", "gaussian"]))}
         kernel = data.draw(_KERNEL)
         if kernel is not None:
             disorder["kernel"] = kernel
+        beyond = data.draw(st.sampled_from([None] * 6 + ["coupling", "energy", "kernel"]))
+        outside = data.draw(st.sampled_from([_BEYOND, -_BEYOND]))
+        if beyond == "coupling":
+            coupling = outside
+        elif beyond == "energy":
+            experiment["energy"] = outside
+        elif beyond == "kernel":
+            disorder["kernel"] = [1.0, outside]
         with tempfile.TemporaryDirectory() as tmp:
             out = os.path.join(tmp, "out")
-            cfg = base_config(out, [experiment], particles=particles, coupling=6.0,
-                              convention="fixed", disorder=disorder)
+            cfg = base_config(out, [experiment], particles=particles, coupling=coupling,
+                              convention="fixed", disorder=disorder,
+                              schedule={"p": 33.0, "b": 0.01})
             path = write_config(os.path.join(tmp, "c.json"), cfg)
             code, err = _main_quietly([command, "--config", path, *extra])
             assert code in (0, 1, 2, 3)
             assert "Traceback" not in err
             if code == 2:
                 assert not os.path.exists(out)
+            if beyond is not None:
+                assert code == 2 and "config rejected" in err
+            if code in (0, 1):
+                tables = [name for name in os.listdir(out) if name.endswith(".csv")]
+                assert tables
+                for name in tables:
+                    assert not any("nan" in row for row in read_csv(os.path.join(out, name)))
