@@ -119,6 +119,13 @@ class RunWriter:
         return open(self.path(name), "w", **kwargs)
 
     def write_csv(self, name: str, header: list, rows: list) -> None:
+        """Write the table; a NaN float cell decides nothing, so it raises
+        ``FloatingPointError`` before the file is opened (``inf`` passes:
+        a boundary Green value at a resonant energy is infinite)."""
+        for row in rows:
+            for column, value in zip(header, row):
+                if isinstance(value, float) and value != value:
+                    raise FloatingPointError(f"{name}: column {column!r} holds NaN")
         with self._open(name, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
@@ -211,9 +218,10 @@ def cmd_spectrum(raw: dict, writer: RunWriter, args) -> int:
         setup = _setup_for(raw, exp)
         trials = _trials(exp, args)
         for t, ctx in enumerate(setup.contexts(_trial_seeds(seed, trials))):
-            es = ctx.eigensystem(setup.center, setup.radius)
-            for i, lam in enumerate(es.eigenvalues):
-                rows.append([idx, t, i, float(lam)])
+            # no name binds the eigensystem: it dies with ``ctx``, before
+            # the next trial's solve
+            values = ctx.eigensystem(setup.center, setup.radius).eigenvalues
+            rows += [[idx, t, i, lam] for i, lam in enumerate(values.tolist())]
         summary.append(
             {"experiment": idx, "ball_size": len(setup.balls()[0]), "trials": trials}
         )
@@ -462,16 +470,19 @@ def cmd_dynamics(raw: dict, writer: RunWriter, args) -> int:
                    for ctx in setup.contexts(_trial_seeds(seed, trials)))
         ahead = [next(systems)]
         for t in range(trials):
-            es = ahead.pop()
+            es = ahead[0]
             if np.isnan(es.eigenvalues).any() or np.isnan(es.eigenvectors[read]).any():
                 raise FloatingPointError("eigenvalue or eigenvector entry is NaN")
-            # this thread builds trial t + 1's eigensystem while workers
-            # run trial t's time blocks
+            sums = [(ef_correlator(es, x, y, window), correlator_completeness(es, x, y))
+                    for x, y in pairs]
+            del es
+            # this thread builds trial t + 1's eigensystem while workers run
+            # trial t's time blocks; propagator_sups holds the only reference
+            # to trial t's eigensystem and drops it first, so one eigensystem
+            # is alive at a time
             beside = (lambda: ahead.append(next(systems))) if t + 1 < trials else None
-            sups = propagator_sups(es, pairs, t_grid, beside=beside).tolist()
-            for (x, y), prop in zip(pairs, sups):
-                q = ef_correlator(es, x, y, window)
-                comp = correlator_completeness(es, x, y)
+            sups = propagator_sups(ahead.pop(), pairs, t_grid, beside=beside).tolist()
+            for (x, y), (q, comp), prop in zip(pairs, sums, sups):
                 rho = config_distance(x, y, setup.geometry)
                 rows.append(
                     [

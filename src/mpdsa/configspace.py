@@ -398,6 +398,50 @@ class Ball:
         rows.flags.writeable = False
         return rows
 
+    @cached_property
+    def _stride_grids(self) -> dict:
+        return {}
+
+    def stride_grid(self, stride: int, limit: int) -> "StrideGrid":
+        """Members on the stride grid within ``limit`` of the centre,
+        computed once per (stride, limit) and kept on the ball.
+
+        On lattices the grid keeps members all of whose coordinate offsets
+        from the centre are multiples of the stride; explicit graphs fall
+        back to every stride-th member in canonical order.
+        """
+        if stride < 1:
+            raise ValueError("stride must be >= 1")
+        grid = self._stride_grids.get((stride, limit))
+        if grid is None:
+            keep = self.distances_from_center <= limit
+            if self.geometry.kind == "lattice":
+                offs = self.member_array - np.asarray(self.center, dtype=np.int64)
+                keep &= np.all(offs.reshape(len(self), -1) % stride == 0, axis=1)
+                rows = np.nonzero(keep)[0]
+            else:
+                rows = np.nonzero(keep)[0][::stride]
+            grid = StrideGrid(tuple(self.members[i] for i in rows), self.geometry)
+            self._stride_grids[(stride, limit)] = grid
+        return grid
+
+
+@dataclass(frozen=True)
+class StrideGrid:
+    """Sub-ball centres of a ball on a stride grid (``Ball.stride_grid``)."""
+
+    centers: tuple
+    geometry: LatticeGeometry
+
+    @cached_property
+    def pairs(self) -> tuple:
+        """(c1, c2, config distance) of every pair of centres, c1 before c2
+        in ``centers``, in the order of two nested loops over them."""
+        cs, g = self.centers, self.geometry
+        return tuple(
+            (c1, c2, config_distance(c1, c2, g)) for i, c1 in enumerate(cs) for c2 in cs[i + 1 :]
+        )
+
 
 def _descending_tuples(lo_hi: list) -> list:
     """Strictly decreasing integer tuples with per-slot bounds (1D sector)."""

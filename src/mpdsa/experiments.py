@@ -438,13 +438,19 @@ def propagator_sups(es: EigenSystem, pairs, t_grid=None, beside=None) -> np.ndar
     ix = [index[tuple(x)] for x, _ in pairs]
     iy = [index[tuple(y)] for _, y in pairs]
     weights = (es.eigenvectors[ix] * es.eigenvectors[iy]).T
-    rows = max(1, 2**17 // es.n)
+    values = es.eigenvalues
+    rows = max(1, 2**17 // len(values))
+    # the blocks read the eigenvalues and pair weights alone: where this
+    # frame holds the caller's last reference (CPython 3.11 and later move
+    # a call's arguments into the callee's frame), the operator and
+    # eigenvectors are freed before ``beside`` builds the next eigensystem
+    del es
 
     def block_maximum(start):
         times = t_grid[start : start + rows]
-        table = np.outer(times, es.eigenvalues)
+        table = np.outer(times, values)
         re = np.cos(table, out=table) @ weights
-        im = np.sin(np.outer(times, es.eigenvalues, out=table), out=table) @ weights
+        im = np.sin(np.outer(times, values, out=table), out=table) @ weights
         return np.max(np.hypot(re, im), axis=0)
 
     starts = range(0, len(t_grid), rows)

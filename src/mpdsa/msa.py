@@ -29,7 +29,7 @@ from .configspace import (
     canonical_config,
     classify_ball,
     canonical_decomposition,
-    config_distance,
+    StrideGrid,
     enumerate_ball,
     maximal_separation_split,
 )
@@ -589,29 +589,6 @@ def _spec_on(spec: HamiltonianSpec, ball: Ball) -> HamiltonianSpec:
 # -- sub-ball selection ------------------------------------------------------
 
 
-def stride_centers(ball: Ball, stride: int, max_center_distance: int) -> list:
-    """Members on the stride grid within the given distance of the centre.
-
-    On lattices the grid keeps members all of whose coordinate offsets
-    from the centre are multiples of the stride; explicit graphs fall
-    back to every stride-th member in canonical order.
-    """
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    dists = ball.distances_from_center
-    keep = dists <= max_center_distance
-    g = ball.geometry
-    if g.kind == "lattice":
-        arr = ball.member_array
-        center = np.asarray(ball.center, dtype=np.int64)
-        offs = arr - center
-        flat = offs.reshape(len(ball), -1)
-        keep &= np.all(flat % stride == 0, axis=1)
-        return [ball.members[i] for i in np.nonzero(keep)[0]]
-    idx = [i for i in np.nonzero(keep)[0]]
-    return [ball.members[i] for i in idx[::stride]]
-
-
 def cnr_radii(params: ScalingParams, L: int) -> list:
     """Sub-ball radii inspected by complete non-resonance: ladder values
     at least L**(1/alpha) and below L."""
@@ -636,8 +613,7 @@ def cnr_subballs(params: ScalingParams, ball: Ball) -> list:
     """(center, radius) list for the complete-non-resonance inspection."""
     out = []
     for r in cnr_radii(params, ball.radius):
-        stride = max(1, r // 2)
-        for c in stride_centers(ball, stride, ball.radius - r):
+        for c in ball.stride_grid(max(1, r // 2), ball.radius - r).centers:
             out.append((c, r))
     return out
 
@@ -1040,16 +1016,13 @@ def is_m_tunneling(ctx: AuditContext, ball: Ball, sub_scale: int) -> TunnelingRe
     params = ctx.params
     if sub_scale >= ball.radius:
         raise ValueError("sub-scale must be below the ball radius")
-    centers = stride_centers(ball, max(1, sub_scale // 2), ball.radius - sub_scale)
-    g = ball.geometry
     distant = 0
-    for i, c1 in enumerate(centers):
-        for c2 in centers[i + 1 :]:
-            if not params.pair_is_distant(config_distance(c1, c2, g), sub_scale):
-                continue
-            distant += 1
-            if not (ctx.m_loc(c1, sub_scale).localized or ctx.m_loc(c2, sub_scale).localized):
-                return TunnelingReport(True, distant, (c1, c2))
+    for c1, c2, dist in ball.stride_grid(max(1, sub_scale // 2), ball.radius - sub_scale).pairs:
+        if not params.pair_is_distant(dist, sub_scale):
+            continue
+        distant += 1
+        if not (ctx.m_loc(c1, sub_scale).localized or ctx.m_loc(c2, sub_scale).localized):
+            return TunnelingReport(True, distant, (c1, c2))
     return TunnelingReport(False, distant, None)
 
 
@@ -1174,11 +1147,11 @@ def energy_grid(spectra) -> np.ndarray:
     return _sorted_distinct(np.concatenate([vals, mids]))
 
 
-def _grid_centers(ball: Ball, sub_scale: int, grid_stride: int | None) -> list:
-    """Centres of an implication audit's grid sub-balls of radius
-    ``sub_scale``, on a stride grid (default stride = sub-scale)."""
+def _sub_grid(ball: Ball, sub_scale: int, grid_stride: int | None) -> StrideGrid:
+    """The stride grid of an implication audit's grid sub-balls of radius
+    ``sub_scale`` (default stride = sub-scale)."""
     stride = grid_stride if grid_stride is not None else max(1, sub_scale)
-    return stride_centers(ball, stride, ball.radius - sub_scale)
+    return ball.stride_grid(stride, ball.radius - sub_scale)
 
 
 def audit_eigensystem(
@@ -1188,12 +1161,12 @@ def audit_eigensystem(
     and ``verify_implications`` read: those of the grid sub-balls and of
     the CNR sub-balls (``AuditContext.eigensystem_beside``)."""
     ball = ctx.ball(center, radius)
-    grid = [(c, sub_scale) for c in _grid_centers(ball, sub_scale, grid_stride)]
+    grid = [(c, sub_scale) for c in _sub_grid(ball, sub_scale, grid_stride).centers]
     return ctx.eigensystem_beside(center, radius, grid + cnr_subballs(ctx.params, ball))
 
 
 def _audit_grid(ctx: AuditContext, es: EigenSystem, sub_scale: int, grid_stride: int | None):
-    """(grid centres, energy grid, NR flags, CNR flags) of an implication
+    """(stride grid, energy grid, NR flags, CNR flags) of an implication
     audit of the ball of ``es``.
 
     Grid sub-balls of radius ``sub_scale`` sit on a stride grid (default
@@ -1202,14 +1175,14 @@ def _audit_grid(ctx: AuditContext, es: EigenSystem, sub_scale: int, grid_stride:
     """
     params = ctx.params
     ball = es.ball
-    centers = _grid_centers(ball, sub_scale, grid_stride)
-    spectra = [ctx.spectrum(c, sub_scale) for c in centers]
+    sub_grid = _sub_grid(ball, sub_scale, grid_stride)
+    spectra = [ctx.spectrum(c, sub_scale) for c in sub_grid.centers]
     grid = energy_grid(spectra or [es.eigenvalues])
     nr = _dist_to_sorted(es.eigenvalues, grid) >= params.resonance_scale(ball.radius)
     cnr = nr.copy()
     for c, r in cnr_subballs(params, ball):
         cnr &= _dist_to_sorted(ctx.spectrum(c, r), grid) >= params.resonance_scale(r)
-    return centers, grid, nr, cnr
+    return sub_grid, grid, nr, cnr
 
 
 def _green_violations(lemma: str, center, radius: int, energies, worst, thr: float) -> list:
@@ -1267,26 +1240,18 @@ def verify_implications(
         "pair_geometry_possible": 0,  # set below
     }
 
-    grid_centers, grid, nr, cnr = _audit_grid(ctx, es, sub_scale, grid_stride)
+    sub_grid, grid, nr, cnr = _audit_grid(ctx, es, sub_scale, grid_stride)
     counters["energies"] = len(grid)
 
     loc = ctx.m_loc(center, radius)
 
     # distant sub-ball pairs (geometry first; empty at desk scales)
-    g = ball.geometry
-    distant_pairs = []
-    for i, c1 in enumerate(grid_centers):
-        for c2 in grid_centers[i + 1 :]:
-            if params.pair_is_distant(config_distance(c1, c2, g), sub_scale):
-                distant_pairs.append((c1, c2))
+    pairs = sub_grid.pairs
+    distant_pairs = [(c1, c2) for c1, c2, d in pairs if params.pair_is_distant(d, sub_scale)]
     counters["distant_pairs"] = len(distant_pairs)
 
-    if len(grid_centers) >= 2:
-        max_sep = max(
-            config_distance(c1, c2, g)
-            for i, c1 in enumerate(grid_centers)
-            for c2 in grid_centers[i + 1 :]
-        )
+    if pairs:
+        max_sep = max(d for _, _, d in pairs)
         counters["pair_geometry_possible"] = int(
             params.pair_is_distant(max_sep, sub_scale)
         )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mpdsa import msa, spectral
-from mpdsa.configspace import LatticeGeometry, enumerate_ball, interior_boundary
+from mpdsa.configspace import LatticeGeometry, config_distance, enumerate_ball, interior_boundary
 from mpdsa.disorder import FieldModel, FieldSample, derive_seed, sample_field
 from mpdsa.experiments import TrialSetup
 from mpdsa.msa import (
@@ -14,6 +14,7 @@ from mpdsa.msa import (
     BoundSchedule,
     LocReport,
     ScalingParams,
+    TunnelingReport,
     block_non_singularity,
     ceil_rational_power,
     check_param_constraints,
@@ -29,7 +30,6 @@ from mpdsa.msa import (
     predicate_report,
     scales,
     smallest_scale_with_ns_margin,
-    stride_centers,
     verify_implications,
     verify_longrange_split,
 )
@@ -727,7 +727,7 @@ class TestGridsAndReports:
 
     def test_stride_centers_lattice(self, line):
         ball = enumerate_ball((1, 0), 8, line)
-        centers = stride_centers(ball, 4, 6)
+        centers = ball.stride_grid(4, 6).centers
         assert (1, 0) in centers
         for c in centers:
             assert (c[0] - 1) % 4 == 0 and c[1] % 4 == 0
@@ -810,3 +810,90 @@ class TestImplications:
         ctx = AuditContext(spec, sample, params)
         res = verify_longrange_split(ctx, (1, 0), 8, 4)
         assert res.counters.get("skipped") == 1
+
+
+# -- stride grids ------------------------------------------------------------
+
+RING = LatticeGeometry(kind="graph", adjacency=tuple(((v - 1) % 10, (v + 1) % 10)
+                                                  for v in range(10)))
+PATH = LatticeGeometry(kind="graph", adjacency=tuple(
+    tuple(w for w in (v - 1, v + 1) if 0 <= w < 12) for v in range(12)))
+# (geometry, centre, radius, sub-scale)
+GRID_CASES = [
+    (LatticeGeometry(kind="lattice", d=1), (1, 0), 8, 4),
+    (LatticeGeometry(kind="lattice", d=1), (1, 0), 8, 2),
+    (LatticeGeometry(kind="lattice", d=1), (5, 2, 0), 3, 2),
+    (LatticeGeometry(kind="lattice", d=2), ((1, 0), (0, 0)), 2, 1),
+    (PATH, (6, 4), 4, 2),
+    (RING, (5, 2), 3, 1),
+]
+
+
+def loop_stride_centers(ball, stride, limit):
+    """Stride-grid centres by a plain loop over the members."""
+    g = ball.geometry
+    near = [m for m in ball.members if config_distance(ball.center, m, g) <= limit]
+    if g.kind == "graph":
+        return near[::stride]
+    origin = np.ravel(ball.center)
+    return [m for m in near if all((a - b) % stride == 0 for a, b in zip(np.ravel(m), origin))]
+
+
+def loop_pairs(centers, g):
+    return [(c1, c2, config_distance(c1, c2, g))
+            for i, c1 in enumerate(centers) for c2 in centers[i + 1 :]]
+
+
+def loop_tunneling(ctx, ball, sub_scale):
+    """``is_m_tunneling`` as two nested loops over the centres."""
+    centers = loop_stride_centers(ball, max(1, sub_scale // 2), ball.radius - sub_scale)
+    distant = 0
+    for c1, c2, dist in loop_pairs(centers, ball.geometry):
+        if ctx.params.pair_is_distant(dist, sub_scale):
+            distant += 1
+            if not (ctx.m_loc(c1, sub_scale).localized or ctx.m_loc(c2, sub_scale).localized):
+                return TunnelingReport(True, distant, (c1, c2))
+    return TunnelingReport(False, distant, None)
+
+
+class TestStrideGrid:
+    """The centres and pair distances cached on the ball against plain
+    loops, and the predicates that read them against their former loops."""
+
+    @pytest.mark.parametrize("case", GRID_CASES, ids=lambda c: f"{c[0].kind}{c[0].d}-{c[1]}")
+    def test_grid_matches_the_loops(self, case):
+        g, center, radius, _ = case
+        ball = enumerate_ball(center, radius, g)
+        for stride in (1, 2, 3):
+            for limit in range(radius + 1):
+                grid = ball.stride_grid(stride, limit)
+                centers = loop_stride_centers(ball, stride, limit)
+                assert list(grid.centers) == centers
+                assert list(grid.pairs) == loop_pairs(centers, g)
+                assert ball.stride_grid(stride, limit) is grid
+        with pytest.raises(ValueError, match="stride"):
+            ball.stride_grid(0, radius)
+
+    @pytest.mark.parametrize("rule, coupling", [("regime", 3.0), ("at_sub_scale", 3.0),
+                                                ("at_sub_scale", 300.0)])
+    @pytest.mark.parametrize("case", GRID_CASES, ids=lambda c: f"{c[0].kind}{c[0].d}-{c[1]}")
+    def test_predicates_match_the_loops(self, monkeypatch, case, rule, coupling):
+        """At desk scales the regime's rule finds no distant pair.  Under the
+        second rule a pair at least the sub-scale apart is distant: weak
+        disorder ends the tunneling loop at a witness, strong disorder mostly
+        runs it through every pair."""
+        g, center, radius, sub_scale = case
+        if rule == "at_sub_scale":
+            monkeypatch.setattr(ScalingParams, "pair_is_distant", lambda self, d, r: d >= r)
+        ctx = make_context(g, seed=4, coupling=coupling, center=center, radius=radius,
+                           n=len(center))
+        ball = ctx.ball(center, radius)
+        assert is_m_tunneling(ctx, ball, sub_scale) == loop_tunneling(ctx, ball, sub_scale)
+        counters = verify_implications(ctx, center, radius, sub_scale).counters
+        pairs = loop_pairs(loop_stride_centers(ball, sub_scale, radius - sub_scale), g)
+        distant = [p for p in pairs if ctx.params.pair_is_distant(p[2], sub_scale)]
+        assert counters["distant_pairs"] == len(distant)
+        possible = bool(pairs) and ctx.params.pair_is_distant(max(p[2] for p in pairs), sub_scale)
+        assert counters["pair_geometry_possible"] == int(possible)
+        if rule == "at_sub_scale":
+            assert len(pairs) < 2 or distant

@@ -2,12 +2,14 @@
 the core count or the thread a kernel ran on; errors reach the caller."""
 
 import csv
+import gc
 import json
 import os
 import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +303,50 @@ class TestDynamicsPipeline:
         assert not out.exists()
         assert threading.active_count() == alive
         assert threads == [threading.main_thread()] * 2
+
+
+class TestOneEigensystemAlive:
+    """Trial t's eigenvectors are freed before trial t + 1's eigensolve
+    allocates, by reference counts alone: the collector is off during the
+    run, so a reference cycle would show as a live matrix."""
+
+    @staticmethod
+    def run(monkeypatch, command, experiment, tmp_path):
+        """Whether the previous eigenvector matrix was still alive at each
+        ``eigh`` call after the first."""
+        eigh = np.linalg.eigh
+        last = []
+        alive = []
+
+        def watched(*args, **kwargs):
+            if last:
+                alive.append(last[-1]() is not None)
+            result = eigh(*args, **kwargs)
+            last.append(weakref.ref(result[1]))
+            return result
+
+        monkeypatch.setattr(np.linalg, "eigh", watched)
+        out = tmp_path / "out"
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(bench_config(out, experiment)))
+        gc.disable()
+        try:
+            assert main([command, "--config", str(config)]) == 0
+        finally:
+            gc.enable()
+        return alive
+
+    @pytest.mark.parametrize("cpus, setter", [(1, "present"), (3, "present"), (3, "missing")])
+    def test_dynamics(self, tmp_path, monkeypatch, cpus, setter):
+        monkeypatch.setattr(msa, "usable_cpus", lambda: cpus)
+        if setter == "missing":
+            monkeypatch.setattr(msa, "blas_thread_setter", lambda: None)
+        experiment = {**DYNAMICS, "radius": 8, "trials": 3, "time_points": 2000}
+        assert self.run(monkeypatch, "dynamics", experiment, tmp_path) == [False, False]
+
+    def test_spectrum(self, tmp_path, monkeypatch):
+        experiment = {"kind": "spectrum", "center": [1, 0], "radius": 8, "trials": 3}
+        assert self.run(monkeypatch, "spectrum", experiment, tmp_path) == [False, False]
 
 
 class TestManyWorkers:
