@@ -35,6 +35,7 @@ from .configspace import config_distance
 from .disorder import derive_seed
 from .experiments import (
     TrialSetup,
+    centre_pairs,
     decay_fit,
     ef_correlator,
     correlator_completeness,
@@ -98,6 +99,19 @@ def environment() -> dict:
     }
 
 
+def _nan_path(value, path: str = "") -> str | None:
+    """The key path of the first NaN float in a JSON payload, else None."""
+    if isinstance(value, float) and value != value:
+        return path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, (list, tuple)) else ())
+    for key, item in items:
+        found = _nan_path(item, f"{path}[{key!r}]")
+        if found is not None:
+            return found
+    return None
+
+
 class RunWriter:
     """Collects output files, then writes a manifest with checksums.
 
@@ -134,6 +148,12 @@ class RunWriter:
         self.files.append(name)
 
     def write_json(self, name: str, payload) -> None:
+        """Write the payload; a NaN float anywhere in it raises
+        ``FloatingPointError``, naming its key path, before the file is
+        opened (``inf`` passes, as in ``write_csv``)."""
+        where = _nan_path(payload)
+        if where is not None:
+            raise FloatingPointError(f"{name}: {where} holds NaN")
         with self._open(name) as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
             fh.write("\n")
@@ -238,6 +258,7 @@ def cmd_predicates(raw: dict, writer: RunWriter, args) -> int:
     records = []
     violation_rows = []
     total_violations = 0
+    diagnostics = []
     plans = []
     for exp in _experiments_of(raw, "predicates"):
         setup = _setup_for(raw, exp)
@@ -278,6 +299,7 @@ def cmd_predicates(raw: dict, writer: RunWriter, args) -> int:
             )
             total_violations += len(res.violations)
             violation_rows += [_violation_row(idx, t, v) for v in res.violations]
+            diagnostics.append({"experiment": idx, "trial": t, **res.counters})
     writer.write_csv(
         "predicates.csv",
         [
@@ -299,7 +321,8 @@ def cmd_predicates(raw: dict, writer: RunWriter, args) -> int:
     writer.write_csv("violations.csv", VIOLATION_HEADER, violation_rows)
     writer.write_json(
         "summary.json",
-        {"predicates": records, "violation_count": total_violations},
+        {"predicates": records, "violation_count": total_violations,
+         "diagnostics": diagnostics},
     )
     return EXIT_VIOLATIONS if total_violations else EXIT_OK
 
@@ -451,14 +474,7 @@ def cmd_dynamics(raw: dict, writer: RunWriter, args) -> int:
                         f"radius {setup.radius} around {json.dumps(setup.center)}"
                     )
         else:
-            # centre against the first member at each distinct distance
-            dists = ball.distances_from_center
-            pairs = [(ball.center, ball.center)]
-            seen = {0}
-            for i, r in enumerate(dists):
-                if int(r) not in seen:
-                    seen.add(int(r))
-                    pairs.append((ball.center, ball.members[i]))
+            pairs = centre_pairs(ball)
         # the eigenvector rows the correlators and propagators read
         read = sorted({ball.index[tuple(site)] for pair in pairs for site in pair})
         trials = _trials(exp, args)

@@ -407,19 +407,51 @@ def correlator_completeness(es: EigenSystem, x, y) -> float:
     return signed - (1.0 if ix == iy else 0.0)
 
 
+def centre_pairs(ball) -> list:
+    """The centre against itself, then against the first member at each
+    further distance: the ``dynamics`` pairs of a config that names none."""
+    pairs = [(ball.center, ball.center)]
+    seen = {0}
+    for member, r in zip(ball.members, ball.distances_from_center):
+        if int(r) not in seen:
+            seen.add(int(r))
+            pairs.append((ball.center, member))
+    return pairs
+
+
 def default_time_grid(points: int = 10_000) -> np.ndarray:
     """Zero plus a log grid on [1e-2, 1e3]; a lower bound probe of sup_t."""
     return np.concatenate([[0.0], np.logspace(-2.0, 3.0, points)])
+
+
+def visible_eigenvalues(weights) -> np.ndarray:
+    """Mask of the rows of the n x P pair weights w that some pair cannot
+    spare.
+
+    Pair p spares the shortest-first run of |w_jp| whose sum stays at most
+    2^-53 q_p, q_p = sum_j |w_jp| its unsigned correlator; a row is dropped
+    only when every pair spares it, so each pair loses at most 2^-53 q_p.
+    A NaN weight makes its pair's q_p NaN, and that pair spares nothing.
+    """
+    magnitude = np.abs(weights)
+    order = np.argsort(magnitude, axis=0, kind="stable")
+    running = np.cumsum(np.take_along_axis(magnitude, order, axis=0), axis=0)
+    spare = np.empty(magnitude.shape, dtype=bool)
+    np.put_along_axis(spare, order, running <= 2.0**-53 * magnitude.sum(axis=0), axis=0)
+    return ~spare.all(axis=1)
 
 
 def propagator_sups(es: EigenSystem, pairs, t_grid=None, beside=None) -> np.ndarray:
     """max over the grid of |sum_j e^{-i t lambda_j} psi_j(x) psi_j(y)| for
     every (x, y) in ``pairs``.
 
-    Each value is a lower bound on the true supremum over all times and at
-    most the unsigned correlator.  One real phase table, cos and sin of
-    t * lambda, serves every pair; it is formed over blocks of time points
-    of about 1 MB each, so memory stays O(n) in the grid length.  The
+    The sum runs over the eigenvalues some pair can see
+    (``visible_eigenvalues``), so each value lies within 2^-53 q_p, plus
+    rounding, of the full sum's grid maximum, q_p the pair's unsigned
+    correlator.  One real phase table, cos and sin of t * lambda, serves
+    every pair; it is formed over blocks of time points of about 1 MB
+    each at the full spectrum's n, so memory stays O(n) in the grid
+    length and the block count does not depend on the pruning.  The
     blocks go to the workers of ``msa.run_pinned``; each holds one table,
     filled with the cosines, then with the sines, so the tables in flight
     take about 1 MB per worker.  Every block is one matrix product of the
@@ -440,6 +472,9 @@ def propagator_sups(es: EigenSystem, pairs, t_grid=None, beside=None) -> np.ndar
     weights = (es.eigenvectors[ix] * es.eigenvectors[iy]).T
     values = es.eigenvalues
     rows = max(1, 2**17 // len(values))
+    visible = visible_eigenvalues(weights)
+    if not visible.all():
+        weights, values = weights[visible], values[visible]
     # the blocks read the eigenvalues and pair weights alone: where this
     # frame holds the caller's last reference (CPython 3.11 and later move
     # a call's arguments into the callee's frame), the operator and

@@ -10,6 +10,7 @@ from mpdsa.disorder import FieldModel, derive_seed, field_array, sample_field
 from mpdsa.experiments import (
     ProbabilityEstimate,
     TrialSetup,
+    centre_pairs,
     correlator_completeness,
     decay_fit,
     default_time_grid,
@@ -22,6 +23,7 @@ from mpdsa.experiments import (
     propagator_sups,
     run_scaling_audit,
     singular_trials,
+    visible_eigenvalues,
     wilson_interval,
 )
 from mpdsa import msa
@@ -34,7 +36,7 @@ from mpdsa.operators import (
     hamiltonian_diagonals,
     hopping_template,
 )
-from mpdsa.spectral import stacked_eigenvalues
+from mpdsa.spectral import EigenSystem, stacked_eigenvalues
 from mpdsa.spectral import diagonalize, eigenvalues_of
 
 
@@ -530,6 +532,12 @@ class TestCorrelators:
             assert propagator_sup(es, es.ball.center, y, grid) <= q + 1e-10
 
 
+def one_table(grid, values, weights):
+    """Grid maxima of the propagators from one phase table over the whole grid."""
+    angles = np.outer(grid, values)
+    return np.max(np.hypot(np.cos(angles) @ weights, np.sin(angles) @ weights), axis=0)
+
+
 class TestPropagatorOracle:
     """``propagator_sups`` against an explicit loop over times and
     eigenfunctions, and against the matrix exponential of H."""
@@ -587,15 +595,68 @@ class TestPropagatorOracle:
         ix = [es.ball.index[x] for x, _ in pairs]
         iy = [es.ball.index[y] for _, y in pairs]
         weights = (es.eigenvectors[ix] * es.eigenvectors[iy]).T
-        angles = np.outer(grid, es.eigenvalues)
-        one_table = np.max(np.hypot(np.cos(angles) @ weights, np.sin(angles) @ weights), axis=0)
-        assert np.array_equal(propagator_sups(es, pairs, grid), one_table)
+        assert visible_eigenvalues(weights).all()
+        assert np.array_equal(propagator_sups(es, pairs, grid),
+                              one_table(grid, es.eigenvalues, weights))
 
     def test_single_pair_wrapper_is_bitwise(self, line):
         _, es, pairs = self._case(line)
         grid = default_time_grid(300)
         for x, y in pairs:
             assert propagator_sup(es, x, y, grid) == propagator_sups(es, [(x, y)], grid)[0]
+
+
+class TestPropagatorPruning:
+    """The eigenvalues ``propagator_sups`` leaves out, on the eigensystem of
+    trial 0 of the ``dynamics-r16`` benchmark config (seed 550001, g = 30,
+    radius 16, n = 561) with the default pairs of ``dynamics`` and its
+    2,001-point grid."""
+
+    def _case(self, line):
+        setup = replace(basic_setup(line, radius=16),
+                        interaction=InteractionModel(kind="step", amplitude=1.0, range_=2))
+        es = setup.context(derive_seed(550001, "trial", 0)).eigensystem(setup.center, 16)
+        pairs = centre_pairs(es.ball)
+        ix = [es.ball.index[x] for x, _ in pairs]
+        iy = [es.ball.index[y] for _, y in pairs]
+        return es, pairs, (es.eigenvectors[ix] * es.eigenvectors[iy]).T
+
+    def test_each_pair_loses_at_most_its_share(self, line):
+        es, pairs, weights = self._case(line)
+        assert (es.n, len(pairs)) == (561, 17)
+        visible = visible_eigenvalues(weights)
+        assert visible.sum() < es.n
+        for p in range(len(pairs)):
+            column = np.abs(weights[:, p])
+            q = math.fsum(column)
+            # the running sums it was judged by round within n ulps of the total
+            assert math.fsum(column[~visible]) <= 2.0**-53 * q * (1 + es.n * 2.0**-52)
+
+    def test_within_the_dropped_weight_of_the_full_table(self, line):
+        es, pairs, weights = self._case(line)
+        grid = default_time_grid(2000)
+        visible = visible_eigenvalues(weights)
+        got = propagator_sups(es, pairs, grid)
+        # bit for bit the one-table maxima over the visible eigenvalues ...
+        assert np.array_equal(got, one_table(grid, es.eigenvalues[visible], weights[visible]))
+        # ... and within 2^-53 q of those over all of them, plus rounding:
+        # each of the four length-n dot products (cos and sin, both tables)
+        # rounds by at most n 2^-53 q, and hypot by one ulp
+        q = np.abs(weights).sum(axis=0)
+        full = one_table(grid, es.eigenvalues, weights)
+        assert np.all(np.abs(got - full) <= (1 + 4 * es.n + 2) * 2.0**-53 * q)
+
+    def test_a_nan_weight_keeps_its_pair_nan(self, line):
+        es, pairs, weights = self._case(line)
+        # a row every pair spares, made NaN in the last pair's far member
+        dropped = int(np.flatnonzero(~visible_eigenvalues(weights))[0])
+        vectors = es.eigenvectors.copy()
+        vectors[es.ball.index[pairs[-1][1]], dropped] = np.nan
+        grid = default_time_grid(50)
+        got = propagator_sups(EigenSystem(es.operator, es.eigenvalues, vectors), pairs, grid)
+        assert np.isnan(got[-1])
+        # that pair spares nothing, so nothing is dropped for the others
+        assert np.array_equal(got[:-1], one_table(grid, es.eigenvalues, weights[:, :-1]))
 
 
 class TestDlBound:
