@@ -68,7 +68,7 @@ from .runconfig import (
     load_config,
     validate_config,
 )
-from .spectral import ResonanceError
+from .spectral import ResonanceError, lapack_rows
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -86,12 +86,16 @@ def environment() -> dict:
     """What a byte-identical rerun needs to match besides config and seed:
     eigensolver and solve results can move in the last bits with the
     numpy/BLAS build, and with its thread count unless ``blas_pinned``
-    says each Python thread ran its BLAS calls on one thread."""
+    says each Python thread ran its BLAS calls on one thread.
+    ``lapack_rows`` says whether ``dynamics`` read its eigenvector rows
+    from the rows solve or from ``eigh`` (``spectral.diagonalize_rows``),
+    which differ in the last bits."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpus": usable_cpus(),
         "blas_pinned": blas_thread_setter() is not None,
+        "lapack_rows": lapack_rows(),
         "threads": {
             name: os.environ.get(name)
             for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -478,24 +482,27 @@ def cmd_dynamics(raw: dict, writer: RunWriter, args) -> int:
         # the eigenvector rows the correlators and propagators read
         read = sorted({ball.index[tuple(site)] for pair in pairs for site in pair})
         trials = _trials(exp, args)
+        # rounding allowance of a sum over the ball's n eigenvalues
+        allowance = len(ball) * 2.0**-53
         fit_points = {}
         worst_q = 0.0
         worst_comp = 0.0
         worst_prop = 0.0
-        systems = (ctx.eigensystem(setup.center, setup.radius)
+        q_rows = prop_rows = 0
+        systems = (ctx.eigen_rows(setup.center, setup.radius, read)
                    for ctx in setup.contexts(_trial_seeds(seed, trials)))
         ahead = [next(systems)]
         for t in range(trials):
             es = ahead[0]
-            if np.isnan(es.eigenvalues).any() or np.isnan(es.eigenvectors[read]).any():
+            if np.isnan(es.eigenvalues).any() or np.isnan(es.vectors).any():
                 raise FloatingPointError("eigenvalue or eigenvector entry is NaN")
             sums = [(ef_correlator(es, x, y, window), correlator_completeness(es, x, y))
                     for x, y in pairs]
             del es
-            # this thread builds trial t + 1's eigensystem while workers run
-            # trial t's time blocks; propagator_sups holds the only reference
-            # to trial t's eigensystem and drops it first, so one eigensystem
-            # is alive at a time
+            # this thread solves trial t + 1 while workers run trial t's time
+            # blocks; propagator_sups holds the only reference to trial t's
+            # rows and drops them first, so one trial's rows are alive at a
+            # time
             beside = (lambda: ahead.append(next(systems))) if t + 1 < trials else None
             sups = propagator_sups(ahead.pop(), pairs, t_grid, beside=beside).tolist()
             for (x, y), (q, comp), prop in zip(pairs, sums, sups):
@@ -515,6 +522,8 @@ def cmd_dynamics(raw: dict, writer: RunWriter, args) -> int:
                 worst_q = max(worst_q, q - 1.0)
                 worst_comp = max(worst_comp, abs(comp))
                 worst_prop = max(worst_prop, prop - q)
+                q_rows += q - 1.0 > allowance
+                prop_rows += prop - q > allowance * q
                 if rho >= 1:
                     fit_points.setdefault(rho, []).append(q)
         fit = None
@@ -530,12 +539,18 @@ def cmd_dynamics(raw: dict, writer: RunWriter, args) -> int:
                 "c": f.c,
                 "residual_linear": f.residual_linear,
                 "residual_log": f.residual_log,
+                "used_points": f.used_points,
+                "excluded_points": f.excluded_points,
+                "c_at_grid_edge": f.c_at_grid_edge,
             }
         summary[f"experiment_{idx}"] = {
             "trials": trials,
             "max_correlator_excess": worst_q,
             "max_completeness_defect": worst_comp,
             "max_propagator_excess": worst_prop,
+            # rows beyond the rounding allowance, n 2^-53 (times q for sup <= q)
+            "correlator_excess_rows": q_rows,
+            "propagator_excess_rows": prop_rows,
             "decay_fit": fit,
         }
     writer.write_csv(

@@ -34,7 +34,7 @@ from .msa import (
     verify_implications,
 )
 from .operators import HamiltonianSpec, InteractionModel
-from .spectral import EigenSystem
+from .spectral import EigenRows, EigenSystem
 
 Z95 = 1.959963984540054
 
@@ -387,11 +387,11 @@ def evc_experiment(
 # -- eigenfunction correlators and dynamics -----------------------------------
 
 
-def ef_correlator(es: EigenSystem, x, y, window: tuple | None = None) -> float:
+def ef_correlator(es: EigenSystem | EigenRows, x, y, window: tuple | None = None) -> float:
     """Unsigned correlator sum over eigenvalues in the window (all if None)."""
     ball = es.ball
     ix, iy = ball.index[tuple(x)], ball.index[tuple(y)]
-    prod = np.abs(es.eigenvectors[ix] * es.eigenvectors[iy])
+    prod = np.abs(es.rows(ix) * es.rows(iy))
     if window is not None:
         lo, hi = window
         keep = (es.eigenvalues >= lo) & (es.eigenvalues <= hi)
@@ -399,11 +399,11 @@ def ef_correlator(es: EigenSystem, x, y, window: tuple | None = None) -> float:
     return float(np.sum(prod))
 
 
-def correlator_completeness(es: EigenSystem, x, y) -> float:
+def correlator_completeness(es: EigenSystem | EigenRows, x, y) -> float:
     """Signed full-window sum minus the Kronecker delta (zero in theory)."""
     ball = es.ball
     ix, iy = ball.index[tuple(x)], ball.index[tuple(y)]
-    signed = float(np.sum(es.eigenvectors[ix] * es.eigenvectors[iy]))
+    signed = float(np.sum(es.rows(ix) * es.rows(iy)))
     return signed - (1.0 if ix == iy else 0.0)
 
 
@@ -441,7 +441,7 @@ def visible_eigenvalues(weights) -> np.ndarray:
     return ~spare.all(axis=1)
 
 
-def propagator_sups(es: EigenSystem, pairs, t_grid=None, beside=None) -> np.ndarray:
+def propagator_sups(es: EigenSystem | EigenRows, pairs, t_grid=None, beside=None) -> np.ndarray:
     """max over the grid of |sum_j e^{-i t lambda_j} psi_j(x) psi_j(y)| for
     every (x, y) in ``pairs``.
 
@@ -469,7 +469,7 @@ def propagator_sups(es: EigenSystem, pairs, t_grid=None, beside=None) -> np.ndar
     index = es.ball.index
     ix = [index[tuple(x)] for x, _ in pairs]
     iy = [index[tuple(y)] for _, y in pairs]
-    weights = (es.eigenvectors[ix] * es.eigenvectors[iy]).T
+    weights = (es.rows(ix) * es.rows(iy)).T
     values = es.eigenvalues
     rows = max(1, 2**17 // len(values))
     visible = visible_eigenvalues(weights)
@@ -477,8 +477,9 @@ def propagator_sups(es: EigenSystem, pairs, t_grid=None, beside=None) -> np.ndar
         weights, values = weights[visible], values[visible]
     # the blocks read the eigenvalues and pair weights alone: where this
     # frame holds the caller's last reference (CPython 3.11 and later move
-    # a call's arguments into the callee's frame), the operator and
-    # eigenvectors are freed before ``beside`` builds the next eigensystem
+    # a call's arguments into the callee's frame), the eigenvector rows
+    # (and an eigensystem's operator) are freed before ``beside`` builds
+    # the next trial's
     del es
 
     def block_maximum(start):
@@ -512,7 +513,7 @@ class DecayFit:
 
     ``m_eff`` is the slope of -log(v) against distance; ``log_power`` the
     (a, c) pair of the -log(v) = a * log(rho)^(1+c) family with c picked
-    from a fixed grid by residual.
+    from ``DECAY_C_GRID`` by residual.
     """
 
     m_eff: float
@@ -523,6 +524,15 @@ class DecayFit:
     residual_log: float
     used_points: int
     excluded_points: int
+
+    @property
+    def c_at_grid_edge(self) -> bool:
+        """Whether c is an end of its grid, where the best c may lie beyond."""
+        return self.c in (DECAY_C_GRID[0], DECAY_C_GRID[-1])
+
+
+# exponents c of the stretched-log law that ``decay_fit`` tries
+DECAY_C_GRID = np.arange(0.1, 2.0 + 1e-9, 0.1)
 
 
 def decay_fit(pairs) -> DecayFit:
@@ -547,7 +557,7 @@ def decay_fit(pairs) -> DecayFit:
     res_lin = float(res[0]) if len(res) else 0.0
     # stretched-log law over the c grid
     best = None
-    for c in np.arange(0.1, 2.0 + 1e-9, 0.1):
+    for c in DECAY_C_GRID:
         feat = np.log(rho) ** (1.0 + c)
         design = np.column_stack([feat, np.ones_like(feat)])
         coef, res, _, _ = np.linalg.lstsq(design, neg_log, rcond=None)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import glob
 import math
 import os
 import threading
@@ -44,13 +43,16 @@ from .operators import (
     interaction_defect,
 )
 from .spectral import (
+    EigenRows,
     EigenSystem,
     GapCertificate,
     diagonalization,
     diagonalize,
+    diagonalize_rows,
     eigensystem_from_factors,
     eigenvalues_of,
     eigenvector_noise_floors,
+    openblas,
     pairwise_sums,
     resonance_cutoff,
     solve_green_columns,
@@ -398,20 +400,14 @@ def usable_cpus() -> int:
 @functools.lru_cache(maxsize=None)
 def blas_thread_setter():
     """``openblas_set_num_threads_local`` (OpenBLAS 0.3.27 and later) of
-    the OpenBLAS that numpy's Linux wheel bundles, or None where there is
-    none.  It sets the BLAS thread count of the calling thread alone and
-    returns the previous count."""
-    package = os.path.dirname(os.path.abspath(np.__file__))
-    for path in sorted(glob.glob(os.path.join(package, "..", "numpy.libs", "*openblas*"))):
-        try:
-            setter = getattr(ctypes.CDLL(path), "openblas_set_num_threads_local", None)
-        except OSError:
-            continue
-        if setter is not None:
-            setter.restype = ctypes.c_int
-            setter.argtypes = [ctypes.c_int]
-            return setter
-    return None
+    the OpenBLAS that numpy's Linux wheel bundles (``spectral.openblas``),
+    or None where there is none.  It sets the BLAS thread count of the
+    calling thread alone and returns the previous count."""
+    setter = getattr(openblas(), "openblas_set_num_threads_local", None)
+    if setter is not None:
+        setter.restype = ctypes.c_int
+        setter.argtypes = [ctypes.c_int]
+    return setter
 
 
 def pool_size() -> int:
@@ -501,6 +497,19 @@ class AuditContext:
                 es = eigensystem_from_factors(*(self.eigensystem(p, radius) for p in parts))
             self._systems[key] = es
         return es
+
+    def eigen_rows(self, center, radius: int, indices) -> EigenRows:
+        """Every eigenvalue of the ball, with its eigenvectors' entries at
+        the ascending ball indices ``indices`` alone
+        (``spectral.diagonalize_rows``); nothing is cached.  A ball that
+        factors assembles its eigensystem from its factors' (cached)
+        eigensystems and keeps those rows of it."""
+        parts = factor_centers(self.spec, center, radius)
+        if parts is None:
+            return diagonalize_rows(self._operator(self.ball(center, radius)), indices)
+        es = eigensystem_from_factors(*(self.eigensystem(p, radius) for p in parts))
+        return EigenRows(es.ball, es.eigenvalues, np.asarray(indices, dtype=np.intp),
+                         es.rows(indices))
 
     def spectrum(self, center, radius: int) -> np.ndarray:
         """Ascending eigenvalues of the ball: its eigensystem's when one was

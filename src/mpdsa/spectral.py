@@ -9,9 +9,12 @@ analysis is ever evaluated at an eigenvalue.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -81,6 +84,11 @@ class EigenSystem:
 
     def spectral_distance(self, energy: float) -> float:
         return float(np.min(np.abs(self.eigenvalues - energy)))
+
+    def rows(self, indices) -> np.ndarray:
+        """Entries psi_j(x) of every eigenvector at the ball index (or
+        indices) ``indices``: row r holds those at ``indices[r]``."""
+        return self.eigenvectors[indices]
 
     def resolvent_norm(self, energy: float) -> float:
         d = self.spectral_distance(energy)
@@ -258,6 +266,135 @@ def diagonalization(op: OperatorMatrix):
     result, so it can run on another thread."""
     matrix = _symmetric_part(op)
     return lambda: EigenSystem(op, *np.linalg.eigh(matrix))
+
+
+@dataclass(frozen=True)
+class EigenRows:
+    """Ascending eigenvalues of an operator on a ball, with its eigenvector
+    entries at a few members only: ``vectors[r, j]`` is psi_j at the
+    member of ball index ``indices[r]`` (ascending)."""
+
+    ball: Ball
+    eigenvalues: np.ndarray
+    indices: np.ndarray
+    vectors: np.ndarray
+
+    def rows(self, indices) -> np.ndarray:
+        """``EigenSystem.rows`` of ball indices held here; KeyError on
+        any other."""
+        pos = np.searchsorted(self.indices, indices)
+        if np.any(np.take(self.indices, pos, mode="clip") != indices):
+            raise KeyError(f"no eigenvector row held for ball index {indices}")
+        return self.vectors[pos]
+
+
+@lru_cache(maxsize=None)
+def openblas():
+    """The OpenBLAS that numpy's Linux wheel bundles, or None where there
+    is none."""
+    package = os.path.dirname(os.path.abspath(np.__file__))
+    for path in sorted(glob.glob(os.path.join(package, "..", "numpy.libs", "*openblas*"))):
+        try:
+            return ctypes.CDLL(path)
+        except OSError:
+            continue
+    return None
+
+
+# each routine's arguments before INFO: c a character, i an integer, a an array
+LAPACK_ARGUMENTS = {
+    "dsytrd": "ciaiaaaai",  # uplo n a lda d e tau work lwork
+    "dstedc": "ciaaaiaiai",  # compz n d e z ldz work lwork iwork liwork
+    "dormtr": "ccciiaiaaiai",  # side uplo trans m n a lda tau c ldc work lwork
+}
+_INT = ctypes.POINTER(ctypes.c_int64)
+
+
+@lru_cache(maxsize=None)
+def lapack_routine(name: str):
+    """LAPACK routine ``name`` of ``openblas()``, in its 64-bit integer
+    build (the one ``np.linalg`` calls), with its argument types declared
+    (gfortran passes each character argument's length last), or None."""
+    routine = getattr(openblas(), f"scipy_{name}_64_", None)
+    if routine is not None:
+        kinds = LAPACK_ARGUMENTS[name]
+        types = {"c": ctypes.c_char_p, "i": _INT, "a": ctypes.c_void_p}
+        routine.argtypes = ([types[k] for k in kinds] + [_INT]
+                            + [ctypes.c_size_t] * kinds.count("c"))
+        routine.restype = None
+    return routine
+
+
+def lapack_rows() -> bool:
+    """Whether ``diagonalize_rows`` finds its three LAPACK routines."""
+    return all(lapack_routine(name) is not None for name in LAPACK_ARGUMENTS)
+
+
+def _lapack(name: str, *args) -> int:
+    """Call LAPACK routine ``name`` with the arguments before its INFO, in
+    Fortran order, and return INFO."""
+    kinds = LAPACK_ARGUMENTS[name]
+    if len(args) != len(kinds):
+        raise TypeError(f"{name} takes {len(kinds)} arguments before INFO, not {len(args)}")
+    refs = [arg.encode() if kind == "c" else arg.ctypes.data if kind == "a"
+            else ctypes.byref(ctypes.c_int64(arg)) for kind, arg in zip(kinds, args)]
+    info = ctypes.c_int64(0)
+    lapack_routine(name)(*refs, ctypes.byref(info), *[1] * kinds.count("c"))
+    return info.value
+
+
+def _workspace(name: str, *args) -> np.ndarray:
+    """The optimal workspace of routine ``name``, from its query with the
+    arguments ``args``: None stands for the workspace, -1 for its size."""
+    query = np.empty(1)
+    _lapack(name, *(query if a is None else a for a in args))
+    return np.empty(int(query[0]))
+
+
+# dsyevd scales a matrix whose largest entry lies outside [2^-485, 2^485]
+# (sqrt of safe minimum / eps, and its inverse) before it reduces it
+DSYEVD_UNSCALED = (2.0**-485, 2.0**485)
+
+
+def diagonalize_rows(op: OperatorMatrix, indices) -> EigenRows:
+    """Every eigenvalue of a symmetric operator matrix, and its
+    eigenvectors' entries at the ascending ball indices ``indices`` alone.
+
+    The steps are those ``np.linalg.eigh`` runs in ``dsyevd``: ``dsytrd``
+    reduces the lower triangle to a tridiagonal T = Q^T H Q, and ``dstedc``
+    computes T's eigenvalues and eigenvectors Z, so the eigenvalues are
+    bit for bit ``eigh``'s.  Where ``dsyevd`` then forms all n rows of Q Z,
+    ``dormtr`` forms C = Q^T E on the unit columns E of the indices, and
+    the rows are C^T Z: O(k n^2) work for k rows instead of n^3.  They
+    agree with ``eigh``'s to rounding, about n eps.  Where a routine is
+    missing, or ``dsyevd`` would scale the matrix first, the rows are read
+    from ``eigh``.  A ``dstedc`` that fails to converge raises
+    ``np.linalg.LinAlgError``, as ``eigh`` does.
+    """
+    matrix = _symmetric_part(op)
+    indices = np.asarray(indices, dtype=np.intp)
+    n, k = op.n, len(indices)
+    largest = float(np.max(np.abs(matrix), initial=0.0))
+    lo, hi = DSYEVD_UNSCALED
+    if not lapack_rows() or 0.0 < largest < lo or largest > hi:
+        values, vectors = np.linalg.eigh(matrix)
+        return EigenRows(op.ball, values, indices, vectors[indices])
+    a = np.array(matrix, order="F")
+    values, off, tau = np.empty(n), np.empty(max(n - 1, 1)), np.empty(max(n - 1, 1))
+    work = _workspace("dsytrd", "L", n, a, n, values, off, tau, None, -1)
+    _lapack("dsytrd", "L", n, a, n, values, off, tau, work, len(work))
+    z = np.empty((n, n), order="F")
+    iquery = np.empty(1, dtype=np.int64)
+    work = _workspace("dstedc", "I", n, values, off, z, n, None, -1, iquery, -1)
+    iwork = np.empty(int(iquery[0]), dtype=np.int64)
+    info = _lapack("dstedc", "I", n, values, off, z, n, work, len(work), iwork, len(iwork))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstedc did not converge (info {info})")
+    c = np.zeros((n, k), order="F")
+    c[indices, np.arange(k)] = 1.0
+    work = _workspace("dormtr", "L", "L", "T", n, k, a, n, tau, c, n, None, -1)
+    _lapack("dormtr", "L", "L", "T", n, k, a, n, tau, c, n, work, len(work))
+    return EigenRows(op.ball, values, indices, c.T @ z)
 
 
 def eigenvalues_of(op: OperatorMatrix) -> np.ndarray:

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mpdsa
+from mpdsa import spectral
 from mpdsa.cli import main
 from mpdsa.runconfig import SCHEMA, ConfigError, _conforms, _Unsure, validate_config
 
@@ -257,6 +258,102 @@ class TestDynamicsCommand:
         fit = summary["experiment_0"]["decay_fit"]
         assert fit is not None
         assert fit["m_eff"] > 0
+
+    def test_decay_fit_says_what_it_rested_on(self, tmp_path):
+        """The fit writes how many per-distance means it used and left out,
+        and whether c sits at an end of its grid."""
+        out = tmp_path / "out"
+        cfg = base_config(
+            out,
+            [{"kind": "dynamics", "center": [0], "radius": 8, "trials": 2, "time_points": 40}],
+            coupling=25.0,
+        )
+        assert main(["dynamics", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+        fit = read_json(out / "summary.json")["experiment_0"]["decay_fit"]
+        rows = read_csv(out / "dynamics.csv")[1:]
+        means = {}
+        for row in rows:
+            if int(row[4]) >= 1:
+                means.setdefault(int(row[4]), []).append(float(row[5]))
+        positive = sum(np.mean(v) > 0 for v in means.values())
+        # decay_fit is given the positive means only, so it excludes none
+        assert (fit["used_points"], fit["excluded_points"]) == (positive, 0)
+        assert fit["c_at_grid_edge"] == (fit["c"] in (0.1, 2.0))
+
+    # u = 2^-53; the radius-8 ball has n = 17 members, so the allowance is
+    # 17u for q - 1 and 17u q for sup - q
+    @pytest.mark.parametrize("q, sup, counts", [
+        (1.0 + 16 * 2.0**-53, 1.0 + 16 * 2.0**-53, (0, 0)),
+        (1.0 + 18 * 2.0**-53, 1.0 + 18 * 2.0**-53, (2, 0)),
+        (1.0, 1.0 + 18 * 2.0**-53, (0, 2)),
+    ], ids=["within", "correlator", "propagator"])
+    def test_excess_rows_count_beyond_the_allowance(self, tmp_path, monkeypatch, q, sup,
+                                                    counts):
+        """Each trial's diagonal pair is given the correlator q and the
+        propagator sup; a row counts only beyond n 2^-53 (times q)."""
+        from mpdsa import cli
+
+        correlator, sups = cli.ef_correlator, cli.propagator_sups
+
+        def diagonal_q(es, x, y, window):
+            return q if x == y else correlator(es, x, y, window)
+
+        def diagonal_sup(es, pairs, t_grid, beside=None):
+            values = sups(es, pairs, t_grid, beside=beside)
+            values[0] = sup  # the centre against itself comes first
+            return values
+
+        monkeypatch.setattr(cli, "ef_correlator", diagonal_q)
+        monkeypatch.setattr(cli, "propagator_sups", diagonal_sup)
+        out = tmp_path / "out"
+        cfg = base_config(
+            out,
+            [{"kind": "dynamics", "center": [0], "radius": 8, "trials": 2, "time_points": 40}],
+            coupling=25.0,
+        )
+        assert main(["dynamics", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+        summary = read_json(out / "summary.json")["experiment_0"]
+        assert (summary["correlator_excess_rows"], summary["propagator_excess_rows"]) == counts
+        assert summary["max_correlator_excess"] == max(q - 1.0, 0.0)
+
+    @pytest.mark.parametrize("seed", [550001, 101, 9901])
+    def test_no_excess_rows_at_the_benchmark_config(self, tmp_path, seed):
+        """The benchmark's radius-16 run (n = 561) reads no rounding as an
+        excess."""
+        out = tmp_path / "out"
+        cfg = workload_configs()[1]
+        cfg.update(seed=seed, output_dir=str(out))
+        assert main(["dynamics", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+        summary = read_json(out / "summary.json")["experiment_0"]
+        assert summary["correlator_excess_rows"] == 0
+        assert summary["propagator_excess_rows"] == 0
+
+    def test_a_dynamics_run_never_imports_scipy(self, tmp_path):
+        """The rows solve calls LAPACK through numpy's OpenBLAS, not scipy,
+        whose import would double the start-up time."""
+        out = tmp_path / "out"
+        cfg = base_config(
+            out,
+            [{"kind": "dynamics", "center": [1, 0], "radius": 8, "trials": 2,
+              "time_points": 200}],
+            particles=2, coupling=30.0, convention="fixed",
+            interaction={"kind": "step", "amplitude": 1.0, "range": 2},
+        )
+        script = (
+            "import sys\n"
+            "from mpdsa.cli import main\n"
+            "code = main(['dynamics', '--config', sys.argv[1]])\n"
+            "print(code, 'scipy' in sys.modules)\n"
+        )
+        src = str(Path(mpdsa.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script,
+                               write_config(tmp_path / "c.json", cfg)],
+                              capture_output=True, text=True, env=env, timeout=120, check=True)
+        assert proc.stdout.split() == ["0", "False"]
+        assert read_json(out / "manifest.json")["environment"]["lapack_rows"] is (
+            spectral.lapack_rows())
 
 
 class TestSweepCommand:
@@ -908,16 +1005,18 @@ class TestNumericalFailure:
     def test_a_nan_eigensystem_stops_dynamics(self, tmp_path, monkeypatch, part, entry):
         """dynamics forms no correlator or propagator from a NaN eigenvalue
         or a NaN entry in an eigenvector row it reads."""
-        eigh = np.linalg.eigh
+        from mpdsa import msa
 
-        def with_nan(matrix):
-            out = eigh(matrix)
-            out[part][entry] = np.nan
+        solve = msa.diagonalize_rows
+
+        def with_nan(op, indices):
+            out = solve(op, indices)
+            (out.eigenvalues, out.vectors)[part][entry] = np.nan
             return out
 
-        monkeypatch.setattr(np.linalg, "eigh", with_nan)
+        monkeypatch.setattr(msa, "diagonalize_rows", with_nan)
         out = tmp_path / "out"
-        # row 0, the member (-3,), is the first at distance 3: a default pair reads it
+        # row 0 holds the member (-3,), the first at distance 3: a default pair reads it
         cfg = base_config(out, [{"kind": "dynamics", "center": [0], "radius": 3, "trials": 2,
                                  "time_points": 20}], coupling=2.0)
         code, err = _main_quietly(["dynamics", "--config", write_config(tmp_path / "c.json", cfg)])
@@ -1020,8 +1119,45 @@ class TestPinnedOutputs:
                                   "kernel": [1.0, 0.3]})
         assert main(["dynamics", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
         assert sha(out / "dynamics.csv") == (
+            "2a44b5d6766ce1b249aac76915eafe212bd912d0ba8684e424025d001d78f13f"
+            if spectral.lapack_rows()
+            else "c30dd0511734177911fde85c8fa8c082b42df7d3f25de5cfbf156f0d23c6fa77"
+        )
+
+    def test_dynamics_table_from_eigh_rows(self, tmp_path, monkeypatch):
+        """Without the LAPACK routines the rows come from ``eigh``, and the
+        table is the one ``dynamics`` wrote before the rows solve."""
+        monkeypatch.setattr(spectral, "lapack_routine", lambda name: None)
+        out = tmp_path / "out"
+        cfg = self._cfg(out, {"kind": "dynamics", "center": [1, 0], "radius": 4, "trials": 2,
+                              "time_points": 100},
+                        disorder={"kind": "moving_average", "marginal": "uniform",
+                                  "kernel": [1.0, 0.3]})
+        assert main(["dynamics", "--config", write_config(tmp_path / "c.json", cfg)]) == 0
+        assert sha(out / "dynamics.csv") == (
             "c30dd0511734177911fde85c8fa8c082b42df7d3f25de5cfbf156f0d23c6fa77"
         )
+        assert not read_json(out / "manifest.json")["environment"]["lapack_rows"]
+
+    def test_split_ball_dynamics(self, tmp_path, monkeypatch):
+        """A ball that factors takes its rows from the factor eigensystems,
+        with or without the LAPACK routines, as before the rows solve."""
+        runs = []
+        for resolver in ("present", "missing"):
+            if resolver == "missing":
+                monkeypatch.setattr(spectral, "lapack_routine", lambda name: None)
+            out = tmp_path / resolver
+            cfg = base_config(out, [{"kind": "dynamics", "center": [20, 0], "radius": 3,
+                                     "trials": 3, "time_points": 200}],
+                              particles=2, coupling=12.0, convention="fixed", seed=4242,
+                              interaction={"kind": "step", "amplitude": 1.0, "range": 1})
+            path = write_config(tmp_path / f"{resolver}.json", cfg)
+            assert main(["dynamics", "--config", path]) == 0
+            assert sha(out / "dynamics.csv") == (
+                "33b166f4dde2f8b720b06dd2f57606ab38b6bb0acb724d3bbf5764fbe4a3ace5"
+            )
+            runs.append((out / "summary.json").read_bytes())
+        assert runs[0] == runs[1]
 
 
 def workload_configs():

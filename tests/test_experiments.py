@@ -703,3 +703,12 @@ class TestDecayFit:
     def test_needs_three_points(self):
         with pytest.raises(ValueError):
             decay_fit([(1, 0.5), (2, 0.2)])
+
+    @pytest.mark.parametrize("power, edge", [(1.1, True), (2.0, False), (3.0, True)])
+    def test_c_at_grid_edge(self, power, edge):
+        """c = 1 lies inside the grid 0.1..2.0; data of c = 0.1 sit on its
+        lower end, and data of c = 2 (log^3) pin c to its upper end."""
+        pairs = [(r, math.exp(-math.log(r) ** power)) for r in range(2, 40)]
+        fit = decay_fit(pairs)
+        assert fit.c_at_grid_edge is edge
+        assert fit.c == pytest.approx({1.1: 0.1, 2.0: 1.0, 3.0: 2.0}[power], abs=1e-9)

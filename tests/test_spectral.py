@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from mpdsa import spectral
 from mpdsa.configspace import enumerate_ball, interior_boundary, merge_configs
 from mpdsa.disorder import FieldModel, derive_seed, sample_field
+from mpdsa.experiments import centre_pairs
 from mpdsa.msa import ScalingParams, is_EmNS
 from mpdsa.operators import (
     HamiltonianSpec,
@@ -16,6 +18,7 @@ from mpdsa.spectral import (
     ResonanceError,
     _symmetric_part,
     diagonalize,
+    diagonalize_rows,
     eigensystem_from_factors,
     eigenvalues_of,
     eigenvector_noise_floors,
@@ -108,6 +111,90 @@ class TestValuesOnlySolve:
         bad = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(ValueError):
             eigenvalues_of(OperatorMatrix(ball, bad))
+
+
+def benchmark_operator(line, seed=550001):
+    """H of the ``dynamics-r16`` benchmark ball: two particles, radius 16
+    around (1, 0), coupling 30, uniform IID field, step range 2 (n = 561)."""
+    ball = enumerate_ball((1, 0), 16, line)
+    spec = HamiltonianSpec(geometry=line, n_particles=2, coupling=30.0,
+                           interaction=InteractionModel(kind="step", amplitude=1.0, range_=2),
+                           convention="fixed")
+    sample = sample_field(FieldModel(kind="iid", marginal="uniform"), ball.projection, seed)
+    return assemble_hamiltonian(spec, ball, sample)
+
+
+class TestRowsSolve:
+    """``diagonalize_rows`` against ``eigh``, the oracle: every row of a
+    radius-5 two-particle ball, the rows ``dynamics`` reads on the
+    radius-16 benchmark ball, and balls of one and two members."""
+
+    @pytest.fixture(params=["radius-5", "radius-16", "n=1", "n=2"])
+    def case(self, request, line, path_graph):
+        """(operator, ascending ball indices of the rows asked for)."""
+        if request.param == "radius-5":
+            op = random_operator(line, seed=5, center=(1, 0), radius=5, coupling=30.0)
+            return op, list(range(op.n))
+        if request.param == "radius-16":
+            op = benchmark_operator(line)
+            ball = op.ball
+            return op, sorted({ball.index[site] for pair in centre_pairs(ball) for site in pair})
+        center, radius, geometry = ((0,), 0, line) if request.param == "n=1" else (
+            (0,), 1, path_graph)
+        ball = enumerate_ball(center, radius, geometry)
+        m = np.random.default_rng(len(ball)).normal(size=(len(ball),) * 2)
+        return OperatorMatrix(ball, m + m.T), list(range(len(ball)))
+
+    def test_eigenvalues_are_eighs_bit_for_bit(self, case):
+        op, indices = case
+        values, _ = np.linalg.eigh(op.matrix)
+        assert diagonalize_rows(op, indices).eigenvalues.tobytes() == values.tobytes()
+
+    def test_pair_products_match_eigh(self, case):
+        """psi_j(x) psi_j(y), free of the eigenvectors' signs, for every
+        held x and y and every j."""
+        op, indices = case
+        _, vectors = np.linalg.eigh(op.matrix)
+        ref = vectors[indices]
+        got = diagonalize_rows(op, indices).vectors
+        assert got.shape == ref.shape
+        products = got[:, None, :] * got[None, :, :]
+        assert np.max(np.abs(products - ref[:, None, :] * ref[None, :, :])) <= 1e-13
+
+    def test_completeness_and_bessel(self, case):
+        """sum_j psi_j(x) psi_j(y) = delta_xy and sum_j |psi_j(x) psi_j(y)| <= 1."""
+        op, indices = case
+        v = diagonalize_rows(op, indices).vectors
+        assert np.max(np.abs(v @ v.T - np.eye(len(indices)))) <= 1e-12
+        assert np.max(np.abs(v) @ np.abs(v).T) <= 1.0 + 1e-12
+
+    def test_rows_by_ball_index(self, case):
+        op, indices = case
+        rows = diagonalize_rows(op, indices[::2])
+        assert np.array_equal(rows.rows(indices[0]), rows.vectors[0])
+        assert np.array_equal(rows.rows(indices[::2][::-1]), rows.vectors[::-1])
+        if len(indices) > 1:
+            with pytest.raises(KeyError):
+                rows.rows(indices[1])
+
+    def test_without_lapack_the_rows_are_eighs(self, case, monkeypatch):
+        op, indices = case
+        monkeypatch.setattr(spectral, "lapack_routine", lambda name: None)
+        values, vectors = np.linalg.eigh(op.matrix)
+        rows = diagonalize_rows(op, indices)
+        assert rows.eigenvalues.tobytes() == values.tobytes()
+        assert rows.vectors.tobytes() == vectors[indices].tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_a_matrix_dsyevd_would_scale_reads_eigh(self, line, scale):
+        """dsyevd scales such a matrix before reducing it; the rows solve
+        leaves it to ``eigh``, so the bits stay ``eigh``'s."""
+        base = random_operator(line, seed=3, center=(1, 0), radius=3)
+        op = OperatorMatrix(base.ball, base.matrix * scale, base.convention)
+        values, vectors = np.linalg.eigh(op.matrix)
+        rows = diagonalize_rows(op, [0, 4])
+        assert rows.eigenvalues.tobytes() == values.tobytes()
+        assert rows.vectors.tobytes() == vectors[[0, 4]].tobytes()
 
 
 def product_form_clears(matrix, energy) -> bool:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import mpdsa
-from mpdsa import experiments, msa
+from mpdsa import experiments, msa, spectral
 from mpdsa.cli import _setup_for, main
 from mpdsa.configspace import LatticeGeometry, config_distance, enumerate_ball
 from mpdsa.disorder import FieldModel, derive_seed, sample_field
@@ -31,6 +31,7 @@ from mpdsa.operators import HamiltonianSpec, InteractionModel
 
 SRC = Path(mpdsa.__file__).resolve().parents[1]
 PINNABLE = msa.blas_thread_setter() is not None
+LAPACK_ROWS = spectral.lapack_rows()
 
 
 def bench_config(out_dir, experiment):
@@ -193,13 +194,14 @@ def dynamics_run(tmp_path, trials):
 
 
 class TestDynamicsPipeline:
-    """``dynamics`` builds trial t + 1's eigensystem on the calling thread
-    while workers run trial t's propagator blocks."""
+    """``dynamics`` solves trial t + 1 for its eigenvalues and eigenvector
+    rows on the calling thread while workers run trial t's propagator
+    blocks."""
 
     @staticmethod
     def plain_loop(cfg):
         """The rows and the three maxima of ``summary.json``, one trial at a
-        time: eigensystem, then propagator, then correlators."""
+        time: rows solve, then propagator, then correlators."""
         experiment = cfg["experiments"][0]
         setup = _setup_for(cfg, experiment)
         ball = setup.balls()[0]
@@ -209,11 +211,12 @@ class TestDynamicsPipeline:
             if int(r) not in seen:
                 seen.add(int(r))
                 pairs.append((ball.center, member))
+        indices = sorted({ball.index[site] for pair in pairs for site in pair})
         grid = default_time_grid(experiment["time_points"])
         rows, excess = [], [0.0, 0.0, 0.0]
         for t in range(experiment["trials"]):
-            es = setup.context(derive_seed(cfg["seed"], "trial", t)).eigensystem(
-                setup.center, setup.radius)
+            es = setup.context(derive_seed(cfg["seed"], "trial", t)).eigen_rows(
+                setup.center, setup.radius, indices)
             for (x, y), prop in zip(pairs, propagator_sups(es, pairs, grid).tolist()):
                 q = ef_correlator(es, x, y, None)
                 comp = correlator_completeness(es, x, y)
@@ -239,8 +242,8 @@ class TestDynamicsPipeline:
                 summary["max_propagator_excess"]] == excess
 
     def test_solves_stay_on_the_main_thread_and_blocks_leave_it(self, tmp_path, monkeypatch):
-        eigh, assemble, run_pinned = np.linalg.eigh, msa.assemble_hamiltonian, msa.run_pinned
-        seen = {"eigh": [], "assemble": [], "block": []}
+        solve, assemble, run_pinned = msa.diagonalize_rows, msa.assemble_hamiltonian, msa.run_pinned
+        seen = {"solve": [], "assemble": [], "block": []}
         beside = []
 
         def spy(name, fn):
@@ -253,15 +256,15 @@ class TestDynamicsPipeline:
             beside.append(main is not None)
             return run_pinned([spy("block", task) for task in tasks], main=main)
 
-        monkeypatch.setattr(np.linalg, "eigh", spy("eigh", eigh))
+        monkeypatch.setattr(msa, "diagonalize_rows", spy("solve", solve))
         monkeypatch.setattr(msa, "assemble_hamiltonian", spy("assemble", assemble))
         monkeypatch.setattr(experiments, "run_pinned", spied_run_pinned)
         monkeypatch.setattr(msa, "usable_cpus", lambda: 2)
         assert dynamics_run(tmp_path, 3)[0] == 0
         main_thread = threading.main_thread()
         assert beside == [True, True, False]
-        assert len(seen["eigh"]) == 3 and len(seen["assemble"]) == 3
-        assert all(t is main_thread for t in seen["eigh"] + seen["assemble"])
+        assert len(seen["solve"]) == 3 and len(seen["assemble"]) == 3
+        assert all(t is main_thread for t in seen["solve"] + seen["assemble"])
         assert len(seen["block"]) == 9
         assert all((t is not main_thread) == PINNABLE for t in seen["block"])
 
@@ -286,16 +289,16 @@ class TestDynamicsPipeline:
         assert (started == []) == (setter == "missing" or not PINNABLE)
 
     def test_linalg_error_on_trial_1_exits_3(self, tmp_path, monkeypatch):
-        eigh = np.linalg.eigh
+        solve = msa.diagonalize_rows
         threads = []
 
         def second_fails(*args, **kwargs):
             threads.append(threading.current_thread())
             if len(threads) == 2:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return eigh(*args, **kwargs)
+            return solve(*args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigh", second_fails)
+        monkeypatch.setattr(msa, "diagonalize_rows", second_fails)
         monkeypatch.setattr(msa, "usable_cpus", lambda: 2)
         alive = threading.active_count()
         code, _, out = dynamics_run(tmp_path, 3)
@@ -312,20 +315,24 @@ class TestOneEigensystemAlive:
 
     @staticmethod
     def run(monkeypatch, command, experiment, tmp_path):
-        """Whether the previous eigenvector matrix was still alive at each
-        ``eigh`` call after the first."""
-        eigh = np.linalg.eigh
+        """Whether the previous solve's eigenvectors were still alive at
+        each solve after the first: ``eigh``'s eigenvector matrix, or the
+        eigenvector rows of the rows solve ``dynamics`` runs."""
+        module, name, vectors = ((msa, "diagonalize_rows", lambda result: result.vectors)
+                                 if command == "dynamics"
+                                 else (np.linalg, "eigh", lambda result: result[1]))
+        solve = getattr(module, name)
         last = []
         alive = []
 
         def watched(*args, **kwargs):
             if last:
                 alive.append(last[-1]() is not None)
-            result = eigh(*args, **kwargs)
-            last.append(weakref.ref(result[1]))
+            result = solve(*args, **kwargs)
+            last.append(weakref.ref(vectors(result)))
             return result
 
-        monkeypatch.setattr(np.linalg, "eigh", watched)
+        monkeypatch.setattr(module, name, watched)
         out = tmp_path / "out"
         config = tmp_path / "c.json"
         config.write_text(json.dumps(bench_config(out, experiment)))
@@ -407,6 +414,30 @@ class TestErrors:
         assert threading.active_count() == alive
         assert threads and (threads[0] is not threading.main_thread()) == PINNABLE
 
+    @pytest.mark.skipif(not LAPACK_ROWS, reason="no LAPACK routines for the rows solve")
+    def test_a_dstedc_failure_in_dynamics_exits_3(self, tmp_path, monkeypatch):
+        """A tridiagonal eigensolve that does not converge on trial 1, solved
+        beside trial 0's propagator blocks, is a numerical failure: exit 3,
+        nothing written, no worker left."""
+        lapack = spectral._lapack
+        calls = []
+
+        def failing(name, *args):
+            info = lapack(name, *args)
+            if name == "dstedc" and -1 not in [a for a in args if isinstance(a, int)]:
+                calls.append(threading.current_thread())
+                return 7 if len(calls) == 2 else info
+            return info
+
+        monkeypatch.setattr(spectral, "_lapack", failing)
+        monkeypatch.setattr(msa, "usable_cpus", lambda: 2)
+        alive = threading.active_count()
+        code, _, out = dynamics_run(tmp_path, 3)
+        assert code == 3
+        assert not out.exists()
+        assert threading.active_count() == alive
+        assert calls == [threading.main_thread()] * 2
+
 
 class TestManifest:
     def test_records_whether_blas_calls_were_pinned(self, tmp_path):
@@ -417,3 +448,14 @@ class TestManifest:
         assert main(["spectrum", "--config", str(config)]) == 0
         env = json.loads((out / "manifest.json").read_text())["environment"]
         assert env["blas_pinned"] is PINNABLE
+
+    @pytest.mark.parametrize("resolver", ["present", "missing"])
+    def test_records_whether_dynamics_read_lapack_rows(self, tmp_path, monkeypatch, resolver):
+        if resolver == "missing":
+            monkeypatch.setattr(spectral, "lapack_routine", lambda name: None)
+        out = tmp_path / "out"
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(bench_config(out, {**DYNAMICS, "radius": 2})))
+        assert main(["dynamics", "--config", str(config)]) == 0
+        env = json.loads((out / "manifest.json").read_text())["environment"]
+        assert env["lapack_rows"] is (LAPACK_ROWS and resolver == "present")
