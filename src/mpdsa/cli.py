@@ -46,9 +46,9 @@ from .experiments import (
     min_event_trials,
     propagator_sups,
     run_scaling_audit,
+    trial_seeds,
 )
 from .msa import (
-    audit_eigensystem,
     blas_thread_setter,
     check_param_constraints,
     predicate_report,
@@ -57,6 +57,7 @@ from .msa import (
 )
 from .runconfig import (
     MAX_MAGNITUDE,
+    MAX_SEED,
     ConfigError,
     build_field_model,
     build_geometry,
@@ -227,10 +228,6 @@ def _trials(exp: dict, args) -> int:
     return args.trials if args.trials is not None else exp.get("trials", 1)
 
 
-def _trial_seeds(seed: int, trials: int) -> list:
-    return [derive_seed(seed, "trial", t) for t in range(trials)]
-
-
 # -- commands ----------------------------------------------------------------
 
 
@@ -241,7 +238,7 @@ def cmd_spectrum(raw: dict, writer: RunWriter, args) -> int:
     for idx, exp in enumerate(_experiments_of(raw, "spectrum")):
         setup = _setup_for(raw, exp)
         trials = _trials(exp, args)
-        for t, ctx in enumerate(setup.contexts(_trial_seeds(seed, trials))):
+        for t, ctx in enumerate(setup.contexts(trial_seeds(seed, trials))):
             # no name binds the eigensystem: it dies with ``ctx``, before
             # the next trial's solve
             values = ctx.eigensystem(setup.center, setup.radius).eigenvalues
@@ -273,8 +270,7 @@ def cmd_predicates(raw: dict, writer: RunWriter, args) -> int:
     for idx, (exp, setup, sub_scale) in enumerate(plans):
         trials = _trials(exp, args)
         energies = exp.get("energies", [0.0])
-        for t, ctx in enumerate(setup.contexts(_trial_seeds(seed, trials))):
-            audit_eigensystem(ctx, setup.center, setup.radius, sub_scale, exp.get("grid_stride"))
+        for t, ctx in enumerate(setup.contexts(trial_seeds(seed, trials))):
             for energy in energies:
                 rep = predicate_report(
                     ctx, setup.center, setup.radius, energy, sub_scale
@@ -490,7 +486,7 @@ def cmd_dynamics(raw: dict, writer: RunWriter, args) -> int:
         worst_prop = 0.0
         q_rows = prop_rows = 0
         systems = (ctx.eigen_rows(setup.center, setup.radius, read)
-                   for ctx in setup.contexts(_trial_seeds(seed, trials)))
+                   for ctx in setup.contexts(trial_seeds(seed, trials)))
         ahead = [next(systems)]
         for t in range(trials):
             es = ahead[0]
@@ -723,6 +719,8 @@ def main(argv=None) -> int:
             raise ConfigError("sweep needs --axis and --values")
         if args.trials is not None and args.trials < 1:
             raise ConfigError(f"--trials must be at least 1, got {args.trials}")
+        if args.seed is not None and not 0 <= args.seed <= MAX_SEED:
+            raise ConfigError(f"--seed must be from 0 to 2**63 - 1, got {args.seed}")
         writer = RunWriter(out_dir, raw)
         code = COMMANDS[args.command](raw, writer, args)
         writer.finalize()

@@ -76,6 +76,11 @@ class ProbabilityEstimate:
 # -- trial setup -------------------------------------------------------------
 
 
+def trial_seeds(seed: int, trials: int) -> list:
+    """The sub-seeds of trials 0 .. trials - 1 under the master seed."""
+    return [derive_seed(seed, "trial", t) for t in range(trials)]
+
+
 @dataclass(frozen=True)
 class TrialSetup:
     """Everything a disorder trial needs except the seed."""
@@ -118,11 +123,11 @@ class TrialSetup:
         """One row of ``contexts``."""
         return next(self.contexts([trial_seed]))
 
-    def contexts(self, trial_seeds):
+    def contexts(self, seeds):
         """The ``AuditContext`` of each trial seed in turn, every trial's
         field drawn in one call."""
         spec = self.ham_spec()
-        for sample in field_samples(self.field_model, self.region(), trial_seeds):
+        for sample in field_samples(self.field_model, self.region(), seeds):
             yield AuditContext(spec, sample, self.params)
 
 
@@ -167,13 +172,13 @@ def _evaluate_event(setup: TrialSetup, event: str, ctx: AuditContext) -> bool:
     raise ValueError(f"unknown event {event!r}")
 
 
-def singular_trials(setup: TrialSetup, energy: float, trial_seeds) -> BlockReports:
+def singular_trials(setup: TrialSetup, energy: float, seeds) -> BlockReports:
     """``is_EmNS`` reports of the setup's ball at the energy, one per trial
     seed, decided in blocks of trials (``msa.block_non_singularity``) from
     one ``field_array`` of every trial's field."""
     region = setup.region()
     return block_non_singularity(
-        setup.ham_spec(), region, field_array(setup.field_model, region, trial_seeds),
+        setup.ham_spec(), region, field_array(setup.field_model, region, seeds),
         setup.center, setup.radius, energy, setup.params,
     )
 
@@ -199,7 +204,7 @@ def estimate_event_probability(
         raise ValueError(problem)
     if event in ("always_true", "always_false"):
         return ProbabilityEstimate.from_counts(trials if event == "always_true" else 0, trials)
-    seeds = [derive_seed(seed, "trial", t) for t in range(trials)]
+    seeds = trial_seeds(seed, trials)
     if event != "singular":
         successes = sum(_evaluate_event(setup, event, ctx) for ctx in setup.contexts(seeds))
         return ProbabilityEstimate.from_counts(successes, trials)
@@ -269,10 +274,10 @@ def run_scaling_audit(
         seed_k = derive_seed(seed, "scale", k)
         nonloc = 0
         vio_count = 0
-        seeds = [derive_seed(seed_k, "trial", t) for t in range(trials)]
-        for t, ctx in enumerate(scale_setup.contexts(seeds)):
+        for t, ctx in enumerate(scale_setup.contexts(trial_seeds(seed_k, trials))):
             if k > 0:
-                # first, so that it builds the eigensystem beside its spectra
+                # first, so that the ball's eigensolve overlaps its sub-ball
+                # spectra; the values do not depend on the order
                 res = verify_implications(
                     ctx, setup.center, L, ladder[k - 1], grid_stride=grid_stride
                 )

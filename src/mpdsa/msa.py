@@ -28,7 +28,6 @@ from .configspace import (
     canonical_config,
     classify_ball,
     canonical_decomposition,
-    StrideGrid,
     enumerate_ball,
     maximal_separation_split,
 )
@@ -464,11 +463,12 @@ class AuditContext:
     """Caches eigensystems, values-only spectra, m-localization and
     m-tunneling reports for one (spec, sample) pair.
 
+    One rule fixes every value: ``spectrum`` is always the values-only
+    solve and ``eigensystem`` always ``eigh``, whichever was asked first.
     When a ball's centre splits into groups farther apart than twice the
     radius and the cross interaction over the gap is at most ``SPLIT_TOL``,
     its spectral data are assembled from the factor balls' instead of a
-    dense solve.  ``resolved_for_vectors`` counts balls solved values-only
-    and later solved again for their eigenvectors.
+    dense solve.
     """
 
     def __init__(self, spec: HamiltonianSpec, sample: FieldSample, params: ScalingParams):
@@ -479,22 +479,26 @@ class AuditContext:
         self._spectra: dict = {}
         self._locs: dict = {}
         self._tunnels: dict = {}
-        self.resolved_for_vectors = 0
 
     def ball(self, center, radius: int) -> Ball:
         return enumerate_ball(center, radius, self.spec.geometry)
 
-    def eigensystem(self, center, radius: int) -> EigenSystem:
+    def eigensystem(self, center, radius: int, beside=()) -> EigenSystem:
+        """The ball's eigensystem (``eigh``), computed once per (centre,
+        radius).  For a ball that does not factor, the calling thread
+        computes the spectra of the (centre, radius) pairs ``beside`` while
+        a worker runs the bare eigensolve (``run_pinned``)."""
         key = (tuple(center), radius)
         es = self._systems.get(key)
         if es is None:
-            if key in self._spectra:
-                self.resolved_for_vectors += 1
             parts = factor_centers(self.spec, center, radius)
-            if parts is None:
-                es = diagonalize(self._operator(self.ball(center, radius)))
-            else:
+            if parts is not None:
                 es = eigensystem_from_factors(*(self.eigensystem(p, radius) for p in parts))
+            elif beside:
+                solve = diagonalization(self._operator(self.ball(center, radius)))
+                (es,) = run_pinned([solve], main=lambda: [self.spectrum(*b) for b in beside])
+            else:
+                es = diagonalize(self._operator(self.ball(center, radius)))
             self._systems[key] = es
         return es
 
@@ -512,13 +516,10 @@ class AuditContext:
                          es.rows(indices))
 
     def spectrum(self, center, radius: int) -> np.ndarray:
-        """Ascending eigenvalues of the ball: its eigensystem's when one was
-        built, otherwise from a values-only solve (sorted factor sums for a
-        split ball), computed once per (centre, radius)."""
+        """Ascending eigenvalues of the ball from a values-only solve
+        (sorted factor sums for a split ball), computed once per (centre,
+        radius); never the eigenvalues of its eigensystem."""
         key = (tuple(center), radius)
-        es = self._systems.get(key)
-        if es is not None:
-            return es.eigenvalues
         vals = self._spectra.get(key)
         if vals is None:
             parts = factor_centers(self.spec, center, radius)
@@ -528,29 +529,6 @@ class AuditContext:
                 vals = pairwise_sums(*(self.spectrum(p, radius) for p in parts))[0]
             self._spectra[key] = vals
         return vals
-
-    def eigensystem_beside(self, center, radius: int, others) -> EigenSystem:
-        """``eigensystem(center, radius)``, with the spectra of the smaller
-        balls ``others`` ((centre, radius) pairs) computed meanwhile.
-
-        The calling thread assembles and checks the operator, hands the
-        bare eigensolve to a worker (``run_pinned``), computes the spectra
-        through ``spectrum``, then stores the eigensystem as ``eigensystem``
-        builds it.  Only balls that do not factor are computed ahead: a
-        split ball's spectrum sums its factors' spectra as they stand at
-        its first read.  A ball that factors, or whose eigensystem exists,
-        takes the plain path, and its ``others`` wait for their first read.
-        """
-        key = (tuple(center), radius)
-        if key in self._systems or factor_centers(self.spec, center, radius) is not None:
-            return self.eigensystem(center, radius)
-        if key in self._spectra:
-            self.resolved_for_vectors += 1
-        solve = diagonalization(self._operator(self.ball(center, radius)))
-        ahead = [(c, r) for c, r in others if factor_centers(self.spec, c, r) is None]
-        (es,) = run_pinned([solve], main=lambda: [self.spectrum(c, r) for c, r in ahead])
-        self._systems[key] = es
-        return es
 
     def m_loc(self, center, radius: int) -> LocReport:
         """``is_m_loc`` of the ball's eigensystem, computed once per
@@ -1090,7 +1068,7 @@ def predicate_report(
 ) -> PredicateReport:
     params = ctx.params
     ball = ctx.ball(center, radius)
-    es = ctx.eigensystem(center, radius)
+    es = ctx.eigensystem(center, radius, beside=cnr_subballs(params, ball))
     nr = is_E_NR(es, energy, params)
     cnr, res_witness = is_E_CNR(ctx, ball, energy)
     ns = is_EmNS(es, energy, params)
@@ -1156,42 +1134,30 @@ def energy_grid(spectra) -> np.ndarray:
     return _sorted_distinct(np.concatenate([vals, mids]))
 
 
-def _sub_grid(ball: Ball, sub_scale: int, grid_stride: int | None) -> StrideGrid:
-    """The stride grid of an implication audit's grid sub-balls of radius
-    ``sub_scale`` (default stride = sub-scale)."""
-    stride = grid_stride if grid_stride is not None else max(1, sub_scale)
-    return ball.stride_grid(stride, ball.radius - sub_scale)
-
-
-def audit_eigensystem(
-    ctx: AuditContext, center, radius: int, sub_scale: int, grid_stride: int | None
-) -> EigenSystem:
-    """The ball's eigensystem, built beside the spectra that ``is_E_CNR``
-    and ``verify_implications`` read: those of the grid sub-balls and of
-    the CNR sub-balls (``AuditContext.eigensystem_beside``)."""
-    ball = ctx.ball(center, radius)
-    grid = [(c, sub_scale) for c in _sub_grid(ball, sub_scale, grid_stride).centers]
-    return ctx.eigensystem_beside(center, radius, grid + cnr_subballs(ctx.params, ball))
-
-
-def _audit_grid(ctx: AuditContext, es: EigenSystem, sub_scale: int, grid_stride: int | None):
-    """(stride grid, energy grid, NR flags, CNR flags) of an implication
-    audit of the ball of ``es``.
+def _audit_grid(ctx: AuditContext, center, radius: int, sub_scale: int, grid_stride: int | None):
+    """(eigensystem, stride grid, energy grid, NR flags, CNR flags) of an
+    implication audit of the ball.
 
     Grid sub-balls of radius ``sub_scale`` sit on a stride grid (default
     stride = sub-scale); the energy grid is the union of their spectra plus
     midpoints, or of the ball's own spectrum when no grid sub-ball fits.
+    The ball's eigensystem is solved beside the spectra of the grid and
+    CNR sub-balls.
     """
     params = ctx.params
-    ball = es.ball
-    sub_grid = _sub_grid(ball, sub_scale, grid_stride)
-    spectra = [ctx.spectrum(c, sub_scale) for c in sub_grid.centers]
+    ball = ctx.ball(center, radius)
+    stride = grid_stride if grid_stride is not None else max(1, sub_scale)
+    sub_grid = ball.stride_grid(stride, radius - sub_scale)
+    grid_balls = [(c, sub_scale) for c in sub_grid.centers]
+    cnr_balls = cnr_subballs(params, ball)
+    es = ctx.eigensystem(center, radius, beside=grid_balls + cnr_balls)
+    spectra = [ctx.spectrum(c, r) for c, r in grid_balls]
     grid = energy_grid(spectra or [es.eigenvalues])
-    nr = _dist_to_sorted(es.eigenvalues, grid) >= params.resonance_scale(ball.radius)
+    nr = _dist_to_sorted(es.eigenvalues, grid) >= params.resonance_scale(radius)
     cnr = nr.copy()
-    for c, r in cnr_subballs(params, ball):
+    for c, r in cnr_balls:
         cnr &= _dist_to_sorted(ctx.spectrum(c, r), grid) >= params.resonance_scale(r)
-    return sub_grid, grid, nr, cnr
+    return es, sub_grid, grid, nr, cnr
 
 
 def _green_violations(lemma: str, center, radius: int, energies, worst, thr: float) -> list:
@@ -1223,14 +1189,12 @@ def verify_implications(
       * completely non-resonant and no distant singular sub-ball pair ->
         non-singular;
       * no distant singular sub-ball pair at any grid energy  ->
-        localized;
-      * on decomposable balls under a long-range interaction: factor
-        localization plus complete non-resonance  ->  non-singular, with
-        the truncation-error control checked on the split.
+        localized.
+
+    The long-range split implication is ``verify_longrange_split``'s.
     """
     params = ctx.params
     ball = ctx.ball(center, radius)
-    es = audit_eigensystem(ctx, center, radius, sub_scale, grid_stride)
     L = ball.radius
     violations: list = []
     counters = {
@@ -1249,7 +1213,7 @@ def verify_implications(
         "pair_geometry_possible": 0,  # set below
     }
 
-    sub_grid, grid, nr, cnr = _audit_grid(ctx, es, sub_scale, grid_stride)
+    es, sub_grid, grid, nr, cnr = _audit_grid(ctx, center, radius, sub_scale, grid_stride)
     counters["energies"] = len(grid)
 
     loc = ctx.m_loc(center, radius)
@@ -1364,8 +1328,7 @@ def verify_longrange_split(
     if not (ctx.m_loc(split.part1, L).localized and ctx.m_loc(split.part2, L).localized):
         return AuditResult(violations, counters)
 
-    es = ctx.eigensystem(center, radius)
-    _, grid, _, cnr = _audit_grid(ctx, es, sub_scale, grid_stride)
+    es, _, grid, _, cnr = _audit_grid(ctx, center, radius, sub_scale, grid_stride)
     counters["energies"] = len(grid)
     counters["hypothesis_instances"] = int(np.count_nonzero(cnr))
 

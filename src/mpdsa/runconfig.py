@@ -24,6 +24,8 @@ class ConfigError(ValueError):
 # squares H - E, whose entries reach coupling x kernel tap, so each factor
 # at 1e50 keeps the squares near 1e200, well inside double range.
 MAX_MAGNITUDE = 1e50
+# ``disorder.derive_seed`` packs the master seed as a signed 64-bit value
+MAX_SEED = 2**63 - 1
 _BOUNDED = {"type": "number", "minimum": -MAX_MAGNITUDE, "maximum": MAX_MAGNITUDE}
 
 _FRACTION = {
@@ -166,7 +168,7 @@ SCHEMA = {
                 "b": {"type": "number"},
             },
         },
-        "seed": {"type": "integer", "minimum": 0},
+        "seed": {"type": "integer", "minimum": 0, "maximum": MAX_SEED},
         "output_dir": {"type": "string"},
         "experiments": {"type": "array", "items": _EXPERIMENT, "minItems": 1},
     },
@@ -269,20 +271,41 @@ def load_config(path) -> dict:
     return validate_config(raw)
 
 
-def validate_config(raw: dict) -> dict:
-    """``raw`` if it satisfies ``SCHEMA``, else ``ConfigError`` with
-    jsonschema's best-match message.  jsonschema is imported only when the
-    schema walk does not accept ``raw``, and its verdict stands."""
-    try:
-        if _conforms(raw, SCHEMA):
-            return raw
-    except _Unsure:
-        pass
-    from jsonschema.exceptions import best_match
+def _check_integers(value, schema, path: list) -> None:
+    """``ConfigError`` at the first float where ``schema`` asks for an
+    integer: JSON Schema counts 2.0 as one, ``range`` and ``derive_seed``
+    do not."""
+    if type(value) is float and schema.get("type") == "integer":
+        raise ConfigError(f"config rejected: a float where an integer is required (at {path})")
+    for branch in schema.get("oneOf", ()):
+        _check_integers(value, branch, path)
+    if type(value) is dict:
+        props = schema.get("properties", {})
+        for key, item in value.items():
+            if key in props:
+                _check_integers(item, props[key], path + [key])
+    elif type(value) is list and "items" in schema:
+        for i, item in enumerate(value):
+            _check_integers(item, schema["items"], path + [i])
 
-    error = best_match(_validator().iter_errors(raw))
-    if error is not None:
-        raise ConfigError(f"config rejected: {error.message} (at {list(error.absolute_path)})")
+
+def validate_config(raw: dict) -> dict:
+    """``raw`` if it satisfies ``SCHEMA``, with an int wherever the schema
+    asks for an integer, else ``ConfigError`` naming the key path, with
+    jsonschema's best-match message for a schema violation.  jsonschema is
+    imported only when the schema walk does not accept ``raw``, and its
+    verdict stands."""
+    try:
+        valid = _conforms(raw, SCHEMA)
+    except _Unsure:
+        valid = False
+    if not valid:
+        from jsonschema.exceptions import best_match
+
+        error = best_match(_validator().iter_errors(raw))
+        if error is not None:
+            raise ConfigError(f"config rejected: {error.message} (at {list(error.absolute_path)})")
+    _check_integers(raw, SCHEMA, [])
     return raw
 
 

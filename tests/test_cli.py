@@ -908,6 +908,56 @@ class TestSchemaBounds:
         assert "config rejected" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "experiment, overrides, path",
+        [
+            ({"radius": 2.0}, {}, "['experiments', 0, 'radius']"),
+            ({"trials": 2.0}, {}, "['experiments', 0, 'trials']"),
+            ({}, {"seed": 3.0}, "['seed']"),
+        ],
+        ids=["radius", "trials", "seed"],
+    )
+    def test_an_integral_float_where_an_integer_goes_exits_2(self, tmp_path, capsys,
+                                                              experiment, overrides, path):
+        # the schema counts 2.0 as an integer; range() and derive_seed do not
+        out = tmp_path / "out"
+        cfg = base_config(out, [{"kind": "spectrum", "center": [0], "radius": 1, **experiment}],
+                          **overrides)
+        assert main(["spectrum", "--config", write_config(tmp_path / "c.json", cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"config rejected: a float where an integer is required (at {path})" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_a_seed_beyond_64_bits_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = base_config(out, [{"kind": "spectrum", "center": [0], "radius": 1}], seed=2**63)
+        assert main(["spectrum", "--config", write_config(tmp_path / "c.json", cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config rejected: 9223372036854775808 is greater than the maximum of " \
+            "9223372036854775807 (at ['seed'])" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [-5, 2**63])
+    def test_a_seed_flag_outside_the_schema_range_exits_2(self, tmp_path, capsys, seed):
+        out = tmp_path / "out"
+        cfg = base_config(out, [{"kind": "spectrum", "center": [0], "radius": 1}])
+        path = write_config(tmp_path / "c.json", cfg)
+        assert main(["spectrum", "--config", path, "--seed", str(seed)]) == 2
+        err = capsys.readouterr().err
+        assert f"--seed must be from 0 to 2**63 - 1, got {seed}" in err
+        assert not out.exists()
+
+    def test_the_largest_seed_runs(self, tmp_path):
+        cfg = base_config(tmp_path / "a", [{"kind": "spectrum", "center": [0], "radius": 1}],
+                          seed=2**63 - 1)
+        path = write_config(tmp_path / "c.json", cfg)
+        assert main(["spectrum", "--config", path]) == 0
+        assert main(["spectrum", "--config", path, "--seed", str(2**63 - 1),
+                     "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "spectrum.csv").read_bytes() == \
+            (tmp_path / "b" / "spectrum.csv").read_bytes()
+
 
 class TestNumericalFailure:
     def test_a_nan_eigenvector_entry_exits_3(self, tmp_path, monkeypatch):

@@ -492,15 +492,33 @@ class TestValuesOnlySpectra:
             assert np.max(np.abs(vals - dense.eigenvalues)) < 1e-12
             assert not ctx._systems
 
-    def test_eigensystem_values_win_and_resolves_are_counted(self, line):
-        ctx = make_context(line, seed=2, coupling=10.0, radius=4)
-        es = ctx.eigensystem((1, 0), 4)
-        assert ctx.spectrum((1, 0), 4) is es.eigenvalues
-        ctx.spectrum((2, 0), 3)
-        assert ctx.resolved_for_vectors == 0
-        es_sub = ctx.eigensystem((2, 0), 3)
-        assert ctx.resolved_for_vectors == 1
-        assert ctx.spectrum((2, 0), 3) is es_sub.eigenvalues
+    def test_values_do_not_depend_on_the_eigensystem(self, line):
+        # eigh's eigenvalues and eigvalsh's differ in their last bits here
+        keys = [((1, 0), 4), ((2, 0), 3), ((3, 1), 2)]
+        for built_first in (False, True):
+            ctx = make_context(line, seed=2, coupling=10.0, radius=4)
+            for key in keys:
+                if built_first:
+                    ctx.eigensystem(*key)
+                dense = msa.eigenvalues_of(
+                    assemble_hamiltonian(ctx.spec, ctx.ball(*key), ctx.sample))
+                assert ctx.spectrum(*key).tobytes() == dense.tobytes()
+
+    def test_the_audit_and_the_reports_agree_in_either_order(self, line):
+        # radius 12 at sub-scale 1: the m-tunneling report solves grid
+        # sub-balls for their eigenvectors before the audit reads their spectra
+        def run(audit_first):
+            ctx = make_context(line, seed=derive_seed(550001, "trial", 0), coupling=30.0,
+                               radius=12)
+            if audit_first:
+                audit = verify_implications(ctx, (1, 0), 12, 1)
+                report = predicate_report(ctx, (1, 0), 12, 0.0, 1)
+            else:
+                report = predicate_report(ctx, (1, 0), 12, 0.0, 1)
+                audit = verify_implications(ctx, (1, 0), 12, 1)
+            return repr(audit), repr(report)
+
+        assert run(audit_first=True) == run(audit_first=False)
 
     def test_bench_trial_runs_one_eigh(self, line, monkeypatch):
         # the predicates-r16 benchmark trial: n = 561, sub-scale 6, three energies
@@ -518,7 +536,6 @@ class TestValuesOnlySpectra:
         res = verify_implications(ctx, (1, 0), 16, 6)
         assert sizes == [561]
         assert res.counters["pair_geometry_possible"] == 0
-        assert ctx.resolved_for_vectors == 0
         assert len(ctx._spectra) == 12
 
 

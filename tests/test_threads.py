@@ -113,10 +113,9 @@ class TestCoreCount:
     def _predicates(monkeypatch, cpus):
         monkeypatch.setattr(msa, "usable_cpus", lambda: cpus)
         ctx = bench_context()
-        es = msa.audit_eigensystem(ctx, (1, 0), 16, 6, None)
         reports = [predicate_report(ctx, (1, 0), 16, e, 6) for e in (0.0, 5.0, 15.0)]
         audit = verify_implications(ctx, (1, 0), 16, 6)
-        return es, repr(reports) + repr(audit)
+        return ctx.eigensystem((1, 0), 16), repr(reports) + repr(audit)
 
     def test_predicates_and_audit(self, monkeypatch, one_blas_thread):
         serial_es, serial = self._predicates(monkeypatch, 1)
@@ -154,7 +153,6 @@ class TestWhereKernelsRun:
         monkeypatch.setattr(msa, "assemble_hamiltonian", spy("assemble", assemble))
         monkeypatch.setattr(msa, "usable_cpus", lambda: 2)
         ctx = bench_context()
-        msa.audit_eigensystem(ctx, (1, 0), 16, 6, None)
         for energy in (0.0, 5.0, 15.0):
             predicate_report(ctx, (1, 0), 16, energy, 6)
         verify_implications(ctx, (1, 0), 16, 6)
