@@ -69,7 +69,7 @@ from .runconfig import (
     load_config,
     validate_config,
 )
-from .spectral import ResonanceError, lapack_rows
+from .spectral import ResonanceError, lapack_band, lapack_rows
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -90,13 +90,19 @@ def environment() -> dict:
     says each Python thread ran its BLAS calls on one thread.
     ``lapack_rows`` says whether ``dynamics`` read its eigenvector rows
     from the rows solve or from ``eigh`` (``spectral.diagonalize_rows``),
-    which differ in the last bits."""
+    which differ in the last bits.  ``lapack_band`` says whether the
+    ``singular`` event factored and solved its band matrices with
+    ``dpbtrf`` and ``dgbsv`` or expanded them to dense for
+    ``np.linalg`` (``spectral.GapCertificate``), which may differ in the
+    last bits of a boundary value and so, at a tie with the threshold or
+    the certificate's margin, in a flag."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpus": usable_cpus(),
         "blas_pinned": blas_thread_setter() is not None,
         "lapack_rows": lapack_rows(),
+        "lapack_band": lapack_band(),
         "threads": {
             name: os.environ.get(name)
             for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -56,13 +56,20 @@ def wilson_interval(successes: int, trials: int) -> tuple:
 
 @dataclass(frozen=True)
 class ProbabilityEstimate:
+    """An event's count over its trials, with the Wilson 95% interval.
+
+    For the ``singular`` event it also says how the trials were decided
+    (``msa.BlockReports``): ``cleared`` trials the gap certificate's band
+    Cholesky cleared without a spectrum, ``blocks`` of trials, and
+    ``cholesky_fallback_blocks``, the blocks holding a trial it did not
+    clear, which the ``eigvalsh`` screen then decided.  Other events leave
+    the three None."""
+
     successes: int
     trials: int
     p_hat: float
     ci_lo: float
     ci_hi: float
-    # singular event: trials the gap certificate screened, blocks of trials,
-    # and blocks whose stacked Cholesky failed
     cleared: int | None = None
     blocks: int | None = None
     cholesky_fallback_blocks: int | None = None

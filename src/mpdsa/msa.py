@@ -54,7 +54,6 @@ from .spectral import (
     openblas,
     pairwise_sums,
     resonance_cutoff,
-    solve_green_columns,
     stacked_eigenvalues,
 )
 
@@ -428,10 +427,12 @@ def run_pinned(tasks, main=None) -> list:
     Where fewer than two threads would work, the calling thread runs the
     tasks, then ``main``, and no thread starts.
 
-    A task's exception reaches the caller with its own type; queued tasks
-    are then cancelled, and no worker outlives the call.  Tasks run off
-    the main thread, so they must call nothing that keeps per-process
-    state without a lock (``perfbench/layertrace.py``'s spans, say).
+    A task's exception reaches the caller with its own type (the first
+    failed task's, in task order; ``main``'s before any); the tasks no
+    worker has taken are then dropped, and every worker is joined before
+    the call returns or raises.  Tasks run off the main thread, so they
+    must call nothing that keeps per-process state without a lock
+    (``perfbench/layertrace.py``'s spans, say).
     """
     tasks = list(tasks)
     workers = min(pool_size() - (main is not None), len(tasks))
@@ -440,16 +441,38 @@ def run_pinned(tasks, main=None) -> list:
         if main is not None:
             main()
         return results
-    from concurrent.futures import ThreadPoolExecutor
+    results, errors = [None] * len(tasks), {}
+    # list.pop is atomic, so the workers share the queue unlocked; a worker
+    # takes no task once one has failed, nor once main has failed (cleared)
+    queue = list(enumerate(tasks))[::-1]
 
-    pool = ThreadPoolExecutor(workers, initializer=blas_thread_setter(), initargs=(1,))
+    def work():
+        blas_thread_setter()(1)
+        while queue and not errors:
+            try:
+                k, task = queue.pop()
+            except IndexError:  # another worker took the last task
+                return
+            try:
+                results[k] = task()
+            except BaseException as exc:  # raised again on the calling thread
+                errors[k] = exc
+
+    threads = [threading.Thread(target=work) for _ in range(workers)]
+    for thread in threads:
+        thread.start()
     try:
-        futures = [pool.submit(task) for task in tasks]
         if main is not None:
             main()
-        return [future.result() for future in futures]
+    except BaseException:
+        queue.clear()
+        raise
     finally:
-        pool.shutdown(cancel_futures=True)
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 # -- evaluation context ------------------------------------------------------
@@ -701,25 +724,26 @@ def is_EmNS(es: EigenSystem, energy: float, params: ScalingParams) -> NsReport:
 
 
 def ns_by_solve(
-    shifted: np.ndarray, safe: np.ndarray, cleared: np.ndarray, source: int, rows,
-    threshold: float,
+    certificate: GapCertificate, h: np.ndarray, energy: float, safe: np.ndarray,
+    cleared: np.ndarray, source: int, rows, threshold: float,
 ) -> list:
-    """``is_EmNS`` without eigenvectors, for a stack of operators on one
-    ball, shifted to H_t - E: one report per matrix.  ``source`` is the
-    ball's centre row, ``rows`` its interior boundary rows and
-    ``threshold`` the clamped threshold of ``is_EmNS``.
+    """``is_EmNS`` without eigenvectors, for the operators T + diag(h_t)
+    on one ball (T the template of ``certificate``) at one energy: one
+    report per row of ``h``.  ``source`` is the ball's centre row,
+    ``rows`` its interior boundary rows and ``threshold`` the clamped
+    threshold of ``is_EmNS``.
 
     ``safe[t]`` says E lies outside the resonance cutoff of H_t's spectrum;
     an unsafe matrix gets flag False and worst value +inf, as in
-    ``ns_flags``.  One stacked dense solve of (H_t - E) g_t = delta_centre
-    over the safe matrices gives their boundary values.  ``cleared`` goes
-    on the reports as is.
+    ``ns_flags``.  One band solve per safe matrix of
+    (H_t - E) g_t = delta_centre (``GapCertificate.green_columns``) gives
+    its boundary values.  ``cleared`` goes on the reports as is.
     """
     if len(rows) == 0:
         return [NsReport(True, 0.0, threshold, cleared=bool(c)) for c in cleared]
-    worst = np.full(len(shifted), np.inf)
+    worst = np.full(len(h), np.inf)
     if np.any(safe):
-        g = solve_green_columns(shifted if safe.all() else shifted[safe], source)
+        g = certificate.green_columns(h if safe.all() else h[safe], energy, source)
         worst[safe] = np.max(np.abs(g[:, rows]), axis=1)
     flags = ns_decision(worst, threshold)
     return [
@@ -731,9 +755,9 @@ def ns_by_solve(
 @dataclass(frozen=True)
 class BlockReports:
     """The reports of ``block_non_singularity``, one per field, and how its
-    blocks went: ``cholesky_fallback_blocks`` counts the blocks in which
-    a stacked Cholesky failed, so the certificate factored their matrices
-    one at a time."""
+    blocks went: ``cholesky_fallback_blocks`` counts the blocks holding a
+    matrix the gap certificate did not clear, whose trials then waited for
+    the ``eigvalsh`` screen."""
 
     reports: list
     blocks: int
@@ -749,16 +773,16 @@ def block_non_singularity(
     ``region`` (as ``hamiltonian_diagonals`` takes it).
 
     The fields' operators share the ball's hopping template and differ on
-    the diagonal only.  They are decided in blocks of
-    ``max(1, 2**17 // n**2)`` fields, about 1 MB of matrices.  The blocks
-    go to the workers of ``run_pinned`` (``pool_size()`` threads, at most
-    one per block) while the calling thread waits.  With blocks of b
-    fields and w workers, a worker owns a stack buffer, which holds the
-    template off the diagonal throughout, and a ``GapCertificate``, each
-    of ceil(b / w) matrices, and runs each block it takes as sub-stacks of
-    that size, so the pool holds about one block in all.  The certificate
-    clears most trials without a spectrum, and one stacked solve per
-    sub-stack decides the cleared ones.
+    the diagonal only, so each is built from its diagonal in band storage
+    (``GapCertificate``).  They are decided in blocks of
+    ``max(1, 2**17 // n**2)`` fields.  The blocks go to the workers of
+    ``run_pinned`` (``pool_size()`` threads, at most one per block) while
+    the calling thread waits.  With blocks of b fields and w workers, a
+    worker owns a ``GapCertificate`` whose buffers hold ceil(b / w)
+    matrices, and runs each block it takes as sub-stacks of that size.
+    The certificate clears most trials without a spectrum (one
+    ``dpbtrf`` each), and one band solve each (``dgbsv``, in
+    ``ns_by_solve``) decides the cleared ones.
 
     Every other trial waits until the pool is done: the calling thread
     screens it with one stacked ``eigvalsh`` per block of such trials and
@@ -769,9 +793,9 @@ def block_non_singularity(
     screened spectrum decides nothing: it raises ``FloatingPointError``.
     A split ball waits whole and keeps its factor spectra (sorted factor
     sums, as ``AuditContext.spectrum`` takes them), which cost less than
-    the certificate's joint n^3.  Each matrix is factored and solved alone
-    within a stacked call, so the outputs do not depend on the number of
-    workers.
+    the certificate's joint factorization, then takes the same band
+    solve.  Each matrix is factored and solved alone, so the outputs do
+    not depend on the number of workers.
     """
     ball = enumerate_ball(center, radius, spec.geometry)
     n = len(ball)
@@ -779,7 +803,6 @@ def block_non_singularity(
     ball_spec = _spec_on(spec, ball)
     template = hopping_template(ball_spec, ball)
     diagonals = diagonal_gather(ball_spec, ball, region)
-    i = np.arange(n)
     source = ball.center_index()
     boundary = ball.interior_boundary_rows
     threshold = _clamped_ns_threshold(ball, params)
@@ -787,27 +810,24 @@ def block_non_singularity(
     starts = range(0, len(fields), block)
     workers = min(pool_size(), len(starts))
     rows = -(-min(block, len(fields)) // max(workers, 1))
-    # each thread that decides blocks owns its buffers, built at its first block
+    # each thread that decides blocks owns its certificate, built at its first block
     owned = threading.local()
 
     def decide(start):
         """A block's reports, None for each trial the certificate leaves,
-        and whether a stacked Cholesky of the block failed."""
+        and whether it left one."""
         if not hasattr(owned, "certificate"):
-            owned.stack = np.repeat(template.matrix[None], rows, axis=0)
             owned.certificate = GapCertificate(template, rows)
-        stack, certificate = owned.stack, owned.certificate
-        before = certificate.fallbacks
+        certificate = owned.certificate
         part = []
         end = min(start + block, len(fields))
         for s in range(start, end, rows):
             h = diagonals(fields[s : min(s + rows, end)])
-            shifted = stack[: len(h)]
-            shifted[:, i, i] = h
-            cleared = certificate(shifted, energy)
-            solved = ns_by_solve(shifted, cleared, cleared, source, boundary, threshold)
+            cleared = certificate(h, energy)
+            solved = ns_by_solve(certificate, h, energy, cleared, cleared, source, boundary,
+                                 threshold)
             part += [r if c else None for r, c in zip(solved, cleared)]
-        return part, certificate.fallbacks > before
+        return part, None in part
 
     if split:
         # no certificate: every trial waits for the factor screen
@@ -816,7 +836,8 @@ def block_non_singularity(
         results = run_pinned([functools.partial(decide, start) for start in starts])
     reports = [r for part, _ in results for r in part]
     deferred = [t for t, r in enumerate(reports) if r is None]
-    buffer = np.repeat(template.matrix[None], min(block, len(deferred)), axis=0)
+    if deferred:
+        solver = GapCertificate(template, min(block, len(deferred)))
     for start in range(0, len(deferred), block):
         trials = deferred[start : start + block]
         part = fields[trials]
@@ -829,12 +850,11 @@ def block_non_singularity(
         if np.isnan(dist).any():
             raise FloatingPointError("spectrum value is NaN")
         safe = np.array([d > resonance_cutoff(s) for d, s in zip(dist, spectra)])
-        shifted = buffer[: len(h)]
-        shifted[:, i, i] = h - energy
         cleared = np.zeros(len(h), dtype=bool)
-        for t, r in zip(trials, ns_by_solve(shifted, safe, cleared, source, boundary, threshold)):
+        solved = ns_by_solve(solver, h, energy, safe, cleared, source, boundary, threshold)
+        for t, r in zip(trials, solved):
             reports[t] = r
-    return BlockReports(reports, len(starts), sum(failed for _, failed in results))
+    return BlockReports(reports, len(starts), sum(left for _, left in results))
 
 
 def _stacked_spectra(spec: HamiltonianSpec, ball: Ball, region, fields) -> np.ndarray:

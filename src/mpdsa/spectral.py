@@ -140,101 +140,153 @@ def resonance_cutoff(eigenvalues: np.ndarray) -> float:
     return 1e-12 * max(float(np.max(np.abs(eigenvalues), initial=0.0)), 1e-300)
 
 
-def solve_green_columns(shifted: np.ndarray, source_idx: int) -> np.ndarray:
-    """G(x, source; E) for all x and every matrix of a stack shifted to
-    H_t - E, from one dense solve of the stacked systems
-    (H_t - E) g_t = delta_source; row t holds g_t.
-
-    No resonance guard: callers screen the energy against the spectra.
-    """
-    k, n, _ = shifted.shape
-    rhs = np.zeros((k, n, 1))
-    rhs[:, source_idx] = 1.0
-    return np.linalg.solve(shifted, rhs)[..., 0]
-
-
 class GapCertificate:
-    """Cholesky gap certificates for matrices H_t = T + diag(h_t) that
-    share one hopping template T (symmetric, zero diagonal, entries 0
-    and -1, as ``hopping_template`` returns it).
+    """Gap certificates and Green columns, in LAPACK band storage, for
+    matrices H_t = T + diag(h_t) that share one hopping template T
+    (symmetric, zero diagonal, entries 0 and -1, as ``hopping_template``
+    returns it).  In ball order a hop moves one particle by one site, so
+    T is banded: ``width``, its half-width kd, is 12 at n = 91.
 
-    Called on a stack of such matrices and an energy E, it gives one bool
-    per matrix: True when a Cholesky factor proves that no eigenvalue of
-    H_t lies near E.  The stack is shifted in place: its diagonal holds
-    d_t = fl(h_t - E) afterwards, so the stack holds A_t = H_t - E.
-
-    With N_t = ||H_t||_inf + |E| = max_i (deg_i + |h_ti|) + |E| and
-    sigma_t = 10 n sqrt(eps) N_t, one stacked Cholesky factors
-    S_t = A_t^2 - sigma_t^2 I; if it fails, each matrix is factored alone.
-    S_t is formed without a matrix product, from
+    Called on diagonals ``h`` (one row per matrix) and an energy E, it
+    gives one bool per matrix: True when a Cholesky factor proves that no
+    eigenvalue of H_t lies near E.  With d_t = fl(h_t - E), A_t = H_t - E,
+    N_t = ||H_t||_inf + |E| = max_i (deg_i + |h_ti|) + |E| and
+    sigma_t = 10 n sqrt(eps) N_t, one ``dpbtrf`` per matrix factors the
+    lower band (half-width 2 kd) of S_t = A_t^2 - sigma_t^2 I, formed
+    without a matrix product from
 
         A_t^2 = T^2 + [T_ij (d_i + d_j) on the hopping pairs] + diag(d_i^2),
 
-    where T^2, a matrix of small integers, is computed once and is exact.
+    where T^2, a band of small integers, is computed once and is exact.
     A hopping entry takes one rounding (of d_i + d_j), two where T^2_ij is
     not zero; a diagonal entry takes the rounding of d_i^2, one add and the
     sigma^2 subtraction.  With u = eps / 2 that is at most a few u N_t per
     hopping entry (N_t >= 1 wherever there is one) and about 3 u N_t^2 on
     the diagonal, so the formed square lies within about 4 eps N_t^2 of
     S_t in the 2-norm; a matrix product would err by up to gamma_n N_t^2.
-    A Cholesky that completes is the exact factor of a matrix within about
-    n gamma_{n+1} N_t^2 (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, Thm 10.3), and the shift fl(h - E) moves A_t by at most
-    u N_t.  So success means A_t^2 > (sigma_t^2 - (n^2 + 4) eps N_t^2) I:
-    every eigenvalue of H_t is at least about 9.8 n sqrt(eps) N_t from E,
-    over 1e5 times ``resonance_cutoff`` and far beyond the error of
-    ``eigvalsh``.
+    A Cholesky that completes is the exact factor of a matrix within
+    n gamma_{2kd+2} N_t^2 (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, Thm 10.3, with the band width: an entry of L L^T sums at
+    most 2 kd + 1 products, so the dense gamma_{n+1} only shrinks), and the
+    shift fl(h - E) moves A_t by at most u N_t.  So success means
+    A_t^2 > (sigma_t^2 - (n^2 + 4) eps N_t^2) I: every eigenvalue of H_t
+    is at least about 9.8 n sqrt(eps) N_t from E, over 1e5 times
+    ``resonance_cutoff`` and far beyond the error of ``eigvalsh``.
 
-    The symmetry check runs on the template before T is read.  The
-    squares live in one buffer of ``rows`` matrices, the most a stack may
-    hold, filled with T^2 once; a call rewrites only the hopping pairs and
-    the diagonal.  ``fallbacks`` counts the calls whose stacked Cholesky
-    failed.
+    ``green_columns`` solves (H_t - E) g_t = delta_source with one
+    ``dgbsv`` (band LU with partial pivoting) per matrix.  Where the band
+    routines are missing (``lapack_band``), the bands are expanded to the
+    dense matrices they store for ``np.linalg.cholesky`` and
+    ``np.linalg.solve``.  The symmetry check runs on the template before
+    T is read.  The bands live in buffers of ``rows`` matrices, the most
+    one call takes; a call copies in the template's band and writes the
+    hopping pairs and the diagonal.
     """
 
     def __init__(self, template: OperatorMatrix, rows: int):
         t = _symmetric_part(template)
         if np.any(np.diag(t)):
             raise ValueError("a hopping template must have a zero diagonal")
+        n = len(t)
+        i, j = np.nonzero(t)
+        self.width = kd = int(np.max(np.abs(i - j), initial=0))
         square = t @ t
         self._pairs = np.nonzero(np.triu(t))
         self._pair_hops = t[self._pairs]
         self._pair_squares = square[self._pairs]
         self._diagonal_squares = np.diag(square).copy()
         self._degrees = np.sum(np.abs(t), axis=1)
-        self._squares = np.repeat(square[None], rows, axis=0)
-        self.fallbacks = 0
+        # S's lower band: S(i, j) at [j, i - j]; A's: A(i, j) at [j, 2 kd + i - j],
+        # after kd slots for the LU's fill-in
+        ks = min(2 * kd, n - 1)
+        self._square_entries = _band_entries(n, range(ks + 1), 0)
+        self._hop_entries = _band_entries(n, range(-kd, kd + 1), 2 * kd)
+        self._square_band = _to_band(square, self._square_entries, ks + 1)
+        self._hop_band = _to_band(t, self._hop_entries, 3 * kd + 1)
+        self._squares = np.empty((rows, *self._square_band.shape))
+        self._shifted = np.empty((rows, *self._hop_band.shape))
+        self._factor = self._solve = None
+        if lapack_band():
+            self._factor = _lapack_call("dpbtrf", "L", n, ks, None, ks + 1)
+            pivots = np.empty(n, dtype=np.int64)
+            self._solve = _lapack_call("dgbsv", n, kd, kd, 1, None, 3 * kd + 1, pivots, None, n)
 
-    def __call__(self, stack: np.ndarray, energy: float) -> np.ndarray:
-        square = self.square(stack, energy)
-        if _factors(square):
-            return np.ones(len(square), dtype=bool)
-        self.fallbacks += 1
-        return np.array([_factors(m) for m in square], dtype=bool)
+    def __call__(self, h: np.ndarray, energy: float) -> np.ndarray:
+        square = self.square(h, energy)
+        if self._factor is None:
+            return np.array([_cholesky_succeeds(_to_dense(s, self._square_entries))
+                             for s in square], dtype=bool)
+        start, step = square.ctypes.data, square.strides[0]
+        return np.array([self._factor(start + t * step) == 0 for t in range(len(square))],
+                        dtype=bool)
 
-    def square(self, stack: np.ndarray, energy: float) -> np.ndarray:
-        """Shift the stack in place and form its S_t in the buffer; returns
-        the buffer's first len(stack) matrices."""
-        k, n, _ = stack.shape
-        i = np.arange(n)
-        h = stack[:, i, i]
+    def square(self, h: np.ndarray, energy: float) -> np.ndarray:
+        """The lower bands of the S_t, in the buffer: S_t(i, j) at
+        [t, j, i - j] for j <= i <= j + 2 kd."""
+        k, n = h.shape
         norm = np.max(self._degrees + np.abs(h), axis=1) + abs(energy)
         sigma = 10 * n * math.sqrt(np.finfo(float).eps) * norm
         d = h - energy
-        stack[:, i, i] = d
         square = self._squares[:k]
+        square[:] = self._square_band
         a, b = self._pairs
-        cross = self._pair_squares + self._pair_hops * (d[:, a] + d[:, b])
-        square[:, a, b] = cross
-        square[:, b, a] = cross
-        square[:, i, i] = (self._diagonal_squares + d * d) - (sigma * sigma)[:, None]
+        square[:, a, b - a] = self._pair_squares + self._pair_hops * (d[:, a] + d[:, b])
+        square[:, :, 0] = (self._diagonal_squares + d * d) - (sigma * sigma)[:, None]
         return square
 
+    def green_columns(self, h: np.ndarray, energy: float, source: int) -> np.ndarray:
+        """G(x, source; E) for all x and every matrix T + diag(h_t): row t
+        holds the solution g_t of (H_t - E) g_t = delta_source, with
+        H_t - E = T + diag(fl(h_t - E)).
 
-def _factors(matrices: np.ndarray) -> bool:
-    """Whether Cholesky factors the matrix, or every matrix of a stack."""
+        No resonance guard: callers screen the energy against the spectra.
+        """
+        k, n = h.shape
+        shifted = self._shifted[:k]
+        shifted[:] = self._hop_band
+        shifted[:, :, 2 * self.width] = h - energy
+        g = np.zeros((k, n))
+        g[:, source] = 1.0
+        if self._solve is None:
+            dense = [_to_dense(band, self._hop_entries) for band in shifted]
+            return np.linalg.solve(np.array(dense), g[..., None])[..., 0]
+        a, b = shifted.ctypes.data, g.ctypes.data
+        for t in range(k):
+            if self._solve(a + t * shifted.strides[0], b + t * g.strides[0]) > 0:
+                raise np.linalg.LinAlgError("Singular matrix")
+        return g
+
+
+def _band_entries(n: int, offsets, origin: int) -> tuple:
+    """(rows, columns, band slots) of the entries (j + o, j) of an n x n
+    matrix, o in ``offsets``, in LAPACK band storage in C order (row j of
+    the band is Fortran's column j): entry (j + o, j) at [j, origin + o]."""
+    o, j = np.meshgrid(np.asarray(offsets), np.arange(n), indexing="ij")
+    keep = (0 <= j + o) & (j + o < n)
+    return (j + o)[keep], j[keep], (origin + o)[keep]
+
+
+def _to_band(matrix: np.ndarray, entries: tuple, width: int) -> np.ndarray:
+    """The band of ``matrix`` at ``entries``, every other slot zero."""
+    rows, cols, slots = entries
+    band = np.zeros((len(matrix), width))
+    band[cols, slots] = matrix[rows, cols]
+    return band
+
+
+def _to_dense(band: np.ndarray, entries: tuple) -> np.ndarray:
+    """The n x n matrix a band stores, zero outside it (a lower band gives
+    the lower triangle, all ``np.linalg.cholesky`` reads)."""
+    rows, cols, slots = entries
+    matrix = np.zeros((len(band), len(band)))
+    matrix[rows, cols] = band[cols, slots]
+    return matrix
+
+
+def _cholesky_succeeds(matrix: np.ndarray) -> bool:
+    """Whether ``np.linalg.cholesky`` factors the matrix."""
     try:
-        np.linalg.cholesky(matrices)
+        np.linalg.cholesky(matrix)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -306,6 +358,8 @@ LAPACK_ARGUMENTS = {
     "dsytrd": "ciaiaaaai",  # uplo n a lda d e tau work lwork
     "dstedc": "ciaaaiaiai",  # compz n d e z ldz work lwork iwork liwork
     "dormtr": "ccciiaiaaiai",  # side uplo trans m n a lda tau c ldc work lwork
+    "dpbtrf": "ciiai",  # uplo n kd ab ldab
+    "dgbsv": "iiiiaiaai",  # n kl ku nrhs ab ldab ipiv b ldb
 }
 _INT = ctypes.POINTER(ctypes.c_int64)
 
@@ -327,20 +381,45 @@ def lapack_routine(name: str):
 
 def lapack_rows() -> bool:
     """Whether ``diagonalize_rows`` finds its three LAPACK routines."""
-    return all(lapack_routine(name) is not None for name in LAPACK_ARGUMENTS)
+    return all(lapack_routine(name) is not None for name in ("dsytrd", "dstedc", "dormtr"))
+
+
+def lapack_band() -> bool:
+    """Whether ``GapCertificate`` finds its two band routines."""
+    return all(lapack_routine(name) is not None for name in ("dpbtrf", "dgbsv"))
 
 
 def _lapack(name: str, *args) -> int:
     """Call LAPACK routine ``name`` with the arguments before its INFO, in
     Fortran order, and return INFO."""
+    return _lapack_call(name, *args)()
+
+
+def _lapack_call(name: str, *args):
+    """LAPACK routine ``name`` with the arguments before its INFO bound
+    now, in Fortran order, as a callable that returns INFO.  Each None
+    among the arguments is an array left open: the callable takes one
+    address (``ndarray.ctypes.data``) per None, in order, so a loop over
+    the matrices of a buffer converts no argument."""
     kinds = LAPACK_ARGUMENTS[name]
     if len(args) != len(kinds):
         raise TypeError(f"{name} takes {len(kinds)} arguments before INFO, not {len(args)}")
-    refs = [arg.encode() if kind == "c" else arg.ctypes.data if kind == "a"
-            else ctypes.byref(ctypes.c_int64(arg)) for kind, arg in zip(kinds, args)]
     info = ctypes.c_int64(0)
-    lapack_routine(name)(*refs, ctypes.byref(info), *[1] * kinds.count("c"))
-    return info.value
+    # an array's ctypes view keeps the array alive as long as the call
+    refs = [None if arg is None else arg.encode() if kind == "c" else arg.ctypes
+            if kind == "a" else ctypes.byref(ctypes.c_int64(arg))
+            for kind, arg in zip(kinds, args)]
+    refs += [ctypes.byref(info)] + [1] * kinds.count("c")
+    slots = [k for k, ref in enumerate(refs) if ref is None]
+    routine = lapack_routine(name)
+
+    def call(*addresses):
+        for k, address in zip(slots, addresses):
+            refs[k] = address
+        routine(*refs)
+        return info.value
+
+    return call
 
 
 def _workspace(name: str, *args) -> np.ndarray:

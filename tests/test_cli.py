@@ -393,7 +393,7 @@ class TestSweepCommand:
         for p in points:
             assert p["certificate_cleared"] + p["eigvalsh_screened"] == 30
             # n = 91 gives blocks of 15 trials; a screened trial's block
-            # failed its stacked Cholesky
+            # holds a matrix the certificate did not clear
             assert p["blocks"] == 2
             assert (p["eigvalsh_screened"] > 0) <= p["cholesky_fallback_blocks"] <= 2
 
@@ -408,6 +408,48 @@ class TestSweepCommand:
         assert (at_zero["certificate_cleared"], at_zero["eigvalsh_screened"]) == (0, 30)
         assert at_twenty["certificate_cleared"] > 0
         assert read_csv(out / "trend.csv")[1][2] == "30"
+
+    def test_the_same_counts_without_the_band_routines(self, tmp_path, monkeypatch):
+        """Where ``dpbtrf`` and ``dgbsv`` are missing the bands are expanded
+        to dense for ``np.linalg``: the same flags and counts."""
+        runs = []
+        for routines in ("present", "missing"):
+            if routines == "missing":
+                monkeypatch.setattr(spectral, "lapack_routine", lambda name: None)
+            out = tmp_path / routines
+            path = write_config(tmp_path / f"{routines}.json", self._cfg(out))
+            assert main(["sweep", "--config", path, "--axis", "g", "--values", "3,10,30"]) == 0
+            env = read_json(out / "manifest.json")["environment"]
+            assert env["lapack_band"] is (spectral.lapack_band() and routines == "present")
+            runs.append(((out / "trend.csv").read_bytes(), (out / "summary.json").read_bytes()))
+        assert runs[0] == runs[1]
+
+    def test_a_sweep_run_imports_neither_scipy_nor_the_executor(self, tmp_path):
+        """The band routines come from numpy's OpenBLAS, not scipy, and the
+        workers are plain threads: after a ``sweep`` and a ``dynamics`` run
+        neither scipy nor ``concurrent.futures`` (with the ``logging`` it
+        pulls in, about 6 ms a command) is loaded."""
+        sweep = write_config(tmp_path / "sweep.json", self._cfg(tmp_path / "sweep"))
+        dynamics = write_config(tmp_path / "dynamics.json", base_config(
+            tmp_path / "dynamics",
+            [{"kind": "dynamics", "center": [1, 0], "radius": 4, "trials": 2,
+              "time_points": 100}],
+            particles=2, coupling=30.0, convention="fixed",
+            interaction={"kind": "step", "amplitude": 1.0, "range": 1},
+        ))
+        script = (
+            "import sys\n"
+            "from mpdsa.cli import main\n"
+            "print(main(['sweep', '--config', sys.argv[1], '--axis', 'g', '--values', '3,30']))\n"
+            "print(main(['dynamics', '--config', sys.argv[2]]))\n"
+            "print(*(m in sys.modules for m in ('scipy', 'concurrent.futures', 'logging')))\n"
+        )
+        src = str(Path(mpdsa.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script, sweep, dynamics],
+                              capture_output=True, text=True, env=env, timeout=120, check=True)
+        assert proc.stdout.split() == ["0", "0", "False", "False", "False"]
 
     def test_other_events_have_no_diagnostics(self, tmp_path):
         out = tmp_path / "out"

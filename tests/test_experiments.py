@@ -119,9 +119,15 @@ class TestEventProbability:
 
 
 def reference_ns(setup, seed, energy, parts=None):
-    """(flag, worst boundary value) of the singular event's decision for
-    one trial, computed alone: assemble H, take its eigenvalues (sorted
-    factor sums when ``parts`` splits the centre), then one direct solve."""
+    """(flag, worst boundary value, tolerance) of the singular event's
+    decision for one trial, computed alone: assemble H, take its
+    eigenvalues (sorted factor sums when ``parts`` splits the centre),
+    then one dense ``np.linalg.solve``.
+
+    Two backward-stable solves of (H - E) g = delta agree to about
+    kappa(H - E) eps ||g||; the tolerance, 4 n eps kappa ||g||_inf with
+    kappa from the reference spectrum, bounds how far the block's band LU
+    may put the worst value from the dense LU's."""
     spec, params, radius = setup.ham_spec(), setup.params, setup.radius
     sample = sample_field(setup.field_model, setup.region(), seed)
     ball = enumerate_ball(setup.center, radius, setup.geometry)
@@ -139,21 +145,33 @@ def reference_ns(setup, seed, energy, parts=None):
     threshold = max(params.ns_threshold(radius, n=ball.n_particles), params.ns_noise_floor(radius))
     boundary = interior_boundary(ball)
     if not boundary:
-        return True, 0.0
-    if np.min(np.abs(spectrum - energy)) <= 1e-12 * max(np.max(np.abs(spectrum)), 1e-300):
-        return False, math.inf
+        return True, 0.0, 0.0
+    gaps = np.abs(spectrum - energy)
+    if np.min(gaps) <= 1e-12 * max(np.max(np.abs(spectrum)), 1e-300):
+        return False, math.inf, 0.0
     shifted = op.matrix.copy()
     shifted[np.diag_indices(op.n)] -= energy
     rhs = np.zeros(op.n)
     rhs[ball.center_index()] = 1.0
     g = np.linalg.solve(shifted, rhs)
     worst = float(np.max(np.abs(g[[ball.index[c] for c in boundary]])))
-    return worst <= threshold, worst
+    kappa = np.max(gaps) / np.min(gaps)
+    return worst <= threshold, worst, 4 * op.n * np.finfo(float).eps * kappa * np.max(np.abs(g))
+
+
+def assert_agrees(rep, reference):
+    """The report's flag is the reference's, and its worst value lies
+    within the reference's tolerance (an infinite one is equal)."""
+    flag, worst, tolerance = reference
+    assert rep.non_singular == flag
+    value = rep.worst_boundary_value
+    assert value == worst or abs(value - worst) <= tolerance
 
 
 class TestSingularBlockOracle:
-    """Every trial of the blocked singular event, flag and worst value bit
-    for bit, against ``reference_ns`` run one trial at a time."""
+    """Every trial of the blocked singular event against ``reference_ns``
+    run one trial at a time: the flag exactly, the worst value within the
+    forward error of two backward-stable solves."""
 
     @staticmethod
     def _sweep_setup(line, coupling):
@@ -170,9 +188,7 @@ class TestSingularBlockOracle:
         reports = singular_trials(setup, energy, seeds).reports
         assert len(reports) == len(seeds)
         for seed, rep in zip(seeds, reports):
-            assert (rep.non_singular, rep.worst_boundary_value) == reference_ns(
-                setup, seed, energy, parts
-            )
+            assert_agrees(rep, reference_ns(setup, seed, energy, parts))
         return reports
 
     def test_sweep_trials(self, line):
@@ -206,7 +222,7 @@ class TestSingularBlockOracle:
         assert run.cholesky_fallback_blocks == 0 and all(r.cleared for r in run.reports)
         assert len(run.reports) == count
         for seed, rep in zip(seeds, run.reports):
-            assert (rep.non_singular, rep.worst_boundary_value) == reference_ns(setup, seed, 0.0)
+            assert_agrees(rep, reference_ns(setup, seed, 0.0))
 
     def test_split_centre(self, line):
         setup = replace(self._sweep_setup(line, 12.0), center=(20, 0), radius=3)
@@ -241,9 +257,7 @@ class TestSingularBlockOracle:
         for t, (seed, rep) in enumerate(zip(seeds, reports)):
             if t != 2:
                 assert not rep.resonant
-                assert (rep.non_singular, rep.worst_boundary_value) == reference_ns(
-                    setup, seed, energy
-                )
+                assert_agrees(rep, reference_ns(setup, seed, energy))
 
 
 class TestGapCertificateInTheBlock:
@@ -278,9 +292,7 @@ class TestGapCertificateInTheBlock:
         assert reports[2].resonant and reports[2].worst_boundary_value == math.inf
         for t, (seed, rep) in enumerate(zip(seeds, reports)):
             if t != 2:
-                assert (rep.non_singular, rep.worst_boundary_value) == reference_ns(
-                    setup, seed, energy
-                )
+                assert_agrees(rep, reference_ns(setup, seed, energy))
 
     def test_a_split_ball_keeps_the_factor_screen(self, line, eigvalsh_stacks):
         setup = replace(TestSingularBlockOracle._sweep_setup(line, 12.0), center=(20, 0), radius=3)
@@ -323,7 +335,7 @@ class TestBlockPool:
     def _inside_the_spectrum(line):
         # near-zero disorder at an eigenvalue of the field-free operator:
         # the certificate clears 18 of these 60 trials, and every block
-        # falls back to one Cholesky per matrix
+        # holds a trial it did not clear
         setup = TestSingularBlockOracle._sweep_setup(line, 3e-4)
         ball = enumerate_ball(setup.center, setup.radius, line)
         spec, region = setup.ham_spec(), setup.region()

@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -562,9 +564,9 @@ def stacked(samples) -> tuple:
 
 
 class TestNsBySolve:
-    """The singular event's block path (stacked values-only spectra plus
-    one stacked solve) against the eigen path (``is_EmNS`` on the
-    eigensystem)."""
+    """The singular event's block path (gap certificate or values-only
+    spectra, then one band solve per trial) against the eigen path
+    (``is_EmNS`` on the eigensystem)."""
 
     def _both(self, ctx, center, radius, energy):
         (solved,) = block_non_singularity(ctx.spec, *stacked([ctx.sample]), center, radius,
@@ -914,3 +916,29 @@ class TestStrideGrid:
         assert counters["pair_geometry_possible"] == int(possible)
         if rule == "at_sub_scale":
             assert len(pairs) < 2 or distant
+
+
+class TestRunPinned:
+    @pytest.mark.skipif(msa.blas_thread_setter() is None,
+                        reason="this BLAS cannot set threads per thread: no worker starts")
+    def test_an_error_in_main_drops_the_queued_tasks(self, monkeypatch):
+        """``main``'s exception reaches the caller with its own type, the
+        workers take no task after it, and none outlives the call."""
+        monkeypatch.setattr(msa, "usable_cpus", lambda: 2)
+        ran = []
+
+        def slow(k):
+            def task():
+                time.sleep(0.02)
+                ran.append(k)
+            return task
+
+        def main():
+            time.sleep(0.05)
+            raise KeyError("main failed")
+
+        alive = threading.active_count()
+        with pytest.raises(KeyError, match="main failed"):
+            msa.run_pinned([slow(k) for k in range(40)], main=main)
+        assert threading.active_count() == alive
+        assert len(ran) < 40

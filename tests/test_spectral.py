@@ -211,14 +211,34 @@ def product_form_clears(matrix, energy) -> bool:
     return True
 
 
+def half_width(matrix) -> int:
+    """max |i - j| over the nonzero entries of a matrix."""
+    i, j = np.nonzero(matrix)
+    return int(np.max(np.abs(i - j), initial=0))
+
+
+def lower_band(matrix, kd) -> np.ndarray:
+    """The lower band in ``dpbtrf``'s storage, read entry by entry:
+    band[j, o] = matrix[j + o, j], zero past the last row."""
+    n = len(matrix)
+    band = np.zeros((n, kd + 1), dtype=matrix.dtype)
+    for j in range(n):
+        for o in range(min(kd, n - 1 - j) + 1):
+            band[j, o] = matrix[j + o, j]
+    return band
+
+
 class TestGapCertificate:
     """``GapCertificate`` against the ``eigvalsh`` screen it stands in for:
     every matrix it clears lies outside the resonance cutoff, and at least
     about 9.8 n sqrt(eps) (||H||_inf + |E|) from E, as its docstring proves.
-    Its square, formed from the template's, is checked against the dense
-    product entry by entry, and its flags against the product form's."""
+    Its band of the square, formed from the template's, is checked against
+    the band of the dense product entry by entry, its flags against the
+    product form's, and its Green columns against a dense solve."""
 
     OFFSETS = (0.0, 1e-15, 1e-12, 1e-10, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 3e-3, 1e-2)
+    # half-widths of the cases' templates, from a point to the plane's 51
+    WIDTHS = [0, 1, 9, 26, 46, 8, 51, 3, 1]
 
     @staticmethod
     def _operators(line, plane, path_graph):
@@ -239,51 +259,104 @@ class TestGapCertificate:
             model = FieldModel(marginal=("uniform", "gaussian")[k % 2])
             yield assemble_hamiltonian(spec, ball, sample_field(model, ball.projection, k)), rng
 
+    def _flags(self, line, plane, path_graph):
+        """(operator, spectrum, offset, energy, band certificate's flag)
+        over every case, at energies from on an eigenvalue to 1e-2 ||H||
+        away."""
+        for op, rng in self._operators(line, plane, path_graph):
+            vals = eigenvalues_of(op)
+            certificate = GapCertificate(template_of(op), 1)
+            h = np.diag(op.matrix)[None]
+            for j in rng.choice(op.n, size=min(op.n, 3), replace=False):
+                for offset in self.OFFSETS:
+                    energy = float(vals[j] + rng.choice([-1.0, 1.0]) * offset * op.norm_bound())
+                    yield op, vals, offset, energy, bool(certificate(h, energy)[0])
+
     def test_cleared_energies_pass_the_eigvalsh_screen(self, line, plane, path_graph):
         eps = np.finfo(float).eps
         cleared_far = screened_near = 0
-        for op, rng in self._operators(line, plane, path_graph):
-            n, norm = op.n, op.norm_bound()
-            vals = eigenvalues_of(op)
-            certificate = GapCertificate(template_of(op), 1)
-            for j in rng.choice(n, size=min(n, 3), replace=False):
-                for offset in self.OFFSETS:
-                    energy = float(vals[j] + rng.choice([-1.0, 1.0]) * offset * norm)
-                    stack = op.matrix[None].copy()
-                    (cleared,) = certificate(stack, energy)
-                    shifted = op.matrix.copy()
-                    shifted[np.diag_indices(n)] -= energy
-                    assert np.array_equal(stack[0], shifted)
-                    assert cleared == product_form_clears(op.matrix, energy)
-                    dist = float(np.min(np.abs(vals - energy)))
-                    scale = n * np.sqrt(eps) * (norm + abs(energy))
-                    if cleared:
-                        assert dist > resonance_cutoff(vals)
-                        assert dist >= 9.0 * scale
-                        cleared_far += 1
-                    else:
-                        # the Cholesky succeeds wherever the gap is wide enough
-                        assert dist < 100.0 * scale
-                        screened_near += offset <= 1e-7
+        for op, vals, offset, energy, cleared in self._flags(line, plane, path_graph):
+            assert cleared == product_form_clears(op.matrix, energy)
+            dist = float(np.min(np.abs(vals - energy)))
+            scale = op.n * np.sqrt(eps) * (op.norm_bound() + abs(energy))
+            if cleared:
+                assert dist > resonance_cutoff(vals)
+                assert dist >= 9.0 * scale
+                cleared_far += 1
+            else:
+                # the Cholesky succeeds wherever the gap is wide enough
+                assert dist < 100.0 * scale
+                screened_near += offset <= 1e-7
         assert cleared_far > 100 and screened_near > 50
+
+    def test_flags_without_the_band_routines(self, line, plane, path_graph, monkeypatch):
+        """Where ``dpbtrf`` is missing the bands are expanded to dense and
+        ``np.linalg.cholesky`` decides: the same flag on every case."""
+        banded = [cleared for *_, cleared in self._flags(line, plane, path_graph)]
+        monkeypatch.setattr(spectral, "lapack_routine", lambda name: None)
+        assert not spectral.lapack_band()
+        dense = [cleared for *_, cleared in self._flags(line, plane, path_graph)]
+        assert dense == banded and 0 < sum(banded) < len(banded)
 
     def test_formed_square_matches_the_product(self, line, plane, path_graph):
         # the reference square in extended precision where numpy has it; its
         # own rounding, n eps_ref N^2, widens the docstring's 4 eps N^2
         eps, ref_eps = np.finfo(float).eps, np.finfo(np.longdouble).eps
+        widths = []
         for op, rng in self._operators(line, plane, path_graph):
             n = op.n
             certificate = GapCertificate(template_of(op), 1)
+            kd = certificate.width
+            widths.append(kd)
+            assert kd == half_width(op.matrix)
             vals = eigenvalues_of(op)
+            h = np.diag(op.matrix)[None]
             for energy in (0.0, float(vals[rng.integers(n)]) + 1e-3, -3.5 * op.norm_bound()):
-                stack = op.matrix[None].copy()
-                (square,) = certificate.square(stack, energy)
+                (band,) = certificate.square(h, energy)
                 norm = op.norm_bound() + abs(energy)
                 sigma = 10 * n * np.sqrt(eps) * norm
-                shifted = stack[0].astype(np.longdouble)
+                shifted = (op.matrix - energy * np.eye(n)).astype(np.longdouble)
                 exact = shifted @ shifted - np.longdouble(sigma) ** 2 * np.eye(n)
-                assert np.max(np.abs(square - exact)) <= (4 * eps + n * ref_eps) * norm**2
-                assert np.array_equal(square, square.T)
+                # the square's half-width is 2 kd: the band holds all of it
+                assert half_width(exact) <= min(2 * kd, n - 1) == band.shape[1] - 1
+                reference = lower_band(exact, band.shape[1] - 1)
+                assert np.max(np.abs(band - reference)) <= (4 * eps + n * ref_eps) * norm**2
+        assert widths == self.WIDTHS
+
+    def test_green_columns_match_a_dense_solve(self, line, plane, path_graph, monkeypatch):
+        """One ``dgbsv`` per matrix, and without the band routines the
+        expanded dense solve, each within the forward error of a dense
+        solve: 4 n eps kappa(H - E) ||g||_inf."""
+        eps = np.finfo(float).eps
+        for routines in ("present", "missing"):
+            if routines == "missing":
+                monkeypatch.setattr(spectral, "lapack_routine", lambda name: None)
+            for op, rng in self._operators(line, plane, path_graph):
+                n = op.n
+                vals = eigenvalues_of(op)
+                energy = float(vals[rng.integers(n)]) + 1e-3 * op.norm_bound()
+                source = int(rng.integers(n))
+                certificate = GapCertificate(template_of(op), 1)
+                (g,) = certificate.green_columns(np.diag(op.matrix)[None], energy, source)
+                rhs = np.zeros(n)
+                rhs[source] = 1.0
+                dense = np.linalg.solve(op.matrix - energy * np.eye(n), rhs)
+                gaps = np.abs(vals - energy)
+                kappa = np.max(gaps) / np.min(gaps)
+                assert np.max(np.abs(g - dense)) <= 4 * n * eps * kappa * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("routines", ["present", "missing"])
+    def test_an_exactly_singular_matrix_raises(self, line, monkeypatch, routines):
+        """E on the diagonal of a one-site ball: ``dgbsv``'s zero pivot
+        raises ``LinAlgError``, as ``np.linalg.solve`` does without it."""
+        if routines == "missing":
+            monkeypatch.setattr(spectral, "lapack_routine", lambda name: None)
+        op = random_operator(line, seed=4, center=(0,), radius=0)
+        certificate = GapCertificate(template_of(op), 1)
+        h = np.diag(op.matrix)[None]
+        assert not certificate(h, float(h[0, 0]))[0]
+        with pytest.raises(np.linalg.LinAlgError):
+            certificate.green_columns(h, float(h[0, 0]), 0)
 
     def test_a_template_with_a_diagonal_raises(self, line):
         op = random_operator(line, seed=1)
@@ -292,12 +365,16 @@ class TestGapCertificate:
 
     def test_stacked_matches_one_at_a_time(self, line):
         ops = [random_operator(line, seed=s) for s in range(6)]
-        stack = np.array([op.matrix for op in ops])
+        h = np.array([np.diag(op.matrix) for op in ops])
         energy = float(eigenvalues_of(ops[3])[10])
-        certificate = GapCertificate(template_of(ops[0]), len(stack))
-        got = certificate(stack.copy(), energy)
-        assert got.tolist() == [certificate(m[None].copy(), energy)[0] for m in stack]
+        certificate = GapCertificate(template_of(ops[0]), len(h))
+        got = certificate(h, energy)
+        assert got.tolist() == [certificate(row[None], energy)[0] for row in h]
         assert not got[3] and got.sum() == 5
+        columns = certificate.green_columns(h, energy + 0.5, 7)
+        for row, column in zip(h, columns):
+            assert column.tobytes() == certificate.green_columns(row[None], energy + 0.5,
+                                                                 7)[0].tobytes()
 
 
 class TestSymmetryCheck:
