@@ -61,9 +61,10 @@ class ProbabilityEstimate:
     For the ``singular`` event it also says how the trials were decided
     (``msa.BlockReports``): ``cleared`` trials the gap certificate's band
     Cholesky cleared without a spectrum, ``blocks`` of trials, and
-    ``cholesky_fallback_blocks``, the blocks holding a trial it did not
-    clear, which the ``eigvalsh`` screen then decided.  Other events leave
-    the three None."""
+    ``cholesky_fallback_blocks``, the blocks holding a trial the
+    certificate tried and did not clear, which the block's own
+    ``eigvalsh`` screen then decided (none on a split ball, which takes
+    no certificate).  Other events leave the three None."""
 
     successes: int
     trials: int
@@ -181,8 +182,9 @@ def _evaluate_event(setup: TrialSetup, event: str, ctx: AuditContext) -> bool:
 
 def singular_trials(setup: TrialSetup, energy: float, seeds) -> BlockReports:
     """``is_EmNS`` reports of the setup's ball at the energy, one per trial
-    seed, decided in blocks of trials (``msa.block_non_singularity``) from
-    one ``field_array`` of every trial's field."""
+    seed, from one ``field_array`` of every trial's field.  The trials are
+    decided in blocks (``msa.block_non_singularity``), each block whole
+    on the worker that takes it: certificate, screen and solve."""
     region = setup.region()
     return block_non_singularity(
         setup.ham_spec(), region, field_array(setup.field_model, region, seeds),

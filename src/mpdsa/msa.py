@@ -37,7 +37,6 @@ from .operators import (
     assemble_hamiltonian,
     diagonal_gather,
     epsilon_bound,
-    hamiltonian_diagonals,
     hopping_template,
     interaction_defect,
 )
@@ -733,8 +732,9 @@ def ns_by_solve(
     ``rows`` its interior boundary rows and ``threshold`` the clamped
     threshold of ``is_EmNS``.
 
-    ``safe[t]`` says E lies outside the resonance cutoff of H_t's spectrum;
-    an unsafe matrix gets flag False and worst value +inf, as in
+    ``safe[t]`` says E lies outside the resonance cutoff of H_t's
+    spectrum, by the gap certificate or by the ``eigvalsh`` screen; an
+    unsafe matrix gets flag False and worst value +inf, as in
     ``ns_flags``.  One band solve per safe matrix of
     (H_t - E) g_t = delta_centre (``GapCertificate.green_columns``) gives
     its boundary values.  ``cleared`` goes on the reports as is.
@@ -756,8 +756,9 @@ def ns_by_solve(
 class BlockReports:
     """The reports of ``block_non_singularity``, one per field, and how its
     blocks went: ``cholesky_fallback_blocks`` counts the blocks holding a
-    matrix the gap certificate did not clear, whose trials then waited for
-    the ``eigvalsh`` screen."""
+    matrix the gap certificate tried and did not clear, which the block
+    then screened with ``eigvalsh`` (0 for a split ball, which takes no
+    certificate)."""
 
     reports: list
     blocks: int
@@ -770,7 +771,7 @@ def block_non_singularity(
 ) -> BlockReports:
     """``is_EmNS`` of one ball at one energy under each of many fields,
     without eigenvectors: one report per row of ``fields``, the field on
-    ``region`` (as ``hamiltonian_diagonals`` takes it).
+    ``region`` (as ``diagonal_gather`` takes it).
 
     The fields' operators share the ball's hopping template and differ on
     the diagonal only, so each is built from its diagonal in band storage
@@ -779,23 +780,19 @@ def block_non_singularity(
     ``run_pinned`` (``pool_size()`` threads, at most one per block) while
     the calling thread waits.  With blocks of b fields and w workers, a
     worker owns a ``GapCertificate`` whose buffers hold ceil(b / w)
-    matrices, and runs each block it takes as sub-stacks of that size.
-    The certificate clears most trials without a spectrum (one
-    ``dpbtrf`` each), and one band solve each (``dgbsv``, in
-    ``ns_by_solve``) decides the cleared ones.
+    matrices, and decides each block it takes as sub-stacks of that size.
 
-    Every other trial waits until the pool is done: the calling thread
-    screens it with one stacked ``eigvalsh`` per block of such trials and
-    the resonance cutoff, then decides it with ``ns_by_solve``.  These
-    trials are few (the certificate clears 994 to 999 of 1,000 at n = 91),
-    so gathering them from every block makes one eigensolve where a
-    screen inside each block would make one per block.  A NaN in a
-    screened spectrum decides nothing: it raises ``FloatingPointError``.
-    A split ball waits whole and keeps its factor spectra (sorted factor
-    sums, as ``AuditContext.spectrum`` takes them), which cost less than
-    the certificate's joint factorization, then takes the same band
-    solve.  Each matrix is factored and solved alone, so the outputs do
-    not depend on the number of workers.
+    A sub-stack is decided whole on its worker.  The certificate clears
+    most trials without a spectrum (one ``dpbtrf`` each; 994 to 999 of
+    1,000 at n = 91).  The trials it leaves take one stacked ``eigvalsh``
+    and the resonance cutoff; a NaN in such a spectrum decides nothing:
+    it raises ``FloatingPointError``.  A split ball takes no certificate
+    and screens every trial with its factor spectra (sorted factor sums,
+    as ``AuditContext.spectrum`` takes them), which cost less than the
+    joint factorization.  Then one ``ns_by_solve`` over the sub-stack
+    decides every trial outside the cutoff with one band solve each
+    (``dgbsv``).  Each matrix is factored and solved alone, so the
+    outputs do not depend on the number of workers.
     """
     ball = enumerate_ball(center, radius, spec.geometry)
     n = len(ball)
@@ -803,6 +800,7 @@ def block_non_singularity(
     ball_spec = _spec_on(spec, ball)
     template = hopping_template(ball_spec, ball)
     diagonals = diagonal_gather(ball_spec, ball, region)
+    spectra = _spectra_by_field(spec, ball, region, template, diagonals)
     source = ball.center_index()
     boundary = ball.interior_boundary_rows
     threshold = _clamped_ns_threshold(ball, params)
@@ -814,63 +812,54 @@ def block_non_singularity(
     owned = threading.local()
 
     def decide(start):
-        """A block's reports, None for each trial the certificate leaves,
-        and whether it left one."""
+        """A block's reports."""
         if not hasattr(owned, "certificate"):
             owned.certificate = GapCertificate(template, rows)
         certificate = owned.certificate
         part = []
         end = min(start + block, len(fields))
         for s in range(start, end, rows):
-            h = diagonals(fields[s : min(s + rows, end)])
-            cleared = certificate(h, energy)
-            solved = ns_by_solve(certificate, h, energy, cleared, cleared, source, boundary,
-                                 threshold)
-            part += [r if c else None for r, c in zip(solved, cleared)]
-        return part, None in part
+            stack = fields[s : min(s + rows, end)]
+            h = diagonals(stack)
+            cleared = np.zeros(len(h), dtype=bool) if split else certificate(h, energy)
+            safe, left = cleared.copy(), ~cleared
+            if left.any():
+                screened = spectra(stack[left])
+                dist = np.min(np.abs(screened - energy), axis=1)
+                if np.isnan(dist).any():
+                    raise FloatingPointError("spectrum value is NaN")
+                safe[left] = [d > resonance_cutoff(v) for d, v in zip(dist, screened)]
+            part += ns_by_solve(certificate, h, energy, safe, cleared, source, boundary,
+                                threshold)
+        return part
 
-    if split:
-        # no certificate: every trial waits for the factor screen
-        results = [([None] * len(fields), False)]
-    else:
-        results = run_pinned([functools.partial(decide, start) for start in starts])
-    reports = [r for part, _ in results for r in part]
-    deferred = [t for t, r in enumerate(reports) if r is None]
-    if deferred:
-        solver = GapCertificate(template, min(block, len(deferred)))
-    for start in range(0, len(deferred), block):
-        trials = deferred[start : start + block]
-        part = fields[trials]
-        h = diagonals(part)
-        if split:
-            spectra = _stacked_spectra(spec, ball, region, part)
-        else:
-            spectra = stacked_eigenvalues(template, h)
-        dist = np.min(np.abs(spectra - energy), axis=1)
-        if np.isnan(dist).any():
-            raise FloatingPointError("spectrum value is NaN")
-        safe = np.array([d > resonance_cutoff(s) for d, s in zip(dist, spectra)])
-        cleared = np.zeros(len(h), dtype=bool)
-        solved = ns_by_solve(solver, h, energy, safe, cleared, source, boundary, threshold)
-        for t, r in zip(trials, solved):
-            reports[t] = r
-    return BlockReports(reports, len(starts), sum(left for _, left in results))
+    results = run_pinned([functools.partial(decide, start) for start in starts])
+    fallback = 0 if split else sum(not all(r.cleared for r in part) for part in results)
+    return BlockReports([r for part in results for r in part], len(starts), fallback)
 
 
-def _stacked_spectra(spec: HamiltonianSpec, ball: Ball, region, fields) -> np.ndarray:
-    """Row t: the ascending spectrum of the ball under ``fields[t]``."""
+def _spectra_by_field(spec: HamiltonianSpec, ball: Ball, region, template, diagonals):
+    """The ball's spectra as a function of field rows on ``region``: row t
+    of its value is the ascending spectrum under ``fields[t]``.  A whole
+    ball stacks ``template`` (its hopping template) with the ``diagonals``
+    of its gather; a split ball sorts the sums of its factor balls'
+    spectra, the values ``pairwise_sums`` gives."""
     parts = factor_centers(spec, ball.center, ball.radius)
     if parts is None:
-        ball_spec = _spec_on(spec, ball)
-        return stacked_eigenvalues(
-            hopping_template(ball_spec, ball),
-            hamiltonian_diagonals(ball_spec, ball, region, fields),
-        )
-    a, b = (
-        _stacked_spectra(spec, enumerate_ball(p, ball.radius, spec.geometry), region, fields)
-        for p in parts
-    )
-    return np.array([pairwise_sums(x, y)[0] for x, y in zip(a, b)])
+        return lambda fields: stacked_eigenvalues(template, diagonals(fields))
+    factors = []
+    for p in parts:
+        factor = enumerate_ball(p, ball.radius, spec.geometry)
+        factor_spec = _spec_on(spec, factor)
+        factors.append(_spectra_by_field(spec, factor, region,
+                                         hopping_template(factor_spec, factor),
+                                         diagonal_gather(factor_spec, factor, region)))
+
+    def spectra(fields):
+        a, b = (factor(fields) for factor in factors)
+        return np.sort((a[:, :, None] + b[:, None, :]).reshape(len(fields), -1), axis=1)
+
+    return spectra
 
 
 @dataclass(frozen=True)

@@ -277,18 +277,14 @@ class HamiltonianSpec:
     convention: str = "induced"
 
 
-def hamiltonian_diagonals(spec: HamiltonianSpec, ball: Ball, region, fields) -> np.ndarray:
-    """Row t: the diagonal of H on the ball under field t, where
-    ``fields[t, k]`` is its value at ``region[k]``; the region must cover
-    the ball's sites.  ``hopping_template`` plus diag(row t) equals
-    ``assemble_hamiltonian`` under field t entry for entry."""
-    return diagonal_gather(spec, ball, region)(fields)
-
-
 def diagonal_gather(spec: HamiltonianSpec, ball: Ball, region):
-    """``hamiltonian_diagonals`` on one ball and region, as a function of
-    the field rows alone: the region-to-column table is built here, once,
-    and a call is only the numpy gather and sum."""
+    """The diagonals of H on one ball, as a function of the field rows
+    alone: row t of its value is the diagonal under field t, where
+    ``fields[t, k]`` is the field at ``region[k]``.  The region must cover
+    the ball's sites.  ``hopping_template`` plus diag(row t) equals
+    ``assemble_hamiltonian`` under field t entry for entry.  The
+    region-to-column table is built here, once, and a call is only the
+    numpy gather and sum."""
     if ball.n_particles != spec.n_particles:
         raise ValueError("ball particle number does not match the spec")
     st = _structure(ball, spec.convention, spec.interaction)
@@ -319,10 +315,10 @@ def hopping_template(spec: HamiltonianSpec, ball: Ball) -> OperatorMatrix:
 
 def assemble_hamiltonian(spec: HamiltonianSpec, ball: Ball, sample: FieldSample) -> OperatorMatrix:
     """Assembled operator on the ball; the sample must cover its sites.
-    ``hopping_template`` plus the diagonal of ``hamiltonian_diagonals``
-    under the sample's field."""
+    ``hopping_template`` plus the diagonal of ``diagonal_gather`` under
+    the sample's field."""
     field = [[sample[s] for s in ball.projection]]
-    (diagonal,) = hamiltonian_diagonals(spec, ball, ball.projection, field)
+    (diagonal,) = diagonal_gather(spec, ball, ball.projection)(field)
     st = _structure(ball, spec.convention, spec.interaction)
     return OperatorMatrix(ball, _assemble(st, diagonal), spec.convention)
 

@@ -25,3 +25,26 @@ def path_graph():
     # 0 - 1 - 2 - 3 - 4
     adj = ((1,), (0, 2), (1, 3), (2, 4), (3,))
     return LatticeGeometry(kind="graph", d=1, growth_constant=3.0, adjacency=adj)
+
+
+def _residual_ratios(template, h, energy, source, g):
+    """Row t: ||(H_t - E) g_t - delta_source||_inf over the bound
+    n eps ||H_t - E||_inf ||g_t||_inf that a backward-stable solve meets,
+    with H_t - E = T + diag(fl(h_t - E)) as ``GapCertificate.green_columns``
+    forms it (T the dense ``template``).  The residual is summed in
+    extended precision, so its own rounding stays far below the bound."""
+    n = len(template)
+    d = h - energy
+    wide = np.longdouble
+    residual = g.astype(wide) @ template.astype(wide) + d.astype(wide) * g
+    residual[:, source] -= 1
+    norm = np.max(np.sum(np.abs(template), axis=1) + np.abs(d), axis=1)
+    bound = n * np.finfo(float).eps * norm * np.max(np.abs(g), axis=1)
+    return np.max(np.abs(residual), axis=1).astype(float) / bound
+
+
+@pytest.fixture(scope="session")
+def residual_ratios():
+    """``_residual_ratios``: a band or dense Green solve passes where
+    every ratio is at most 1."""
+    return _residual_ratios

@@ -11,6 +11,7 @@ import platform
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import jsonschema
@@ -1069,9 +1070,11 @@ class TestNumericalFailure:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_a_nan_screened_spectrum_exits_3(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("ball", ["split", "whole"])
+    def test_a_nan_screened_spectrum_exits_3(self, tmp_path, monkeypatch, ball):
         """The singular event's block path screens no trial as safe from a
-        NaN spectrum."""
+        NaN spectrum, and a screen that raises on a worker leaves no
+        thread behind."""
         from mpdsa import msa
 
         stacked = msa.stacked_eigenvalues
@@ -1082,16 +1085,28 @@ class TestNumericalFailure:
             return spectra
 
         monkeypatch.setattr(msa, "stacked_eigenvalues", with_nan)
+        monkeypatch.setattr(msa, "usable_cpus", lambda: 3)
         out = tmp_path / "out"
-        # a split ball: every trial waits for the screen of its factor spectra
-        experiment = {"kind": "event", "event": "singular", "center": [6, 0], "radius": 1,
-                      "energy": 0.0, "trials": 30}
+        if ball == "split":
+            # every trial takes the screen of its factor spectra
+            experiment = {"kind": "event", "event": "singular", "center": [6, 0], "radius": 1,
+                          "energy": 0.0, "trials": 30}
+            coupling = "3"
+        else:
+            # no field at E = 0, the bottom of the ball's Laplacian: the
+            # certificate clears no trial, and both blocks of 15 (n = 91)
+            # screen theirs on the workers
+            experiment = {"kind": "event", "event": "singular", "center": [1, 0], "radius": 6,
+                          "energy": 0.0, "trials": 30}
+            coupling = "0"
         path = write_config(tmp_path / "c.json", base_config(out, [experiment], particles=2))
-        code, err = _main_quietly(["sweep", "--config", path, "--axis", "g", "--values", "3"])
+        alive = threading.active_count()
+        code, err = _main_quietly(["sweep", "--config", path, "--axis", "g", "--values", coupling])
         assert code == 3
         assert "numerical failure: spectrum value is NaN" in err
         assert "Traceback" not in err
         assert not out.exists()
+        assert threading.active_count() == alive
 
     @pytest.mark.parametrize("part, entry", [(0, 3), (1, (0, 2))], ids=["value", "vector"])
     def test_a_nan_eigensystem_stops_dynamics(self, tmp_path, monkeypatch, part, entry):

@@ -26,17 +26,17 @@ from mpdsa.experiments import (
     visible_eigenvalues,
     wilson_interval,
 )
-from mpdsa import msa
+from mpdsa import msa, spectral
 from mpdsa.msa import BoundSchedule, ScalingParams, block_non_singularity
 from mpdsa.operators import (
     HamiltonianSpec,
     InteractionModel,
     OperatorMatrix,
     assemble_hamiltonian,
-    hamiltonian_diagonals,
+    diagonal_gather,
     hopping_template,
 )
-from mpdsa.spectral import EigenSystem, stacked_eigenvalues
+from mpdsa.spectral import EigenSystem, GapCertificate, stacked_eigenvalues
 from mpdsa.spectral import diagonalize, eigenvalues_of
 
 
@@ -191,14 +191,47 @@ class TestSingularBlockOracle:
             assert_agrees(rep, reference_ns(setup, seed, energy, parts))
         return reports
 
-    def test_sweep_trials(self, line):
-        flags = []
-        for coupling in (3.0, 30.0):
-            setup = self._sweep_setup(line, coupling)
-            sweep_seed = derive_seed(770001, "sweep", repr(coupling))
-            seeds = [derive_seed(sweep_seed, "trial", t) for t in range(1000)]
-            flags += [r.non_singular for r in self._check(setup, seeds, 0.0)]
+    @staticmethod
+    def _green_columns(setup, seeds, reports):
+        """(template, diagonals, centre row, Green columns) of the trials
+        the reports call safe, solved as the block solves them; each
+        column's boundary maximum is its report's worst value, bit for
+        bit."""
+        spec, region = setup.ham_spec(), setup.region()
+        ball = enumerate_ball(setup.center, setup.radius, setup.geometry)
+        template = hopping_template(spec, ball)
+        safe = [not r.resonant for r in reports]
+        h = diagonal_gather(spec, ball, region)(field_array(setup.field_model, region, seeds))[safe]
+        source = ball.center_index()
+        g = GapCertificate(template, len(h)).green_columns(h, 0.0, source)
+        worst = [r.worst_boundary_value for r, s in zip(reports, safe) if s]
+        assert np.max(np.abs(g[:, ball.interior_boundary_rows]), axis=1).tolist() == worst
+        return template.matrix, h, source, g
+
+    def test_sweep_trials(self, line, monkeypatch, residual_ratios):
+        # with the band routines and without them, every solve's residual
+        # is within n eps ||H - E||_inf ||g||_inf; a relative 1e-12 error
+        # in g breaks that bound on most trials
+        flags, perturbed = [], []
+        rng = np.random.default_rng(24)
+        for routines in ("present", "missing"):
+            if routines == "missing":
+                monkeypatch.setattr(spectral, "lapack_routine", lambda name: None)
+            for coupling in (3.0, 30.0):
+                setup = self._sweep_setup(line, coupling)
+                sweep_seed = derive_seed(770001, "sweep", repr(coupling))
+                seeds = [derive_seed(sweep_seed, "trial", t) for t in range(1000)]
+                if routines == "present":
+                    reports = self._check(setup, seeds, 0.0)
+                    flags += [r.non_singular for r in reports]
+                else:
+                    reports = singular_trials(setup, 0.0, seeds).reports
+                template, h, source, g = self._green_columns(setup, seeds, reports)
+                assert np.max(residual_ratios(template, h, 0.0, source, g)) <= 1.0
+                g *= 1 + 1e-12 * rng.standard_normal(g.shape)
+                perturbed += list(residual_ratios(template, h, 0.0, source, g) > 1.0)
         assert 0 < sum(flags) < len(flags)
+        assert sum(perturbed) > 0.8 * len(perturbed)
 
     def test_block_size_does_not_divide_the_count(self, line):
         # 91 members give blocks of 15: 37 trials end on a block of 7
@@ -329,7 +362,7 @@ class TestGapCertificateInTheBlock:
 
 class TestBlockPool:
     """The blocks decided on a pool of threads give what one thread gives,
-    and the rare eigensolve stays on the calling thread."""
+    and each block's screen runs on its worker."""
 
     @staticmethod
     def _inside_the_spectrum(line):
@@ -339,8 +372,8 @@ class TestBlockPool:
         setup = TestSingularBlockOracle._sweep_setup(line, 3e-4)
         ball = enumerate_ball(setup.center, setup.radius, line)
         spec, region = setup.ham_spec(), setup.region()
-        free = hamiltonian_diagonals(replace(spec, coupling=0.0), ball, region,
-                                     np.zeros((1, len(region))))
+        free = diagonal_gather(replace(spec, coupling=0.0), ball, region)(
+            np.zeros((1, len(region))))
         return setup, float(stacked_eigenvalues(hopping_template(spec, ball), free)[0, 45])
 
     @staticmethod
@@ -377,8 +410,12 @@ class TestBlockPool:
         if case == "inside":
             assert serial.cholesky_fallback_blocks == serial.blocks == 4
 
-    def test_the_screen_runs_on_the_main_thread(self, line, monkeypatch):
+    def test_the_screen_runs_on_the_workers(self, line, monkeypatch):
+        # every block holds a trial the certificate leaves, and each block
+        # screens its own on the worker that took it
         setup, energy = self._inside_the_spectrum(line)
+        seeds = [derive_seed(44, "trial", t) for t in range(60)]
+        serial = self._run(monkeypatch, 1, setup, energy, seeds)
         threads, original = [], msa.stacked_eigenvalues
 
         def spy(template, stack):
@@ -386,8 +423,9 @@ class TestBlockPool:
             return original(template, stack)
 
         monkeypatch.setattr(msa, "stacked_eigenvalues", spy)
-        self._run(monkeypatch, 3, setup, energy, [derive_seed(44, "trial", t) for t in range(60)])
-        assert threads and all(t is threading.main_thread() for t in threads)
+        pooled = self._run(monkeypatch, 3, setup, energy, seeds)
+        assert threads and threading.main_thread() not in threads
+        assert self._fingerprint(pooled) == self._fingerprint(serial)
 
     def test_an_asymmetric_template_raises_from_a_worker(self, line, monkeypatch):
         setup = TestSingularBlockOracle._sweep_setup(line, 3.0)

@@ -22,8 +22,8 @@ from mpdsa.operators import (
     HamiltonianSpec,
     InteractionModel,
     assemble_hamiltonian,
+    diagonal_gather,
     epsilon_bound,
-    hamiltonian_diagonals,
     hopping_template,
     interaction_defect,
     interaction_energy,
@@ -287,7 +287,7 @@ class TestAssemblyOracle:
                 samples = [sample_field(FieldModel(), ball.projection, s) for s in range(3)]
                 fields = field_array(FieldModel(), ball.projection, range(3))
                 template = hopping_template(spec, ball)
-                diagonals = hamiltonian_diagonals(spec, ball, ball.projection, fields)
+                diagonals = diagonal_gather(spec, ball, ball.projection)(fields)
                 assert not np.any(np.diag(template.matrix))
                 for sample, diagonal in zip(samples, diagonals):
                     matrix = template.matrix + np.diag(diagonal)
@@ -298,7 +298,7 @@ class TestAssemblyOracle:
         spec = HamiltonianSpec(line, 2, 7.0, STEP, "fixed")
         short = ball.projection[1:]
         with pytest.raises(MissingDataError, match="region misses sites"):
-            hamiltonian_diagonals(spec, ball, short, field_array(FieldModel(), short, (1, 2)))
+            diagonal_gather(spec, ball, short)(field_array(FieldModel(), short, (1, 2)))
 
     def test_structure_cache_serves_every_sample(self, line):
         ball = enumerate_ball((4, 1), 3, line)

@@ -29,6 +29,41 @@ def unread_parameters(source: str) -> list:
     return out
 
 
+def _private_definitions(tree):
+    """The module-level functions and classes, and the methods of its
+    classes, whose names start with ``_`` (dunders aside)."""
+    nodes = list(tree.body)
+    nodes += [item for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for item in node.body]
+    return [
+        node for node in nodes
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+    ]
+
+
+def _reads(node) -> list:
+    """Every name read under ``node``: loaded names and attributes."""
+    return [
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    ]
+
+
+def orphaned_private_helpers(sources: dict) -> list:
+    """(module, name) for every private helper of ``_private_definitions``
+    that no code of the modules ``sources`` (name to text) reads outside
+    its own definition."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    reads = [read for tree in trees.values() for read in _reads(tree)]
+    return sorted(
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in _private_definitions(tree)
+        if reads.count(node.name) == _reads(node).count(node.name)
+    )
+
+
 def test_every_parameter_is_read():
     unread = {path.name: unread_parameters(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert {name: found for name, found in unread.items() if found} == {}
@@ -45,4 +80,32 @@ def test_the_scan_sees_unread_parameters():
     )
     assert sorted(unread_parameters(source)) == [
         ("<lambda>", "z"), ("f", "n"), ("f", "pad"), ("f", "rest")
+    ]
+
+
+def test_every_private_helper_is_read():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert orphaned_private_helpers(sources) == []
+
+
+def test_the_scan_sees_orphaned_helpers():
+    a = (
+        "def _used():\n"
+        "    return 1\n"
+        "def _recursive(n):\n"
+        "    return _recursive(n - 1)\n"
+        "class _Kept:\n"
+        "    def __init__(self):\n"
+        "        self._method()\n"
+        "    def _method(self):\n"
+        "        pass\n"
+        "    def _dead(self):\n"
+        "        pass\n"
+        "def public():\n"
+        "    def _nested():\n"
+        "        pass\n"
+    )
+    b = "from a import _used, _Kept, _recursive\nx = _used() + _Kept\n"
+    assert orphaned_private_helpers({"a.py": a, "b.py": b}) == [
+        ("a.py", "_dead"), ("a.py", "_recursive")
     ]

@@ -323,10 +323,13 @@ class TestGapCertificate:
                 assert np.max(np.abs(band - reference)) <= (4 * eps + n * ref_eps) * norm**2
         assert widths == self.WIDTHS
 
-    def test_green_columns_match_a_dense_solve(self, line, plane, path_graph, monkeypatch):
+    def test_green_columns_match_a_dense_solve(
+        self, line, plane, path_graph, monkeypatch, residual_ratios
+    ):
         """One ``dgbsv`` per matrix, and without the band routines the
         expanded dense solve, each within the forward error of a dense
-        solve: 4 n eps kappa(H - E) ||g||_inf."""
+        solve, 4 n eps kappa(H - E) ||g||_inf, and with a residual
+        ||(H - E) g - delta||_inf of at most n eps ||H - E||_inf ||g||_inf."""
         eps = np.finfo(float).eps
         for routines in ("present", "missing"):
             if routines == "missing":
@@ -336,8 +339,9 @@ class TestGapCertificate:
                 vals = eigenvalues_of(op)
                 energy = float(vals[rng.integers(n)]) + 1e-3 * op.norm_bound()
                 source = int(rng.integers(n))
-                certificate = GapCertificate(template_of(op), 1)
-                (g,) = certificate.green_columns(np.diag(op.matrix)[None], energy, source)
+                template, h = template_of(op), np.diag(op.matrix)[None]
+                (g,) = GapCertificate(template, 1).green_columns(h, energy, source)
+                assert residual_ratios(template.matrix, h, energy, source, g[None])[0] <= 1.0
                 rhs = np.zeros(n)
                 rhs[source] = 1.0
                 dense = np.linalg.solve(op.matrix - energy * np.eye(n), rhs)
