@@ -37,14 +37,12 @@ from .experiments import (
     TrialSetup,
     centre_pairs,
     decay_fit,
-    ef_correlator,
-    correlator_completeness,
     default_time_grid,
+    dynamics_trials,
     estimate_event_probability,
     event_input_error,
     evc_experiment,
     min_event_trials,
-    propagator_sups,
     run_scaling_audit,
     trial_seeds,
 )
@@ -481,8 +479,6 @@ def cmd_dynamics(raw: dict, writer: RunWriter, args) -> int:
                     )
         else:
             pairs = centre_pairs(ball)
-        # the eigenvector rows the correlators and propagators read
-        read = sorted({ball.index[tuple(site)] for pair in pairs for site in pair})
         trials = _trials(exp, args)
         # rounding allowance of a sum over the ball's n eigenvalues
         allowance = len(ball) * 2.0**-53
@@ -491,23 +487,9 @@ def cmd_dynamics(raw: dict, writer: RunWriter, args) -> int:
         worst_comp = 0.0
         worst_prop = 0.0
         q_rows = prop_rows = 0
-        systems = (ctx.eigen_rows(setup.center, setup.radius, read)
-                   for ctx in setup.contexts(trial_seeds(seed, trials)))
-        ahead = [next(systems)]
-        for t in range(trials):
-            es = ahead[0]
-            if np.isnan(es.eigenvalues).any() or np.isnan(es.vectors).any():
-                raise FloatingPointError("eigenvalue or eigenvector entry is NaN")
-            sums = [(ef_correlator(es, x, y, window), correlator_completeness(es, x, y))
-                    for x, y in pairs]
-            del es
-            # this thread solves trial t + 1 while workers run trial t's time
-            # blocks; propagator_sups holds the only reference to trial t's
-            # rows and drops them first, so one trial's rows are alive at a
-            # time
-            beside = (lambda: ahead.append(next(systems))) if t + 1 < trials else None
-            sups = propagator_sups(ahead.pop(), pairs, t_grid, beside=beside).tolist()
-            for (x, y), (q, comp), prop in zip(pairs, sums, sups):
+        values = dynamics_trials(setup, trial_seeds(seed, trials), pairs, t_grid, window)
+        for t, trial in enumerate(values):
+            for (x, y), (q, comp, prop) in zip(pairs, trial):
                 rho = config_distance(x, y, setup.geometry)
                 rows.append(
                     [

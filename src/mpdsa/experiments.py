@@ -512,6 +512,39 @@ def propagator_sup(es: EigenSystem, x, y, t_grid=None) -> float:
     return float(propagator_sups(es, [(x, y)], t_grid)[0])
 
 
+def dynamics_trials(setup: TrialSetup, seeds, pairs, t_grid, window=None):
+    """For each trial seed of the sequence ``seeds``, the list of
+    (``ef_correlator`` in ``window``, ``correlator_completeness``,
+    propagator sup over ``t_grid``) of every pair of ``pairs``, in pair
+    order: the trial loop of ``mpdsa dynamics``.
+
+    Each trial is the ball's ``AuditContext.eigen_rows`` at the rows the
+    pairs read; a NaN eigenvalue or row entry raises FloatingPointError.
+    The calling thread solves trial t + 1 while workers run trial t's
+    propagator blocks (``propagator_sups``' ``beside``), and one trial's
+    rows are alive at a time.
+    """
+    ball = setup.balls()[0]
+    read = sorted({ball.index[tuple(site)] for pair in pairs for site in pair})
+    systems = (ctx.eigen_rows(setup.center, setup.radius, read)
+               for ctx in setup.contexts(seeds))
+    # no bare next() on an empty sequence: a generator's StopIteration
+    # becomes a RuntimeError
+    ahead = [next(systems)] if len(seeds) else []
+    for t in range(len(seeds)):
+        es = ahead[0]
+        if np.isnan(es.eigenvalues).any() or np.isnan(es.vectors).any():
+            raise FloatingPointError("eigenvalue or eigenvector entry is NaN")
+        sums = [(ef_correlator(es, x, y, window), correlator_completeness(es, x, y))
+                for x, y in pairs]
+        del es
+        # propagator_sups holds the only reference to trial t's rows and
+        # drops them before beside solves trial t + 1
+        beside = (lambda: ahead.append(next(systems))) if t + 1 < len(seeds) else None
+        sups = propagator_sups(ahead.pop(), pairs, t_grid, beside=beside).tolist()
+        yield [(q, comp, sup) for (q, comp), sup in zip(sums, sups)]
+
+
 def finite_volume_dl_bound(L: int, d: int, m: float, f_L: float) -> float:
     """Correlator bound f(L) + 2 |S| e^{-m L} with the boundary count |S|
     of two disjoint radius-L balls enumerated exactly."""

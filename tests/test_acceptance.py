@@ -28,11 +28,10 @@ from mpdsa.disorder import FieldModel, derive_seed, sample_field
 from mpdsa.experiments import (
     TrialSetup,
     default_time_grid,
-    ef_correlator,
-    correlator_completeness,
+    dynamics_trials,
     estimate_event_probability,
     evc_experiment,
-    propagator_sups,
+    trial_seeds,
 )
 from mpdsa.msa import (
     AuditContext,
@@ -504,47 +503,25 @@ class TestDisorderTrend:
 
 
 class TestCorrelatorInvariants:
-    """Each instance comes from ``AuditContext.eigen_rows``, the rows solve
-    ``dynamics`` runs, holding the rows of its two pairs."""
-
-    @staticmethod
-    def _pairs(setup):
-        ball = setup.balls()[0]
-        far = ball.members[int(np.argmax(ball.distances_from_center))]
-        pairs = [(ball.center, far), (ball.center, ball.center)]
-        return pairs, sorted({ball.index[site] for pair in pairs for site in pair})
-
-    def _check_instance(self, es, pairs, t_grid):
-        sups = propagator_sups(es, pairs, t_grid).tolist()
-        worst_q = worst_comp = worst_prop = 0.0
-        for (x, y), sup in zip(pairs, sups):
-            q = ef_correlator(es, x, y)
-            worst_q = max(worst_q, q - 1.0)
-            worst_comp = max(worst_comp, abs(correlator_completeness(es, x, y)))
-            worst_prop = max(worst_prop, sup - q)
-        return worst_q, worst_comp, worst_prop
+    """Each instance is a trial of ``experiments.dynamics_trials``, the loop
+    ``mpdsa dynamics`` runs (pipelined rows solves, NaN check), at two
+    pairs: the centre against the farthest member, then against itself."""
 
     def test_bessel_completeness_propagator(self):
         start = time.monotonic()
         t_grid = default_time_grid(2000)
         worst = [0.0, 0.0, 0.0]
         count = 0
-        setup5 = acceptance5_setup()
-        pairs, indices = self._pairs(setup5)
-        for t in range(ACC5_TRIALS):
-            ctx = setup5.context(derive_seed(ACC5_SEED, "trial", t))
-            es = ctx.eigen_rows(setup5.center, setup5.radius, indices)
-            vals = self._check_instance(es, pairs, t_grid)
-            worst = [max(a, b) for a, b in zip(worst, vals)]
-            count += 1
-        for coupling in (3.0, 30.0):
-            setup = acceptance7_setup(coupling)
-            pairs, indices = self._pairs(setup)
-            for t in range(ACC7_TRIALS):
-                ctx = setup.context(derive_seed(ACC7_SEED, "trial", t))
-                es = ctx.eigen_rows(setup.center, setup.radius, indices)
-                vals = self._check_instance(es, pairs, t_grid)
-                worst = [max(a, b) for a, b in zip(worst, vals)]
+        runs = [(acceptance5_setup(), trial_seeds(ACC5_SEED, ACC5_TRIALS))]
+        runs += [(acceptance7_setup(g), trial_seeds(ACC7_SEED, ACC7_TRIALS)) for g in (3.0, 30.0)]
+        for setup, seeds in runs:
+            ball = setup.balls()[0]
+            far = ball.members[int(np.argmax(ball.distances_from_center))]
+            pairs = [(ball.center, far), (ball.center, ball.center)]
+            for trial in dynamics_trials(setup, seeds, pairs, t_grid):
+                for q, comp, sup in trial:
+                    worst = [max(worst[0], q - 1.0), max(worst[1], abs(comp)),
+                             max(worst[2], sup - q)]
                 count += 1
         elapsed = time.monotonic() - start
         ok = worst[0] <= 1e-10 and worst[1] < 1e-10 and worst[2] <= 1e-10

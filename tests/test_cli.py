@@ -292,9 +292,9 @@ class TestDynamicsCommand:
                                                     counts):
         """Each trial's diagonal pair is given the correlator q and the
         propagator sup; a row counts only beyond n 2^-53 (times q)."""
-        from mpdsa import cli
+        from mpdsa import experiments
 
-        correlator, sups = cli.ef_correlator, cli.propagator_sups
+        correlator, sups = experiments.ef_correlator, experiments.propagator_sups
 
         def diagonal_q(es, x, y, window):
             return q if x == y else correlator(es, x, y, window)
@@ -304,8 +304,8 @@ class TestDynamicsCommand:
             values[0] = sup  # the centre against itself comes first
             return values
 
-        monkeypatch.setattr(cli, "ef_correlator", diagonal_q)
-        monkeypatch.setattr(cli, "propagator_sups", diagonal_sup)
+        monkeypatch.setattr(experiments, "ef_correlator", diagonal_q)
+        monkeypatch.setattr(experiments, "propagator_sups", diagonal_sup)
         out = tmp_path / "out"
         cfg = base_config(
             out,

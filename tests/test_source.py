@@ -29,6 +29,21 @@ def unread_parameters(source: str) -> list:
     return out
 
 
+def unread_imports(source: str) -> list:
+    """Every name an import binds (``__future__`` aside) that the module
+    never reads: ``import a.b`` binds ``a``, ``from m import x as y``
+    binds ``y``."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(set(bound) - read)
+
+
 def _private_definitions(tree):
     """The module-level functions and classes, and the methods of its
     classes, whose names start with ``_`` (dunders aside)."""
@@ -81,6 +96,28 @@ def test_the_scan_sees_unread_parameters():
     assert sorted(unread_parameters(source)) == [
         ("<lambda>", "z"), ("f", "n"), ("f", "pad"), ("f", "rest")
     ]
+
+
+def test_every_import_is_read():
+    """``__init__.py`` is left out: its imports are the package's re-exports."""
+    unread = {path.name: unread_imports(path.read_text())
+              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    assert {name: found for name, found in unread.items() if found} == {}
+
+
+def test_the_scan_sees_unread_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "import json\n"
+        "from .a import b, c as d, e\n"
+        "def f(x: e):\n"
+        "    import math\n"
+        "    return np.zeros(1) + d + os.sep\n"
+    )
+    assert unread_imports(source) == ["b", "json", "math"]
 
 
 def test_every_private_helper_is_read():

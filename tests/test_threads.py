@@ -192,9 +192,9 @@ def dynamics_run(tmp_path, trials):
 
 
 class TestDynamicsPipeline:
-    """``dynamics`` solves trial t + 1 for its eigenvalues and eigenvector
-    rows on the calling thread while workers run trial t's propagator
-    blocks."""
+    """``experiments.dynamics_trials``, the trial loop of ``dynamics``,
+    solves trial t + 1 for its eigenvalues and eigenvector rows on the
+    calling thread while workers run trial t's propagator blocks."""
 
     @staticmethod
     def plain_loop(cfg):
@@ -304,6 +304,53 @@ class TestDynamicsPipeline:
         assert not out.exists()
         assert threading.active_count() == alive
         assert threads == [threading.main_thread()] * 2
+
+    @staticmethod
+    def radius_8_trials(seeds):
+        """``experiments.dynamics_trials`` of the radius-8 model over
+        ``seeds``, at its centre pairs, on a 2000-point grid."""
+        experiment = {**DYNAMICS, "radius": 8}
+        setup = _setup_for(bench_config("out", experiment), experiment)
+        pairs = experiments.centre_pairs(setup.balls()[0])
+        return experiments.dynamics_trials(setup, seeds, pairs, default_time_grid(2000))
+
+    def test_no_seeds_yield_nothing(self):
+        assert list(self.radius_8_trials([])) == []
+
+    def test_closing_after_trial_0_leaves_no_worker(self, monkeypatch, one_blas_thread):
+        solve = msa.diagonalize_rows
+        solves = []
+        monkeypatch.setattr(msa, "diagonalize_rows",
+                            lambda *args, **kwargs: solves.append(1) or solve(*args, **kwargs))
+        monkeypatch.setattr(msa, "usable_cpus", lambda: 2)
+        alive = threading.active_count()
+        trials = self.radius_8_trials(experiments.trial_seeds(550001, 3))
+        assert len(next(trials)) == 9
+        trials.close()
+        assert threading.active_count() == alive
+        # trial 0, and trial 1 beside trial 0's blocks
+        assert len(solves) == 2
+
+    def test_nan_rows_on_trial_1_raise_after_trial_0(self, monkeypatch, one_blas_thread):
+        solve = msa.diagonalize_rows
+        solves = []
+
+        def second_has_nan(*args, **kwargs):
+            rows = solve(*args, **kwargs)
+            solves.append(1)
+            if len(solves) == 2:
+                rows.vectors[0, 0] = np.nan
+            return rows
+
+        monkeypatch.setattr(msa, "diagonalize_rows", second_has_nan)
+        monkeypatch.setattr(msa, "usable_cpus", lambda: 2)
+        alive = threading.active_count()
+        trials = self.radius_8_trials(experiments.trial_seeds(550001, 3))
+        assert np.isfinite(next(trials)).all()
+        with pytest.raises(FloatingPointError, match="eigenvalue or eigenvector entry is NaN"):
+            next(trials)
+        assert threading.active_count() == alive
+        assert len(solves) == 2
 
 
 class TestOneEigensystemAlive:
