@@ -138,8 +138,12 @@ class RunWriter:
         return os.path.join(self.out_dir, name)
 
     def _open(self, name: str, **kwargs):
-        os.makedirs(self.out_dir, exist_ok=True)
-        return open(self.path(name), "w", **kwargs)
+        """The file, opened for writing; an unwritable path is a usage error."""
+        try:
+            os.makedirs(self.out_dir, exist_ok=True)
+            return open(self.path(name), "w", **kwargs)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {self.path(name)}: {exc.strerror}") from exc
 
     def write_csv(self, name: str, header: list, rows: list) -> None:
         """Write the table; a NaN float cell decides nothing, so it raises

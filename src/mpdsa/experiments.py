@@ -34,7 +34,7 @@ from .msa import (
     verify_implications,
 )
 from .operators import HamiltonianSpec, InteractionModel
-from .spectral import EigenRows, EigenSystem
+from .spectral import EigenRows, EigenSystem, spectral_distances
 
 Z95 = 1.959963984540054
 
@@ -349,7 +349,7 @@ def evc_experiment(
     (2L+1)^(2 N d) * evc_bound(2s) with the supplied constants; for two
     one-member single-particle balls with a uniform marginal the exact law
     2t - t^2, t = s/|g|, is attached (at g = 0 the distance is 0, so the
-    law is the step at s = 0).
+    law is the step at s = 0).  A NaN in either spectrum raises.
     """
     if setup.second_center is None:
         raise ValueError("evc needs a second center")
@@ -360,7 +360,7 @@ def evc_experiment(
     for t, ctx in enumerate(setup.contexts(seeds)):
         e1 = ctx.spectrum(setup.center, setup.radius)
         e2 = ctx.spectrum(setup.second_center, setup.radius)
-        dists[t] = float(np.min(np.abs(e1[:, None] - e2[None, :])))
+        dists[t] = np.min(spectral_distances(e1, e2))
     s_grid = np.asarray(list(s_grid), dtype=float)
     cdf = np.array([np.mean(dists <= s) for s in s_grid])
     stderr = np.sqrt(np.maximum(cdf * (1 - cdf), 1e-12) / trials)

@@ -53,6 +53,7 @@ from .spectral import (
     openblas,
     pairwise_sums,
     resonance_cutoff,
+    spectral_distances,
     stacked_eigenvalues,
 )
 
@@ -630,25 +631,25 @@ def cnr_subballs(params: ScalingParams, ball: Ball) -> list:
 # -- predicates --------------------------------------------------------------
 
 
-def _not_resonant(spectrum: np.ndarray, energy: float, scale: float) -> bool:
-    """dist(E, spectrum) >= scale (ties are non-resonant).  A NaN in the
-    spectrum decides nothing: it raises ``FloatingPointError``."""
-    dist = np.min(np.abs(spectrum - energy))
-    if np.isnan(dist):
-        raise FloatingPointError("spectrum value is NaN")
-    return bool(dist >= scale)
-
-
 def is_E_NR(es: EigenSystem, energy: float, params: ScalingParams) -> bool:
     """Resolvent norm at most e^{+L^beta} (ties are non-resonant)."""
-    return _not_resonant(es.eigenvalues, energy, params.resonance_scale(es.ball.radius))
+    return bool(spectral_distances(es.eigenvalues, energy)
+                >= params.resonance_scale(es.ball.radius))
 
 
-def _dist_to_sorted(sorted_vals: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    pos = np.searchsorted(sorted_vals, queries)
-    left = np.abs(queries - sorted_vals[np.clip(pos - 1, 0, len(sorted_vals) - 1)])
-    right = np.abs(sorted_vals[np.clip(pos, 0, len(sorted_vals) - 1)] - queries)
-    return np.minimum(left, right)
+def _first_resonant(ctx: AuditContext, ball: Ball, energies: np.ndarray) -> tuple:
+    """NR and CNR at each energy: (the ball, then its ``cnr_subballs``, as
+    (centre, radius); per energy the index of the first whose spectrum lies
+    closer than its resonance scale, else -1).  NR holds where it is not 0,
+    CNR where it is -1.  The ball's spectrum is its eigensystem's."""
+    params = ctx.params
+    balls = [(ball.center, ball.radius)] + cnr_subballs(params, ball)
+    first = np.full(len(energies), -1)
+    for k, (center, r) in enumerate(balls):
+        spectrum = ctx.eigensystem(center, r).eigenvalues if k == 0 else ctx.spectrum(center, r)
+        resonant = spectral_distances(spectrum, energies) < params.resonance_scale(r)
+        first[resonant & (first < 0)] = k
+    return balls, first
 
 
 def is_E_CNR(ctx: AuditContext, ball: Ball, energy: float):
@@ -657,14 +658,8 @@ def is_E_CNR(ctx: AuditContext, ball: Ball, energy: float):
     Sub-balls are inspected on the documented conservative policy: ladder
     radii at least L**(1/alpha), centres on a half-radius stride grid.
     """
-    params = ctx.params
-    big = ctx.eigensystem(ball.center, ball.radius)
-    if not is_E_NR(big, energy, params):
-        return False, (ball.center, ball.radius)
-    for center, r in cnr_subballs(params, ball):
-        if not _not_resonant(ctx.spectrum(center, r), energy, params.resonance_scale(r)):
-            return False, (center, r)
-    return True, None
+    balls, (k,) = _first_resonant(ctx, ball, np.array([energy], dtype=float))
+    return (True, None) if k < 0 else (False, balls[k])
 
 
 def ns_decision(worst_value, threshold: float):
@@ -705,8 +700,7 @@ def ns_flags(es: EigenSystem, energies: np.ndarray, params: ScalingParams):
     rows = ball.interior_boundary_rows
     if len(rows) == 0:
         return np.ones(len(energies), dtype=bool), np.zeros(len(energies))
-    dist = _dist_to_sorted(es.eigenvalues, energies)
-    safe = dist > es.resonance_cutoff()
+    safe = spectral_distances(es.eigenvalues, energies) > es.resonance_cutoff()
     worst = np.full(len(energies), np.inf)
     if np.any(safe):
         vals = es.refined_green_rows(ball.center_index(), energies[safe], rows)
@@ -824,11 +818,8 @@ def block_non_singularity(
             cleared = np.zeros(len(h), dtype=bool) if split else certificate(h, energy)
             safe, left = cleared.copy(), ~cleared
             if left.any():
-                screened = spectra(stack[left])
-                dist = np.min(np.abs(screened - energy), axis=1)
-                if np.isnan(dist).any():
-                    raise FloatingPointError("spectrum value is NaN")
-                safe[left] = [d > resonance_cutoff(v) for d, v in zip(dist, screened)]
+                safe[left] = [spectral_distances(v, energy) > resonance_cutoff(v)
+                              for v in spectra(stack[left])]
             part += ns_by_solve(certificate, h, energy, safe, cleared, source, boundary,
                                 threshold)
         return part
@@ -1153,20 +1144,15 @@ def _audit_grid(ctx: AuditContext, center, radius: int, sub_scale: int, grid_str
     The ball's eigensystem is solved beside the spectra of the grid and
     CNR sub-balls.
     """
-    params = ctx.params
     ball = ctx.ball(center, radius)
     stride = grid_stride if grid_stride is not None else max(1, sub_scale)
     sub_grid = ball.stride_grid(stride, radius - sub_scale)
     grid_balls = [(c, sub_scale) for c in sub_grid.centers]
-    cnr_balls = cnr_subballs(params, ball)
-    es = ctx.eigensystem(center, radius, beside=grid_balls + cnr_balls)
+    es = ctx.eigensystem(center, radius, beside=grid_balls + cnr_subballs(ctx.params, ball))
     spectra = [ctx.spectrum(c, r) for c, r in grid_balls]
     grid = energy_grid(spectra or [es.eigenvalues])
-    nr = _dist_to_sorted(es.eigenvalues, grid) >= params.resonance_scale(radius)
-    cnr = nr.copy()
-    for c, r in cnr_balls:
-        cnr &= _dist_to_sorted(ctx.spectrum(c, r), grid) >= params.resonance_scale(r)
-    return es, sub_grid, grid, nr, cnr
+    _, first = _first_resonant(ctx, ball, grid)
+    return es, sub_grid, grid, first != 0, first < 0
 
 
 def _green_violations(lemma: str, center, radius: int, energies, worst, thr: float) -> list:

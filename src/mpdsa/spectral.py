@@ -83,7 +83,7 @@ class EigenSystem:
         return float(np.max(np.abs(v @ v.T - np.eye(self.n))))
 
     def spectral_distance(self, energy: float) -> float:
-        return float(np.min(np.abs(self.eigenvalues - energy)))
+        return float(spectral_distances(self.eigenvalues, energy))
 
     def rows(self, indices) -> np.ndarray:
         """Entries psi_j(x) of every eigenvector at the ball index (or
@@ -132,6 +132,21 @@ class EigenSystem:
         r[source_idx] += 1.0
         correction = (v.T @ r) / (self.eigenvalues[:, None] - energies[None, :])
         return g0[rows] + v[rows] @ correction
+
+
+def spectral_distances(spectrum: np.ndarray, energies) -> np.ndarray:
+    """dist(E, spectrum) at each of the ``energies``, from the two values of
+    the ascending ``spectrum`` either side of E: rounding is monotone, so it
+    is bit for bit the minimum of |lambda - E| over the spectrum.  A NaN in
+    the spectrum or among the energies raises ``FloatingPointError``."""
+    if np.isnan(spectrum).any():
+        raise FloatingPointError("spectrum value is NaN")
+    if np.isnan(energies).any():
+        raise FloatingPointError("energy is NaN")
+    pos = np.searchsorted(spectrum, energies)
+    below = np.abs(energies - spectrum[np.maximum(pos - 1, 0)])
+    above = np.abs(spectrum[np.minimum(pos, len(spectrum) - 1)] - energies)
+    return np.minimum(below, above)
 
 
 def resonance_cutoff(eigenvalues: np.ndarray) -> float:
@@ -389,12 +404,6 @@ def lapack_band() -> bool:
     return all(lapack_routine(name) is not None for name in ("dpbtrf", "dgbsv"))
 
 
-def _lapack(name: str, *args) -> int:
-    """Call LAPACK routine ``name`` with the arguments before its INFO, in
-    Fortran order, and return INFO."""
-    return _lapack_call(name, *args)()
-
-
 def _lapack_call(name: str, *args):
     """LAPACK routine ``name`` with the arguments before its INFO bound
     now, in Fortran order, as a callable that returns INFO.  Each None
@@ -426,7 +435,7 @@ def _workspace(name: str, *args) -> np.ndarray:
     """The optimal workspace of routine ``name``, from its query with the
     arguments ``args``: None stands for the workspace, -1 for its size."""
     query = np.empty(1)
-    _lapack(name, *(query if a is None else a for a in args))
+    _lapack_call(name, *(query if a is None else a for a in args))()
     return np.empty(int(query[0]))
 
 
@@ -461,18 +470,18 @@ def diagonalize_rows(op: OperatorMatrix, indices) -> EigenRows:
     a = np.array(matrix, order="F")
     values, off, tau = np.empty(n), np.empty(max(n - 1, 1)), np.empty(max(n - 1, 1))
     work = _workspace("dsytrd", "L", n, a, n, values, off, tau, None, -1)
-    _lapack("dsytrd", "L", n, a, n, values, off, tau, work, len(work))
+    _lapack_call("dsytrd", "L", n, a, n, values, off, tau, work, len(work))()
     z = np.empty((n, n), order="F")
     iquery = np.empty(1, dtype=np.int64)
     work = _workspace("dstedc", "I", n, values, off, z, n, None, -1, iquery, -1)
     iwork = np.empty(int(iquery[0]), dtype=np.int64)
-    info = _lapack("dstedc", "I", n, values, off, z, n, work, len(work), iwork, len(iwork))
+    info = _lapack_call("dstedc", "I", n, values, off, z, n, work, len(work), iwork, len(iwork))()
     if info != 0:
         raise np.linalg.LinAlgError(f"dstedc did not converge (info {info})")
     c = np.zeros((n, k), order="F")
     c[indices, np.arange(k)] = 1.0
     work = _workspace("dormtr", "L", "L", "T", n, k, a, n, tau, c, n, None, -1)
-    _lapack("dormtr", "L", "L", "T", n, k, a, n, tau, c, n, work, len(work))
+    _lapack_call("dormtr", "L", "L", "T", n, k, a, n, tau, c, n, work, len(work))()
     return EigenRows(op.ball, values, indices, c.T @ z)
 
 

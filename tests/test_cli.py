@@ -702,6 +702,21 @@ class TestNothingWrittenOnExit2:
         assert "1e+50" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
+    def test_unwritable_out_exits_2(self, tmp_path, below):
+        """An --out that names a file, or a path below one, is a usage error:
+        exit 2 without a traceback, the file as it was, no directory made."""
+        blocker = tmp_path / "F"
+        blocker.write_text("keep\n")
+        out = blocker / "sub" if below else blocker
+        cfg = base_config(tmp_path / "unused", [{"kind": "spectrum", "center": [0], "radius": 1}])
+        path = write_config(tmp_path / "c.json", cfg)
+        code, err = _main_quietly(["spectrum", "--config", path, "--out", str(out)])
+        assert code == 2
+        assert err.startswith(f"error: cannot write output {out}") and "Traceback" not in err
+        assert blocker.read_text() == "keep\n"
+        assert sorted(os.listdir(tmp_path)) == ["F", "c.json"]
+
     def test_magnitude_at_the_bound(self, tmp_path):
         # coupling x kernel tap at 1e100 and E = 1e50: the certificate's
         # squares stay finite, and no RuntimeWarning is raised
@@ -1068,6 +1083,60 @@ class TestNumericalFailure:
         assert code == 3
         assert "numerical failure" in err and message in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_a_nan_in_a_cnr_only_spectrum_stops_the_audit(self, tmp_path, monkeypatch):
+        """The audit's grid NR and CNR decide nothing from a NaN: at scale 5
+        (ladder 3, 5) the grid sub-balls have radius 3 and the one CNR
+        sub-ball radius 4, whose spectrum nothing else reads."""
+        from mpdsa import msa
+
+        solve = msa.eigenvalues_of
+
+        def with_nan(op):
+            values = solve(op)
+            if op.ball.radius == 4:
+                values[0] = np.nan
+            return values
+
+        monkeypatch.setattr(msa, "eigenvalues_of", with_nan)
+        out = tmp_path / "out"
+        cfg = base_config(
+            out, [{"kind": "audit", "center": [1, 0], "k_max": 1, "trials": 1}],
+            particles=2, coupling=10.0, convention="fixed",
+            interaction={"kind": "step", "amplitude": 1.0, "range": 1},
+            scaling={"initial_scale": 3}, schedule={"p": 33.0, "b": 0.01},
+        )
+        code, err = _main_quietly(["audit", "--config", write_config(tmp_path / "c.json", cfg)])
+        assert code == 3
+        assert err == "numerical failure: spectrum value is NaN\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("center, message", [([0], "spectrum value is NaN"),
+                                                 ([50], "energy is NaN")],
+                             ids=["first", "second"])
+    def test_a_nan_spectrum_stops_evc(self, tmp_path, monkeypatch, center, message):
+        """evc's spacing of two spectra decides nothing from a NaN in
+        either: the second ball's values are the energies at which the
+        first's distance is taken."""
+        from mpdsa import msa
+
+        solve = msa.eigenvalues_of
+
+        def with_nan(op):
+            values = solve(op)
+            if op.ball.center == tuple(center):
+                values[0] = np.nan
+            return values
+
+        monkeypatch.setattr(msa, "eigenvalues_of", with_nan)
+        out = tmp_path / "out"
+        experiment = {"kind": "evc", "center": [0], "second_center": [50], "radius": 1,
+                      "trials": 4, "s_grid": [0.05, 0.5]}
+        cfg = base_config(out, [experiment], coupling=5.0, convention="fixed")
+        code, err = _main_quietly(["evc", "--config", write_config(tmp_path / "c.json", cfg)])
+        assert code == 3
+        assert err == f"numerical failure: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("ball", ["split", "whole"])

@@ -759,6 +759,36 @@ class TestGridsAndReports:
         assert isinstance(payload["e_cnr"], bool)
 
 
+class TestResonanceOracle:
+    """NR and CNR, on an audit's grid and at one energy, against a plain
+    loop over the ball and its CNR sub-balls that takes each distance as
+    the minimum over a whole spectrum."""
+
+    @staticmethod
+    def first_resonant(ctx, ball, energy):
+        params = ctx.params
+        for k, (center, r) in enumerate([(ball.center, ball.radius)]
+                                        + cnr_subballs(params, ball)):
+            spectrum = ctx.eigensystem(center, r).eigenvalues if k == 0 else ctx.spectrum(center, r)
+            if np.min(np.abs(spectrum - energy)) < params.resonance_scale(r):
+                return k, (center, r)
+        return -1, None
+
+    @pytest.mark.parametrize("seed, coupling, sub_scale", [(5, 30.0, 3), (6, 3.0, 6)])
+    def test_flags_and_witness_equal_a_loop(self, line, seed, coupling, sub_scale):
+        ctx = make_context(line, seed=seed, coupling=coupling, radius=11)
+        ball = ctx.ball((1, 0), 11)
+        _, _, grid, nr, cnr = msa._audit_grid(ctx, (1, 0), 11, sub_scale, None)
+        first = [self.first_resonant(ctx, ball, e) for e in grid]
+        assert nr.tolist() == [k != 0 for k, _ in first]
+        assert cnr.tolist() == [k < 0 for k, _ in first]
+        assert [is_E_CNR(ctx, ball, float(e)) for e in grid] == [(w is None, w) for _, w in first]
+        # every outcome occurs: CNR, the ball resonant, a sub-ball first
+        # resonant, and one behind another sub-ball in the inspection order
+        assert {min(k, 1) for k, _ in first} == {-1, 0, 1}
+        assert max(k for k, _ in first) > 1
+
+
 class TestImplications:
     def test_strong_disorder_audit_clean(self, line):
         # comfortable margins: strong coupling, unit mass

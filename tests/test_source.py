@@ -146,3 +146,45 @@ def test_the_scan_sees_orphaned_helpers():
     assert orphaned_private_helpers({"a.py": a, "b.py": b}) == [
         ("a.py", "_dead"), ("a.py", "_recursive")
     ]
+
+
+LINALG_SOLVERS = ("eigh", "eigvalsh", "solve", "cholesky")
+
+
+def linalg_solver_uses(source: str) -> list:
+    """(line, name) of every use ``<...>.linalg.<name>``, called or not
+    (a function passed on is used too), with a name of
+    ``LINALG_SOLVERS``, numpy imported under any name."""
+    return sorted(
+        (node.lineno, node.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr in LINALG_SOLVERS
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "linalg"
+    )
+
+
+def test_spectral_data_come_from_spectral_alone():
+    """One path to spectral data: every dense eigensolve, solve and
+    Cholesky factorization of the package sits in ``spectral.py``."""
+    uses = {path.name: linalg_solver_uses(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert uses.pop("spectral.py")
+    assert {name: found for name, found in uses.items() if found} == {}
+
+
+def test_the_scan_sees_linalg_solver_uses():
+    source = (
+        "import numpy as np\n"
+        "import numpy\n"
+        "a = np.linalg.eigh(m)\n"
+        "b = numpy.linalg.solve(m, v)[0]\n"
+        "c = np.linalg.norm(m)\n"
+        "d = np.linalg.cholesky\n"
+        "e = solver.solve(v)\n"
+        "f = [x.linalg.eigvalsh(m) for m in ms]\n"
+        "g = np.linalg.cholesky(\n"
+        "    m)\n"
+    )
+    assert linalg_solver_uses(source) == [(3, "eigh"), (4, "solve"), (6, "cholesky"),
+                                          (8, "eigvalsh"), (9, "cholesky")]

@@ -113,6 +113,49 @@ class TestValuesOnlySolve:
             eigenvalues_of(OperatorMatrix(ball, bad))
 
 
+class TestSpectralDistances:
+    """``spectral_distances`` reads two neighbours of each energy; the
+    oracle takes the minimum over the whole spectrum."""
+
+    @staticmethod
+    def oracle(spectrum, energies):
+        return np.min(np.abs(spectrum[:, None] - energies), axis=0)
+
+    def test_equals_the_minimum_over_the_spectrum(self):
+        rng = np.random.default_rng(27)
+        cases = [np.array([0.5]), np.array([-1.0, -1.0, 2.0, 2.0, 2.0]), np.array([-0.0, 0.0]),
+                 np.array([-1e50, 3.0, 1e50])]
+        cases += [np.sort(rng.normal(0.0, 10.0, size=k)) for k in (2, 7, 50, 300)]
+        cases += [np.sort(rng.integers(-3, 4, size=12) * 0.25) for _ in range(20)]
+        for spectrum in cases:
+            lo, hi = spectrum[0], spectrum[-1]
+            energies = np.concatenate([
+                spectrum,  # exactly at each value
+                0.5 * (spectrum[:-1] + spectrum[1:]),  # midpoints
+                [lo - 1.0, lo - 1e-13, hi + 1e-13, hi + 7.0, -1e50, 1e50, 0.0, -0.0],
+                rng.uniform(lo - 2.0, hi + 2.0, size=40),
+            ])
+            got = spectral.spectral_distances(spectrum, energies)
+            assert got.tobytes() == self.oracle(spectrum, energies).tobytes()
+            # one energy at a time, as a scalar, gives the same bits
+            assert all(spectral.spectral_distances(spectrum, e) == d
+                       for e, d in zip(energies, got))
+
+    def test_a_nan_decides_nothing(self):
+        with pytest.raises(FloatingPointError, match="spectrum value is NaN"):
+            spectral.spectral_distances(np.array([0.0, 1.0, np.nan]), np.array([5.0]))
+        with pytest.raises(FloatingPointError, match="spectrum value is NaN"):
+            spectral.spectral_distances(np.array([np.nan, 1.0]), 0.5)
+        with pytest.raises(FloatingPointError, match="energy is NaN"):
+            spectral.spectral_distances(np.array([0.0, 1.0]), np.array([0.5, np.nan]))
+
+    def test_eigensystem_distance_is_the_rule(self, line):
+        es = diagonalize(random_operator(line, seed=4))
+        energies = np.linspace(-12.0, 12.0, 97)
+        assert [es.spectral_distance(e) for e in energies] == list(
+            self.oracle(es.eigenvalues, energies))
+
+
 def benchmark_operator(line, seed=550001):
     """H of the ``dynamics-r16`` benchmark ball: two particles, radius 16
     around (1, 0), coupling 30, uniform IID field, step range 2 (n = 561)."""

@@ -464,17 +464,22 @@ class TestErrors:
         """A tridiagonal eigensolve that does not converge on trial 1, solved
         beside trial 0's propagator blocks, is a numerical failure: exit 3,
         nothing written, no worker left."""
-        lapack = spectral._lapack
+        lapack_call = spectral._lapack_call
         calls = []
 
         def failing(name, *args):
-            info = lapack(name, *args)
-            if name == "dstedc" and -1 not in [a for a in args if isinstance(a, int)]:
+            call = lapack_call(name, *args)
+            if name != "dstedc" or -1 in [a for a in args if isinstance(a, int)]:
+                return call
+
+            def solve(*addresses):
+                info = call(*addresses)
                 calls.append(threading.current_thread())
                 return 7 if len(calls) == 2 else info
-            return info
 
-        monkeypatch.setattr(spectral, "_lapack", failing)
+            return solve
+
+        monkeypatch.setattr(spectral, "_lapack_call", failing)
         monkeypatch.setattr(msa, "usable_cpus", lambda: 2)
         alive = threading.active_count()
         code, _, out = dynamics_run(tmp_path, 3)
