@@ -61,6 +61,18 @@ def derive_seed(seed: int, *key) -> int:
     return struct.unpack("<Q", raw[:8])[0] >> 1
 
 
+def derive_seeds(seed: int, key, count: int) -> list:
+    """``[derive_seed(seed, key, t) for t in range(count)]``, with the
+    prefix (seed, key) hashed once."""
+    prefix = hashlib.blake2b(_encode(seed) + _encode(key), digest_size=16)
+    seeds = []
+    for t in range(count):
+        h = prefix.copy()
+        h.update(b"i" + struct.pack(">q", t))
+        seeds.append(struct.unpack("<Q", h.digest()[:8])[0] >> 1)
+    return seeds
+
+
 def _site_keys(seeds, sites) -> np.ndarray:
     """Philox key of every (seed, site), seed-major, shape (seeds * sites, 2).
 
@@ -392,8 +404,7 @@ def empirical_mixing(
     """Sample covariance of V(x), V(y) over independent field draws."""
     if trials < 100:
         raise ValueError("need at least 100 trials")
-    seeds = [derive_seed(seed, "mixing", t) for t in range(trials)]
-    vx, vy = field_array(model, (x, y), seeds).T
+    vx, vy = field_array(model, (x, y), derive_seeds(seed, "mixing", trials)).T
     cx = vx - vx.mean()
     cy = vy - vy.mean()
     prod = cx * cy
@@ -445,8 +456,7 @@ def empirical_marginal_regularity(
     Rows are (s, debiased estimate, stderr, scan maximum); the debiased
     column is the one to compare against C * s**kappa.
     """
-    seeds = [derive_seed(seed, "marginal", t) for t in range(trials)]
-    draws = field_array(model, (0,), seeds)[:, 0]
+    draws = field_array(model, (0,), derive_seeds(seed, "marginal", trials))[:, 0]
     out = []
     for s in s_values:
         est, stderr, scan = _split_window_estimate(draws, float(s))
@@ -506,7 +516,7 @@ def empirical_nu(
     if constants:
         cst.update(constants)
 
-    vals = field_array(model, box, [derive_seed(seed, "nu", t) for t in range(trials)])
+    vals = field_array(model, box, derive_seeds(seed, "nu", trials))
     xi = vals.mean(axis=1)
     eta = vals - xi[:, None]
 

@@ -20,7 +20,7 @@ from .configspace import (
     enumerate_ball,
     find_separability_witness,
 )
-from .disorder import FieldModel, derive_seed, field_array, field_samples
+from .disorder import FieldModel, derive_seed, derive_seeds, field_array, field_samples
 from .msa import (
     AuditContext,
     BlockReports,
@@ -86,7 +86,7 @@ class ProbabilityEstimate:
 
 def trial_seeds(seed: int, trials: int) -> list:
     """The sub-seeds of trials 0 .. trials - 1 under the master seed."""
-    return [derive_seed(seed, "trial", t) for t in range(trials)]
+    return derive_seeds(seed, "trial", trials)
 
 
 @dataclass(frozen=True)
@@ -355,9 +355,8 @@ def evc_experiment(
         raise ValueError("evc needs a second center")
     constants = constants or {}
     ball_x, ball_y = setup.balls()
-    seeds = [derive_seed(seed, "evc", t) for t in range(trials)]
     dists = np.empty(trials)
-    for t, ctx in enumerate(setup.contexts(seeds)):
+    for t, ctx in enumerate(setup.contexts(derive_seeds(seed, "evc", trials))):
         e1 = ctx.spectrum(setup.center, setup.radius)
         e2 = ctx.spectrum(setup.second_center, setup.radius)
         dists[t] = np.min(spectral_distances(e1, e2))

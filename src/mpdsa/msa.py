@@ -729,9 +729,9 @@ def ns_by_solve(
     ``safe[t]`` says E lies outside the resonance cutoff of H_t's
     spectrum, by the gap certificate or by the ``eigvalsh`` screen; an
     unsafe matrix gets flag False and worst value +inf, as in
-    ``ns_flags``.  One band solve per safe matrix of
+    ``ns_flags``.  One band solve over the safe matrices of
     (H_t - E) g_t = delta_centre (``GapCertificate.green_columns``) gives
-    its boundary values.  ``cleared`` goes on the reports as is.
+    their boundary values.  ``cleared`` goes on the reports as is.
     """
     if len(rows) == 0:
         return [NsReport(True, 0.0, threshold, cleared=bool(c)) for c in cleared]
@@ -777,16 +777,16 @@ def block_non_singularity(
     matrices, and decides each block it takes as sub-stacks of that size.
 
     A sub-stack is decided whole on its worker.  The certificate clears
-    most trials without a spectrum (one ``dpbtrf`` each; 994 to 999 of
-    1,000 at n = 91).  The trials it leaves take one stacked ``eigvalsh``
-    and the resonance cutoff; a NaN in such a spectrum decides nothing:
-    it raises ``FloatingPointError``.  A split ball takes no certificate
-    and screens every trial with its factor spectra (sorted factor sums,
-    as ``AuditContext.spectrum`` takes them), which cost less than the
-    joint factorization.  Then one ``ns_by_solve`` over the sub-stack
-    decides every trial outside the cutoff with one band solve each
-    (``dgbsv``).  Each matrix is factored and solved alone, so the
-    outputs do not depend on the number of workers.
+    most trials without a spectrum (one ``dpbtrf`` per sub-stack; 994 to
+    999 of 1,000 at n = 91).  The trials it leaves take one stacked
+    ``eigvalsh`` and the resonance cutoff; a NaN in such a spectrum
+    decides nothing: it raises ``FloatingPointError``.  A split ball takes
+    no certificate and screens every trial with its factor spectra (sorted
+    factor sums, as ``AuditContext.spectrum`` takes them), which cost less
+    than the joint factorization.  Then one ``ns_by_solve`` decides every
+    trial outside the cutoff with one ``dgbsv`` over the sub-stack, whose
+    columns are the one-trial solves' bit for bit, so the decisions do not
+    depend on the number of workers (``GapCertificate``).
     """
     ball = enumerate_ball(center, radius, spec.geometry)
     n = len(ball)

@@ -166,9 +166,9 @@ class GapCertificate:
     gives one bool per matrix: True when a Cholesky factor proves that no
     eigenvalue of H_t lies near E.  With d_t = fl(h_t - E), A_t = H_t - E,
     N_t = ||H_t||_inf + |E| = max_i (deg_i + |h_ti|) + |E| and
-    sigma_t = 10 n sqrt(eps) N_t, one ``dpbtrf`` per matrix factors the
-    lower band (half-width 2 kd) of S_t = A_t^2 - sigma_t^2 I, formed
-    without a matrix product from
+    sigma_t = 10 n sqrt(eps) N_t, a Cholesky factors the lower band
+    (half-width 2 kd) of S_t = A_t^2 - sigma_t^2 I, formed without a
+    matrix product from
 
         A_t^2 = T^2 + [T_ij (d_i + d_j) on the hopping pairs] + diag(d_i^2),
 
@@ -188,14 +188,20 @@ class GapCertificate:
     is at least about 9.8 n sqrt(eps) N_t from E, over 1e5 times
     ``resonance_cutoff`` and far beyond the error of ``eigvalsh``.
 
-    ``green_columns`` solves (H_t - E) g_t = delta_source with one
-    ``dgbsv`` (band LU with partial pivoting) per matrix.  Where the band
-    routines are missing (``lapack_band``), the bands are expanded to the
-    dense matrices they store for ``np.linalg.cholesky`` and
-    ``np.linalg.solve``.  The symmetry check runs on the template before
-    T is read.  The bands live in buffers of ``rows`` matrices, the most
-    one call takes; a call copies in the template's band and writes the
-    hopping pairs and the diagonal.
+    ``green_columns`` solves (H_t - E) g_t = delta_source by band LU with
+    partial pivoting (``dgbsv``); a zero pivot raises ``LinAlgError``.  A
+    stack of k bands, C-ordered (k, n, width), is the Fortran band of the
+    k n x k n block-diagonal matrix (every slot past a matrix's edge holds
+    0), so one call of each routine takes the stack, and ``dpbtrf``
+    restarts after each matrix it does not clear.  A wide band's factors
+    may then differ in the last bits from one-matrix calls; Thm 10.3 holds
+    in any summation order.  Where the routines are missing
+    (``lapack_band``), the bands are expanded to the dense matrices they
+    store for ``np.linalg.cholesky`` and ``np.linalg.solve``.  The
+    symmetry check runs on the template before T is read.  The bands live
+    in buffers of ``rows`` matrices, the most one call takes; a call
+    copies in the template's band and writes the hopping pairs and the
+    diagonal.
     """
 
     def __init__(self, template: OperatorMatrix, rows: int):
@@ -220,20 +226,20 @@ class GapCertificate:
         self._hop_band = _to_band(t, self._hop_entries, 3 * kd + 1)
         self._squares = np.empty((rows, *self._square_band.shape))
         self._shifted = np.empty((rows, *self._hop_band.shape))
-        self._factor = self._solve = None
-        if lapack_band():
-            self._factor = _lapack_call("dpbtrf", "L", n, ks, None, ks + 1)
-            pivots = np.empty(n, dtype=np.int64)
-            self._solve = _lapack_call("dgbsv", n, kd, kd, 1, None, 3 * kd + 1, pivots, None, n)
 
     def __call__(self, h: np.ndarray, energy: float) -> np.ndarray:
         square = self.square(h, energy)
-        if self._factor is None:
+        if not lapack_band():
             return np.array([_cholesky_succeeds(_to_dense(s, self._square_entries))
                              for s in square], dtype=bool)
-        start, step = square.ctypes.data, square.strides[0]
-        return np.array([self._factor(start + t * step) == 0 for t in range(len(square))],
-                        dtype=bool)
+        (k, n, width), start = square.shape, 0
+        cleared = np.ones(k, dtype=bool)
+        # INFO = i > 0: the leading minor of order i is the first not positive
+        while start < k and (info := _lapack_call("dpbtrf", "L", (k - start) * n, width - 1,
+                                                  square[start:], width)):
+            start += (info - 1) // n + 1
+            cleared[start - 1] = False
+        return cleared
 
     def square(self, h: np.ndarray, energy: float) -> np.ndarray:
         """The lower bands of the S_t, in the buffer: S_t(i, j) at
@@ -262,13 +268,12 @@ class GapCertificate:
         shifted[:, :, 2 * self.width] = h - energy
         g = np.zeros((k, n))
         g[:, source] = 1.0
-        if self._solve is None:
+        if not lapack_band():
             dense = [_to_dense(band, self._hop_entries) for band in shifted]
             return np.linalg.solve(np.array(dense), g[..., None])[..., 0]
-        a, b = shifted.ctypes.data, g.ctypes.data
-        for t in range(k):
-            if self._solve(a + t * shifted.strides[0], b + t * g.strides[0]) > 0:
-                raise np.linalg.LinAlgError("Singular matrix")
+        kd, pivots = self.width, np.empty(k * n, dtype=np.int64)
+        if _lapack_call("dgbsv", k * n, kd, kd, 1, shifted, 3 * kd + 1, pivots, g, k * n) > 0:
+            raise np.linalg.LinAlgError("Singular matrix")
         return g
 
 
@@ -404,38 +409,24 @@ def lapack_band() -> bool:
     return all(lapack_routine(name) is not None for name in ("dpbtrf", "dgbsv"))
 
 
-def _lapack_call(name: str, *args):
-    """LAPACK routine ``name`` with the arguments before its INFO bound
-    now, in Fortran order, as a callable that returns INFO.  Each None
-    among the arguments is an array left open: the callable takes one
-    address (``ndarray.ctypes.data``) per None, in order, so a loop over
-    the matrices of a buffer converts no argument."""
+def _lapack_call(name: str, *args) -> int:
+    """Runs LAPACK routine ``name`` on the arguments before its INFO, in
+    Fortran order (str, int or contiguous ndarray); returns INFO."""
     kinds = LAPACK_ARGUMENTS[name]
     if len(args) != len(kinds):
         raise TypeError(f"{name} takes {len(kinds)} arguments before INFO, not {len(args)}")
     info = ctypes.c_int64(0)
-    # an array's ctypes view keeps the array alive as long as the call
-    refs = [None if arg is None else arg.encode() if kind == "c" else arg.ctypes
-            if kind == "a" else ctypes.byref(ctypes.c_int64(arg))
-            for kind, arg in zip(kinds, args)]
-    refs += [ctypes.byref(info)] + [1] * kinds.count("c")
-    slots = [k for k, ref in enumerate(refs) if ref is None]
-    routine = lapack_routine(name)
-
-    def call(*addresses):
-        for k, address in zip(slots, addresses):
-            refs[k] = address
-        routine(*refs)
-        return info.value
-
-    return call
+    refs = [arg.encode() if kind == "c" else arg.ctypes if kind == "a"
+            else ctypes.byref(ctypes.c_int64(arg)) for kind, arg in zip(kinds, args)]
+    lapack_routine(name)(*refs, ctypes.byref(info), *[1] * kinds.count("c"))
+    return info.value
 
 
 def _workspace(name: str, *args) -> np.ndarray:
     """The optimal workspace of routine ``name``, from its query with the
     arguments ``args``: None stands for the workspace, -1 for its size."""
     query = np.empty(1)
-    _lapack_call(name, *(query if a is None else a for a in args))()
+    _lapack_call(name, *(query if a is None else a for a in args))
     return np.empty(int(query[0]))
 
 
@@ -470,18 +461,18 @@ def diagonalize_rows(op: OperatorMatrix, indices) -> EigenRows:
     a = np.array(matrix, order="F")
     values, off, tau = np.empty(n), np.empty(max(n - 1, 1)), np.empty(max(n - 1, 1))
     work = _workspace("dsytrd", "L", n, a, n, values, off, tau, None, -1)
-    _lapack_call("dsytrd", "L", n, a, n, values, off, tau, work, len(work))()
+    _lapack_call("dsytrd", "L", n, a, n, values, off, tau, work, len(work))
     z = np.empty((n, n), order="F")
     iquery = np.empty(1, dtype=np.int64)
     work = _workspace("dstedc", "I", n, values, off, z, n, None, -1, iquery, -1)
     iwork = np.empty(int(iquery[0]), dtype=np.int64)
-    info = _lapack_call("dstedc", "I", n, values, off, z, n, work, len(work), iwork, len(iwork))()
+    info = _lapack_call("dstedc", "I", n, values, off, z, n, work, len(work), iwork, len(iwork))
     if info != 0:
         raise np.linalg.LinAlgError(f"dstedc did not converge (info {info})")
     c = np.zeros((n, k), order="F")
     c[indices, np.arange(k)] = 1.0
     work = _workspace("dormtr", "L", "L", "T", n, k, a, n, tau, c, n, None, -1)
-    _lapack_call("dormtr", "L", "L", "T", n, k, a, n, tau, c, n, work, len(work))()
+    _lapack_call("dormtr", "L", "L", "T", n, k, a, n, tau, c, n, work, len(work))
     return EigenRows(op.ball, values, indices, c.T @ z)
 
 

@@ -412,18 +412,37 @@ class TestSweepCommand:
 
     def test_the_same_counts_without_the_band_routines(self, tmp_path, monkeypatch):
         """Where ``dpbtrf`` and ``dgbsv`` are missing the bands are expanded
-        to dense for ``np.linalg``: the same flags and counts."""
-        runs = []
-        for routines in ("present", "missing"):
-            if routines == "missing":
-                monkeypatch.setattr(spectral, "lapack_routine", lambda name: None)
-            out = tmp_path / routines
-            path = write_config(tmp_path / f"{routines}.json", self._cfg(out))
-            assert main(["sweep", "--config", path, "--axis", "g", "--values", "3,10,30"]) == 0
-            env = read_json(out / "manifest.json")["environment"]
-            assert env["lapack_band"] is (spectral.lapack_band() and routines == "present")
-            runs.append(((out / "trend.csv").read_bytes(), (out / "summary.json").read_bytes()))
-        assert runs[0] == runs[1]
+        to dense for ``np.linalg``: the same flags and counts.  The second
+        sweep puts E = 0 inside the spectrum (at g = 0 it is an eigenvalue
+        of the induced Laplacian), so the stacked certificate restarts after
+        most of the matrices it tries."""
+        inside = {**self._cfg(tmp_path)["experiments"][0], "trials": 60}
+        sweeps = [
+            (self._cfg, "3,10,30"),
+            (lambda out: base_config(out, [inside], particles=2,
+                                     disorder={"kind": "iid", "marginal": "gaussian"}),
+             "0,3e-4,3e-3"),
+        ]
+        for k, (config, values) in enumerate(sweeps):
+            runs = []
+            for routines in ("present", "missing"):
+                with monkeypatch.context() as patch:
+                    if routines == "missing":
+                        patch.setattr(spectral, "lapack_routine", lambda name: None)
+                    out = tmp_path / f"{routines}{k}"
+                    path = write_config(tmp_path / f"{routines}{k}.json", config(out))
+                    assert main(["sweep", "--config", path, "--axis", "g", "--values",
+                                 values]) == 0
+                    env = read_json(out / "manifest.json")["environment"]
+                    assert env["lapack_band"] is (spectral.lapack_band()
+                                                  and routines == "present")
+                runs.append(((out / "trend.csv").read_bytes(),
+                             (out / "summary.json").read_bytes()))
+            assert runs[0] == runs[1]
+        # inside the spectrum nothing clears at g = 0, and not all at g = 3e-4
+        points = read_json(out / "summary.json")["diagnostics"]
+        cleared = [p["certificate_cleared"] for p in points]
+        assert cleared[0] == 0 and 0 < cleared[1] < 60
 
     def test_a_sweep_run_imports_neither_scipy_nor_the_executor(self, tmp_path):
         """The band routines come from numpy's OpenBLAS, not scipy, and the

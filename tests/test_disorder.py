@@ -13,6 +13,7 @@ from mpdsa.disorder import (
     FieldSample,
     MissingDataError,
     derive_seed,
+    derive_seeds,
     empirical_marginal_regularity,
     empirical_mixing,
     empirical_nu,
@@ -216,6 +217,12 @@ class TestConcentration:
         assert derive_seed(5, "trial", 3) == derive_seed(5, "trial", 3)
         assert derive_seed(5, "trial", 3) != derive_seed(5, "trial", 4)
         assert derive_seed(5, "a") != derive_seed(6, "a")
+
+    @pytest.mark.parametrize("key", ["trial", "mixing"])
+    @pytest.mark.parametrize("count", [0, 1, 1000])
+    def test_seed_stream_matches_derive_seed(self, key, count):
+        loop = [derive_seed(770001, key, t) for t in range(count)]
+        assert derive_seeds(770001, key, count) == loop
 
 
 def reference_words(site, seed) -> tuple:

@@ -366,6 +366,23 @@ class TestGapCertificate:
                 assert np.max(np.abs(band - reference)) <= (4 * eps + n * ref_eps) * norm**2
         assert widths == self.WIDTHS
 
+    def test_slots_past_a_matrix_edge_are_zero(self, line, plane, path_graph):
+        """A stack of bands is read as the band of one block-diagonal
+        matrix, so every slot that lies past a matrix's first or last row,
+        where it would couple the matrix to its neighbour, holds exactly 0."""
+        for op, rng in self._operators(line, plane, path_graph):
+            n = op.n
+            certificate = GapCertificate(template_of(op), 2)
+            kd, j = certificate.width, np.arange(n)[:, None]
+            square = certificate._square_band
+            past = j + np.arange(square.shape[1]) >= n
+            assert not np.any(square[past])
+            h = np.tile(np.diag(op.matrix), (2, 1))
+            assert not np.any(certificate.square(h, float(rng.normal()))[:, past])
+            hop = certificate._hop_band
+            row = j + np.arange(hop.shape[1]) - 2 * kd
+            assert not np.any(hop[(row < 0) | (row >= n)])
+
     def test_green_columns_match_a_dense_solve(
         self, line, plane, path_graph, monkeypatch, residual_ratios
     ):
@@ -399,29 +416,55 @@ class TestGapCertificate:
         if routines == "missing":
             monkeypatch.setattr(spectral, "lapack_routine", lambda name: None)
         op = random_operator(line, seed=4, center=(0,), radius=0)
-        certificate = GapCertificate(template_of(op), 1)
+        certificate = GapCertificate(template_of(op), 3)
         h = np.diag(op.matrix)[None]
         assert not certificate(h, float(h[0, 0]))[0]
         with pytest.raises(np.linalg.LinAlgError):
             certificate.green_columns(h, float(h[0, 0]), 0)
+        # in the middle of a stack: the matrices either side do not hide it
+        stack = h[0, 0] + np.array([[1.0], [0.0], [2.0]])
+        assert certificate(stack, float(h[0, 0])).tolist() == [True, False, True]
+        with pytest.raises(np.linalg.LinAlgError):
+            certificate.green_columns(stack, float(h[0, 0]), 0)
 
     def test_a_template_with_a_diagonal_raises(self, line):
         op = random_operator(line, seed=1)
         with pytest.raises(ValueError, match="zero diagonal"):
             GapCertificate(op, 1)
 
-    def test_stacked_matches_one_at_a_time(self, line):
-        ops = [random_operator(line, seed=s) for s in range(6)]
-        h = np.array([np.diag(op.matrix) for op in ops])
-        energy = float(eigenvalues_of(ops[3])[10])
-        certificate = GapCertificate(template_of(ops[0]), len(h))
-        got = certificate(h, energy)
-        assert got.tolist() == [certificate(row[None], energy)[0] for row in h]
-        assert not got[3] and got.sum() == 5
-        columns = certificate.green_columns(h, energy + 0.5, 7)
+    @staticmethod
+    def _check_stacked(certificate, h, energy, source) -> list:
+        """A stack's flags equal one-matrix calls', and its Green columns
+        (at E + 0.5) are theirs bit for bit; returns the flags."""
+        got = certificate(h, energy).tolist()
+        assert got == [certificate(row[None], energy)[0] for row in h]
+        columns = certificate.green_columns(h, energy + 0.5, source)
         for row, column in zip(h, columns):
-            assert column.tobytes() == certificate.green_columns(row[None], energy + 0.5,
-                                                                 7)[0].tobytes()
+            single = certificate.green_columns(row[None], energy + 0.5, source)[0]
+            assert column.tobytes() == single.tobytes()
+        return got
+
+    def test_stacked_matches_one_at_a_time(self, line, plane, path_graph):
+        """One ``dpbtrf`` over a stack restarts after each matrix it does
+        not clear.  E is an eigenvalue of ops[3], and diagonal 6 is ops[3]'s
+        moved by 1e-15, so the uncleared matrices sit in the middle, first,
+        last, side by side, and everywhere.  Then stacks of three on every
+        template of the other tests, the wide plane and three-particle bands
+        included."""
+        ops = [random_operator(line, seed=s) for s in range(6)]
+        diagonals = [np.diag(op.matrix) for op in ops]
+        diagonals.append(diagonals[3] + 1e-15)
+        energy = float(eigenvalues_of(ops[3])[10])
+        stacks = [range(6), (3, 0, 1, 2), (0, 1, 2, 3), (0, 3, 6, 1), (3, 6, 3)]
+        certificate = GapCertificate(template_of(ops[0]), 6)
+        for stack in stacks:
+            h = np.array([diagonals[s] for s in stack])
+            got = self._check_stacked(certificate, h, energy, 7)
+            assert got == [s not in (3, 6) for s in stack]
+        for op, rng in self._operators(line, plane, path_graph):
+            h = np.diag(op.matrix) + rng.normal(scale=0.5, size=(3, op.n))
+            certificate = GapCertificate(template_of(op), 3)
+            self._check_stacked(certificate, h, 0.0, int(rng.integers(op.n)))
 
 
 class TestSymmetryCheck:

@@ -468,16 +468,11 @@ class TestErrors:
         calls = []
 
         def failing(name, *args):
-            call = lapack_call(name, *args)
+            info = lapack_call(name, *args)
             if name != "dstedc" or -1 in [a for a in args if isinstance(a, int)]:
-                return call
-
-            def solve(*addresses):
-                info = call(*addresses)
-                calls.append(threading.current_thread())
-                return 7 if len(calls) == 2 else info
-
-            return solve
+                return info
+            calls.append(threading.current_thread())
+            return 7 if len(calls) == 2 else info
 
         monkeypatch.setattr(spectral, "_lapack_call", failing)
         monkeypatch.setattr(msa, "usable_cpus", lambda: 2)
