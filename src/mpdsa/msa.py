@@ -50,6 +50,7 @@ from .spectral import (
     eigensystem_from_factors,
     eigenvalues_of,
     eigenvector_noise_floors,
+    half_width,
     openblas,
     pairwise_sums,
     resonance_cutoff,
@@ -759,6 +760,10 @@ class BlockReports:
     cholesky_fallback_blocks: int
 
 
+# the band storage of one `singular` block, in doubles (2 MB)
+BLOCK_BAND_DOUBLES = 2**18
+
+
 def block_non_singularity(
     spec: HamiltonianSpec, region, fields, center, radius: int, energy: float,
     params: ScalingParams,
@@ -769,12 +774,14 @@ def block_non_singularity(
 
     The fields' operators share the ball's hopping template and differ on
     the diagonal only, so each is built from its diagonal in band storage
-    (``GapCertificate``).  They are decided in blocks of
-    ``max(1, 2**17 // n**2)`` fields.  The blocks go to the workers of
-    ``run_pinned`` (``pool_size()`` threads, at most one per block) while
-    the calling thread waits.  With blocks of b fields and w workers, a
-    worker owns a ``GapCertificate`` whose buffers hold ceil(b / w)
-    matrices, and decides each block it takes as sub-stacks of that size.
+    (``GapCertificate``).  A block holds b fields, the most whose general
+    bands (n (3 kd + 1) doubles each, kd the template's half-width) fit in
+    ``BLOCK_BAND_DOUBLES``: 77 at n = 91, never a function of the worker
+    count.  The blocks go to the workers of ``run_pinned`` (``pool_size()``
+    threads, at most one per block) while the calling thread waits.  With
+    w workers, a worker owns a ``GapCertificate`` whose buffer holds
+    ceil(b / w) matrices, and decides each block it takes as sub-stacks of
+    that size.
 
     A sub-stack is decided whole on its worker.  The certificate clears
     most trials without a spectrum (one ``dpbtrf`` per sub-stack; 994 to
@@ -789,10 +796,9 @@ def block_non_singularity(
     depend on the number of workers (``GapCertificate``).
     """
     ball = enumerate_ball(center, radius, spec.geometry)
-    n = len(ball)
-    block = max(1, 2**17 // n**2)
     ball_spec = _spec_on(spec, ball)
     template = hopping_template(ball_spec, ball)
+    block = max(1, BLOCK_BAND_DOUBLES // (len(ball) * (3 * half_width(template.matrix) + 1)))
     diagonals = diagonal_gather(ball_spec, ball, region)
     spectra = _spectra_by_field(spec, ball, region, template, diagonals)
     source = ball.center_index()

@@ -198,10 +198,12 @@ class GapCertificate:
     in any summation order.  Where the routines are missing
     (``lapack_band``), the bands are expanded to the dense matrices they
     store for ``np.linalg.cholesky`` and ``np.linalg.solve``.  The
-    symmetry check runs on the template before T is read.  The bands live
-    in buffers of ``rows`` matrices, the most one call takes; a call
-    copies in the template's band and writes the hopping pairs and the
-    diagonal.
+    symmetry check runs on the template before T is read.  Both stacks
+    share one buffer of ``rows`` x n x (3 kd + 1) doubles, ``rows`` the
+    most matrices one call takes: k lower bands of the S_t (at most
+    2 kd + 1 slots a row) or k general bands of the A_t (3 kd + 1).  A
+    call copies the template's band over every slot it reads, then writes
+    the hopping pairs and the diagonal.
     """
 
     def __init__(self, template: OperatorMatrix, rows: int):
@@ -209,8 +211,7 @@ class GapCertificate:
         if np.any(np.diag(t)):
             raise ValueError("a hopping template must have a zero diagonal")
         n = len(t)
-        i, j = np.nonzero(t)
-        self.width = kd = int(np.max(np.abs(i - j), initial=0))
+        self.width = kd = half_width(t)
         square = t @ t
         self._pairs = np.nonzero(np.triu(t))
         self._pair_hops = t[self._pairs]
@@ -224,8 +225,7 @@ class GapCertificate:
         self._hop_entries = _band_entries(n, range(-kd, kd + 1), 2 * kd)
         self._square_band = _to_band(square, self._square_entries, ks + 1)
         self._hop_band = _to_band(t, self._hop_entries, 3 * kd + 1)
-        self._squares = np.empty((rows, *self._square_band.shape))
-        self._shifted = np.empty((rows, *self._hop_band.shape))
+        self._buffer = np.empty(rows * self._hop_band.size)
 
     def __call__(self, h: np.ndarray, energy: float) -> np.ndarray:
         square = self.square(h, energy)
@@ -248,8 +248,7 @@ class GapCertificate:
         norm = np.max(self._degrees + np.abs(h), axis=1) + abs(energy)
         sigma = 10 * n * math.sqrt(np.finfo(float).eps) * norm
         d = h - energy
-        square = self._squares[:k]
-        square[:] = self._square_band
+        square = self._stack(self._square_band, k)
         a, b = self._pairs
         square[:, a, b - a] = self._pair_squares + self._pair_hops * (d[:, a] + d[:, b])
         square[:, :, 0] = (self._diagonal_squares + d * d) - (sigma * sigma)[:, None]
@@ -263,8 +262,7 @@ class GapCertificate:
         No resonance guard: callers screen the energy against the spectra.
         """
         k, n = h.shape
-        shifted = self._shifted[:k]
-        shifted[:] = self._hop_band
+        shifted = self._stack(self._hop_band, k)
         shifted[:, :, 2 * self.width] = h - energy
         g = np.zeros((k, n))
         g[:, source] = 1.0
@@ -275,6 +273,18 @@ class GapCertificate:
         if _lapack_call("dgbsv", k * n, kd, kd, 1, shifted, 3 * kd + 1, pivots, g, k * n) > 0:
             raise np.linalg.LinAlgError("Singular matrix")
         return g
+
+    def _stack(self, band: np.ndarray, k: int) -> np.ndarray:
+        """k copies of ``band``, C-ordered (k, n, width), over the buffer's head."""
+        stack = self._buffer[: k * band.size].reshape(k, *band.shape)
+        stack[:] = band
+        return stack
+
+
+def half_width(matrix: np.ndarray) -> int:
+    """A matrix's band half-width: max |i - j| over its nonzero (i, j)."""
+    i, j = np.nonzero(matrix)
+    return int(np.max(np.abs(i - j), initial=0))
 
 
 def _band_entries(n: int, offsets, origin: int) -> tuple:

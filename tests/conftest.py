@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from mpdsa import msa
 from mpdsa.configspace import LatticeGeometry
+from mpdsa.operators import hopping_template
+from mpdsa.spectral import GapCertificate
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -48,3 +51,16 @@ def residual_ratios():
     """``_residual_ratios``: a band or dense Green solve passes where
     every ratio is at most 1."""
     return _residual_ratios
+
+
+@pytest.fixture(scope="session")
+def block_trials():
+    """Trials per block of ``msa.block_non_singularity`` on a ball: the
+    band budget over one trial's general band, n (3 kd + 1) doubles, with
+    kd the half-width ``GapCertificate`` computes (77 at n = 91)."""
+
+    def trials(spec, ball):
+        kd = GapCertificate(hopping_template(spec, ball), 1).width
+        return max(1, msa.BLOCK_BAND_DOUBLES // (len(ball) * (3 * kd + 1)))
+
+    return trials

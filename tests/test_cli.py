@@ -23,6 +23,8 @@ from hypothesis import strategies as st
 import mpdsa
 from mpdsa import spectral
 from mpdsa.cli import main
+from mpdsa.configspace import enumerate_ball
+from mpdsa.operators import HamiltonianSpec
 from mpdsa.runconfig import SCHEMA, ConfigError, _conforms, _Unsure, validate_config
 
 
@@ -385,18 +387,23 @@ class TestSweepCommand:
         assert len(rows) == 4
         assert [r[1] for r in rows[1:]] == ["3.0", "10.0", "30.0"]
 
-    def test_summary_counts_each_points_screens(self, tmp_path):
+    def test_summary_counts_each_points_screens(self, tmp_path, line, block_trials):
+        # n = 91 gives blocks of b = 77 trials: 2 b + 7 trials fill three
+        ball = enumerate_ball((1, 0), 6, line)
+        trials = 2 * block_trials(HamiltonianSpec(line, 2, convention="fixed"), ball) + 7
         out = tmp_path / "out"
-        path = write_config(tmp_path / "c.json", self._cfg(out))
+        cfg = self._cfg(out)
+        cfg["experiments"][0]["trials"] = trials
+        path = write_config(tmp_path / "c.json", cfg)
         assert main(["sweep", "--config", path, "--axis", "g", "--values", "3,10,30"]) == 0
         points = read_json(out / "summary.json")["diagnostics"]
         assert [p["value"] for p in points] == [3.0, 10.0, 30.0]
         for p in points:
-            assert p["certificate_cleared"] + p["eigvalsh_screened"] == 30
-            # n = 91 gives blocks of 15 trials; a screened trial's block
-            # holds a matrix the certificate did not clear
-            assert p["blocks"] == 2
-            assert (p["eigvalsh_screened"] > 0) <= p["cholesky_fallback_blocks"] <= 2
+            assert p["certificate_cleared"] + p["eigvalsh_screened"] == trials
+            # a screened trial's block holds a matrix the certificate did
+            # not clear
+            assert p["blocks"] == 3
+            assert (p["eigvalsh_screened"] > 0) <= p["cholesky_fallback_blocks"] <= 3
 
     def test_a_trial_at_an_eigenvalue_counts_as_screened(self, tmp_path):
         # at g = 0 every trial is the path Laplacian, and E = 1 is its eigenvalue
@@ -1159,7 +1166,8 @@ class TestNumericalFailure:
         assert not out.exists()
 
     @pytest.mark.parametrize("ball", ["split", "whole"])
-    def test_a_nan_screened_spectrum_exits_3(self, tmp_path, monkeypatch, ball):
+    def test_a_nan_screened_spectrum_exits_3(self, tmp_path, monkeypatch, line, block_trials,
+                                             ball):
         """The singular event's block path screens no trial as safe from a
         NaN spectrum, and a screen that raises on a worker leaves no
         thread behind."""
@@ -1182,10 +1190,11 @@ class TestNumericalFailure:
             coupling = "3"
         else:
             # no field at E = 0, the bottom of the ball's Laplacian: the
-            # certificate clears no trial, and both blocks of 15 (n = 91)
-            # screen theirs on the workers
+            # certificate clears no trial, and the three blocks of 2 b + 7
+            # trials (b = 77 at n = 91) screen theirs on the workers
+            b = block_trials(HamiltonianSpec(line, 2), enumerate_ball((1, 0), 6, line))
             experiment = {"kind": "event", "event": "singular", "center": [1, 0], "radius": 6,
-                          "energy": 0.0, "trials": 30}
+                          "energy": 0.0, "trials": 2 * b + 7}
             coupling = "0"
         path = write_config(tmp_path / "c.json", base_config(out, [experiment], particles=2))
         alive = threading.active_count()

@@ -233,19 +233,26 @@ class TestSingularBlockOracle:
         assert 0 < sum(flags) < len(flags)
         assert sum(perturbed) > 0.8 * len(perturbed)
 
-    def test_block_size_does_not_divide_the_count(self, line):
-        # 91 members give blocks of 15: 37 trials end on a block of 7
+    def test_block_size_does_not_divide_the_count(self, line, block_trials):
+        # 91 members give blocks of b = 77: 2 b + 7 trials end on a block of 7
         setup = self._sweep_setup(line, 3.0)
-        seeds = [derive_seed(41, "trial", t) for t in range(37)]
+        b = block_trials(setup.ham_spec(), enumerate_ball(setup.center, setup.radius, line))
+        assert b == 77
+        count = 2 * b + 7
+        seeds = [derive_seed(41, "trial", t) for t in range(count)]
         reports = self._check(setup, seeds, 0.0)
-        est = estimate_event_probability(setup, "singular", 37, 41, energy=0.0)
+        est = estimate_event_probability(setup, "singular", count, 41, energy=0.0)
         assert est.successes == sum(not r.non_singular for r in reports)
+        assert singular_trials(setup, 0.0, seeds).blocks == 3
 
     @pytest.mark.parametrize("count", [1, 15, 16, 37])
-    def test_one_call_over_every_block(self, line, count):
-        # 91 members give blocks of 15: one partial block, one full, a full
-        # and a single, two full and a partial
+    def test_one_call_over_every_block(self, line, monkeypatch, block_trials, count):
+        # a budget of 15 trials' bands gives blocks of 15: one partial
+        # block, one full, a full and a single, two full and a partial
         setup = self._sweep_setup(line, 3.0)
+        ball = enumerate_ball(setup.center, setup.radius, line)
+        monkeypatch.setattr(msa, "BLOCK_BAND_DOUBLES", 15 * len(ball) * (3 * 12 + 1))
+        assert block_trials(setup.ham_spec(), ball) == 15
         seeds = [derive_seed(43, "trial", t) for t in range(count)]
         region = setup.region()
         run = block_non_singularity(setup.ham_spec(), region,
@@ -362,12 +369,13 @@ class TestGapCertificateInTheBlock:
 
 class TestBlockPool:
     """The blocks decided on a pool of threads give what one thread gives,
-    and each block's screen runs on its worker."""
+    and each block's screen runs on its worker.  Each test runs 2 b + 7
+    trials over blocks of b, so more than one worker takes a block."""
 
     @staticmethod
     def _inside_the_spectrum(line):
         # near-zero disorder at an eigenvalue of the field-free operator:
-        # the certificate clears 18 of these 60 trials, and every block
+        # the certificate clears 56 of the 161 trials, and every block
         # holds a trial it did not clear
         setup = TestSingularBlockOracle._sweep_setup(line, 3e-4)
         ball = enumerate_ball(setup.center, setup.radius, line)
@@ -375,6 +383,12 @@ class TestBlockPool:
         free = diagonal_gather(replace(spec, coupling=0.0), ball, region)(
             np.zeros((1, len(region))))
         return setup, float(stacked_eigenvalues(hopping_template(spec, ball), free)[0, 45])
+
+    @staticmethod
+    def _seeds(block_trials, setup, key):
+        ball = enumerate_ball(setup.center, setup.radius, setup.geometry)
+        return [derive_seed(key, "trial", t)
+                for t in range(2 * block_trials(setup.ham_spec(), ball) + 7)]
 
     @staticmethod
     def _run(monkeypatch, workers, setup, energy, seeds):
@@ -392,8 +406,7 @@ class TestBlockPool:
         )
 
     @pytest.mark.parametrize("case", ["sweep", "inside", "split"])
-    def test_one_worker_and_three_agree(self, line, monkeypatch, case):
-        seeds = [derive_seed(44, "trial", t) for t in range(60)]
+    def test_one_worker_and_three_agree(self, line, monkeypatch, block_trials, case):
         energy = 0.0
         if case == "sweep":
             setup = TestSingularBlockOracle._sweep_setup(line, 3.0)
@@ -402,19 +415,57 @@ class TestBlockPool:
         else:
             setup = replace(TestSingularBlockOracle._sweep_setup(line, 12.0),
                             center=(20, 0), radius=3)
+        seeds = self._seeds(block_trials, setup, 44)
         serial = self._run(monkeypatch, 1, setup, energy, seeds)
         pooled = self._run(monkeypatch, 3, setup, energy, seeds)
         assert self._fingerprint(pooled) == self._fingerprint(serial)
+        assert serial.blocks == 3
+        # blocks of 77 at n = 91, 243 on the split ball (n = 49)
         cleared = sum(r.cleared for r in serial.reports)
-        assert {"sweep": cleared == 60, "inside": cleared == 18, "split": cleared == 0}[case]
+        assert (len(seeds), cleared) == {"sweep": (161, 160), "inside": (161, 56),
+                                         "split": (493, 0)}[case]
         if case == "inside":
-            assert serial.cholesky_fallback_blocks == serial.blocks == 4
+            assert serial.cholesky_fallback_blocks == serial.blocks
 
-    def test_the_screen_runs_on_the_workers(self, line, monkeypatch):
+    @pytest.mark.parametrize("case", ["plane", "three particles"])
+    def test_big_balls_stack_their_trials(self, line, plane, monkeypatch, block_trials, case):
+        # blocks sized by band bytes stack trials on balls where n^2 dense
+        # bytes gave one trial a block: fewer band calls than trials
+        if case == "plane":
+            setup = replace(TestSingularBlockOracle._sweep_setup(plane, 3.0),
+                            center=((1, 0), (0, 0)), radius=2)
+        else:
+            setup = replace(TestSingularBlockOracle._sweep_setup(line, 3.0),
+                            params=ScalingParams.finite_range(3, initial_scale=6),
+                            center=(9, 5, 0), radius=3)
+        ball = enumerate_ball(setup.center, setup.radius, setup.geometry)
+        b = block_trials(setup.ham_spec(), ball)
+        assert (len(ball), b) == {"plane": (133, 12), "three particles": (280, 6)}[case]
+        seeds = self._seeds(block_trials, setup, 46)
+        calls, routine = [], spectral.lapack_routine
+
+        def counted(name):
+            found = routine(name)
+            if found is None or name not in ("dpbtrf", "dgbsv"):
+                return found
+            return lambda *args: (calls.append(name), found(*args))[1]
+
+        monkeypatch.setattr(spectral, "lapack_routine", counted)
+        runs = []
+        for workers in (1, 3):
+            calls.clear()
+            runs.append(self._run(monkeypatch, workers, setup, 0.0, seeds))
+            if spectral.lapack_band():
+                assert 0 < calls.count("dpbtrf") < len(seeds)
+                assert 0 < calls.count("dgbsv") < len(seeds)
+        assert self._fingerprint(runs[1]) == self._fingerprint(runs[0])
+        assert runs[0].blocks == -(-len(seeds) // b)
+
+    def test_the_screen_runs_on_the_workers(self, line, monkeypatch, block_trials):
         # every block holds a trial the certificate leaves, and each block
         # screens its own on the worker that took it
         setup, energy = self._inside_the_spectrum(line)
-        seeds = [derive_seed(44, "trial", t) for t in range(60)]
+        seeds = self._seeds(block_trials, setup, 44)
         serial = self._run(monkeypatch, 1, setup, energy, seeds)
         threads, original = [], msa.stacked_eigenvalues
 
@@ -427,8 +478,9 @@ class TestBlockPool:
         assert threads and threading.main_thread() not in threads
         assert self._fingerprint(pooled) == self._fingerprint(serial)
 
-    def test_an_asymmetric_template_raises_from_a_worker(self, line, monkeypatch):
+    def test_an_asymmetric_template_raises_from_a_worker(self, line, monkeypatch, block_trials):
         setup = TestSingularBlockOracle._sweep_setup(line, 3.0)
+        seeds = self._seeds(block_trials, setup, 45)
         threads, certificate = [], msa.GapCertificate
 
         def skewed(spec, ball):
@@ -445,7 +497,7 @@ class TestBlockPool:
         monkeypatch.setattr(msa, "GapCertificate", spy)
         alive = threading.active_count()
         with pytest.raises(ValueError, match="asymmetry"):
-            self._run(monkeypatch, 3, setup, 0.0, [derive_seed(45, "trial", t) for t in range(60)])
+            self._run(monkeypatch, 3, setup, 0.0, seeds)
         assert threads and threading.main_thread() not in threads
         assert threading.active_count() == alive
 

@@ -366,10 +366,20 @@ class TestGapCertificate:
                 assert np.max(np.abs(band - reference)) <= (4 * eps + n * ref_eps) * norm**2
         assert widths == self.WIDTHS
 
-    def test_slots_past_a_matrix_edge_are_zero(self, line, plane, path_graph):
+    def test_slots_past_a_matrix_edge_are_zero(self, line, plane, path_graph, monkeypatch):
         """A stack of bands is read as the band of one block-diagonal
         matrix, so every slot that lies past a matrix's first or last row,
-        where it would couple the matrix to its neighbour, holds exactly 0."""
+        where it would couple the matrix to its neighbour, holds exactly 0.
+        Both stacks share one buffer: the bands each routine receives hold
+        those zeros after the other stack has filled the buffer."""
+        received = []
+
+        def spy(name, *args):
+            received.append((name, np.array(args[3 if name == "dpbtrf" else 4])))
+            return call(name, *args)
+
+        call = spectral._lapack_call
+        monkeypatch.setattr(spectral, "_lapack_call", spy)
         for op, rng in self._operators(line, plane, path_graph):
             n = op.n
             certificate = GapCertificate(template_of(op), 2)
@@ -377,11 +387,44 @@ class TestGapCertificate:
             square = certificate._square_band
             past = j + np.arange(square.shape[1]) >= n
             assert not np.any(square[past])
-            h = np.tile(np.diag(op.matrix), (2, 1))
-            assert not np.any(certificate.square(h, float(rng.normal()))[:, past])
             hop = certificate._hop_band
             row = j + np.arange(hop.shape[1]) - 2 * kd
-            assert not np.any(hop[(row < 0) | (row >= n)])
+            outside = (row < 0) | (row >= n)
+            assert not np.any(hop[outside])
+            h = np.tile(np.diag(op.matrix), (2, 1))
+            energy = float(rng.normal())
+            received.clear()
+            for _ in range(2):
+                certificate.green_columns(h, energy + 1e-3 * op.norm_bound(), 0)
+                assert not np.any(certificate.square(h, energy)[:, past])
+                certificate(h, energy)
+            if spectral.lapack_band():
+                assert {name for name, _ in received} == {"dpbtrf", "dgbsv"}
+            for name, band in received:
+                assert not np.any(band[:, past] if name == "dpbtrf" else band[:, outside])
+
+    def test_one_buffer_serves_both_stacks(self, line, plane, path_graph):
+        """The certificate's flags and Green columns, each computed after
+        the other stack has written the shared buffer, equal a fresh
+        certificate's bit for bit."""
+        flags = []
+        for op, rng in self._operators(line, plane, path_graph):
+            template, n = template_of(op), op.n
+            vals = eigenvalues_of(op)
+            shared = GapCertificate(template, 3)
+            for k in (3, 2, 3):
+                h = np.diag(op.matrix) + rng.normal(scale=0.1, size=(k, n))
+                energy = float(vals[rng.integers(n)])
+                source = int(rng.integers(n))
+                cleared = shared(h, energy)
+                g = shared.green_columns(h, energy + 1e-3 * op.norm_bound(), source)
+                fresh = GapCertificate(template, 3)
+                assert cleared.tolist() == fresh(h, energy).tolist()
+                fresh = GapCertificate(template, 3)
+                solved = fresh.green_columns(h, energy + 1e-3 * op.norm_bound(), source)
+                assert g.tobytes() == solved.tobytes()
+                flags += cleared.tolist()
+        assert 0 < sum(flags) < len(flags)
 
     def test_green_columns_match_a_dense_solve(
         self, line, plane, path_graph, monkeypatch, residual_ratios
