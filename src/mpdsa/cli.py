@@ -43,15 +43,14 @@ from .experiments import (
     event_input_error,
     evc_experiment,
     min_event_trials,
+    predicates_trials,
     run_scaling_audit,
     trial_seeds,
 )
 from .msa import (
     blas_thread_setter,
     check_param_constraints,
-    predicate_report,
     usable_cpus,
-    verify_implications,
 )
 from .runconfig import (
     MAX_MAGNITUDE,
@@ -276,13 +275,11 @@ def cmd_predicates(raw: dict, writer: RunWriter, args) -> int:
             raise ConfigError(f"sub-scale {sub_scale} must be below radius {setup.radius}")
         plans.append((exp, setup, sub_scale))
     for idx, (exp, setup, sub_scale) in enumerate(plans):
-        trials = _trials(exp, args)
         energies = exp.get("energies", [0.0])
-        for t, ctx in enumerate(setup.contexts(trial_seeds(seed, trials))):
-            for energy in energies:
-                rep = predicate_report(
-                    ctx, setup.center, setup.radius, energy, sub_scale
-                )
+        trials = predicates_trials(setup, trial_seeds(seed, _trials(exp, args)), energies,
+                                   sub_scale, grid_stride=exp.get("grid_stride"))
+        for t, (reps, res) in enumerate(trials):
+            for energy, rep in zip(energies, reps):
                 rows.append(
                     [
                         idx,
@@ -302,9 +299,6 @@ def cmd_predicates(raw: dict, writer: RunWriter, args) -> int:
                 records.append(
                     {"experiment": idx, "trial": t, **rep.to_jsonable()}
                 )
-            res = verify_implications(
-                ctx, setup.center, setup.radius, sub_scale, grid_stride=exp.get("grid_stride")
-            )
             total_violations += len(res.violations)
             violation_rows += [_violation_row(idx, t, v) for v in res.violations]
             diagnostics.append({"experiment": idx, "trial": t, **res.counters})

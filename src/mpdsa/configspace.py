@@ -237,6 +237,12 @@ def config_neighbors(x, geometry: LatticeGeometry) -> list:
 # -- balls ---------------------------------------------------------------
 
 
+def _narrowest_int(largest: int) -> np.dtype:
+    """The narrowest signed integer dtype that holds 0 .. ``largest``."""
+    # -largest - 1 is negative, so the type found is signed
+    return np.min_scalar_type(-largest - 1)
+
+
 @dataclass(frozen=True)
 class Ball:
     """All sector configurations within ``radius`` of ``center``.
@@ -300,26 +306,32 @@ class Ball:
 
     @cached_property
     def pairwise_distances(self) -> np.ndarray:
-        """Configuration distances between all member pairs.
+        """Configuration distances between all member pairs, in the
+        narrowest signed integer dtype that holds the ball's diameter
+        (int8 up to 127): the array lives as long as the cached ball.
 
         Cheap Chebyshev formula on canonical coordinates for the 1D sector,
-        one coordinate at a time into one int64 array; matching-minimized
-        elsewhere.
+        one coordinate at a time, each shifted to start at 0 so that its
+        differences fit the dtype; matching-minimized elsewhere.
         """
         n = len(self.members)
-        out = np.zeros((n, n), dtype=np.int64)
         if self._is_1d_sector:
-            for col in self.member_array.T:
+            cols = self.member_array.reshape(n, -1).T
+            cols = cols - cols.min(axis=1, keepdims=True)
+            dtype = _narrowest_int(int(cols.max()))
+            out = np.zeros((n, n), dtype=dtype)
+            for col in cols.astype(dtype):
                 diff = np.subtract.outer(col, col)
                 np.maximum(out, np.abs(diff, out=diff), out=out)
             return out
+        out = np.zeros((n, n), dtype=np.int64)
         g = self.geometry
         for i in range(n):
             for j in range(i + 1, n):
                 out[i, j] = out[j, i] = config_distance(
                     self.members[i], self.members[j], g
                 )
-        return out
+        return out.astype(_narrowest_int(int(out.max(initial=0))))
 
     @cached_property
     def _sector_moves(self):

@@ -26,10 +26,12 @@ from .msa import (
     BlockReports,
     BoundSchedule,
     ScalingParams,
+    audit_spectra,
     block_non_singularity,
     energy_grid,
     is_m_tunneling,
     ns_flags,
+    predicate_report,
     run_pinned,
     verify_implications,
 )
@@ -221,6 +223,50 @@ def estimate_event_probability(
     est = ProbabilityEstimate.from_counts(sum(not r.non_singular for r in run.reports), trials)
     return replace(est, cleared=sum(r.cleared for r in run.reports), blocks=run.blocks,
                    cholesky_fallback_blocks=run.cholesky_fallback_blocks)
+
+
+# -- predicates ----------------------------------------------------------------
+
+
+def predicates_trials(setup: TrialSetup, seeds, energies, sub_scale: int,
+                      grid_stride: int | None = None):
+    """For each trial seed of the sequence ``seeds``, the setup ball's
+    ``predicate_report`` at each of ``energies`` and its
+    ``verify_implications`` result: the trial loop of ``mpdsa predicates``.
+
+    A trial's dense solves, the ball's ``eigh`` and the spectra of its
+    grid and CNR sub-balls (``msa.audit_spectra``), are one task list
+    (``AuditContext.solve``).  Trial t + 1's list runs on the pool while
+    the calling thread writes trial t's reports, one trial ahead: first
+    the ball's ``eigh`` beside the reports, then the sub-ball spectra,
+    their operators assembled once trial t is reported and freed.  Trial
+    t's m-localization runs before, alone: its n x n temporaries would
+    otherwise sit beside the ``eigh`` and its workspace, and the two
+    slow each other down.  Each report is that of the trial on its own.
+    """
+    center, radius = setup.center, setup.radius
+
+    def solve(ctx, main=None):
+        spectra = audit_spectra(ctx.params, ctx.ball(center, radius), sub_scale, grid_stride)
+        ctx.solve(center, radius, spectra, main=main)
+
+    def reports(ctx):
+        return ([predicate_report(ctx, center, radius, e, sub_scale) for e in energies],
+                verify_implications(ctx, center, radius, sub_scale, grid_stride=grid_stride))
+
+    solved = []  # the last trial solved, until it is reported
+    for ctx in setup.contexts(seeds):
+        if solved:
+            solved[0].m_loc(center, radius)
+            done = []
+            # the pop leaves reports() the only reference to trial t
+            solve(ctx, main=lambda: done.append(reports(solved.pop())))
+            yield done.pop()
+        else:
+            solve(ctx)
+        solved.append(ctx)
+    if solved:
+        yield reports(solved.pop())
 
 
 # -- scaling audit -----------------------------------------------------------
@@ -473,8 +519,9 @@ def propagator_sups(es: EigenSystem | EigenRows, pairs, t_grid=None, beside=None
 
     ``beside``, a zero-argument callable, runs once on the calling thread
     while the workers take the blocks (``run_pinned``'s ``main``): one
-    worker fewer takes them, and where no worker would, the calling thread
-    runs the blocks first, then ``beside``.
+    worker fewer takes them, and the calling thread takes those left once
+    ``beside`` has returned; where no worker would start, the calling
+    thread runs the blocks first, then ``beside``.
     """
     if t_grid is None:
         t_grid = default_time_grid()

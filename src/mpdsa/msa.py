@@ -415,62 +415,92 @@ def pool_size() -> int:
     return usable_cpus() if blas_thread_setter() is not None else 1
 
 
-def run_pinned(tasks, main=None) -> list:
+def run_pinned(tasks, main=None, more=None) -> list:
     """The results of the zero-argument callables ``tasks``, in order,
     after running them beside ``main``.
 
     ``pool_size()`` threads work at once.  With ``main``, the calling
     thread runs it beside up to ``pool_size() - 1`` worker threads that
-    take the tasks; without it, the calling thread waits on up to
-    ``pool_size()`` workers.  Each worker runs its BLAS calls on one
-    thread (``blas_thread_setter``), as ``cli.main`` sets the calling
-    thread, so results do not depend on the thread that computed them.
-    Where fewer than two threads would work, the calling thread runs the
-    tasks, then ``main``, and no thread starts.
+    take the tasks.  Then it runs ``more``, a zero-argument callable, if
+    given: the tasks it returns join the queue behind ``tasks``, and their
+    results follow.  Then the calling thread takes tasks from the queue
+    too; a worker that finds the queue empty stops, so ``more``'s tasks
+    go to the workers still running and the calling thread.  Without
+    ``main``, the calling thread waits on up to ``pool_size()`` workers.
+    Every thread runs its BLAS calls on one thread (``blas_thread_setter``),
+    as ``cli.main`` sets the calling thread, so results do not depend on
+    the thread that computed them; the calling thread gets its previous
+    count back once the workers are joined.  Where fewer than two
+    threads would work, the calling thread runs the tasks, then ``main``,
+    then ``more``'s tasks, and no thread starts.
 
     A task's exception reaches the caller with its own type (the first
     failed task's, in task order; ``main``'s before any); the tasks no
-    worker has taken are then dropped, and every worker is joined before
+    thread has taken are then dropped, and every worker is joined before
     the call returns or raises.  Tasks run off the main thread, so they
     must call nothing that keeps per-process state without a lock
     (``perfbench/layertrace.py``'s spans, say).
     """
-    tasks = list(tasks)
-    workers = min(pool_size() - (main is not None), len(tasks))
-    if workers + (main is not None) < 2:
-        results = [task() for task in tasks]
-        if main is not None:
-            main()
-        return results
-    results, errors = [None] * len(tasks), {}
-    # list.pop is atomic, so the workers share the queue unlocked; a worker
-    # takes no task once one has failed, nor once main has failed (cleared)
+    # list.pop is atomic, so the threads share the queue unlocked; the
+    # queue alone holds the tasks, so each is freed once it has run
     queue = list(enumerate(tasks))[::-1]
+    del tasks
+    results, errors = [None] * len(queue), {}
+    workers = min(pool_size() - (main is not None), len(queue))
 
+    def run_main():
+        main()
+        if more is not None:
+            added = list(enumerate(more(), len(results)))
+            results.extend([None] * len(added))
+            queue[:0] = added[::-1]
+
+    def run_queue():
+        while queue:
+            k, task = queue.pop()
+            results[k] = task()
+
+    if workers + (main is not None) < 2:
+        run_queue()
+        if main is not None:
+            run_main()
+            run_queue()
+        return results
+
+    # a thread takes no task once one has failed, nor once main has failed
+    # (cleared)
     def work():
-        blas_thread_setter()(1)
         while queue and not errors:
             try:
                 k, task = queue.pop()
-            except IndexError:  # another worker took the last task
+            except IndexError:  # another thread took the last task
                 return
             try:
                 results[k] = task()
             except BaseException as exc:  # raised again on the calling thread
                 errors[k] = exc
 
-    threads = [threading.Thread(target=work) for _ in range(workers)]
+    def pinned_work():
+        blas_thread_setter()(1)
+        work()
+
+    # the count a worker sets reaches the calling thread too (numpy 2.4's
+    # OpenBLAS 0.3.31), so the caller's is read before any worker starts
+    previous = blas_thread_setter()(1)
+    threads = [threading.Thread(target=pinned_work) for _ in range(workers)]
     for thread in threads:
         thread.start()
     try:
         if main is not None:
-            main()
+            run_main()
+            work()
     except BaseException:
         queue.clear()
         raise
     finally:
         for thread in threads:
             thread.join()
+        blas_thread_setter()(previous)
     if errors:
         raise errors[min(errors)]
     return results
@@ -488,7 +518,9 @@ class AuditContext:
     m-tunneling reports for one (spec, sample) pair.
 
     One rule fixes every value: ``spectrum`` is always the values-only
-    solve and ``eigensystem`` always ``eigh``, whichever was asked first.
+    solve and ``eigensystem`` always ``eigh``, whichever was asked first,
+    and whether the value was solved alone on the calling thread or with
+    others on ``run_pinned``'s workers (``solve``).
     When a ball's centre splits into groups farther apart than twice the
     radius and the cross interaction over the gap is at most ``SPLIT_TOL``,
     its spectral data are assembled from the factor balls' instead of a
@@ -507,24 +539,57 @@ class AuditContext:
     def ball(self, center, radius: int) -> Ball:
         return enumerate_ball(center, radius, self.spec.geometry)
 
-    def eigensystem(self, center, radius: int, beside=()) -> EigenSystem:
+    def eigensystem(self, center, radius: int) -> EigenSystem:
         """The ball's eigensystem (``eigh``), computed once per (centre,
-        radius).  For a ball that does not factor, the calling thread
-        computes the spectra of the (centre, radius) pairs ``beside`` while
-        a worker runs the bare eigensolve (``run_pinned``)."""
+        radius)."""
         key = (tuple(center), radius)
         es = self._systems.get(key)
         if es is None:
             parts = factor_centers(self.spec, center, radius)
             if parts is not None:
                 es = eigensystem_from_factors(*(self.eigensystem(p, radius) for p in parts))
-            elif beside:
-                solve = diagonalization(self._operator(self.ball(center, radius)))
-                (es,) = run_pinned([solve], main=lambda: [self.spectrum(*b) for b in beside])
             else:
                 es = diagonalize(self._operator(self.ball(center, radius)))
             self._systems[key] = es
         return es
+
+    def solve(self, center, radius: int, spectra=(), main=None) -> None:
+        """Caches the ball's eigensystem and the spectrum of each (centre,
+        radius) pair of ``spectra``, their dense solves run as one task
+        list on ``run_pinned``'s pool, beside ``main`` if given.
+
+        The calling thread enumerates the balls and assembles their
+        operators, so the tasks are bare kernels: the ball's ``eigh``
+        (``spectral.diagonalization``), then ``eigenvalues_of`` of the
+        sub-balls, largest first.  With ``main`` the sub-ball operators
+        are assembled once ``main`` has returned (``run_pinned``'s
+        ``more``), so they are never alive beside what ``main`` holds.  A
+        ball that factors is left to ``eigensystem`` and ``spectrum``, which
+        assemble it from its factor balls when asked.  Solves already
+        cached are not repeated, so every value is the one ``eigensystem``
+        or ``spectrum`` would give on its own."""
+        systems = self._unsolved([(center, radius)], self._systems)
+        values = self._unsolved(spectra, self._spectra)
+
+        def values_only():
+            return [functools.partial(eigenvalues_of, self._operator(self.ball(*key)))
+                    for key in values]
+
+        tasks = [diagonalization(self._operator(self.ball(*key))) for key in systems]
+        if main is None:
+            results = run_pinned(tasks + values_only())
+        else:
+            results = run_pinned(tasks, main=main, more=values_only)
+        self._systems.update(zip(systems, results))
+        self._spectra.update(zip(values, results[len(systems):]))
+
+    def _unsolved(self, pairs, cache: dict) -> list:
+        """The (centre, radius) keys of ``pairs`` that ``cache`` lacks and
+        whose balls do not factor, without repeats, largest ball first."""
+        keys = dict.fromkeys((tuple(c), r) for c, r in pairs)
+        return sorted((key for key in keys
+                       if key not in cache and factor_centers(self.spec, *key) is None),
+                      key=lambda key: len(self.ball(*key)), reverse=True)
 
     def eigen_rows(self, center, radius: int, indices) -> EigenRows:
         """Every eigenvalue of the ball, with its eigenvectors' entries at
@@ -884,7 +949,9 @@ def _log_excess_bounds(log_vecs, peaks, dmat, rmin: int, rate: float, floors) ->
     # prof[j, r]: max log amplitude of eigenfunction j at distance r from
     # its peak, then the suffix maximum over distances >= r
     prof = np.full(n * R, -np.inf)
-    keys = np.take(dmat, peaks, axis=1)
+    # in intp: the distances come in their narrowest dtype, and an in-place
+    # add of the offsets into it would wrap around silently
+    keys = np.take(dmat, peaks, axis=1).astype(np.intp)
     keys += np.arange(n) * R
     # 1-D operands take numpy's fast path; the maximum ignores the order
     np.maximum.at(prof, keys.ravel(), log_vecs.ravel())
@@ -1074,7 +1141,8 @@ def predicate_report(
 ) -> PredicateReport:
     params = ctx.params
     ball = ctx.ball(center, radius)
-    es = ctx.eigensystem(center, radius, beside=cnr_subballs(params, ball))
+    ctx.solve(center, radius, cnr_subballs(params, ball))
+    es = ctx.eigensystem(center, radius)
     nr = is_E_NR(es, energy, params)
     cnr, res_witness = is_E_CNR(ctx, ball, energy)
     ns = is_EmNS(es, energy, params)
@@ -1140,21 +1208,35 @@ def energy_grid(spectra) -> np.ndarray:
     return _sorted_distinct(np.concatenate([vals, mids]))
 
 
+def _grid_balls(ball: Ball, sub_scale: int, grid_stride: int | None):
+    """(stride grid, grid sub-balls as (centre, radius)) of an implication
+    audit of the ball: sub-balls of radius ``sub_scale`` on a stride grid
+    (default stride = sub-scale)."""
+    stride = grid_stride if grid_stride is not None else max(1, sub_scale)
+    sub_grid = ball.stride_grid(stride, ball.radius - sub_scale)
+    return sub_grid, [(c, sub_scale) for c in sub_grid.centers]
+
+
+def audit_spectra(params: ScalingParams, ball: Ball, sub_scale: int,
+                  grid_stride: int | None) -> list:
+    """The sub-balls whose spectra an implication audit of the ball reads:
+    its grid sub-balls, then its ``cnr_subballs``."""
+    return _grid_balls(ball, sub_scale, grid_stride)[1] + cnr_subballs(params, ball)
+
+
 def _audit_grid(ctx: AuditContext, center, radius: int, sub_scale: int, grid_stride: int | None):
     """(eigensystem, stride grid, energy grid, NR flags, CNR flags) of an
     implication audit of the ball.
 
-    Grid sub-balls of radius ``sub_scale`` sit on a stride grid (default
-    stride = sub-scale); the energy grid is the union of their spectra plus
+    The energy grid is the union of the grid sub-balls' spectra plus
     midpoints, or of the ball's own spectrum when no grid sub-ball fits.
-    The ball's eigensystem is solved beside the spectra of the grid and
-    CNR sub-balls.
+    The ball's eigensystem and every spectrum of ``audit_spectra`` are
+    solved as one task list (``AuditContext.solve``).
     """
     ball = ctx.ball(center, radius)
-    stride = grid_stride if grid_stride is not None else max(1, sub_scale)
-    sub_grid = ball.stride_grid(stride, radius - sub_scale)
-    grid_balls = [(c, sub_scale) for c in sub_grid.centers]
-    es = ctx.eigensystem(center, radius, beside=grid_balls + cnr_subballs(ctx.params, ball))
+    sub_grid, grid_balls = _grid_balls(ball, sub_scale, grid_stride)
+    ctx.solve(center, radius, audit_spectra(ctx.params, ball, sub_scale, grid_stride))
+    es = ctx.eigensystem(center, radius)
     spectra = [ctx.spectrum(c, r) for c, r in grid_balls]
     grid = energy_grid(spectra or [es.eigenvalues])
     _, first = _first_resonant(ctx, ball, grid)

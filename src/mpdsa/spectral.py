@@ -344,10 +344,10 @@ def diagonalize(op: OperatorMatrix) -> EigenSystem:
 
 def diagonalization(op: OperatorMatrix):
     """``diagonalize`` in two steps: the symmetry check runs now, and the
-    returned callable runs the bare ``np.linalg.eigh`` and wraps its
-    result, so it can run on another thread."""
+    returned callable runs the bare ``eigh`` and wraps its result, so it
+    can run on another thread."""
     matrix = _symmetric_part(op)
-    return lambda: EigenSystem(op, *np.linalg.eigh(matrix))
+    return lambda: EigenSystem(op, *eigh(matrix))
 
 
 @dataclass(frozen=True)
@@ -390,6 +390,7 @@ LAPACK_ARGUMENTS = {
     "dormtr": "ccciiaiaaiai",  # side uplo trans m n a lda tau c ldc work lwork
     "dpbtrf": "ciiai",  # uplo n kd ab ldab
     "dgbsv": "iiiiaiaai",  # n kl ku nrhs ab ldab ipiv b ldb
+    "dsyevd": "cciaiaaiai",  # jobz uplo n a lda w work lwork iwork liwork
 }
 _INT = ctypes.POINTER(ctypes.c_int64)
 
@@ -440,6 +441,67 @@ def _workspace(name: str, *args) -> np.ndarray:
     return np.empty(int(query[0]))
 
 
+def _dsyevd(jobz: str, matrix: np.ndarray) -> tuple:
+    """``dsyevd`` on the lower triangle of a copy of the symmetric
+    ``matrix``, with the workspace its own query asks for, as
+    ``np.linalg.eigh`` (JOBZ = 'V') and ``eigvalsh`` (JOBZ = 'N') call it:
+    (ascending eigenvalues, the copy, which holds the eigenvectors as
+    columns in Fortran order for 'V').  A solve that fails to converge
+    raises ``np.linalg.LinAlgError``, as theirs does."""
+    n = len(matrix)
+    a = np.array(matrix, dtype=np.float64, order="F")
+    values = np.empty(n)
+    iquery = np.empty(1, dtype=np.int64)
+    work = _workspace("dsyevd", jobz, "L", n, a, max(n, 1), values, None, -1, iquery, -1)
+    iwork = np.empty(int(iquery[0]), dtype=np.int64)
+    info = _lapack_call("dsyevd", jobz, "L", n, a, max(n, 1), values, work, len(work),
+                        iwork, len(iwork))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevd did not converge (info {info})")
+    return values, a
+
+
+def _transpose_in_place(a: np.ndarray, block: int = 64) -> None:
+    """Transposes the square array ``a`` in place, a block pair at a time,
+    so no second n x n array is made."""
+    n = len(a)
+    for i in range(0, n, block):
+        diagonal = a[i : i + block, i : i + block]
+        diagonal[...] = diagonal.T.copy()
+        for j in range(i + block, n, block):
+            upper = a[i : i + block, j : j + block].copy()
+            a[i : i + block, j : j + block] = a[j : j + block, i : i + block].T
+            a[j : j + block, i : i + block] = upper.T
+
+
+def eigh(matrix: np.ndarray) -> tuple:
+    """``np.linalg.eigh`` of a symmetric matrix, bit for bit: the same
+    ``dsyevd`` call (``_dsyevd``) on its own copy of the matrix, which then
+    becomes the C-ordered eigenvector array (``_transpose_in_place``).  So
+    the solve needs one n x n array and the 2 n^2 workspace besides the
+    input, where ``np.linalg.eigh`` needs two, and it releases the GIL as
+    ``eigh`` does.  Where the routine is missing, ``np.linalg.eigh`` runs.
+    """
+    if lapack_routine("dsyevd") is None:
+        return np.linalg.eigh(matrix)
+    values, a = _dsyevd("V", matrix)
+    vectors = a.T  # C-ordered view of the Fortran-ordered columns: V^T
+    _transpose_in_place(vectors)
+    return values, vectors
+
+
+def eigvalsh(matrix: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh`` of a symmetric matrix, bit for bit: the same
+    ``dsyevd`` call (``_dsyevd``).  ``np.linalg.eigvalsh`` holds the GIL
+    for its whole run on one matrix of up to about 500 rows, while this
+    ctypes call releases it, so values-only solves on ``msa.run_pinned``'s
+    workers run beside the calling thread's Python.  Where the routine is
+    missing, ``np.linalg.eigvalsh`` runs."""
+    if lapack_routine("dsyevd") is None:
+        return np.linalg.eigvalsh(matrix)
+    return _dsyevd("N", matrix)[0]
+
+
 # dsyevd scales a matrix whose largest entry lies outside [2^-485, 2^485]
 # (sqrt of safe minimum / eps, and its inverse) before it reduces it
 DSYEVD_UNSCALED = (2.0**-485, 2.0**485)
@@ -488,8 +550,9 @@ def diagonalize_rows(op: OperatorMatrix, indices) -> EigenRows:
 
 def eigenvalues_of(op: OperatorMatrix) -> np.ndarray:
     """Ascending eigenvalues of a symmetric operator matrix, without the
-    eigenvectors: the same checks as ``diagonalize``, then ``eigvalsh``."""
-    return np.linalg.eigvalsh(_symmetric_part(op))
+    eigenvectors: the same checks as ``diagonalize``, then ``eigvalsh``,
+    which releases the GIL while it solves."""
+    return eigvalsh(_symmetric_part(op))
 
 
 def stacked_eigenvalues(template: OperatorMatrix, diagonals: np.ndarray) -> np.ndarray:

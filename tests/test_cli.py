@@ -1046,14 +1046,14 @@ class TestSchemaBounds:
 class TestNumericalFailure:
     def test_a_nan_eigenvector_entry_exits_3(self, tmp_path, monkeypatch):
         """A NaN boundary Green value is a numerical failure, never a flag."""
-        eigh = np.linalg.eigh
+        eigh = spectral.eigh
 
         def with_nan(matrix):
             values, vectors = eigh(matrix)
             vectors[0, 0] = np.nan
             return values, vectors
 
-        monkeypatch.setattr(np.linalg, "eigh", with_nan)
+        monkeypatch.setattr(spectral, "eigh", with_nan)
         out = tmp_path / "out"
         cfg = base_config(
             out,
@@ -1085,14 +1085,14 @@ class TestNumericalFailure:
         self, tmp_path, monkeypatch, command, solver, part, entry, message
     ):
         """m-loc, NR and CNR decide nothing from a NaN: exit 3, nothing written."""
-        solve = getattr(np.linalg, solver)
+        solve = getattr(spectral, solver)
 
         def with_nan(matrix):
             out = solve(matrix)
             (out if part is None else out[part])[entry] = np.nan
             return out
 
-        monkeypatch.setattr(np.linalg, solver, with_nan)
+        monkeypatch.setattr(spectral, solver, with_nan)
         out = tmp_path / "out"
         experiment = (
             {"kind": "audit", "center": [1, 0], "k_max": 0, "trials": 1}

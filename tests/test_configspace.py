@@ -406,6 +406,31 @@ def long_path():
     return LatticeGeometry(kind="graph", adjacency=adj)
 
 
+class TestPairwiseDistances:
+    """``Ball.pairwise_distances`` comes in the narrowest signed integer
+    dtype that holds the ball's diameter."""
+
+    @pytest.mark.parametrize("center, radius, dtype", [
+        ((0,), 63, np.int8),  # diameter 126
+        ((0,), 64, np.int16),  # diameter 128
+        ((1000,), 3, np.int8),  # coordinates far beyond int8 range
+        ((151, 150), 6, np.int8),
+    ])
+    def test_dtype_holds_the_diameter(self, line, center, radius, dtype):
+        ball = enumerate_ball(center, radius, line)
+        dist = Ball(ball.geometry, ball.center, ball.radius, ball.members).pairwise_distances
+        arr = ball.member_array
+        assert dist.dtype == dtype
+        assert np.array_equal(dist, np.max(np.abs(arr[:, None] - arr[None]), axis=2))
+
+    def test_the_generic_loop_narrows_too(self, long_path):
+        ball = enumerate_ball(_on_path((2, 0)), 3, long_path)
+        dist = ball.pairwise_distances
+        assert dist.dtype == np.int8 and dist.max() == 6
+        assert dist.tolist() == [[config_distance(x, y, long_path) for y in ball.members]
+                                 for x in ball.members]
+
+
 class TestSectorFastPath:
     """The 1D sector's numpy geometry against the generic loops."""
 
@@ -436,7 +461,8 @@ class TestSectorFastPath:
             return
         # on an uncached copy, so that the n x n array is freed after the test
         dist = Ball(ball.geometry, ball.center, ball.radius, ball.members).pairwise_distances
-        assert dist.dtype == np.int64
+        # a diameter of at most 2 radius = 12 fits int8
+        assert dist.dtype == np.int8
         # the (n, n, N) broadcast it replaces
         arr = ball.member_array
         assert np.array_equal(dist, np.max(np.abs(arr[:, None] - arr[None]), axis=2))

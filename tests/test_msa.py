@@ -388,6 +388,22 @@ class TestLocOracle:
         with pytest.raises(FloatingPointError, match="NaN"):
             is_m_loc(replace(es, eigenvalues=values), ctx.params)
 
+    def test_the_bounds_do_not_depend_on_the_distance_dtype(self, line):
+        """The ball's distances come in int8; the keys of the profile
+        bounds reach n R = 1183 here, where an int8 sum would wrap."""
+        ctx = make_context(line, seed=1, coupling=30.0, radius=6)
+        es = ctx.eigensystem((1, 0), 6)
+        dmat = es.ball.pairwise_distances
+        assert dmat.dtype == np.int8 and len(es.ball) * (int(dmat.max()) + 1) > 127
+        vecs = np.abs(es.eigenvectors)
+        peaks = np.argmax(vecs, axis=0)
+        floors = np.maximum(ctx.params.numerical_floor, eigenvector_noise_floors(es))
+        args = (np.log(np.maximum(vecs, 1e-320)), peaks)
+        rest = (ctx.params.loc_min_distance(6), ctx.params.decay_rate(6, n=2), floors)
+        narrow = msa._log_excess_bounds(*args, dmat, *rest)
+        wide = msa._log_excess_bounds(*args, dmat.astype(np.int64), *rest)
+        assert narrow.tobytes() == wide.tobytes()
+
     def test_matching_minimized_metric(self):
         # 12-site path graph: ball distances minimize over particle matchings
         adj = tuple(tuple(v for v in (i - 1, i + 1) if 0 <= v < 12) for i in range(12))
@@ -524,14 +540,14 @@ class TestValuesOnlySpectra:
 
     def test_bench_trial_runs_one_eigh(self, line, monkeypatch):
         # the predicates-r16 benchmark trial: n = 561, sub-scale 6, three energies
-        eigh = np.linalg.eigh
+        eigh = spectral.eigh
         sizes = []
 
-        def counting(a, *args, **kwargs):
+        def counting(a):
             sizes.append(len(a))
-            return eigh(a, *args, **kwargs)
+            return eigh(a)
 
-        monkeypatch.setattr(np.linalg, "eigh", counting)
+        monkeypatch.setattr(spectral, "eigh", counting)
         ctx = make_context(line, seed=550001, coupling=30.0, radius=16)
         for energy in (0.0, 5.0, 15.0):
             predicate_report(ctx, (1, 0), 16, energy, sub_scale=6)
@@ -622,6 +638,7 @@ class TestNsBySolve:
         for module in (msa, spectral):
             monkeypatch.setattr(module, "diagonalize", None)  # any eigensolve would fail
         monkeypatch.setattr(np.linalg, "eigh", None)
+        monkeypatch.setattr(spectral, "eigh", None)
         spec, params = contexts[0].spec, contexts[0].params
         reports = block_non_singularity(spec, *stacked([c.sample for c in contexts]), (1, 0), 6,
                                         0.0, params).reports
@@ -972,3 +989,61 @@ class TestRunPinned:
             msa.run_pinned([slow(k) for k in range(40)], main=main)
         assert threading.active_count() == alive
         assert len(ran) < 40
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_more_tasks_follow_main_and_the_caller_joins(self, monkeypatch, cpus):
+        """``more`` runs on the calling thread once ``main`` has returned;
+        its tasks' results follow the tasks', and the calling thread works
+        the queue with the workers, its BLAS thread count restored after."""
+        monkeypatch.setattr(msa, "usable_cpus", lambda: cpus)
+        setter = msa.blas_thread_setter()
+        previous = None if setter is None else setter(3)
+        events = []
+
+        def task(k):
+            def run():
+                time.sleep(0.01)
+                events.append(("task", k))
+                return (k, threading.current_thread())
+            return run
+
+        def more():
+            events.append(("more", threading.current_thread()))
+            return [task(k) for k in range(4, 12)]
+
+        try:
+            results = msa.run_pinned([task(k) for k in range(4)],
+                                     main=lambda: events.append(("main", None)), more=more)
+            threads_now = None if setter is None else setter(previous)
+        finally:
+            if setter is not None:
+                setter(previous)
+        assert [k for k, _ in results] == list(range(12))
+        main_thread = threading.main_thread()
+        assert ("more", main_thread) in events
+        assert events.index(("main", None)) < events.index(("more", main_thread))
+        assert all(events.index(("task", k)) > events.index(("more", main_thread))
+                   for k in range(4, 12))
+        if msa.pool_size() > 1:
+            assert any(t is main_thread for _, t in results[4:])
+            assert any(t is not main_thread for _, t in results)
+        else:
+            # serial: the tasks, then main, then more's tasks
+            assert [e[0] for e in events[:6]] == ["task"] * 4 + ["main", "more"]
+            assert all(t is main_thread for _, t in results)
+        if setter is not None:
+            assert threads_now == 3
+
+    @pytest.mark.skipif(msa.blas_thread_setter() is None,
+                        reason="this BLAS cannot set threads per thread: no worker starts")
+    def test_an_error_in_a_task_of_more_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(msa, "usable_cpus", lambda: 2)
+
+        def fail():
+            raise ValueError("more failed")
+
+        alive = threading.active_count()
+        with pytest.raises(ValueError, match="more failed"):
+            msa.run_pinned([lambda: time.sleep(0.02)], main=lambda: None,
+                           more=lambda: [fail, lambda: None])
+        assert threading.active_count() == alive

@@ -1,7 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
-from mpdsa import spectral
+from mpdsa import msa, spectral
 from mpdsa.configspace import enumerate_ball, interior_boundary, merge_configs
 from mpdsa.disorder import FieldModel, derive_seed, sample_field
 from mpdsa.experiments import centre_pairs
@@ -111,6 +113,112 @@ class TestValuesOnlySolve:
         bad = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(ValueError):
             eigenvalues_of(OperatorMatrix(ball, bad))
+
+
+def symmetric(n, seed, scale=1.0):
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    return scale * (a + a.T)
+
+
+KERNEL_SIZES = (1, 2, 25, 26, 91, 451, 500, 501, 561, 700)
+
+
+class TestDsyevdKernels:
+    """``spectral.eigvalsh`` and ``eigh``, one ctypes ``dsyevd`` call each,
+    are ``np.linalg``'s bit for bit, with the routine found and missing."""
+
+    @pytest.fixture(params=["present", "missing"])
+    def routine(self, request, monkeypatch):
+        if request.param == "missing":
+            monkeypatch.setattr(spectral, "lapack_routine", lambda name: None)
+        return request.param
+
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    def test_values_are_eigvalshs(self, n, routine):
+        a = symmetric(n, seed=n)
+        copy = a.copy()
+        assert spectral.eigvalsh(a).tobytes() == np.linalg.eigvalsh(a).tobytes()
+        assert np.array_equal(a, copy)
+
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    def test_eigensystem_is_eighs(self, n, routine):
+        a = symmetric(n, seed=n + 1)
+        copy = a.copy()
+        values, vectors = spectral.eigh(a)
+        reference = np.linalg.eigh(a)
+        assert values.tobytes() == reference[0].tobytes()
+        assert vectors.flags.c_contiguous and vectors.tobytes() == reference[1].tobytes()
+        assert np.array_equal(a, copy)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_a_matrix_dsyevd_scales(self, scale, routine):
+        a = symmetric(91, seed=3, scale=scale)
+        assert spectral.eigvalsh(a).tobytes() == np.linalg.eigvalsh(a).tobytes()
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(spectral.eigh(a), np.linalg.eigh(a)))
+
+    def test_eigenvalues_of_the_benchmark_balls(self, line, routine):
+        # the ball and the largest and smallest CNR sub-balls of a
+        # predicates-r16 trial
+        big = benchmark_operator(line)
+        for center, radius in (((1, 0), 16), ((3, 0), 14), ((6, 0), 6)):
+            ball = enumerate_ball(center, radius, line)
+            op = big if radius == 16 else assemble_hamiltonian(
+                HamiltonianSpec(geometry=line, n_particles=2, coupling=30.0,
+                                interaction=InteractionModel(kind="step", amplitude=1.0,
+                                                             range_=2),
+                                convention="fixed"),
+                ball, sample_field(FieldModel(kind="iid", marginal="uniform"),
+                                   big.ball.projection, 550001))
+            assert eigenvalues_of(op).tobytes() == np.linalg.eigvalsh(op.matrix).tobytes()
+
+    @pytest.mark.parametrize("kernel", ["eigvalsh", "eigh"])
+    def test_a_solve_that_does_not_converge_raises(self, kernel, monkeypatch):
+        if spectral.lapack_routine("dsyevd") is None:
+            pytest.skip("no dsyevd in this LAPACK")
+        call = spectral._lapack_call
+
+        def failing(name, *args):
+            info = call(name, *args)
+            # the workspace query passes -1 as a size
+            return info if -1 in [a for a in args if isinstance(a, int)] else 5
+
+        monkeypatch.setattr(spectral, "_lapack_call", failing)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            getattr(spectral, kernel)(symmetric(25, seed=4))
+
+    @pytest.mark.skipif(msa.usable_cpus() < 2, reason="needs two usable CPUs")
+    @pytest.mark.skipif(spectral.lapack_routine("dsyevd") is None, reason="no dsyevd")
+    def test_the_values_solve_releases_the_gil(self):
+        """A second thread keeps advancing while the kernel solves a
+        451-row matrix: about 0 of its calls per solve under
+        ``np.linalg.eigvalsh``, which holds the GIL, thousands here."""
+        setter = msa.blas_thread_setter()
+        previous = None if setter is None else setter(1)
+        a = symmetric(451, seed=5)
+        small = np.ones((100, 100))
+        calls, started, stop = [0], threading.Event(), threading.Event()
+
+        def spin():
+            started.set()
+            while not stop.is_set():
+                np.abs(small)
+                calls[0] += 1
+
+        thread = threading.Thread(target=spin)
+        thread.start()
+        try:
+            assert started.wait(10)
+            before = calls[0]
+            for _ in range(5):
+                spectral.eigvalsh(a)
+            advanced = calls[0] - before
+        finally:
+            stop.set()
+            thread.join(10)
+            if previous is not None:
+                setter(previous)
+        assert not thread.is_alive()
+        assert advanced >= 100
 
 
 class TestSpectralDistances:

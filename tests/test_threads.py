@@ -2,7 +2,10 @@
 the core count or the thread a kernel ran on; errors reach the caller."""
 
 import csv
+import functools
 import gc
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -30,6 +33,7 @@ from mpdsa.msa import AuditContext, ScalingParams, predicate_report, verify_impl
 from mpdsa.operators import HamiltonianSpec, InteractionModel
 
 SRC = Path(mpdsa.__file__).resolve().parents[1]
+ROOT = Path(__file__).resolve().parents[1]
 PINNABLE = msa.blas_thread_setter() is not None
 LAPACK_ROWS = spectral.lapack_rows()
 
@@ -124,6 +128,25 @@ class TestCoreCount:
         assert pooled_es.eigenvalues.tobytes() == serial_es.eigenvalues.tobytes()
         assert pooled_es.eigenvectors.tobytes() == serial_es.eigenvectors.tobytes()
 
+    @staticmethod
+    def _pipelined(monkeypatch, cpus, seeds):
+        monkeypatch.setattr(msa, "usable_cpus", lambda: cpus)
+        setup = _setup_for(bench_config("out", PREDICATES), PREDICATES)
+        return repr(list(experiments.predicates_trials(setup, seeds, (0.0, 5.0, 15.0), 6)))
+
+    def test_the_pipelined_predicates_loop(self, monkeypatch, one_blas_thread):
+        """``experiments.predicates_trials`` gives at one, two and three
+        CPUs what one trial at a time gives, byte for byte."""
+        seeds = experiments.trial_seeds(550001, 3)
+        serial = self._pipelined(monkeypatch, 1, seeds)
+        for cpus in (2, 3):
+            assert self._pipelined(monkeypatch, cpus, seeds) == serial
+        setup = _setup_for(bench_config("out", PREDICATES), PREDICATES)
+        plain = [([predicate_report(ctx, (1, 0), 16, e, 6) for e in (0.0, 5.0, 15.0)],
+                  verify_implications(ctx, (1, 0), 16, 6))
+                 for ctx in (setup.context(seed) for seed in seeds)]
+        assert repr(plain) == serial
+
     def test_propagator_sups(self, monkeypatch, one_blas_thread):
         es = bench_context().eigensystem((1, 0), 16)
         members = es.ball.members
@@ -135,31 +158,61 @@ class TestCoreCount:
         assert values[0] == values[1]
 
 
+def layer_functions():
+    """``perfbench/layertrace.py``'s ``LAYER_FUNCTIONS``: the functions
+    its tracer wraps on one span stack, which is not thread-safe."""
+    spec = importlib.util.spec_from_file_location("layertrace", ROOT / "perfbench" / "layertrace.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.LAYER_FUNCTIONS
+
+
 class TestWhereKernelsRun:
-    def test_the_ball_eigh_runs_beside_the_traced_work(self, monkeypatch, one_blas_thread):
-        """Only the bare eigh leaves the main thread; assembly and the
-        sub-ball spectra stay on it."""
-        eigh, values, assemble = np.linalg.eigh, msa.eigenvalues_of, msa.assemble_hamiltonian
-        seen = {"eigh": [], "eigvalsh": [], "assemble": []}
+    def test_layer_functions_stay_on_the_main_thread(self, tmp_path, monkeypatch):
+        """During ``predicates`` and ``audit`` no traced layer function runs
+        off the main thread; the workers get the bare eigensolves."""
+        threads = {}
 
         def spy(name, fn):
+            @functools.wraps(fn)
             def wrapper(*args, **kwargs):
-                seen[name].append(threading.current_thread())
+                threads.setdefault(name, set()).add(threading.current_thread())
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(np.linalg, "eigh", spy("eigh", eigh))
-        monkeypatch.setattr(msa, "eigenvalues_of", spy("eigvalsh", values))
-        monkeypatch.setattr(msa, "assemble_hamiltonian", spy("assemble", assemble))
+        replaced = {}
+        for module_name, qualname in layer_functions():
+            module = importlib.import_module(f"mpdsa.{module_name}")
+            owner_name, _, attr = qualname.rpartition(".")
+            owner = getattr(module, owner_name) if owner_name else module
+            wrapped = spy(f"{module_name}.{qualname}", getattr(owner, attr))
+            if owner_name:
+                monkeypatch.setattr(owner, attr, wrapped)
+            else:
+                replaced[getattr(owner, attr)] = wrapped
+        for name, module in list(sys.modules.items()):
+            if name == "mpdsa" or name.startswith("mpdsa."):
+                for attr, value in list(vars(module).items()):
+                    if callable(value) and value in replaced:
+                        monkeypatch.setattr(module, attr, replaced[value])
+        for kernel in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(spectral, kernel, spy(kernel, getattr(spectral, kernel)))
         monkeypatch.setattr(msa, "usable_cpus", lambda: 2)
-        ctx = bench_context()
-        for energy in (0.0, 5.0, 15.0):
-            predicate_report(ctx, (1, 0), 16, energy, 6)
-        verify_implications(ctx, (1, 0), 16, 6)
+        audit = {"kind": "audit", "center": [1, 0], "k_max": 1, "trials": 2}
+        for command, experiment in (("predicates", {**PREDICATES, "trials": 3}),
+                                    ("audit", audit)):
+            config = tmp_path / f"{command}.json"
+            cfg = bench_config(tmp_path / command, experiment)
+            cfg["schedule"] = {"p": 36.0, "b": 0.05}
+            config.write_text(json.dumps(cfg))
+            assert main([command, "--config", str(config)]) in (0, 1)
         main_thread = threading.main_thread()
-        assert len(seen["eigh"]) == 1 and len(seen["eigvalsh"]) == 12
-        assert (seen["eigh"][0] is not main_thread) == PINNABLE
-        assert all(t is main_thread for t in seen["eigvalsh"] + seen["assemble"])
+        layers = {name: ran for name, ran in threads.items() if name not in ("eigh", "eigvalsh")}
+        assert {"msa.is_m_loc", "msa.verify_implications", "operators.assemble_hamiltonian",
+                "configspace.enumerate_ball"} <= layers.keys()
+        assert all(ran == {main_thread} for ran in layers.values())
+        kernels = threads["eigh"] | threads["eigvalsh"]
+        assert (kernels != {main_thread}) == PINNABLE
 
     def test_without_the_setter_no_thread_starts(self, monkeypatch, one_blas_thread):
         es = bench_context().eigensystem((1, 0), 16)
@@ -240,9 +293,11 @@ class TestDynamicsPipeline:
                 summary["max_propagator_excess"]] == excess
 
     def test_solves_stay_on_the_main_thread_and_blocks_leave_it(self, tmp_path, monkeypatch):
+        """Blocks run on the workers; the calling thread takes the blocks
+        left once its ``beside`` solve has returned."""
         solve, assemble, run_pinned = msa.diagonalize_rows, msa.assemble_hamiltonian, msa.run_pinned
-        seen = {"solve": [], "assemble": [], "block": []}
-        beside = []
+        seen = {"solve": [], "assemble": []}
+        blocks, beside = [], []
 
         def spy(name, fn):
             def wrapper(*args, **kwargs):
@@ -252,7 +307,20 @@ class TestDynamicsPipeline:
 
         def spied_run_pinned(tasks, main=None):
             beside.append(main is not None)
-            return run_pinned([spy("block", task) for task in tasks], main=main)
+            returned = [main is None]
+
+            def marked():
+                main()
+                returned[0] = True
+
+            def block(task):
+                def run():
+                    blocks.append((threading.current_thread(), returned[0]))
+                    return task()
+                return run
+
+            return run_pinned([block(task) for task in tasks],
+                              main=None if main is None else marked)
 
         monkeypatch.setattr(msa, "diagonalize_rows", spy("solve", solve))
         monkeypatch.setattr(msa, "assemble_hamiltonian", spy("assemble", assemble))
@@ -263,8 +331,11 @@ class TestDynamicsPipeline:
         assert beside == [True, True, False]
         assert len(seen["solve"]) == 3 and len(seen["assemble"]) == 3
         assert all(t is main_thread for t in seen["solve"] + seen["assemble"])
-        assert len(seen["block"]) == 9
-        assert all((t is not main_thread) == PINNABLE for t in seen["block"])
+        assert len(blocks) == 9
+        # on the calling thread only after beside; the last trial has none
+        assert all(t is not main_thread or after for t, after in blocks)
+        assert all((t is not main_thread) == PINNABLE for t, _ in blocks[-3:])
+        assert any(t is not main_thread for t, _ in blocks) == PINNABLE
 
     @pytest.mark.parametrize("setter", ["present", "missing"])
     def test_beside_runs_once_on_the_calling_thread(self, monkeypatch, one_blas_thread, setter):
@@ -365,7 +436,7 @@ class TestOneEigensystemAlive:
         eigenvector rows of the rows solve ``dynamics`` runs."""
         module, name, vectors = ((msa, "diagonalize_rows", lambda result: result.vectors)
                                  if command == "dynamics"
-                                 else (np.linalg, "eigh", lambda result: result[1]))
+                                 else (spectral, "eigh", lambda result: result[1]))
         solve = getattr(module, name)
         last = []
         alive = []
@@ -414,10 +485,14 @@ class TestManyWorkers:
         try:
             pooled = propagator_sups(es, pairs, default_time_grid(4000)).tobytes()
             order = msa.run_pinned([lambda k=k: k for k in range(200)])
+            # tasks added by more while the workers take the first ones
+            grown = msa.run_pinned([lambda k=k: k for k in range(100)], main=lambda: None,
+                                   more=lambda: [lambda k=k: k for k in range(100, 200)])
         finally:
             sys.setswitchinterval(interval)
         assert pooled == serial
         assert order == list(range(200))
+        assert grown == list(range(200))
 
 
 class TestErrors:
@@ -448,7 +523,7 @@ class TestErrors:
             threads.append(threading.current_thread())
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(np.linalg, "eigh", broken)
+        monkeypatch.setattr(spectral, "eigh", broken)
         monkeypatch.setattr(msa, "usable_cpus", lambda: 2)
         out = tmp_path / "out"
         config = tmp_path / "c.json"
@@ -458,6 +533,32 @@ class TestErrors:
         assert not out.exists()
         assert threading.active_count() == alive
         assert threads and (threads[0] is not threading.main_thread()) == PINNABLE
+
+    def test_a_nan_in_trial_1s_sub_ball_spectrum_exits_3(self, tmp_path, monkeypatch):
+        """Trial 1's sub-ball spectra are solved beside trial 0's reports;
+        a NaN in one decides nothing: exit 3, nothing written, no worker
+        left."""
+        solve = msa.eigenvalues_of
+        threads = []
+
+        def nan_in_trial_1(op):
+            values = solve(op)
+            threads.append(threading.current_thread())
+            # trial 0 solves its 12 sub-ball spectra before trial 1 starts
+            if len(threads) == 13:
+                values[0] = np.nan
+            return values
+
+        monkeypatch.setattr(msa, "eigenvalues_of", nan_in_trial_1)
+        monkeypatch.setattr(msa, "usable_cpus", lambda: 2)
+        out = tmp_path / "out"
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(bench_config(out, {**PREDICATES, "trials": 3})))
+        alive = threading.active_count()
+        assert main(["predicates", "--config", str(config)]) == 3
+        assert not out.exists()
+        assert threading.active_count() == alive
+        assert 13 <= len(threads) <= 24
 
     @pytest.mark.skipif(not LAPACK_ROWS, reason="no LAPACK routines for the rows solve")
     def test_a_dstedc_failure_in_dynamics_exits_3(self, tmp_path, monkeypatch):
