@@ -7,8 +7,9 @@ recorded (the run itself succeeded), 2 invalid configuration or usage
 All CSV output is RFC-4180 style with a header row and full-precision
 decimal floats; reruns with the same configuration and seed produce
 byte-identical CSV files on the same numpy/BLAS build.  Every BLAS call
-of a command runs on one thread where OpenBLAS can set that per thread,
-so the files do not depend on ``OPENBLAS_NUM_THREADS`` or the core count.
+of a command runs on one BLAS thread where OpenBLAS can set its thread
+count (a process-wide count on numpy 2.4.6's OpenBLAS 0.3.31), so the
+files do not depend on ``OPENBLAS_NUM_THREADS`` or the core count.
 The manifest lists every output file with its SHA-256 checksum, and that
 environment.
 """

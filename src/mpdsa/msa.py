@@ -400,8 +400,11 @@ def usable_cpus() -> int:
 def blas_thread_setter():
     """``openblas_set_num_threads_local`` (OpenBLAS 0.3.27 and later) of
     the OpenBLAS that numpy's Linux wheel bundles (``spectral.openblas``),
-    or None where there is none.  It sets the BLAS thread count of the
-    calling thread alone and returns the previous count."""
+    or None where there is none.  It sets the BLAS thread count and
+    returns the previous count.  Despite its name the count is
+    process-wide on numpy 2.4.6's OpenBLAS 0.3.31: the main thread set 3,
+    a new thread set 1, and the main thread's next call returned 1.  So
+    callers keep it at one while other threads run kernels."""
     setter = getattr(openblas(), "openblas_set_num_threads_local", None)
     if setter is not None:
         setter.restype = ctypes.c_int
@@ -410,8 +413,9 @@ def blas_thread_setter():
 
 
 def pool_size() -> int:
-    """Threads that run kernels at once: one per usable CPU, each at one
-    BLAS thread, or one where BLAS threads cannot be set per thread."""
+    """Threads that run kernels at once: one per usable CPU, all at one
+    BLAS thread (a process-wide count, ``blas_thread_setter``), or one
+    where the BLAS thread count cannot be set."""
     return usable_cpus() if blas_thread_setter() is not None else 1
 
 
@@ -427,12 +431,13 @@ def run_pinned(tasks, main=None, more=None) -> list:
     too; a worker that finds the queue empty stops, so ``more``'s tasks
     go to the workers still running and the calling thread.  Without
     ``main``, the calling thread waits on up to ``pool_size()`` workers.
-    Every thread runs its BLAS calls on one thread (``blas_thread_setter``),
-    as ``cli.main`` sets the calling thread, so results do not depend on
-    the thread that computed them; the calling thread gets its previous
-    count back once the workers are joined.  Where fewer than two
-    threads would work, the calling thread runs the tasks, then ``main``,
-    then ``more``'s tasks, and no thread starts.
+    The BLAS thread count is process-wide (``blas_thread_setter``): it is
+    set to one before the first worker starts, so every BLAS call, on any
+    thread, runs on one BLAS thread, as under ``cli.main``, and a kernel
+    computes the same bits on whichever thread runs it.  The caller's
+    previous count comes back once every worker is joined.
+    Where fewer than two threads would work, the calling thread runs the
+    tasks, then ``main``, then ``more``'s tasks, and no thread starts.
 
     A task's exception reaches the caller with its own type (the first
     failed task's, in task order; ``main``'s before any); the tasks no
@@ -933,39 +938,192 @@ class LocReport:
     qualifying_pairs: int
 
 
-def _log_excess_bounds(log_vecs, peaks, dmat, rmin: int, rate: float, floors) -> np.ndarray:
+# eigenfunctions per block of the m-localization profile and scan
+LOC_BLOCK = 64
+# nats added to the log of each shell maximum (``_log_profiles``)
+LOG_SLACK = 1e-9
+
+
+def _log_profiles(vectors, dmat) -> tuple:
+    """(rows, peaks, prof) of the eigenfunctions, the columns of
+    ``vectors``: rows[j] = |psi_j|, peaks[j] the first member where it is
+    largest, and prof[r, j] the log of its largest amplitude at distance
+    >= r from peaks[j], plus LOG_SLACK.  That bounds the log amplitude
+    log(max(|psi_j(x)|, 1e-320)) of every such x: the log of a maximum
+    falls short of the largest log only where np.log is not monotone, by
+    an ulp or two (numpy tests float64 log to 1 ulp; an ulp is under
+    2^-43 at |log| <= 737), far inside LOG_SLACK.  A NaN entry raises
+    FloatingPointError: argmax stops at a row's first NaN.
+    """
+    n = vectors.shape[1]
+    R = int(dmat.max()) + 1
+    shell = np.zeros(n * R)
+    rows = np.empty((n, n))
+    peaks = np.empty(n, dtype=np.intp)
+    keys = np.empty((min(LOC_BLOCK, n), n), dtype=np.intp)
+    for lo in range(0, n, LOC_BLOCK):
+        hi = min(n, lo + LOC_BLOCK)
+        block = np.abs(vectors[:, lo:hi].T, out=rows[lo:hi])
+        peaks[lo:hi] = np.argmax(block, axis=1)
+        if np.isnan(block[np.arange(hi - lo), peaks[lo:hi]]).any():
+            raise FloatingPointError("eigenvector entry or eigenvalue is NaN")
+        # keys j R + rho(peak_j, x) in intp: the distances come in their
+        # narrowest dtype, where the sum would wrap around silently
+        np.add(dmat[peaks[lo:hi]], (np.arange(lo, hi) * R)[:, None],
+               out=keys[: hi - lo], casting="unsafe")
+        # 1-D operands take numpy's fast path
+        np.maximum.at(shell, keys[: hi - lo].ravel(), block.ravel())
+    # the suffix maximum over distances >= r
+    prof = shell.reshape(n, R).T.copy()
+    np.maximum.accumulate(prof[::-1], axis=0, out=prof[::-1])
+    np.maximum(prof, 1e-320, out=prof)
+    np.log(prof, out=prof)
+    prof += LOG_SLACK
+    return rows, peaks, prof
+
+
+def _floor_distance(rmin: int, rate: float, log_floors, D: int) -> int:
+    """The distance S in [rmin, D] from which the pair threshold
+    max(-rate s, log floor_j) sits at its floor for every j, or D."""
+    steps = rate * np.arange(D + 1)
+    return max(rmin, min(D, int(np.searchsorted(steps, -log_floors.min()))))
+
+
+def _log_excess_bounds(prof, rmin: int, rate: float, log_floors) -> np.ndarray:
     """Per eigenfunction, an upper bound on the log excess of every pair.
 
-    For the peak x0 of eigenfunction j, a qualifying pair (a, b) has
-    rho(x0, a) + rho(x0, b) >= rho(a, b) >= rmin (triangle inequality).
-    With prof[r] the largest log amplitude at distance >= r from x0, the
-    pair's log product minus its log threshold is at most
-    prof[ra] + prof[rb] - max(-rate (ra + rb), log floor_j) over the
-    distance pairs ra <= rb with ra + rb >= rmin.  Every step is monotone
-    in floating point, so the bound holds for the computed excess too.
+    A qualifying pair (a, b) of eigenfunction j has excess
+    fl(fl(lv_a + lv_b) - thr(rho)), thr(s) = max(fl(-rate s), log
+    floor_j), rho = rho(a, b) >= rmin.  Its distances ra <= rb from the
+    peak (``_log_profiles``) have rho <= ra + rb, so thr(rho) >= thr(s),
+    s = min(ra + rb, D), D the diameter, and lv_a <= prof[ra], lv_b <=
+    prof[rb]: fl(fl(prof[ra] + prof[rb]) - thr(s)) bounds the excess, as
+    every step is monotone in floating point.  Terms with s > S
+    (``_floor_distance``) are at most one with s = S: prof does not rise
+    with r, some ra' <= ra, rb' <= rb sum to S, and thr(s) = thr(S).
     """
-    n = log_vecs.shape[1]
-    R = int(dmat.max()) + 1
-    # prof[j, r]: max log amplitude of eigenfunction j at distance r from
-    # its peak, then the suffix maximum over distances >= r
-    prof = np.full(n * R, -np.inf)
-    # in intp: the distances come in their narrowest dtype, and an in-place
-    # add of the offsets into it would wrap around silently
-    keys = np.take(dmat, peaks, axis=1).astype(np.intp)
-    keys += np.arange(n) * R
-    # 1-D operands take numpy's fast path; the maximum ignores the order
-    np.maximum.at(prof, keys.ravel(), log_vecs.ravel())
-    prof = np.maximum.accumulate(prof.reshape(n, R)[:, ::-1], axis=1)[:, ::-1]
-    log_floors = np.log(floors)[:, None]
-    bounds = np.full(n, -np.inf)
-    for rb in range((rmin + 1) // 2, R):
-        ra = np.arange(max(0, rmin - rb), rb + 1)
-        # rho(a, b) <= min(ra + rb, diameter) bounds the threshold from below
-        s = np.minimum(ra + rb, R - 1)
-        log_thr = np.maximum(-rate * s, log_floors)
-        excess = prof[:, ra] + prof[:, rb, None] - log_thr
-        bounds = np.maximum(bounds, excess.max(axis=1))
-    return bounds
+    R, n = prof.shape
+    D = R - 1
+    best = np.full(n, -np.inf)
+    for s in range(rmin, _floor_distance(rmin, rate, log_floors, D) + 1):
+        ra = np.arange(max(0, s - D), s // 2 + 1)
+        sums = (prof[ra] + prof[s - ra]).max(axis=0)
+        np.maximum(best, sums - np.maximum(-rate * s, log_floors), out=best)
+    return best
+
+
+def _partner_bounds(prof, rmin: int, rate: float, log_floors) -> np.ndarray:
+    """part[dd, j] bounds lv_b - thr(rho(a, b)) over the partners b of a
+    member a at distance dd from eigenfunction j's peak (notation of
+    ``_log_excess_bounds``).  Such a b is r >= rmin - dd from the peak,
+    rho <= min(dd + r, D), so lv_b - thr(rho) <= prof[r] -
+    thr(min(dd + r, D)); as thr >= log floor_j and prof does not rise,
+    prof[cap] - log floor_j covers every r >= cap = max(S - dd, 0).
+    lv_a + part[dd, j] bounds the excess up to two roundings, far inside
+    LOG_SLACK."""
+    R, m = prof.shape
+    dd = np.arange(R)
+    lo = np.maximum(0, rmin - dd)
+    cap = np.maximum(0, _floor_distance(rmin, rate, log_floors, R - 1) - dd)
+    part = prof[cap] - log_floors
+    # the terms below the cap, (dd, r) for lo <= r < cap, grouped by dd
+    width = cap - lo
+    ends = np.cumsum(width)
+    r = np.arange(ends[-1]) - np.repeat(ends - width - lo, width)
+    if len(r):
+        near = prof[r] - np.maximum(-rate * (np.repeat(dd, width) + r)[:, None], log_floors)
+        some = np.flatnonzero(width)
+        part[some] = np.maximum(part[some], np.maximum.reduceat(near, (ends - width)[some], axis=0))
+    return part
+
+
+def _loc_candidates(ctx, cols, log_worst: float) -> list:
+    """(j, excess, a, b) for each eigenfunction of ``cols`` with a
+    qualifying pair over log_worst's cut: its largest excess and the first
+    pair reaching it, a the lower-amplitude member.  Pairs, order and every
+    number compared are those of a scan of one eigenfunction at a time;
+    pairs that cannot reach log_worst are dropped unseen.  The pairs with
+    a peak go first: their best ratio is one the report reaches, so it may
+    raise log_worst.
+    """
+    rows, prof, peaks, bounds, floors, dmat, rmin, rate = ctx
+    n = rows.shape[1]
+    v = rows[cols]
+    ar = np.arange(len(cols))
+    pk = peaks[cols]
+    # np.log over contiguous rows: the bits of a log of the whole array
+    lv = np.log(np.maximum(v, 1e-320))
+    top = lv[ar, pk]
+    cand = v > (floors[cols] / v[ar, pk])[:, None]
+    log_floor = np.array([math.log(f) for f in floors[cols]])
+    dist = dmat[pk]
+    far = np.flatnonzero(cand & (dist >= rmin))
+    row = far // n
+    lvx, tp, lf = lv.ravel()[far], top[row], log_floor[row]
+    # the product test in both orders, whichever member the scan sorts first
+    ok = (tp > lf - lvx) & (lvx > lf - tp)
+    if ok.any():
+        excess = lvx[ok] + tp[ok] - np.maximum(-rate * dist.ravel()[far[ok]], lf[ok])
+        peak_worst = math.exp(min(float(excess.max()), 700.0))
+        if peak_worst > 0.0:
+            log_worst = max(log_worst, math.log(peak_worst) - 1e-9)
+    live = bounds[cols] >= log_worst
+    cols, lv, top, cand, log_floor, dist = (
+        a[live] for a in (cols, lv, top, cand, log_floor, dist))
+    log_cut = log_floor + max(0.0, log_worst)
+    # members that can be in a pair over the cut and reach log_worst
+    heavy = cand & (lv + top[:, None] > (log_cut - LOG_SLACK)[:, None])
+    flat = np.flatnonzero(heavy)
+    g, x = np.divmod(flat, n)
+    d = dist.ravel()[flat]
+    lvs = lv.ravel()[flat]
+    part = _partner_bounds(prof[:, cols], rmin, rate, np.log(floors[cols]))
+    keep = lvs + part[d, g] > log_worst - LOG_SLACK
+    g, x, d, lvs = g[keep], x[keep], d[keep], lvs[keep]
+    if len(g) < 2:
+        return []
+    # each eigenfunction's members in descending amplitude, equal
+    # amplitudes in member order: the scan's pair order
+    order = np.argsort(-lvs, kind="stable")
+    order = order[np.argsort(g[order], kind="stable")]
+    g, x, d, lvs = g[order], x[order], d[order], lvs[order]
+    starts = np.searchsorted(g, g)
+    # pairs (pa, pb), pb before pa, lv[pb] > log_cut - lv[pa]: a prefix of
+    # pa's eigenfunction, from one search over (eigenfunction, -lv) pairs
+    counts = np.minimum(
+        np.arange(len(g)) - starts,
+        np.searchsorted(g + 1j * -lvs, g + 1j * (lvs - log_cut[g])) - starts,
+    )
+    # whole eigenfunctions, at most n^2 / 2 pairs at a time (one has fewer)
+    ends = np.cumsum(counts)
+    heads = np.flatnonzero(starts == np.arange(len(g)))
+    tails = np.r_[heads[1:], len(g)]
+    found = []
+    k = 0
+    while k < len(heads):
+        lo = heads[k]
+        before = ends[lo - 1] if lo else 0
+        k2 = max(k + 1, int(np.searchsorted(ends[tails - 1], before + n * n // 2, side="right")))
+        hi = tails[k2 - 1]
+        k = k2
+        c = counts[lo:hi]
+        pa = np.repeat(np.arange(lo, hi), c)
+        pb = np.arange(int(c.sum())) - np.repeat(np.cumsum(c) - c - starts[lo:hi], c)
+        # rho(a, b) <= d_a + d_b through the peak
+        sel = np.flatnonzero(d[pa].astype(np.intp) + d[pb] >= rmin)
+        pa, pb = pa[sel], pb[sel]
+        rho = np.take(dmat.ravel(), x[pa] * n + x[pb])
+        sel = np.flatnonzero(rho >= rmin)
+        if len(sel) == 0:
+            continue
+        pa, pb, rho = pa[sel], pb[sel], rho[sel]
+        gp = g[pa]
+        excess = lvs[pa] + lvs[pb] - np.maximum(-rate * rho, log_floor[gp])
+        # per eigenfunction the largest excess, the first pair on ties
+        best = np.lexsort((-excess, gp))
+        best = best[np.r_[True, gp[best][1:] != gp[best][:-1]]]
+        found += [(int(cols[gp[i]]), float(excess[i]), int(x[pa[i]]), int(x[pb[i]])) for i in best]
+    return found
 
 
 def is_m_loc(es: EigenSystem, params: ScalingParams) -> LocReport:
@@ -978,6 +1136,12 @@ def is_m_loc(es: EigenSystem, params: ScalingParams) -> LocReport:
     The worst ratio of product to threshold and its witness are reported;
     exact ties go to the lowest eigenfunction index, then to the first pair
     in descending-amplitude order (equal amplitudes in member order).
+
+    Eigenfunctions go in descending ``_log_excess_bounds``, LOC_BLOCK at a
+    time, until the bound falls below the worst ratio so far; in a block
+    only members whose ``_partner_bounds`` can reach it form pairs.
+    Memory: one n x n array (|psi|) beside the eigenvectors; the other
+    temporaries hold LOC_BLOCK rows of n, or at most n^2 / 2 pairs.
     """
     ball = es.ball
     L = ball.radius
@@ -990,73 +1154,33 @@ def is_m_loc(es: EigenSystem, params: ScalingParams) -> LocReport:
     # eigenvector entries below eps*|H|/gap are dominated by rounding in
     # the eigensolve; the certifiable floor adapts per eigenfunction
     floors = np.maximum(params.numerical_floor, eigenvector_noise_floors(es))
-    # in-place steps keep the peak memory at three n x n arrays
-    vecs = np.abs(es.eigenvectors)
-    peaks = np.argmax(vecs, axis=0)
-    # argmax stops at a column's first NaN, so a NaN entry shows at its peak
-    if np.isnan(floors).any() or np.isnan(vecs[peaks, np.arange(len(peaks))]).any():
+    if np.isnan(floors).any():
         raise FloatingPointError("eigenvector entry or eigenvalue is NaN")
-    log_vecs = np.maximum(vecs, 1e-320)
-    np.log(log_vecs, out=log_vecs)
-    bounds = _log_excess_bounds(log_vecs, peaks, dmat, rmin, rate, floors)
+    rows, peaks, prof = _log_profiles(es.eigenvectors, dmat)
+    bounds = _log_excess_bounds(prof, rmin, rate, np.log(floors))
+    order = np.argsort(-bounds, kind="stable")
+    vmax = rows[np.arange(len(peaks)), peaks]
+    order = order[(vmax[order] > 0.0) & (floors[order] < 1.0)]
+    ctx = (rows, prof, peaks, bounds, floors, dmat, rmin, rate)
     worst = 0.0
     witness = None
-    # visiting the largest bounds first lets the worst ratio found so far
-    # end the scan and cut the pair enumeration; ties keep the lowest
-    # eigenfunction index, as an ascending scan would
-    for j in np.argsort(-bounds, kind="stable"):
-        j = int(j)
+    done = 0
+    while done < len(order):
         log_worst = math.log(worst) - 1e-9 if worst > 0.0 else -math.inf
-        if bounds[j] < log_worst:
+        # visiting the largest bounds first lets the worst ratio found so
+        # far end the scan; ties keep the lowest eigenfunction index, as an
+        # ascending scan would
+        stop = done + int(np.count_nonzero(bounds[order[done:]] >= log_worst))
+        cols = order[done:min(stop, done + LOC_BLOCK)]
+        if len(cols) == 0:
             break
-        v = vecs[:, j]
-        vmax = v.max()
-        floor = floors[j]
-        if vmax <= 0.0 or floor >= 1.0:
-            continue
-        log_floor = math.log(floor)
-        # a violating pair needs v(x) v(y) > floor
-        cand = np.nonzero(v > floor / vmax)[0]
-        if len(cand) < 2:
-            continue
-        lv = log_vecs[cand, j]
-        # descending amplitude, equal amplitudes in member order: the pair
-        # order that decides exact ties within an eigenfunction
-        order = np.argsort(-lv, kind="stable")
-        lv_s = lv[order]
-        # unordered pairs (b < a in sorted order) with lv_a + lv_b > floor;
-        # pairs that cannot reach the worst ratio so far are not enumerated
-        log_cut = log_floor + max(0.0, log_worst)
-        counts = np.minimum(
-            np.arange(len(cand)),
-            np.searchsorted(-lv_s, -(log_cut - lv_s), side="left"),
-        )
-        total = int(counts.sum())
-        if total == 0:
-            continue
-        pa = np.repeat(np.arange(len(cand)), counts)
-        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        pb = np.arange(total) - np.repeat(starts, counts)
-        ia = cand[order[pa]]
-        ib = cand[order[pb]]
-        rho = dmat[ia, ib]
-        keep = rho >= rmin
-        if not keep.any():
-            continue
-        log_thr = np.maximum(-rate * rho[keep], log_floor)
-        excess = lv_s[pa[keep]] + lv_s[pb[keep]] - log_thr
-        k = int(np.argmax(excess))
-        ratio = math.exp(min(float(excess[k]), 700.0))
-        if ratio > worst or (ratio == worst and witness is not None and j < witness[2]):
-            worst = ratio
-            sel = np.nonzero(keep)[0][k]
-            wa, wb = int(ia[sel]), int(ib[sel])
-            witness = (
-                ball.members[wa],
-                ball.members[wb],
-                j,
-                int(dmat[wa, wb]),
-            )
+        found = _loc_candidates(ctx, cols, log_worst)
+        done += len(cols)
+        for j, excess, a, b in found:
+            ratio = math.exp(min(excess, 700.0))
+            if ratio > worst or (ratio == worst and witness is not None and j < witness[2]):
+                worst = ratio
+                witness = (ball.members[a], ball.members[b], j, int(dmat[a, b]))
     return LocReport(worst <= 1.0, worst, witness, rmin, qualifying)
 
 

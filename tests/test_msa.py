@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpdsa import msa, spectral
 from mpdsa.configspace import LatticeGeometry, config_distance, enumerate_ball, interior_boundary
@@ -338,6 +340,53 @@ def brute_force_m_loc(es, params) -> LocReport:
     return LocReport(worst <= 1.0, worst, witness, rmin, qualifying)
 
 
+def numpy_reference_m_loc(es, params) -> LocReport:
+    """Reference for ``is_m_loc`` at benchmark sizes: every eigenfunction
+    in ascending order, every qualifying pair of it as one numpy array.
+
+    An eigenfunction's members whose amplitude clears floor / max go in
+    descending-amplitude order (equal amplitudes in member order); the
+    pair (pa, pb), pb before pa, counts where lv[pb] > log floor - lv[pa]
+    and rho >= rmin, as in the brute force.  Its first largest excess in
+    (pa, pb) order is the eigenfunction's; a later eigenfunction wins only
+    with a larger ratio.
+    """
+    ball = es.ball
+    L = ball.radius
+    rmin = params.loc_min_distance(L)
+    rate = params.decay_rate(L, n=ball.n_particles)
+    dmat = ball.pairwise_distances
+    qualifying = int(np.count_nonzero(dmat >= rmin) // 2)
+    if qualifying == 0:
+        return LocReport(True, 0.0, None, rmin, 0)
+    floors = np.maximum(params.numerical_floor, eigenvector_noise_floors(es))
+    vecs = np.abs(es.eigenvectors)
+    log_vecs = np.log(np.maximum(vecs, 1e-320))
+    worst, witness = 0.0, None
+    for j in range(es.n):
+        v = vecs[:, j]
+        vmax = v.max()
+        if vmax <= 0.0 or floors[j] >= 1.0:
+            continue
+        log_floor = math.log(floors[j])
+        cand = np.nonzero(v > floors[j] / vmax)[0]
+        order = cand[np.argsort(-log_vecs[cand, j], kind="stable")]
+        lv = log_vecs[order, j]
+        rho = dmat[np.ix_(order, order)]
+        pos = np.arange(len(order))
+        ok = (pos[None, :] < pos[:, None]) & (lv[None, :] > log_floor - lv[:, None]) & (rho >= rmin)
+        if not ok.any():
+            continue
+        excess = np.where(ok, lv[:, None] + lv[None, :] - np.maximum(-rate * rho, log_floor), -np.inf)
+        pa, pb = np.unravel_index(np.argmax(excess), excess.shape)
+        ratio = math.exp(min(float(excess[pa, pb]), 700.0))
+        if ratio > worst:
+            worst = ratio
+            a, b = order[pa], order[pb]
+            witness = (ball.members[a], ball.members[b], j, int(dmat[a, b]))
+    return LocReport(worst <= 1.0, worst, witness, rmin, qualifying)
+
+
 class TestLocOracle:
     """The pruned ``is_m_loc`` returns the brute-force report bit for bit."""
 
@@ -390,19 +439,71 @@ class TestLocOracle:
 
     def test_the_bounds_do_not_depend_on_the_distance_dtype(self, line):
         """The ball's distances come in int8; the keys of the profile
-        bounds reach n R = 1183 here, where an int8 sum would wrap."""
+        reach n R = 1183 here, where an int8 sum would wrap."""
         ctx = make_context(line, seed=1, coupling=30.0, radius=6)
         es = ctx.eigensystem((1, 0), 6)
         dmat = es.ball.pairwise_distances
         assert dmat.dtype == np.int8 and len(es.ball) * (int(dmat.max()) + 1) > 127
-        vecs = np.abs(es.eigenvectors)
-        peaks = np.argmax(vecs, axis=0)
-        floors = np.maximum(ctx.params.numerical_floor, eigenvector_noise_floors(es))
-        args = (np.log(np.maximum(vecs, 1e-320)), peaks)
-        rest = (ctx.params.loc_min_distance(6), ctx.params.decay_rate(6, n=2), floors)
-        narrow = msa._log_excess_bounds(*args, dmat, *rest)
-        wide = msa._log_excess_bounds(*args, dmat.astype(np.int64), *rest)
-        assert narrow.tobytes() == wide.tobytes()
+        narrow = msa._log_profiles(es.eigenvectors, dmat)
+        wide = msa._log_profiles(es.eigenvectors, dmat.astype(np.int64))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(narrow, wide))
+        log_floors = np.log(np.maximum(ctx.params.numerical_floor, eigenvector_noise_floors(es)))
+        rest = (ctx.params.loc_min_distance(6), ctx.params.decay_rate(6, n=2), log_floors)
+        assert msa._log_excess_bounds(narrow[2], *rest).tobytes() == \
+            msa._log_excess_bounds(wide[2], *rest).tobytes()
+
+    def test_ties_follow_the_documented_rule(self, line):
+        """Two equal columns, equal floors, and four equal amplitudes whose
+        four cross pairs share one distance: the witness is the lower
+        column and, of its tied pairs, the first in descending-amplitude
+        order with equal amplitudes in member order."""
+        ctx = make_context(line, seed=3, coupling=30.0, radius=6)
+        es = ctx.eigensystem((1, 0), 6)
+        params = replace(ctx.params, numerical_floor=1e-6)
+        rmin = params.loc_min_distance(6)
+        dist = es.ball.pairwise_distances
+        n = es.n
+        # members a1 < a2 < b1 < b2 (indices) with rho(a_i, b_k) = s >= rmin
+        # and the other two pairs closer than rmin
+        quad = None
+        for i in range(n):
+            for k in range(i + 1, n):
+                s = int(dist[i, k])
+                if s < rmin or quad:
+                    continue
+                near_i = [x for x in range(i + 1, n) if dist[i, x] < rmin and dist[x, k] == s]
+                near_k = [y for y in range(k + 1, n) if dist[k, y] < rmin and dist[i, y] == s]
+                for x in near_i:
+                    for y in near_k:
+                        if x not in (k, y) and dist[x, y] == s and not quad:
+                            quad = sorted((i, x, k, y))
+        assert quad is not None
+        column = np.zeros(n)
+        column[quad] = [0.5, -0.5, 0.5, -0.5]
+        vectors = np.eye(n)
+        vectors[:, 7] = vectors[:, 40] = column
+        # evenly spaced eigenvalues keep the noise floors far under 1e-6
+        tied = replace(es, eigenvalues=np.arange(n, dtype=float), eigenvectors=vectors)
+        assert len(set(np.maximum(1e-6, eigenvector_noise_floors(tied)))) == 1
+        rep = self._same(tied, params)
+        cross = [(x, y) for x in quad for y in quad if x > y and dist[x, y] >= rmin]
+        first = min(cross, key=lambda pair: (quad.index(pair[0]), quad.index(pair[1])))
+        members = es.ball.members
+        assert rep.witness == (members[first[0]], members[first[1]], 7, int(dist[first]))
+        half = float(np.log(0.5))
+        rate = params.decay_rate(6, n=2)
+        assert rep.worst_ratio == math.exp(half + half - max(-rate * int(dist[first]), math.log(1e-6)))
+
+    @pytest.mark.parametrize("trial, radius", [(0, 16), (1, 16), (0, 11)])
+    def test_benchmark_balls_match_the_numpy_reference(self, line, trial, radius):
+        """Trials 0 and 1 of the predicates-r16 config (n = 561) and a
+        radius-11 ball (n = 276), bit for bit."""
+        ctx = make_context(line, seed=derive_seed(550001, "trial", trial), coupling=30.0,
+                           radius=radius)
+        es = ctx.eigensystem((1, 0), radius)
+        rep = is_m_loc(es, ctx.params)
+        assert rep == numpy_reference_m_loc(es, ctx.params)
+        assert not rep.localized and rep.qualifying_pairs > 0
 
     def test_matching_minimized_metric(self):
         # 12-site path graph: ball distances minimize over particle matchings
@@ -413,6 +514,54 @@ class TestLocOracle:
         assert es.ball.metric == "sym"
         for m in (0.3, 1.0):
             assert self._same(es, ctx.params, m).qualifying_pairs > 0
+
+
+class TestLocBounds:
+    """The two bounds that prune the m-localization scan never fall below
+    a pair's computed excess, and the pruned scan is the brute force."""
+
+    PATH = LatticeGeometry(kind="graph", d=1, growth_constant=3.0, adjacency=tuple(
+        tuple(v for v in (i - 1, i + 1) if 0 <= v < 12) for i in range(12)))
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_bounds_hold_on_random_balls(self, line, data):
+        shape = data.draw(st.sampled_from(["two", "three", "graph"]))
+        if shape == "two":
+            geometry, n, center, radius = line, 2, (1, 0), data.draw(st.integers(2, 5))
+        elif shape == "three":
+            geometry, n, center, radius = line, 3, (2, 1, 0), data.draw(st.integers(2, 3))
+        else:
+            geometry, n, center, radius = self.PATH, 2, (6, 4), data.draw(st.integers(2, 4))
+        params = replace(
+            ScalingParams.finite_range(n, initial_scale=data.draw(st.sampled_from([2, 3, 6]))),
+            mass=data.draw(st.sampled_from([0.05, 0.3, 1.0, 3.0])),
+            numerical_floor=data.draw(st.sampled_from([1e-300, 1e-12, 1e-6, 0.3])),
+        )
+        ctx = make_context(geometry, seed=data.draw(st.integers(0, 10**6)),
+                           coupling=data.draw(st.sampled_from([1.0, 5.0, 30.0, 300.0])),
+                           center=center, radius=radius, n=n, regime_params=params)
+        es = ctx.eigensystem(center, radius)
+        assert es.ball.metric == ("sym" if shape == "graph" else es.ball.metric)
+        assert is_m_loc(es, params) == brute_force_m_loc(es, params)
+        rmin = params.loc_min_distance(radius)
+        rate = params.decay_rate(radius, n=n)
+        dist = es.ball.pairwise_distances
+        if not (dist >= rmin).any():
+            return
+        floors = np.maximum(params.numerical_floor, eigenvector_noise_floors(es))
+        _, peaks, prof = msa._log_profiles(es.eigenvectors, dist)
+        bounds = msa._log_excess_bounds(prof, rmin, rate, np.log(floors))
+        partner = msa._partner_bounds(prof, rmin, rate, np.log(floors))
+        log_vecs = np.log(np.maximum(np.abs(es.eigenvectors), 1e-320))
+        far = dist >= rmin
+        for j in range(es.n):
+            lv = log_vecs[:, j]
+            # every qualifying pair's excess, as the scan computes it
+            excess = lv[:, None] + lv[None, :] - np.maximum(-rate * dist, math.log(floors[j]))
+            assert bounds[j] >= excess[far].max()
+            best = np.where(far, excess, -np.inf).max(axis=1)
+            assert (lv + partner[dist[peaks[j]], j] >= best).all()
 
 
 class TestLocMemo:
