@@ -334,6 +334,20 @@ class Ball:
         return out.astype(_narrowest_int(int(out.max(initial=0))))
 
     @cached_property
+    def _far_pair_counts(self) -> dict:
+        return {}
+
+    def pairs_at_least(self, distance: int) -> int:
+        """Unordered member pairs at distance >= ``distance`` (a member with
+        itself counting half where ``distance`` <= 0), counted once per
+        distance and kept on the ball."""
+        count = self._far_pair_counts.get(distance)
+        if count is None:
+            count = int(np.count_nonzero(self.pairwise_distances >= distance) // 2)
+            self._far_pair_counts[distance] = count
+        return count
+
+    @cached_property
     def _sector_moves(self):
         """Every one-particle move of every member of a 1D sector ball, as
         ``config_neighbors`` lists them: (stays, target), both shaped

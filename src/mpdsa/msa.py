@@ -44,13 +44,13 @@ from .spectral import (
     EigenRows,
     EigenSystem,
     GapCertificate,
+    band_order,
     diagonalization,
     diagonalize,
     diagonalize_rows,
     eigensystem_from_factors,
     eigenvalues_of,
     eigenvector_noise_floors,
-    half_width,
     openblas,
     pairwise_sums,
     resonance_cutoff,
@@ -263,9 +263,18 @@ class ScalingParams:
         p, q = (1 + self.delta).numerator, (1 + self.delta).denominator
         return distance**q > cn**q * radius**p
 
+    @functools.cached_property
+    def _loc_min_distances(self) -> dict:
+        return {}
+
     def loc_min_distance(self, L: int) -> int:
-        """Smallest pair distance at which eigenfunction decay is demanded."""
-        return ceil_rational_power(L, (1 + self.varrho) / self.alpha)
+        """Smallest pair distance at which eigenfunction decay is demanded,
+        computed once per scale and kept on the parameters."""
+        rmin = self._loc_min_distances.get(L)
+        if rmin is None:
+            rmin = ceil_rational_power(L, (1 + self.varrho) / self.alpha)
+            self._loc_min_distances[L] = rmin
+        return rmin
 
     def cnr_min_radius(self, L: int) -> int:
         return ceil_rational_power(L, 1 / self.alpha)
@@ -844,14 +853,16 @@ def block_non_singularity(
 
     The fields' operators share the ball's hopping template and differ on
     the diagonal only, so each is built from its diagonal in band storage
-    (``GapCertificate``).  A block holds b fields, the most whose general
-    bands (n (3 kd + 1) doubles each, kd the template's half-width) fit in
-    ``BLOCK_BAND_DOUBLES``: 77 at n = 91, never a function of the worker
-    count.  The blocks go to the workers of ``run_pinned`` (``pool_size()``
-    threads, at most one per block) while the calling thread waits.  With
-    w workers, a worker owns a ``GapCertificate`` whose buffer holds
-    ceil(b / w) matrices, and decides each block it takes as sub-stacks of
-    that size.
+    (``GapCertificate``), in the template's ``band_order``, computed once
+    per call and shared by every worker's certificate.  A block holds b
+    fields, the most whose general bands (n (3 kd + 1) doubles each, kd
+    the template's half-width in that order) fit in
+    ``BLOCK_BAND_DOUBLES``: 130 at n = 91 (kd = 7; 77 at the ball order's
+    kd = 12), never a function of the worker count.  The blocks go to the
+    workers of ``run_pinned`` (``pool_size()`` threads, at most one per
+    block) while the calling thread waits.  With w workers, a worker owns
+    a ``GapCertificate`` whose buffer holds ceil(b / w) matrices, and
+    decides each block it takes as sub-stacks of that size.
 
     A sub-stack is decided whole on its worker.  The certificate clears
     most trials without a spectrum (one ``dpbtrf`` per sub-stack; 994 to
@@ -868,7 +879,8 @@ def block_non_singularity(
     ball = enumerate_ball(center, radius, spec.geometry)
     ball_spec = _spec_on(spec, ball)
     template = hopping_template(ball_spec, ball)
-    block = max(1, BLOCK_BAND_DOUBLES // (len(ball) * (3 * half_width(template.matrix) + 1)))
+    order, kd = band_order(template.matrix)
+    block = max(1, BLOCK_BAND_DOUBLES // (len(ball) * (3 * kd + 1)))
     diagonals = diagonal_gather(ball_spec, ball, region)
     spectra = _spectra_by_field(spec, ball, region, template, diagonals)
     source = ball.center_index()
@@ -884,7 +896,7 @@ def block_non_singularity(
     def decide(start):
         """A block's reports."""
         if not hasattr(owned, "certificate"):
-            owned.certificate = GapCertificate(template, rows)
+            owned.certificate = GapCertificate(template, rows, order)
         certificate = owned.certificate
         part = []
         end = min(start + block, len(fields))
@@ -1147,7 +1159,7 @@ def is_m_loc(es: EigenSystem, params: ScalingParams) -> LocReport:
     L = ball.radius
     rmin = params.loc_min_distance(L)
     dmat = ball.pairwise_distances
-    qualifying = int(np.count_nonzero(dmat >= rmin) // 2)
+    qualifying = ball.pairs_at_least(rmin)
     if qualifying == 0:
         return LocReport(True, 0.0, None, rmin, 0)
     rate = params.decay_rate(L, n=ball.n_particles)

@@ -160,7 +160,12 @@ class GapCertificate:
     matrices H_t = T + diag(h_t) that share one hopping template T
     (symmetric, zero diagonal, entries 0 and -1, as ``hopping_template``
     returns it).  In ball order a hop moves one particle by one site, so
-    T is banded: ``width``, its half-width kd, is 12 at n = 91.
+    T is banded, with half-width 12 at n = 91.  The certificate stores
+    every band in ``order`` (``band_order`` of T unless given: reverse
+    Cuthill–McKee, or the identity where that is no narrower), where
+    ``width``, T's half-width kd, is 7 at n = 91.  Diagonals come in and
+    Green columns go out in ball order; the rows are permuted inside, and
+    a permutation changes no eigenvalue.
 
     Called on diagonals ``h`` (one row per matrix) and an energy E, it
     gives one bool per matrix: True when a Cholesky factor proves that no
@@ -206,11 +211,15 @@ class GapCertificate:
     the hopping pairs and the diagonal.
     """
 
-    def __init__(self, template: OperatorMatrix, rows: int):
+    def __init__(self, template: OperatorMatrix, rows: int, order=None):
         t = _symmetric_part(template)
         if np.any(np.diag(t)):
             raise ValueError("a hopping template must have a zero diagonal")
         n = len(t)
+        self.order = band_order(t)[0] if order is None else np.asarray(order)
+        # ball member i sits at row _position[i] of the band
+        self._position = np.argsort(self.order)
+        t = t[np.ix_(self.order, self.order)]
         self.width = kd = half_width(t)
         square = t @ t
         self._pairs = np.nonzero(np.triu(t))
@@ -242,37 +251,47 @@ class GapCertificate:
         return cleared
 
     def square(self, h: np.ndarray, energy: float) -> np.ndarray:
-        """The lower bands of the S_t, in the buffer: S_t(i, j) at
-        [t, j, i - j] for j <= i <= j + 2 kd."""
+        """The lower bands of the S_t in band order, in the buffer:
+        S_t(order[i], order[j]) at [t, j, i - j] for j <= i <= j + 2 kd."""
         k, n = h.shape
-        norm = np.max(self._degrees + np.abs(h), axis=1) + abs(energy)
+        d = h[:, self.order]
+        norm = np.max(self._degrees + np.abs(d), axis=1) + abs(energy)
         sigma = 10 * n * math.sqrt(np.finfo(float).eps) * norm
-        d = h - energy
+        d -= energy
         square = self._stack(self._square_band, k)
         a, b = self._pairs
-        square[:, a, b - a] = self._pair_squares + self._pair_hops * (d[:, a] + d[:, b])
-        square[:, :, 0] = (self._diagonal_squares + d * d) - (sigma * sigma)[:, None]
+        # in place, so a long sub-stack's temporaries stay few; each step
+        # rounds as squares + hops * (d_a + d_b) and d^2 + squares - sigma^2 do
+        pair = d[:, a]
+        pair += d[:, b]
+        pair *= self._pair_hops
+        pair += self._pair_squares
+        square[:, a, b - a] = pair
+        d *= d
+        d += self._diagonal_squares
+        d -= (sigma * sigma)[:, None]
+        square[:, :, 0] = d
         return square
 
     def green_columns(self, h: np.ndarray, energy: float, source: int) -> np.ndarray:
-        """G(x, source; E) for all x and every matrix T + diag(h_t): row t
-        holds the solution g_t of (H_t - E) g_t = delta_source, with
-        H_t - E = T + diag(fl(h_t - E)).
+        """G(x, source; E) for all x and every matrix T + diag(h_t), in
+        ball order: row t holds the solution g_t of
+        (H_t - E) g_t = delta_source, with H_t - E = T + diag(fl(h_t - E)).
 
         No resonance guard: callers screen the energy against the spectra.
         """
         k, n = h.shape
         shifted = self._stack(self._hop_band, k)
-        shifted[:, :, 2 * self.width] = h - energy
+        np.subtract(h[:, self.order], energy, out=shifted[:, :, 2 * self.width])
         g = np.zeros((k, n))
-        g[:, source] = 1.0
+        g[:, self._position[source]] = 1.0
+        kd, pivots = self.width, np.empty(k * n, dtype=np.int64)
         if not lapack_band():
             dense = [_to_dense(band, self._hop_entries) for band in shifted]
-            return np.linalg.solve(np.array(dense), g[..., None])[..., 0]
-        kd, pivots = self.width, np.empty(k * n, dtype=np.int64)
-        if _lapack_call("dgbsv", k * n, kd, kd, 1, shifted, 3 * kd + 1, pivots, g, k * n) > 0:
+            g = np.linalg.solve(np.array(dense), g[..., None])[..., 0]
+        elif _lapack_call("dgbsv", k * n, kd, kd, 1, shifted, 3 * kd + 1, pivots, g, k * n) > 0:
             raise np.linalg.LinAlgError("Singular matrix")
-        return g
+        return g[:, self._position]
 
     def _stack(self, band: np.ndarray, k: int) -> np.ndarray:
         """k copies of ``band``, C-ordered (k, n, width), over the buffer's head."""
@@ -285,6 +304,50 @@ def half_width(matrix: np.ndarray) -> int:
     """A matrix's band half-width: max |i - j| over its nonzero (i, j)."""
     i, j = np.nonzero(matrix)
     return int(np.max(np.abs(i - j), initial=0))
+
+
+def band_order(matrix: np.ndarray) -> tuple:
+    """(order, kd): a reverse Cuthill–McKee order of the graph of the
+    matrix's off-diagonal nonzeros (i ~ j where entry (i, j) or (j, i) is
+    not zero), and kd the half-width of ``matrix[order][:, order]``; the
+    identity and the matrix's own half-width where the order would not
+    narrow the band.
+
+    Each connected component is visited breadth first from its first
+    member of least degree, a member's unvisited neighbours by ascending
+    degree, ties by index; the visit order is then reversed (Cuthill &
+    McKee, 1969; George & Liu, *Computer Solution of Large Sparse Positive
+    Definite Systems*, 1981).  No set or hash order enters, so the order
+    is the same on every run.  A 1D two-particle ball's hopping template
+    has kd = 2L in ball order and L + 1 in this one (L its radius).
+    """
+    n = len(matrix)
+    graph = (matrix != 0) | (matrix.T != 0)
+    np.fill_diagonal(graph, False)
+    degrees = np.count_nonzero(graph, axis=1)
+    rows, cols = np.nonzero(graph)
+    # member v's neighbours, by ascending degree, ties by index, at
+    # neighbours[starts[v]:starts[v + 1]]
+    neighbours = cols[np.lexsort((cols, degrees[cols], rows))].tolist()
+    starts = np.concatenate(([0], np.cumsum(degrees))).tolist()
+    seen, visited = [False] * n, []
+    for start in np.argsort(degrees, kind="stable").tolist():
+        if seen[start]:
+            continue
+        seen[start] = True
+        component = [start]
+        # the loop reaches the members it appends: breadth first
+        for v in component:
+            for u in neighbours[starts[v]:starts[v + 1]]:
+                if not seen[u]:
+                    seen[u] = True
+                    component.append(u)
+        visited += component
+    order = np.array(visited[::-1], dtype=np.intp)
+    position = np.argsort(order)
+    kd = int(np.max(np.abs(rows - cols), initial=0))
+    narrowed = int(np.max(np.abs(position[rows] - position[cols]), initial=0))
+    return (order, narrowed) if narrowed < kd else (np.arange(n), kd)
 
 
 def _band_entries(n: int, offsets, origin: int) -> tuple:

@@ -57,7 +57,8 @@ def residual_ratios():
 def block_trials():
     """Trials per block of ``msa.block_non_singularity`` on a ball: the
     band budget over one trial's general band, n (3 kd + 1) doubles, with
-    kd the half-width ``GapCertificate`` computes (77 at n = 91)."""
+    kd the half-width ``GapCertificate`` computes in its band order (130
+    at n = 91)."""
 
     def trials(spec, ball):
         kd = GapCertificate(hopping_template(spec, ball), 1).width

@@ -388,7 +388,7 @@ class TestSweepCommand:
         assert [r[1] for r in rows[1:]] == ["3.0", "10.0", "30.0"]
 
     def test_summary_counts_each_points_screens(self, tmp_path, line, block_trials):
-        # n = 91 gives blocks of b = 77 trials: 2 b + 7 trials fill three
+        # n = 91 gives blocks of b = 130 trials: 2 b + 7 trials fill three
         ball = enumerate_ball((1, 0), 6, line)
         trials = 2 * block_trials(HamiltonianSpec(line, 2, convention="fixed"), ball) + 7
         out = tmp_path / "out"

@@ -234,10 +234,11 @@ class TestSingularBlockOracle:
         assert sum(perturbed) > 0.8 * len(perturbed)
 
     def test_block_size_does_not_divide_the_count(self, line, block_trials):
-        # 91 members give blocks of b = 77: 2 b + 7 trials end on a block of 7
+        # 91 members give blocks of b = 130 (kd = 7 in band order): 2 b + 7
+        # trials end on a block of 7
         setup = self._sweep_setup(line, 3.0)
         b = block_trials(setup.ham_spec(), enumerate_ball(setup.center, setup.radius, line))
-        assert b == 77
+        assert b == 130
         count = 2 * b + 7
         seeds = [derive_seed(41, "trial", t) for t in range(count)]
         reports = self._check(setup, seeds, 0.0)
@@ -251,7 +252,7 @@ class TestSingularBlockOracle:
         # block, one full, a full and a single, two full and a partial
         setup = self._sweep_setup(line, 3.0)
         ball = enumerate_ball(setup.center, setup.radius, line)
-        monkeypatch.setattr(msa, "BLOCK_BAND_DOUBLES", 15 * len(ball) * (3 * 12 + 1))
+        monkeypatch.setattr(msa, "BLOCK_BAND_DOUBLES", 15 * len(ball) * (3 * 7 + 1))
         assert block_trials(setup.ham_spec(), ball) == 15
         seeds = [derive_seed(43, "trial", t) for t in range(count)]
         region = setup.region()
@@ -375,7 +376,7 @@ class TestBlockPool:
     @staticmethod
     def _inside_the_spectrum(line):
         # near-zero disorder at an eigenvalue of the field-free operator:
-        # the certificate clears 56 of the 161 trials, and every block
+        # the certificate clears 90 of the 267 trials, and every block
         # holds a trial it did not clear
         setup = TestSingularBlockOracle._sweep_setup(line, 3e-4)
         ball = enumerate_ball(setup.center, setup.radius, line)
@@ -420,27 +421,32 @@ class TestBlockPool:
         pooled = self._run(monkeypatch, 3, setup, energy, seeds)
         assert self._fingerprint(pooled) == self._fingerprint(serial)
         assert serial.blocks == 3
-        # blocks of 77 at n = 91, 243 on the split ball (n = 49)
+        # blocks of 130 at n = 91, 243 on the split ball (n = 49)
         cleared = sum(r.cleared for r in serial.reports)
-        assert (len(seeds), cleared) == {"sweep": (161, 160), "inside": (161, 56),
+        assert (len(seeds), cleared) == {"sweep": (267, 266), "inside": (267, 90),
                                          "split": (493, 0)}[case]
         if case == "inside":
             assert serial.cholesky_fallback_blocks == serial.blocks
+
+    @staticmethod
+    def _big_ball(line, plane, case):
+        """The sweep trial on the plane ball (n = 133) or the
+        three-particle ball (n = 280)."""
+        if case == "plane":
+            return replace(TestSingularBlockOracle._sweep_setup(plane, 3.0),
+                           center=((1, 0), (0, 0)), radius=2)
+        return replace(TestSingularBlockOracle._sweep_setup(line, 3.0),
+                       params=ScalingParams.finite_range(3, initial_scale=6),
+                       center=(9, 5, 0), radius=3)
 
     @pytest.mark.parametrize("case", ["plane", "three particles"])
     def test_big_balls_stack_their_trials(self, line, plane, monkeypatch, block_trials, case):
         # blocks sized by band bytes stack trials on balls where n^2 dense
         # bytes gave one trial a block: fewer band calls than trials
-        if case == "plane":
-            setup = replace(TestSingularBlockOracle._sweep_setup(plane, 3.0),
-                            center=((1, 0), (0, 0)), radius=2)
-        else:
-            setup = replace(TestSingularBlockOracle._sweep_setup(line, 3.0),
-                            params=ScalingParams.finite_range(3, initial_scale=6),
-                            center=(9, 5, 0), radius=3)
+        setup = self._big_ball(line, plane, case)
         ball = enumerate_ball(setup.center, setup.radius, setup.geometry)
         b = block_trials(setup.ham_spec(), ball)
-        assert (len(ball), b) == {"plane": (133, 12), "three particles": (280, 6)}[case]
+        assert (len(ball), b) == {"plane": (133, 20), "three particles": (280, 9)}[case]
         seeds = self._seeds(block_trials, setup, 46)
         calls, routine = [], spectral.lapack_routine
 
@@ -489,9 +495,9 @@ class TestBlockPool:
             bad[0, 1] += 0.5
             return OperatorMatrix(ball, bad, template.convention)
 
-        def spy(template, rows):
+        def spy(*args):
             threads.append(threading.current_thread())
-            return certificate(template, rows)
+            return certificate(*args)
 
         monkeypatch.setattr(msa, "hopping_template", skewed)
         monkeypatch.setattr(msa, "GapCertificate", spy)
@@ -500,6 +506,43 @@ class TestBlockPool:
             self._run(monkeypatch, 3, setup, 0.0, seeds)
         assert threads and threading.main_thread() not in threads
         assert threading.active_count() == alive
+
+
+class TestBandOrderIndependence:
+    """The singular event decided on the ball-order band (``band_order``
+    forced to the identity: kd = 12 and blocks of 77 at n = 91) and on the
+    reverse Cuthill–McKee band (kd = 7, blocks of 130): the same flags,
+    and worst values within the forward error of two backward-stable
+    solves, 4 n eps kappa(H - E) ||g||_inf (``reference_ns``)."""
+
+    @pytest.mark.parametrize("case", ["sweep g = 3", "sweep g = 30", "plane",
+                                      "three particles"])
+    def test_ball_order_decides_the_same(self, line, plane, monkeypatch, block_trials, case):
+        if case.startswith("sweep"):
+            coupling = float(case.split()[-1])
+            setup = TestSingularBlockOracle._sweep_setup(line, coupling)
+            sweep_seed = derive_seed(770001, "sweep", repr(coupling))
+            seeds = [derive_seed(sweep_seed, "trial", t) for t in range(1000)]
+        else:
+            setup = TestBlockPool._big_ball(line, plane, case)
+            seeds = TestBlockPool._seeds(block_trials, setup, 47)
+        region = setup.region()
+        fields = field_array(setup.field_model, region, seeds)
+
+        def run():
+            return block_non_singularity(setup.ham_spec(), region, fields, setup.center,
+                                         setup.radius, 0.0, setup.params)
+
+        banded = run()
+        monkeypatch.setattr(msa, "band_order",
+                            lambda m: (np.arange(len(m)), spectral.half_width(m)))
+        plain = run()
+        assert banded.blocks < plain.blocks
+        for seed, a, b in zip(seeds, banded.reports, plain.reports):
+            assert (a.non_singular, a.resonant) == (b.non_singular, b.resonant)
+            tolerance = reference_ns(setup, seed, 0.0)[2]
+            worst = (a.worst_boundary_value, b.worst_boundary_value)
+            assert worst[0] == worst[1] or abs(worst[0] - worst[1]) <= tolerance
 
 
 class TestScalingAudit:

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from mpdsa.operators import (
     InteractionModel,
     OperatorMatrix,
     assemble_hamiltonian,
+    hopping_template,
     laplacian_matrix,
 )
 from mpdsa.spectral import (
@@ -388,8 +393,10 @@ class TestGapCertificate:
     product form's, and its Green columns against a dense solve."""
 
     OFFSETS = (0.0, 1e-15, 1e-12, 1e-10, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 3e-3, 1e-2)
-    # half-widths of the cases' templates, from a point to the plane's 51
-    WIDTHS = [0, 1, 9, 26, 46, 8, 51, 3, 1]
+    # half-widths of the cases' templates in band order, from a point to
+    # the plane's 32 (51 in ball order); the one-particle plane ball keeps
+    # its ball order, where reverse Cuthill–McKee gives 9 against 8
+    WIDTHS = [0, 1, 6, 14, 31, 8, 32, 3, 1]
 
     @staticmethod
     def _operators(line, plane, path_graph):
@@ -457,9 +464,9 @@ class TestGapCertificate:
         for op, rng in self._operators(line, plane, path_graph):
             n = op.n
             certificate = GapCertificate(template_of(op), 1)
-            kd = certificate.width
+            kd, order = certificate.width, np.ix_(certificate.order, certificate.order)
             widths.append(kd)
-            assert kd == half_width(op.matrix)
+            assert kd == half_width(op.matrix[order])
             vals = eigenvalues_of(op)
             h = np.diag(op.matrix)[None]
             for energy in (0.0, float(vals[rng.integers(n)]) + 1e-3, -3.5 * op.norm_bound()):
@@ -467,7 +474,7 @@ class TestGapCertificate:
                 norm = op.norm_bound() + abs(energy)
                 sigma = 10 * n * np.sqrt(eps) * norm
                 shifted = (op.matrix - energy * np.eye(n)).astype(np.longdouble)
-                exact = shifted @ shifted - np.longdouble(sigma) ** 2 * np.eye(n)
+                exact = (shifted @ shifted - np.longdouble(sigma) ** 2 * np.eye(n))[order]
                 # the square's half-width is 2 kd: the band holds all of it
                 assert half_width(exact) <= min(2 * kd, n - 1) == band.shape[1] - 1
                 reference = lower_band(exact, band.shape[1] - 1)
@@ -616,6 +623,88 @@ class TestGapCertificate:
             h = np.diag(op.matrix) + rng.normal(scale=0.5, size=(3, op.n))
             certificate = GapCertificate(template_of(op), 3)
             self._check_stacked(certificate, h, 0.0, int(rng.integers(op.n)))
+
+
+class TestBandOrder:
+    """``band_order`` on the hopping templates of the test and benchmark
+    balls: a permutation, the same on every run, never wider than ball
+    order, and the order ``GapCertificate`` stores its bands in."""
+
+    # name: (geometry fixture, centre, radius, n, half-width in ball order,
+    # half-width in band order)
+    BALLS = {
+        "sweep-r6": ("line", (1, 0), 6, 91, 12, 7),
+        "plane": ("plane", ((1, 0), (0, 0)), 2, 133, 51, 32),
+        "three particles": ("line", (9, 5, 0), 3, 280, 46, 31),
+        "L = 11": ("line", (1, 0), 11, 276, 22, 12),
+        "L = 16": ("line", (1, 0), 16, 561, 32, 17),
+        "path graph": ("path_graph", (2, 0), 4, 10, 3, 3),
+        "one-particle plane": ("plane", ((0, 0),), 4, 41, 8, 8),
+    }
+
+    @classmethod
+    def _template(cls, request, name):
+        kind, center, radius, *_ = cls.BALLS[name]
+        geometry = request.getfixturevalue(kind)
+        spec = HamiltonianSpec(geometry=geometry, n_particles=len(center), convention="fixed")
+        return hopping_template(spec, enumerate_ball(center, radius, geometry))
+
+    @pytest.mark.parametrize("name", list(BALLS))
+    def test_widths(self, request, name):
+        *_, n, ball_kd, band_kd = self.BALLS[name]
+        template = self._template(request, name)
+        order, kd = spectral.band_order(template.matrix)
+        assert np.array_equal(np.sort(order), np.arange(n))
+        assert half_width(template.matrix) == ball_kd
+        assert half_width(template.matrix[np.ix_(order, order)]) == kd == band_kd
+        certificate = GapCertificate(template, 1)
+        assert np.array_equal(certificate.order, order) and certificate.width == kd
+        # no narrower: the identity
+        if band_kd == ball_kd:
+            assert np.array_equal(order, np.arange(n))
+
+    def test_scipy_finds_the_same_widths(self, request):
+        """An independent reverse Cuthill–McKee, scipy's, narrows every
+        ball to the same half-width (or, on the one-particle plane ball,
+        not below ball order)."""
+        csgraph = pytest.importorskip("scipy.sparse.csgraph")
+        sparse = pytest.importorskip("scipy.sparse")
+        for name, (*_, ball_kd, band_kd) in self.BALLS.items():
+            matrix = self._template(request, name).matrix
+            order = csgraph.reverse_cuthill_mckee(sparse.csr_matrix(matrix), symmetric_mode=True)
+            assert min(half_width(matrix[np.ix_(order, order)]), ball_kd) == band_kd
+
+    def test_the_same_order_on_every_run(self, request):
+        """Twice in this process, and in fresh interpreters under other
+        hash seeds, every ball gets the same order."""
+        names = list(self.BALLS)
+        orders = [spectral.band_order(self._template(request, name).matrix)[0] for name in names]
+        again = [spectral.band_order(self._template(request, name).matrix)[0] for name in names]
+        assert all(np.array_equal(a, b) for a, b in zip(orders, again))
+        script = (
+            "import sys, numpy as np\n"
+            "from mpdsa.configspace import LatticeGeometry, enumerate_ball\n"
+            "from mpdsa.operators import HamiltonianSpec, hopping_template\n"
+            "from mpdsa.spectral import band_order\n"
+            "geometries = {'line': LatticeGeometry('lattice', 1),\n"
+            "              'plane': LatticeGeometry('lattice', 2),\n"
+            "              'path_graph': LatticeGeometry('graph', 1, 3.0,\n"
+            "                  ((1,), (0, 2), (1, 3), (2, 4), (3,)))}\n"
+            "for kind, center, radius in eval(sys.argv[1]):\n"
+            "    g = geometries[kind]\n"
+            "    spec = HamiltonianSpec(geometry=g, n_particles=len(center), convention='fixed')\n"
+            "    t = hopping_template(spec, enumerate_ball(center, radius, g)).matrix\n"
+            "    print(*band_order(t)[0])\n"
+        )
+        balls = repr([self.BALLS[name][:3] for name in names])
+        src = str(Path(spectral.__file__).resolve().parent.parent)
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            proc = subprocess.run([sys.executable, "-c", script, balls], capture_output=True,
+                                  text=True, env=env, timeout=120, check=True)
+            printed = [list(map(int, line.split())) for line in proc.stdout.splitlines()]
+            assert printed == [order.tolist() for order in orders]
 
 
 class TestSymmetryCheck:
